@@ -16,13 +16,13 @@ import argparse
 import itertools
 import sys
 
-from constellation_lab.counting import m_tuples
+from constellation_lab.counting import m_coefficient
 from constellation_lab.puzzle import sample_puzzle, verify_puzzle
 
 
 def feasible_types(n: int, k: int):
     for p in itertools.product(range(0, n + 1), repeat=k):
-        if any(mt.counts() == p for mt in m_tuples(n, k)):
+        if m_coefficient(n, p):
             yield p
 
 

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from .counting import subset_type
 from .halfedges import BLACK, WHITE, HalfEdgeMap
 from .nebulas import Nebula
 from .permutations import Permutation
@@ -100,11 +101,7 @@ class Prebidding:
         return len(self.subsets)
 
     def p_vector(self) -> tuple[int, ...]:
-        p = [0] * self.k
-        for s in self.subsets:
-            for t in s:
-                p[t - 1] += 1
-        return tuple(p)
+        return subset_type(self.k, self.subsets)
 
     def validate(self) -> Optional[str]:
         if sorted(self.order) != sorted(
@@ -155,11 +152,7 @@ class Bidding:
         return len(self.subsets)
 
     def p_vector(self) -> tuple[int, ...]:
-        p = [0] * self.k
-        for s in self.subsets:
-            for t in s:
-                p[t - 1] += 1
-        return tuple(p)
+        return subset_type(self.k, self.subsets)
 
     def to_json(self) -> dict:
         return {

@@ -345,7 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact counting and cross-verified bijections for "
         "factorizations of the long cycle.",
     )
-    default_cap = int(os.environ.get(CAP_ENV, DEFAULT_CAP))
+    cap_text = os.environ.get(CAP_ENV, str(DEFAULT_CAP))
+    try:
+        default_cap = int(cap_text)
+    except ValueError:
+        raise ValueError(f"{CAP_ENV} must be an integer, got {cap_text!r}") from None
 
     def _common(target, suppress, with_format=True):
         # the same options are accepted before and after the subcommand;
@@ -441,9 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -89,6 +89,15 @@ class ColoredFactorization:
         return None
 
 
+def subset_type(k: int, subsets: Sequence[frozenset[int]]) -> tuple[int, ...]:
+    """The type of a tuple of subsets of [k]: entry t counts the subsets holding t."""
+    out = [0] * k
+    for s in subsets:
+        for t in s:
+            out[t - 1] += 1
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class MTuple:
     """An n-tuple of strict subsets of [k]."""
@@ -101,11 +110,7 @@ class MTuple:
         return len(self.subsets)
 
     def counts(self) -> tuple[int, ...]:
-        out = [0] * self.k
-        for s in self.subsets:
-            for t in s:
-                out[t - 1] += 1
-        return tuple(out)
+        return subset_type(self.k, self.subsets)
 
     def to_json(self) -> list[list[int]]:
         return [sorted(s) for s in self.subsets]
@@ -344,45 +349,14 @@ def m_tuples(
     yield from rec(0, (0,) * k, [])
 
 
-def _m_count_enumeration(n: int, k: int, p: tuple[int, ...]) -> int:
-    return sum(1 for _ in m_tuples(n, k, p))
-
-
-def _poly_mul(
-    a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int], bound: tuple[int, ...]
-) -> dict[tuple[int, ...], int]:
-    out: dict[tuple[int, ...], int] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            if any(x > bx for x, bx in zip(e, bound)):
-                continue
-            out[e] = out.get(e, 0) + ca * cb
-    return out
-
-
-def _m_count_coefficient(n: int, k: int, p: tuple[int, ...]) -> int:
-    """[x^p] (prod(1+x_t) - prod(x_t))^n by explicit polynomial expansion."""
-    base: dict[tuple[int, ...], int] = {}
-    for mask in range(2**k):
-        e = tuple(1 if mask & (1 << t) else 0 for t in range(k))
-        base[e] = base.get(e, 0) + 1
-    ones = (1,) * k
-    base[ones] = base.get(ones, 0) - 1
-    if base[ones] == 0:
-        del base[ones]
-    result: dict[tuple[int, ...], int] = {(0,) * k: 1}
-    for _ in range(n):
-        result = _poly_mul(result, base, p)
-    return result.get(p, 0)
-
-
 def m_coefficient(n: int, p: Sequence[int], k: Optional[int] = None) -> int:
-    """M^n_p, computed two independent ways and cross-checked.
+    """M^n_p = [x^p] (prod_t (1 + x_t) - prod_t x_t)^n, by its closed form.
 
-    (a) direct enumeration of the subset tuples with count pruning and
-    (b) coefficient extraction from the defining polynomial.  A mismatch
-    is an internal error, never a return value.
+    M^n_p counts the n-tuples of strict subsets of [k] of type p (see
+    :func:`m_tuples`).  Expanding the n-th power binomially gives
+    ``sum_j (-1)^j C(n, j) prod_t C(n - j, p_t - j)``, O(nk) integer
+    operations.  Tuple enumeration and polynomial expansion are oracles for
+    it in the tests.
     """
     p = tuple(p)
     k = len(p) if k is None else k
@@ -390,13 +364,13 @@ def m_coefficient(n: int, p: Sequence[int], k: Optional[int] = None) -> int:
         raise ValueError("p must have length k")
     if n < 0 or any(x < 0 for x in p):
         return 0
-    by_enum = _m_count_enumeration(n, k, p)
-    by_coeff = _m_count_coefficient(n, k, p)
-    if by_enum != by_coeff:
-        raise AssertionError(
-            f"M-coefficient self-check failed for n={n}, p={p}: {by_enum} != {by_coeff}"
-        )
-    return by_enum
+    if k < 1:
+        raise ValueError("need k >= 1")
+    # math.comb rejects negative arguments, and every term past min(n, p) is 0
+    return sum(
+        (-1) ** j * comb(n, j) * _prod(comb(n - j, x - j) for x in p)
+        for j in range(min(n, *p) + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -115,10 +115,6 @@ def cycles(p: Permutation) -> list[list[int]]:
     return out
 
 
-def cycle_count(p: Permutation) -> int:
-    return len(cycles(p))
-
-
 def cycle_type(p: Permutation) -> Composition:
     """Multiset of cycle lengths, weakly decreasing (a partition of n)."""
     return Composition(tuple(sorted((len(c) for c in cycles(p)), reverse=True)))
@@ -144,11 +140,6 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     """All permutations of [n] in lexicographic one-line order."""
     for image in itertools.permutations(range(1, n + 1)):
         yield Permutation(image)
-
-
-def conjugate_relabel(p: Permutation, s: Permutation) -> Permutation:
-    """Relabel the ground set by s: returns s∘p∘s⁻¹."""
-    return compose(s, compose(p, inverse(s)))
 
 
 def compositions_of(n: int) -> Iterator[Composition]:

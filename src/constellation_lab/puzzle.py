@@ -49,10 +49,6 @@ class ExactProbability:
         return str(self)
 
 
-def _count_m(n: int, k: int, p: Sequence[int]) -> int:
-    return sum(1 for _ in m_tuples(n, k, p))
-
-
 def tree_probability(
     n: int, k: int, p: Sequence[int], cap: Optional[int] = None
 ) -> ExactProbability:
@@ -71,21 +67,18 @@ def tree_probability(
 
 
 def r1_probability(n: int, k: int, p: Sequence[int]) -> ExactProbability:
-    """P(|R_1| = k-1), computed directly and by the shifted-count identity."""
+    """P(|R_1| = k-1) = sum_t M^(n-1)_(p - 1 + e_t) / M^n_p, exactly.
+
+    R_1 = [k] - {t} leaves n-1 subsets of type p - 1 + e_t.
+    """
     p = tuple(p)
-    total = _count_m(n, k, p)
+    total = m_coefficient(n, p, k)
     if total == 0:
         raise UndefinedProbabilityError(f"no subset tuples of type {p}")
-    hits = sum(1 for mt in m_tuples(n, k, p) if len(mt.subsets[0]) == k - 1)
-    by_formula = 0
-    for t in range(1, k + 1):
-        shifted = tuple(x - 1 + (1 if s == t else 0) for s, x in enumerate(p, start=1))
-        if all(x >= 0 for x in shifted):
-            by_formula += m_coefficient(n - 1, shifted)
-    if hits != by_formula:
-        raise AssertionError(
-            f"r1 cross-check failed for n={n}, p={p}: {hits} != {by_formula}"
-        )
+    hits = sum(
+        m_coefficient(n - 1, tuple(x - 1 + (s == t) for s, x in enumerate(p, start=1)))
+        for t in range(1, k + 1)
+    )
     return ExactProbability(hits, total)
 
 
@@ -133,25 +126,11 @@ def _count_with_supersets(
 
     subsets = strict_subsets(k)
 
-    @lru_cache(maxsize=None)
-    def free(remaining: int, counts: tuple[int, ...]) -> int:
-        if any(c < 0 for c in counts):
-            return 0
-        if remaining == 0:
-            return 1 if all(c == 0 for c in counts) else 0
-        total = 0
-        for s in subsets:
-            total += free(
-                remaining - 1,
-                tuple(c - (1 if t in s else 0) for t, c in enumerate(counts, start=1)),
-            )
-        return total
-
     def rec(idx: int, counts: tuple[int, ...]) -> int:
         if any(c < 0 for c in counts):
             return 0
         if idx == len(unions):
-            return free(n - len(unions), counts)
+            return m_coefficient(n - len(unions), counts)
         total = 0
         for s in subsets:
             if unions[idx] <= s:
@@ -182,7 +161,7 @@ def event_probability(
     if m > k - 1:
         raise ValueError("at most k-1 index slots")
     p = tuple(p)
-    total = _count_m(n, k, p)
+    total = m_coefficient(n, p, k)
     if total == 0:
         raise UndefinedProbabilityError(f"no subset tuples of type {p}")
     hits = 0

@@ -33,7 +33,6 @@ from constellation_lab.counting import (
     enumerate_colored_factorizations,
     enumerate_colored_factorizations_all,
     m_coefficient,
-    m_tuples,
     verify_gf_identity,
     verify_jackson,
 )
@@ -77,7 +76,7 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 def feasible_types(n, k):
     for p in itertools.product(range(0, n + 1), repeat=k):
-        if any(mt.counts() == p for mt in m_tuples(n, k)):
+        if m_coefficient(n, p):
             yield p
 
 

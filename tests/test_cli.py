@@ -1,4 +1,5 @@
 import json
+from math import comb, prod
 
 import pytest
 
@@ -67,6 +68,27 @@ def test_cap_env_var_is_default(capsys, monkeypatch):
     monkeypatch.setenv("CONSTELLATION_LAB_CAP", "1")
     code = main(["jackson-check", "--n", "4", "--k", "3", "--all-p"])
     assert code == 3
+
+
+def test_invalid_cap_env_var_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CONSTELLATION_LAB_CAP", "abc")
+    code = main(["count", "--m", "--n", "2", "--k", "2", "--p", "1,1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: CONSTELLATION_LAB_CAP") and err.count("\n") == 1
+
+
+def test_count_m_past_enumeration_range(capsys):
+    # (2^4 - 1)^40 tuples are far past any cap; the closed form needs none
+    n, p = 40, (25, 30, 17, 33)
+    expected = sum(
+        (-1) ** j * comb(n, j) * prod(comb(n - j, x - j) for x in p)
+        for j in range(min(p) + 1)
+    )
+    code, out = run(capsys, "count", "--what", "m", "--n", "40", "--k", "4", "--p", "25,30,17,33")
+    assert code == 0
+    assert out.splitlines()[0] == f"M^40_25,30,17,33 = {expected}"
+    assert expected > 0
 
 
 def test_usage_error_exit_code():

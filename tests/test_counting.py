@@ -168,6 +168,70 @@ def test_m_coefficient_examples():
     assert m_coefficient(2, (1, 1, 1)) == 6
 
 
+def _poly_mul(a, b, bound):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if any(x > bx for x, bx in zip(e, bound)):
+                continue
+            out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+def m_by_polynomial(n, p):
+    """[x^p] (prod(1+x_t) - prod(x_t))^n by explicit polynomial expansion."""
+    k = len(p)
+    base = {}
+    for mask in range(2**k - 1):  # the full mask is the subtracted prod(x_t)
+        e = tuple(1 if mask & (1 << t) else 0 for t in range(k))
+        base[e] = 1
+    result = {(0,) * k: 1}
+    for _ in range(n):
+        result = _poly_mul(result, base, p)
+    return result.get(p, 0)
+
+
+def test_m_coefficient_three_way_agreement():
+    # closed form == tuple enumeration == polynomial expansion over the
+    # acceptance grid, with zeros, entries above n and negative entries
+    checked = 0
+    for k, nmax in [(2, 6), (3, 4), (4, 3)]:
+        for n in range(0, nmax + 1):
+            for p in itertools.product(range(-1, n + 2), repeat=k):
+                closed = m_coefficient(n, p)
+                assert closed == m_by_polynomial(n, p), (n, p)
+                if min(p) < 0:
+                    assert closed == 0
+                    with pytest.raises(ValueError):
+                        next(m_tuples(n, k, p))
+                else:
+                    assert closed == sum(1 for _ in m_tuples(n, k, p)), (n, p)
+                checked += 1
+    assert checked == 3313
+
+
+def test_m_coefficient_rejects_invalid_arguments():
+    with pytest.raises(ValueError):
+        m_coefficient(2, (1, 1), k=3)
+    with pytest.raises(ValueError):
+        m_coefficient(2, ())
+    assert m_coefficient(-1, (0, 0)) == 0
+
+
+def test_m_coefficient_beyond_enumeration():
+    # n = k subsets of type (k-1,...,k-1) each miss exactly one type, a
+    # different one each time: k! tuples
+    for k in (2, 3, 4, 5):
+        assert m_coefficient(k, (k - 1,) * k) == factorial(k)
+    # summed over all types, M counts every tuple: (2^k - 1)^n, past the cap
+    n, k = 12, 3
+    assert sum(
+        m_coefficient(n, p) for p in itertools.product(range(n + 1), repeat=k)
+    ) == (2**k - 1) ** n
+    assert m_coefficient(200, (0, 0, 0, 0)) == 1
+
+
 def test_m_tuples_stream_counts_and_types():
     for mt in m_tuples(2, 3, (1, 1, 1)):
         assert mt.counts() == (1, 1, 1)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from constellation_lab.counting import count_colored, m_tuples
+from constellation_lab.counting import count_colored, m_coefficient, m_tuples
 from constellation_lab.puzzle import (
     ExactProbability,
     SamplingError,
@@ -20,7 +20,7 @@ from constellation_lab.puzzle import (
 
 def feasible_types(n, k):
     for p in itertools.product(range(0, n + 1), repeat=k):
-        if any(mt.counts() == p for mt in m_tuples(n, k)):
+        if m_coefficient(n, p):
             yield p
 
 
@@ -43,6 +43,22 @@ def test_r1_probability_examples():
     assert r1_probability(2, 2, (1, 1)) == ExactProbability(1, 1)
     assert r1_probability(2, 3, (1, 1, 1)) == ExactProbability(1, 2)
     assert r1_probability(3, 2, (0, 0)) == ExactProbability(0, 1)
+
+
+def test_r1_probability_matches_enumeration():
+    # the closed-form count against the share of enumerated tuples with
+    # |R_1| = k-1, over the criterion-7 grid
+    checked = 0
+    for k, nmax in [(2, 6), (3, 4), (4, 3)]:
+        for n in range(1, nmax + 1):
+            for p in feasible_types(n, k):
+                tuples = list(m_tuples(n, k, p))
+                hits = sum(1 for mt in tuples if len(mt.subsets[0]) == k - 1)
+                assert r1_probability(n, k, p) == ExactProbability(hits, len(tuples))
+                checked += 1
+    assert checked == 604
+    with pytest.raises(UndefinedProbabilityError):
+        r1_probability(2, 3, (3, 3, 0))
 
 
 def test_tree_probability_invariant_under_slot_relabeling():
@@ -93,7 +109,7 @@ def test_event_probability_examples():
 def test_event_probability_matches_naive():
     for n, k in [(2, 3), (3, 3)]:
         for p in [(1, 1, 1), (1, 2, 1), (2, 2, 2)]:
-            if not any(mt.counts() == p for mt in m_tuples(n, k)):
+            if not m_coefficient(n, p):
                 continue
             for a, b in [({1}, {2}), ({1, 2}, {3}), ({2}, set()), ({1, 3}, {2, 3})]:
                 assert event_probability([a, b], n, k, p) == event_probability_naive(
