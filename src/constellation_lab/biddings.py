@@ -88,6 +88,10 @@ def is_tree(g: TypedGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _are_strict_subsets(k: int, subsets: Sequence[frozenset[int]]) -> bool:
+    return all(len(s) < k and all(1 <= t <= k for t in s) for s in subsets)
+
+
 @dataclass(frozen=True)
 class Prebidding:
     """A linear order on [k] x [n] (least first) plus strict subsets."""
@@ -108,9 +112,8 @@ class Prebidding:
             (t, i) for t in range(1, self.k + 1) for i in range(1, self.n + 1)
         ):
             return "order is not a linear order on [k] x [n]"
-        for s in self.subsets:
-            if len(s) >= self.k or any(not 1 <= t <= self.k for t in s):
-                return "subsets must be strict subsets of [k]"
+        if not _are_strict_subsets(self.k, self.subsets):
+            return "subsets must be strict subsets of [k]"
         t_top, _ = self.order[-1]
         if t_top != self.k:
             return f"greatest element has type {t_top}, expected {self.k}"
@@ -153,6 +156,15 @@ class Bidding:
 
     def p_vector(self) -> tuple[int, ...]:
         return subset_type(self.k, self.subsets)
+
+    def validate(self) -> Optional[str]:
+        if self.n < 1 or any(w.n != self.n for w in self.omegas):
+            return "omegas must be permutations of [n] for n >= 1"
+        if not _are_strict_subsets(self.k, self.subsets):
+            return "subsets must be strict subsets of [k]"
+        if not is_valid_bidding(self):
+            return "invalid bidding: last-appearance graph is not a tree"
+        return None
 
     def to_json(self) -> dict:
         return {
@@ -269,7 +281,9 @@ def _corner_reading(ln: LabelledNebula) -> list[Pair]:
 
 
 def vartheta(ln: LabelledNebula) -> Prebidding:
-    """Read a labelled rooted nebula as a valid prebidding."""
+    """Read a labelled rooted nebula as a valid prebidding.  Raises ValueError
+    on invalid input.  The output is valid by construction and is checked
+    only in tests (criterion 4, ``tests/test_validate_once.py``)."""
     problem = ln.validate()
     if problem is not None:
         raise ValueError(problem)
@@ -278,11 +292,7 @@ def vartheta(ln: LabelledNebula) -> Prebidding:
     top = (m.k, dict(ln.black_labels)[m.root])
     i = pairs.index(top)
     order = tuple(pairs[i + 1 :] + pairs[: i + 1])
-    pb = Prebidding(k=m.k, order=order, subsets=ln.label_sets())
-    problem = pb.validate()
-    if problem is not None:
-        raise AssertionError(f"corner reading is not a valid prebidding: {problem}")
-    return pb
+    return Prebidding(k=m.k, order=order, subsets=ln.label_sets())
 
 
 def vartheta_inverse(pb: Prebidding) -> LabelledNebula:
@@ -292,6 +302,8 @@ def vartheta_inverse(pb: Prebidding) -> LabelledNebula:
     rotations are chained run by run: consecutive corners inside a run are
     clockwise-consecutive darts, and each run hangs off the edge dart that
     entered the vertex, which is the white dart of (t+1, previous label).
+    Raises ValueError on invalid input.  The output is valid by construction
+    and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
     """
     problem = pb.validate()
     if problem is not None:
@@ -352,7 +364,7 @@ def vartheta_inverse(pb: Prebidding) -> LabelledNebula:
         vertex_color=colors,
         root=root_label - 1,
     )
-    ln = LabelledNebula(
+    return LabelledNebula(
         nebula=Nebula(hmap=hmap),
         black_labels=tuple((i - 1, i) for i in range(1, n + 1)),
         white_bud_labels=tuple(
@@ -363,10 +375,6 @@ def vartheta_inverse(pb: Prebidding) -> LabelledNebula:
             )
         ),
     )
-    problem = ln.validate()
-    if problem is not None:
-        raise AssertionError(f"prebidding did not rebuild into a nebula: {problem}")
-    return ln
 
 
 # ---------------------------------------------------------------------------
@@ -375,17 +383,16 @@ def vartheta_inverse(pb: Prebidding) -> LabelledNebula:
 
 
 def sigma(pb: Prebidding) -> Bidding:
-    """Forget the order down to the per-type appearance permutations."""
+    """Forget the order down to the per-type appearance permutations.  Raises
+    ValueError on invalid input.  The output is valid by construction and is
+    checked only in tests (criterion 4, ``tests/test_validate_once.py``)."""
     problem = pb.validate()
     if problem is not None:
         raise ValueError(problem)
     omegas = []
     for t in range(1, pb.k + 1):
         omegas.append(Permutation(tuple(i for t2, i in pb.order if t2 == t)))
-    b = Bidding(omegas=tuple(omegas), subsets=pb.subsets)
-    if not is_valid_bidding(b):
-        raise AssertionError("sigma produced an invalid bidding")
-    return b
+    return Bidding(omegas=tuple(omegas), subsets=pb.subsets)
 
 
 def sigma_inverse(b: Bidding) -> Prebidding:
@@ -393,9 +400,12 @@ def sigma_inverse(b: Bidding) -> Prebidding:
 
     The tour starts at vertex k with the arc of pair (k, omega_k(n)); its
     existence is the tree condition on the last exits (the validity test).
+    Raises ValueError on invalid input.  The output is valid by construction
+    and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
     """
-    if not is_valid_bidding(b):
-        raise ValueError("invalid bidding: last-appearance graph is not a tree")
+    problem = b.validate()
+    if problem is not None:
+        raise ValueError(problem)
     k, n = b.k, b.n
     usage = {t: [b.omegas[t - 1](m) for m in range(1, n + 1)] for t in range(1, k + 1)}
     usage[k] = [usage[k][-1]] + usage[k][:-1]
@@ -411,11 +421,7 @@ def sigma_inverse(b: Bidding) -> Prebidding:
         t = alpha(t, b.subsets[i - 1], k)
     if t != k or any(ptr[s] != n for s in ptr):
         raise ValueError("tour replay did not close")
-    pb = Prebidding(k=k, order=tuple(seq[1:] + seq[:1]), subsets=b.subsets)
-    problem = pb.validate()
-    if problem is not None:
-        raise AssertionError(f"replay is not a valid prebidding: {problem}")
-    return pb
+    return Prebidding(k=k, order=tuple(seq[1:] + seq[:1]), subsets=b.subsets)
 
 
 def psi(ln: LabelledNebula) -> Bidding:

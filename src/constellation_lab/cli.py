@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error,
 3 enumeration cap exceeded.  Reports are deterministic for a fixed
-configuration (including seed and thread count).
+configuration (including seed).
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from .counting import CapExceededError, CheckReport, DEFAULT_CAP
 from .halfedges import HalfEdgeMap
 from .permutations import Composition, compositions_of
 
-SCHEMA = "constellation-lab/1"
+SCHEMA = "constellation-lab/2"
 CAP_ENV = "CONSTELLATION_LAB_CAP"
 
 EXIT_OK = 0
@@ -60,7 +60,6 @@ def _report(args, command: str, results: list[dict], ok: bool, extra: Optional[d
         "schema": SCHEMA,
         "command": command,
         "ok": ok,
-        "threads": args.threads,
         "cap": args.cap,
         "results": results,
     }
@@ -262,9 +261,7 @@ def cmd_pointing_check(args) -> int:
 
 def cmd_puzzle(args) -> int:
     if args.sample is not None:
-        result = puzzle.sample_puzzle(
-            args.n, args.k, args.p, trials=args.sample, seed=args.seed, threads=args.threads
-        )
+        result = puzzle.sample_puzzle(args.n, args.k, args.p, args.sample, args.seed)
         payload = _report(args, "puzzle", [result.to_json()], True)
         _emit(
             args,
@@ -356,9 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         # subparser copies use SUPPRESS so they only override when given
         d = (lambda v: argparse.SUPPRESS if suppress else v)
         target.add_argument("--cap", type=int, default=d(default_cap), help="enumeration cap")
-        target.add_argument(
-            "--threads", type=int, default=d(1), help="worker slots (recorded in reports)"
-        )
         if with_format:
             target.add_argument("--format", choices=["text", "json"], default=d("text"))
         target.add_argument("--out", default=d(None), help="write output to a file")
@@ -421,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--p", type=_parse_ints, required=True)
-    sp.add_argument("--exact", action="store_true", default=True)
     sp.add_argument("--sample", type=int, default=None, help="Monte Carlo trials")
     sp.add_argument("--seed", type=int, default=0)
 
@@ -430,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--p", type=_parse_ints, default=None)
-    sp.add_argument("--emit", choices=["jsonl"], default="jsonl")
 
     sp = add("render", cmd_render, with_format=False, help="DOT rendering of JSON objects")
     sp.add_argument("--input", required=True)

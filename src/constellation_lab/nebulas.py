@@ -145,18 +145,17 @@ def validate_nebula(m: HalfEdgeMap) -> Optional[str]:
 
 
 def dual_opening(tp: TreePointedConstellation) -> Nebula:
-    """Cut the dual edges crossed by the arborescence; yields a rooted nebula."""
+    """Cut the dual edges crossed by the arborescence; yields a rooted nebula.
+    Raises ValueError on invalid input.  The output is valid by construction
+    and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
+    """
     problem = tp.validate()
     if problem is not None:
         raise ValueError(problem)
     c = tp.constellation
     d = dual(c)
     cut = {dual_black_dart(c, e) for e in tp.arborescence.edges()}
-    nb = Nebula(hmap=with_twins_cut(d, cut))
-    problem = nb.validate()
-    if problem is not None:
-        raise AssertionError(f"dual opening is not a nebula: {problem}")
-    return nb
+    return Nebula(hmap=with_twins_cut(d, cut))
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +231,16 @@ def dual_closure(nb: Nebula) -> TreePointedConstellation:
     its right (the one whose tour traverses the black-side dart) is the
     face it closed, and the dual of the bud-edge is that face's parent
     edge.  The pointed vertex is the dual of the one face no bud-edge
-    closed.
+    closed.  Raises ValueError on invalid input.  The output is valid by
+    construction and is checked only in tests (criterion 4,
+    ``tests/test_validate_once.py``).
     """
-    closed, bud_edges = closure(nb)
-    if not bud_edges:
+    if not nb.hmap.buds:
         raise ValueError("nebula has no buds: no pointed vertex to recover")
+    problem = nb.validate()
+    if problem is not None:
+        raise ValueError(problem)
+    closed, bud_edges = closure(nb)
     c, hyperedge_of_black, vertex_of_dart = constellation_from_dual(closed)
     parent: list[Optional[tuple[int, int]]] = [None] * c.num_vertices
     for _, b in bud_edges:
@@ -249,14 +253,10 @@ def dual_closure(nb: Nebula) -> TreePointedConstellation:
     unclosed = [v for v in range(1, c.num_vertices + 1) if parent[v - 1] is None]
     if len(unclosed) != 1:
         raise AssertionError("closing edges do not leave a unique pointed vertex")
-    tp = TreePointedConstellation(
+    return TreePointedConstellation(
         constellation=c,
         arborescence=Arborescence(root_vertex=unclosed[0], parent_edge=tuple(parent)),
     )
-    problem = tp.validate()
-    if problem is not None:
-        raise AssertionError(f"dual closure is not tree-pointed: {problem}")
-    return tp
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ class UndefinedProbabilityError(ValueError):
 
 
 class SamplingError(RuntimeError):
-    """Rejection sampling acceptance rate fell below the configured floor."""
+    """Rejection sampling accepted none of its trials."""
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,8 @@ def tree_probability(
     n: int, k: int, p: Sequence[int], cap: Optional[int] = None
 ) -> ExactProbability:
     """P(successor graph of a uniform pair is a tree), exactly."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     p = tuple(p)
     hits = 0
     total_tuples = 0
@@ -284,15 +286,14 @@ class SampleResult:
     tree_hits: int
     r1_hits: int
     seed: int
-    threads: int
 
     @property
     def tree_estimate(self) -> ExactProbability:
-        return ExactProbability(self.tree_hits, max(self.accepted, 1))
+        return ExactProbability(self.tree_hits, self.accepted)
 
     @property
     def r1_estimate(self) -> ExactProbability:
-        return ExactProbability(self.r1_hits, max(self.accepted, 1))
+        return ExactProbability(self.r1_hits, self.accepted)
 
     def to_json(self) -> dict:
         return {
@@ -304,7 +305,6 @@ class SampleResult:
             "tree_estimate": str(self.tree_estimate),
             "r1_estimate": str(self.r1_estimate),
             "seed": self.seed,
-            "threads": self.threads,
         }
 
 
@@ -314,41 +314,40 @@ def sample_puzzle(
     p: Sequence[int],
     trials: int,
     seed: int,
-    threads: int = 1,
-    min_acceptance: float = 1e-6,
 ) -> SampleResult:
     """Rejection-sampled estimates of both puzzle probabilities.
 
     Subset tuples are drawn i.i.d. uniform over strict subsets and accepted
-    when the per-type counts match p.  Streams are split per thread slot
-    from the master seed, so results depend only on (seed, threads).
+    when the per-type counts match p.  The generator is seeded with the
+    first 64 bits drawn from ``Random(seed)``, so results depend only on the
+    arguments.  Raises SamplingError when no trial is accepted.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     p = tuple(p)
     subsets = strict_subsets(k)
-    master = random.Random(seed)
-    thread_seeds = [master.getrandbits(64) for _ in range(threads)]
-    per_thread = [trials // threads + (1 if t < trials % threads else 0) for t in range(threads)]
+    rng = random.Random(random.Random(seed).getrandbits(64))
     accepted = tree_hits = r1_hits = 0
-    for t_seed, t_trials in zip(thread_seeds, per_thread):
-        rng = random.Random(t_seed)
-        for _ in range(t_trials):
-            tup = [subsets[rng.randrange(len(subsets))] for _ in range(n)]
-            counts = [0] * k
-            for s in tup:
-                for x in s:
-                    counts[x - 1] += 1
-            if tuple(counts) != p:
-                continue
-            accepted += 1
-            indices = [rng.randrange(1, n + 1) for _ in range(k - 1)]
-            if alpha_graph(indices, tup, k).is_tree():
-                tree_hits += 1
-            if len(tup[0]) == k - 1:
-                r1_hits += 1
-    if trials > 0 and accepted < max(1, int(trials * min_acceptance)):
+    for _ in range(trials):
+        tup = [subsets[rng.randrange(len(subsets))] for _ in range(n)]
+        counts = [0] * k
+        for s in tup:
+            for x in s:
+                counts[x - 1] += 1
+        if tuple(counts) != p:
+            continue
+        accepted += 1
+        indices = [rng.randrange(1, n + 1) for _ in range(k - 1)]
+        if alpha_graph(indices, tup, k).is_tree():
+            tree_hits += 1
+        if len(tup[0]) == k - 1:
+            r1_hits += 1
+    if accepted == 0:
         raise SamplingError(
-            f"acceptance rate {accepted}/{trials} below floor {min_acceptance}; "
-            f"type {p} is too rare for rejection sampling at n={n}, k={k}"
+            f"no trial of {trials} accepted; type {p} is too rare for "
+            f"rejection sampling at n={n}, k={k}"
         )
     return SampleResult(
         n=n,
@@ -359,5 +358,4 @@ def sample_puzzle(
         tree_hits=tree_hits,
         r1_hits=r1_hits,
         seed=seed,
-        threads=threads,
     )

@@ -96,6 +96,12 @@ class EulerianDigraphTour:
 
     def validate(self) -> Optional[str]:
         dg = self.digraph
+        if len(dg.colorings) != dg.k or any(len(col) != dg.n for col in dg.colorings):
+            return f"colorings are not {dg.k} maps on [{dg.n}]"
+        for t, col in enumerate(dg.colorings, start=1):
+            used = set(col)
+            if used != set(range(1, len(used) + 1)):
+                return f"coloring {t} is not surjective"
         if sorted(self.arcs) != sorted(dg.arcs()):
             return "tour does not use each arc exactly once"
         if dg.tail(self.arcs[0])[0] != dg.k:
@@ -173,6 +179,8 @@ def xi(cf: ColoredFactorization) -> EulerianDigraphTour:
 
     The tour is the clockwise white-face reading of the cactus from the
     root corner of hyperedge 1; its arc labels are the hyperedge labels.
+    Raises ValueError on invalid input.  The output is valid by construction
+    and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
     """
     problem = cf.validate()
     if problem is not None:
@@ -185,15 +193,9 @@ def xi(cf: ColoredFactorization) -> EulerianDigraphTour:
         t = (m - 1) % k + 1
         g = invs[t - 1](g)
         arcs.append((t, g))
-    if cf.perms[k - 1](1) != arcs[-1][1]:
-        raise AssertionError("white-face tour failed to close")
-    tour = EulerianDigraphTour(
+    return EulerianDigraphTour(
         digraph=ColoredDigraph(k=k, n=n, colorings=cf.colorings), arcs=tuple(arcs)
     )
-    problem = tour.validate()
-    if problem is not None:
-        raise AssertionError(f"xi produced an invalid tour: {problem}")
-    return tour
 
 
 def xi_inverse(tour: EulerianDigraphTour) -> ColoredFactorization:
@@ -202,6 +204,8 @@ def xi_inverse(tour: EulerianDigraphTour) -> ColoredFactorization:
     Consecutive tour arcs (t-1, b), (t, a) force pi_t(a) = b; the result
     is relabelled so the product is (1,2,...,n) and the root hyperedge
     (the first arc's label) becomes 1.
+    Raises ValueError on invalid input.  The output is valid by construction
+    and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
     """
     problem = tour.validate()
     if problem is not None:
@@ -237,11 +241,7 @@ def xi_inverse(tour: EulerianDigraphTour) -> ColoredFactorization:
         for i in range(1, n + 1):
             out[s[i] - 1] = col[i - 1]
         new_colorings.append(tuple(out))
-    cf = ColoredFactorization(perms=tuple(new_perms), colorings=tuple(new_colorings))
-    problem = cf.validate()
-    if problem is not None:
-        raise AssertionError(f"xi_inverse produced an invalid factorization: {problem}")
-    return cf
+    return ColoredFactorization(perms=tuple(new_perms), colorings=tuple(new_colorings))
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +365,8 @@ def phi(cf: ColoredFactorization) -> TreeRootedConstellation:
     Composition of the tour encoding, the last-exit decomposition, and the
     reassembly of exit orders as clockwise rotations; hyperedge labels are
     then canonicalized away (first visit along the tour).
+    Raises ValueError on invalid input.  The output is valid by construction
+    and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
     """
     tour = xi(cf)
     dg = tour.digraph
@@ -401,11 +403,7 @@ def phi(cf: ColoredFactorization) -> TreeRootedConstellation:
         constellation=c,
         arborescence=Arborescence(root_vertex=vid[v0], parent_edge=tuple(parent)),
     )
-    result = canonical_tree_rooted(t_rooted)
-    problem = result.validate()
-    if problem is not None:
-        raise AssertionError(f"phi produced an invalid object: {problem}")
-    return result
+    return canonical_tree_rooted(t_rooted)
 
 
 def tree_rooted_tour(t_rooted: TreeRootedConstellation) -> list[Arc]:

@@ -65,6 +65,7 @@ from constellation_lab.tree_rooted import (
     enumerate_tree_rooted,
     phi,
     phi_inverse,
+    xi,
 )
 
 
@@ -155,6 +156,8 @@ def _prod(it):
 
 
 def test_criterion_4_bijection_roundtrips():
+    # the maps check only their input, so every object they produce is
+    # validated here; each roundtrip then compares with the validated input
     failures = 0
     checked = 0
     # phi over the full colored domain
@@ -165,6 +168,8 @@ def test_criterion_4_bijection_roundtrips():
             for cf in cfs:
                 checked += 1
                 t = phi(cf)
+                if t.validate() is not None or xi(cf).validate() is not None:
+                    failures += 1
                 if phi_inverse(t) != cf:
                     failures += 1
                 images.add(t)
@@ -210,19 +215,27 @@ def test_criterion_4_bijection_roundtrips():
             for tp in enumerate_tree_pointed(n, k):
                 checked += 1
                 nb = dual_opening(tp)
-                if canonical_tree_pointed(dual_closure(nb)) != canonical_tree_pointed(tp):
+                closed = dual_closure(nb)
+                if nb.validate() is not None or closed.validate() is not None:
                     failures += 1
-                if nebula_key(dual_opening(dual_closure(nb))) != nebula_key(nb):
+                if canonical_tree_pointed(closed) != canonical_tree_pointed(tp):
+                    failures += 1
+                if nebula_key(dual_opening(closed)) != nebula_key(nb):
                     failures += 1
     # theta, sigma, psi over all valid prebiddings
     for n, k in [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)]:
         for pb in enumerate_valid_prebiddings(n, k):
             checked += 1
-            if vartheta(vartheta_inverse(pb)) != pb:
-                failures += 1
-            if sigma_inverse(sigma(pb)) != pb:
-                failures += 1
+            ln = vartheta_inverse(pb)
+            read_back = vartheta(ln)
             b = sigma(pb)
+            replayed = sigma_inverse(b)
+            if any(x.validate() is not None for x in (ln, read_back, b, replayed)):
+                failures += 1
+            if read_back != pb:
+                failures += 1
+            if replayed != pb:
+                failures += 1
             if psi(psi_inverse(b)) != b:
                 failures += 1
     report(4, failures == 0, f"bijection roundtrips: {checked} checks, {failures} failures "

@@ -208,6 +208,14 @@ def test_sigma_inverse_rejects_invalid_bidding():
         sigma_inverse(b)
 
 
+def test_sigma_inverse_rejects_out_of_range_subset():
+    # the tree condition reads only R_2 and R_4, so the bad R_1 passes it
+    b = Bidding(omegas=FIG7_BIDDING.omegas, subsets=(frozenset({2, 7}),) + FIG7_BIDDING.subsets[1:])
+    assert is_valid_bidding(b)
+    with pytest.raises(ValueError, match="strict subsets"):
+        sigma_inverse(b)
+
+
 def test_bidding_json_roundtrip():
     assert Bidding.from_json(FIG7_BIDDING.to_json()) == FIG7_BIDDING
     ln = psi_inverse(FIG7_BIDDING)

@@ -27,16 +27,29 @@ def test_jackson_check_json_reports_are_byte_identical(capsys):
     code, second = run(capsys, "--format", "json", "jackson-check", "--n", "2", "--k", "2", "--all-p")
     assert first == second
     payload = json.loads(first)
-    assert payload["schema"] == "constellation-lab/1"
+    assert payload["schema"] == "constellation-lab/2"
     assert payload["ok"] is True
-    assert payload["threads"] == 1
+    assert sorted(payload) == ["cap", "command", "ok", "results", "schema"]
     assert all(r["lhs"] == r["rhs"] for r in payload["results"])
 
 
 def test_puzzle_exact(capsys):
-    code, out = run(capsys, "puzzle", "--n", "2", "--k", "3", "--p", "1,1,1", "--exact")
+    code, out = run(capsys, "puzzle", "--n", "2", "--k", "3", "--p", "1,1,1")
     assert code == 0
     assert "1/2" in out and "MISMATCH" not in out
+
+
+@pytest.mark.parametrize(
+    "extra, name",
+    [([], "n"), (["--sample", "10"], "n"), (["--sample", "0"], "trials"), (["--sample", "-4"], "trials")],
+)
+def test_puzzle_rejects_empty_size_or_trials(capsys, extra, name):
+    n = "0" if name == "n" else "3"
+    p = "0,0" if name == "n" else "1,2"
+    code = main(["puzzle", "--n", n, "--k", "2", "--p", p, *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be at least 1") and err.count("\n") == 1
 
 
 def test_count_m_empty_case(capsys):

@@ -140,6 +140,8 @@ def test_nebula_validation_rejects_unrooted():
 
     bad = Nebula(hmap=replace(nb.hmap, root=None))
     assert bad.validate() == "nebula is not rooted"
+    with pytest.raises(ValueError, match="not rooted"):
+        dual_closure(bad)
 
 
 def test_dual_closure_needs_buds():

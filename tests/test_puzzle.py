@@ -153,13 +153,14 @@ def test_sampling_trivial_type_always_tree():
 
 
 def test_sampling_acceptance_floor():
+    # a uniform tuple has type (9,9,9,9) with probability about 3e-9
     with pytest.raises(SamplingError):
-        sample_puzzle(6, 3, (2, 3, 4), trials=5, seed=1, min_acceptance=0.9)
+        sample_puzzle(12, 4, (9, 9, 9, 9), trials=100, seed=1)
 
 
 def test_sampling_statistical_agreement():
     n, k, p = 6, 3, (2, 3, 4)
-    res = sample_puzzle(n, k, p, trials=100_000, seed=2024, threads=4)
+    res = sample_puzzle(n, k, p, trials=100_000, seed=2024)
     exact_tree = tree_probability(n, k, p)
     exact_r1 = r1_probability(n, k, p)
     assert exact_tree == exact_r1

@@ -1,0 +1,38 @@
+"""The scripts under ``scripts/`` run against the current CLI and library."""
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_script(*argv):
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", argv[0]), *argv[1:]],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, last_line",
+    [
+        (["run_all_checks.py"], "ALL CHECKS PASSED"),
+        (
+            ["puzzle_scan.py", "--k", "3", "--n-max", "3", "--sample", "5", "2,3,4", "--trials", "20000"],
+            "no mismatches",
+        ),
+    ],
+)
+def test_script_exits_zero(argv, last_line):
+    done = run_script(*argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == last_line

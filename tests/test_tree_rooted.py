@@ -174,6 +174,17 @@ def test_tree_rooted_counts_match_colored_counts():
             assert sum(1 for _ in enumerate_tree_rooted(n, k, p)) == count_colored(n, p)
 
 
+def test_xi_inverse_rejects_non_surjective_coloring():
+    from dataclasses import replace
+
+    tour = xi(next(enumerate_colored_factorizations(2, 2, (1, 1))))
+    first = tuple(3 if c == 1 else c for c in tour.digraph.colorings[0])
+    colorings = (first,) + tour.digraph.colorings[1:]
+    bad = replace(tour, digraph=replace(tour.digraph, colorings=colorings))
+    with pytest.raises(ValueError, match="coloring 1 is not surjective"):
+        xi_inverse(bad)
+
+
 def test_phi_inverse_rejects_invalid():
     t = phi(next(enumerate_colored_factorizations(2, 2, (1, 1))))
     from dataclasses import replace

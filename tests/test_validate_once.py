@@ -1,0 +1,157 @@
+"""Each map of the bijection chain validates its input and nothing else.
+
+The maps do not re-check what they produce, so these tests do: every output
+validates on seeded random objects past the exhaustive range (n = 5..7,
+k = 3), and one roundtrip per bijection makes exactly one validity call per
+object it passes through.
+"""
+import random
+from collections import Counter
+
+import pytest
+
+from constellation_lab.biddings import (
+    Bidding,
+    LabelledNebula,
+    Prebidding,
+    is_valid_bidding,
+    psi,
+    psi_inverse,
+    sigma,
+    sigma_inverse,
+    vartheta,
+    vartheta_inverse,
+)
+from constellation_lab.counting import ColoredFactorization, strict_subsets
+from constellation_lab.nebulas import (
+    Nebula,
+    TreePointedConstellation,
+    dual_closure,
+    dual_opening,
+)
+from constellation_lab.permutations import (
+    Permutation,
+    compose,
+    compose_all,
+    cycles,
+    inverse,
+    long_cycle,
+)
+from constellation_lab.tree_rooted import (
+    EulerianDigraphTour,
+    TreeRootedConstellation,
+    phi,
+    phi_inverse,
+    xi,
+    xi_inverse,
+)
+
+
+def random_permutation(rng, n):
+    return Permutation(tuple(rng.sample(range(1, n + 1), n)))
+
+
+def random_colored_factorization(rng, n, k):
+    """k factors with product (1,...,n), each with a random surjective
+    coloring of its cycles."""
+    rest = [random_permutation(rng, n) for _ in range(k - 1)]
+    perms = [compose(long_cycle(n), inverse(compose_all(rest)))] + rest
+    colorings = []
+    for perm in perms:
+        cycs = cycles(perm)
+        colors = list(range(1, rng.randint(1, len(cycs)) + 1))
+        colors += [rng.choice(colors) for _ in range(len(cycs) - len(colors))]
+        rng.shuffle(colors)
+        col = [0] * n
+        for cyc, color in zip(cycs, colors):
+            for x in cyc:
+                col[x - 1] = color
+        colorings.append(tuple(col))
+    return ColoredFactorization(perms=tuple(perms), colorings=tuple(colorings))
+
+
+def random_valid_bidding(rng, n, k):
+    """Uniform strict subsets and omegas, kept when the last-appearance graph
+    is a tree."""
+    strict = strict_subsets(k)
+    while True:
+        b = Bidding(
+            omegas=tuple(random_permutation(rng, n) for _ in range(k)),
+            subsets=tuple(rng.choice(strict) for _ in range(n)),
+        )
+        if is_valid_bidding(b):
+            return b
+
+
+def test_map_outputs_validate_past_exhaustive_range():
+    rng = random.Random(2011)
+    for n in (5, 6, 7):
+        for _ in range(6):
+            cf = random_colored_factorization(rng, n, 3)
+            assert cf.validate() is None
+            tour = xi(cf)
+            assert tour.validate() is None
+            assert xi_inverse(tour) == cf
+            t = phi(cf)
+            assert t.validate() is None
+            assert phi_inverse(t) == cf
+
+            b = random_valid_bidding(rng, n, 3)
+            pb = sigma_inverse(b)
+            assert pb.validate() is None
+            ln = vartheta_inverse(pb)
+            assert ln.validate() is None
+            assert vartheta(ln).validate() is None
+            assert sigma(pb).validate() is None
+
+            # tree-rooted (from phi) and tree-pointed (from a bidding's nebula)
+            closed = dual_closure(ln.nebula)
+            for tp in (TreePointedConstellation(t.constellation, t.arborescence), closed):
+                assert tp.validate() is None
+                nb = dual_opening(tp)
+                assert nb.validate() is None
+                assert dual_closure(nb).validate() is None
+
+
+@pytest.fixture
+def validity_calls(monkeypatch):
+    """Counts calls of ``validate`` per class, for the classes passed in."""
+    calls = Counter()
+
+    def watch(*classes):
+        for cls in classes:
+            def counted(self, _original=cls.validate, _name=cls.__name__):
+                calls[_name] += 1
+                return _original(self)
+
+            monkeypatch.setattr(cls, "validate", counted)
+        return calls
+
+    return watch
+
+
+def test_psi_roundtrip_validates_each_object_once(validity_calls):
+    b = random_valid_bidding(random.Random(3), 4, 3)
+    calls = validity_calls(Bidding, Prebidding, LabelledNebula)
+    assert psi(psi_inverse(b)) == b
+    # b, then the prebidding into vartheta_inverse and into sigma, the nebula
+    assert calls == {"Bidding": 1, "Prebidding": 2, "LabelledNebula": 1}
+
+
+def test_phi_roundtrip_validates_each_object_once(validity_calls):
+    cf = random_colored_factorization(random.Random(4), 4, 3)
+    calls = validity_calls(ColoredFactorization, EulerianDigraphTour, TreeRootedConstellation)
+    assert phi_inverse(phi(cf)) == cf
+    assert calls == {
+        "ColoredFactorization": 1,
+        "EulerianDigraphTour": 1,
+        "TreeRootedConstellation": 1,
+    }
+
+
+def test_lambda_roundtrip_validates_each_object_once(validity_calls):
+    t = phi(random_colored_factorization(random.Random(5), 4, 3))
+    tp = TreePointedConstellation(t.constellation, t.arborescence)
+    calls = validity_calls(TreePointedConstellation, Nebula)
+    dual_closure(dual_opening(tp))
+    assert calls == {"TreePointedConstellation": 1, "Nebula": 1}
