@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .counting import subset_type
-from .halfedges import BLACK, WHITE, HalfEdgeMap
+from .halfedges import BLACK, WHITE, HalfEdgeMap, _json_field
 from .nebulas import Nebula
 from .permutations import Permutation
 
@@ -88,6 +88,15 @@ def is_tree(g: TypedGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _read_subsets(subsets) -> tuple[frozenset[int], ...]:
+    return tuple(frozenset(s) for s in subsets)
+
+
+def _read_labels(labels: dict) -> tuple[tuple[int, int], ...]:
+    """JSON object keys are strings; labelled items are ints."""
+    return tuple(sorted((int(x), lab) for x, lab in labels.items()))
+
+
 def _are_strict_subsets(k: int, subsets: Sequence[frozenset[int]]) -> bool:
     return all(len(s) < k and all(1 <= t <= k for t in s) for s in subsets)
 
@@ -133,9 +142,9 @@ class Prebidding:
     @classmethod
     def from_json(cls, data: dict) -> "Prebidding":
         return cls(
-            k=data["k"],
-            order=tuple((t, i) for t, i in data["order"]),
-            subsets=tuple(frozenset(s) for s in data["subsets"]),
+            k=_json_field(data, "k"),
+            order=_json_field(data, "order", lambda order: tuple((t, i) for t, i in order)),
+            subsets=_json_field(data, "subsets", _read_subsets),
         )
 
 
@@ -175,8 +184,10 @@ class Bidding:
     @classmethod
     def from_json(cls, data: dict) -> "Bidding":
         return cls(
-            omegas=tuple(Permutation(tuple(w)) for w in data["omegas"]),
-            subsets=tuple(frozenset(s) for s in data["subsets"]),
+            omegas=_json_field(
+                data, "omegas", lambda omegas: tuple(Permutation(tuple(w)) for w in omegas)
+            ),
+            subsets=_json_field(data, "subsets", _read_subsets),
         )
 
 
@@ -254,12 +265,8 @@ class LabelledNebula:
         m = HalfEdgeMap.from_json(data)
         return cls(
             nebula=Nebula(hmap=m),
-            black_labels=tuple(
-                sorted((int(v), lab) for v, lab in data["black_labels"].items())
-            ),
-            white_bud_labels=tuple(
-                sorted((int(x), lab) for x, lab in data["white_bud_labels"].items())
-            ),
+            black_labels=_json_field(data, "black_labels", _read_labels),
+            white_bud_labels=_json_field(data, "white_bud_labels", _read_labels),
         )
 
 

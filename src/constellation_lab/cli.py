@@ -7,6 +7,7 @@ configuration (including seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -342,17 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact counting and cross-verified bijections for "
         "factorizations of the long cycle.",
     )
-    cap_text = os.environ.get(CAP_ENV, str(DEFAULT_CAP))
-    try:
-        default_cap = int(cap_text)
-    except ValueError:
-        raise ValueError(f"{CAP_ENV} must be an integer, got {cap_text!r}") from None
 
     def _common(target, suppress, with_format=True):
         # the same options are accepted before and after the subcommand;
         # subparser copies use SUPPRESS so they only override when given
         d = (lambda v: argparse.SUPPRESS if suppress else v)
-        target.add_argument("--cap", type=int, default=d(default_cap), help="enumeration cap")
+        target.add_argument(
+            "--cap", type=int, default=d(None),
+            help=f"enumeration cap (default: ${CAP_ENV}, else {DEFAULT_CAP})",
+        )
         if with_format:
             target.add_argument("--format", choices=["text", "json"], default=d("text"))
         target.add_argument("--out", default=d(None), help="write output to a file")
@@ -436,9 +435,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
+def _env_cap() -> int:
+    cap_text = os.environ.get(CAP_ENV, str(DEFAULT_CAP))
+    try:
+        return int(cap_text)
+    except ValueError:
+        raise ValueError(f"{CAP_ENV} must be an integer, got {cap_text!r}") from None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        # the environment is read on every call, even when --cap is given
+        env_cap = _env_cap()
+        args = _parser().parse_args(argv)
+        if args.cap is None:
+            args.cap = env_cap
         return args.fn(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
-from .halfedges import BLACK, WHITE, HalfEdgeMap
+from .halfedges import BLACK, WHITE, HalfEdgeMap, _json_field
 from .permutations import Permutation, all_permutations, compose_all, cycles
 
 Edge = tuple[int, int]  # (hyperedge id, type)
@@ -107,20 +107,24 @@ class Constellation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Constellation":
-        nv = len(data["vertex_type"])
-        vt = tuple(data["vertex_type"][str(v)] for v in range(1, nv + 1))
-        rot = tuple(_norm_cycle(data["rotation"][str(v)]) for v in range(1, nv + 1))
+        nv = _json_field(data, "vertex_type", len)
+
+        def per_vertex(values) -> tuple:
+            return tuple(values[str(v)] for v in range(1, nv + 1))
+
         labels = colors = None
         if "labels" in data:
-            labels = tuple(data["labels"][str(v)] for v in range(1, nv + 1))
+            labels = _json_field(data, "labels", per_vertex)
         if "colors" in data:
-            colors = tuple(data["colors"][str(v)] for v in range(1, nv + 1))
+            colors = _json_field(data, "colors", per_vertex)
         c = cls(
-            k=data["k"],
-            n=data["n"],
-            hyperedges=tuple(tuple(he) for he in data["hyperedges"]),
-            vertex_type=vt,
-            rotation=rot,
+            k=_json_field(data, "k"),
+            n=_json_field(data, "n"),
+            hyperedges=_json_field(data, "hyperedges", lambda hes: tuple(tuple(he) for he in hes)),
+            vertex_type=_json_field(data, "vertex_type", per_vertex),
+            rotation=_json_field(
+                data, "rotation", lambda rot: tuple(_norm_cycle(r) for r in per_vertex(rot))
+            ),
             root=data.get("root"),
             labels=labels,
             colors=colors,

@@ -316,37 +316,49 @@ def m_tuples(
 ) -> Iterator[MTuple]:
     """n-tuples of strict subsets of [k]; with p given, only those of type p.
 
-    Depth-first over positions with per-type count pruning; the subset
-    order at each position follows :func:`strict_subsets`.
+    Tuples come in lexicographic order of :func:`strict_subsets`.  With p
+    given the search is depth-first over positions and keeps the count each
+    type still needs: a position skips every subset holding a type that
+    needs no more, or missing a type that needs every position left.
     """
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     _check_cap((2**k - 1) ** n, cap)
     subsets = strict_subsets(k)
-    target = None if p is None else tuple(p)
-    if target is not None and (len(target) != k or any(x < 0 for x in target)):
+    if p is None:
+        for tup in itertools.product(subsets, repeat=n):
+            yield MTuple(k=k, subsets=tup)
+        return
+    need = list(p)
+    if len(need) != k or any(x < 0 for x in need):
         raise ValueError("bad type vector")
+    if any(x > n for x in need):
+        return
+    acc: list[frozenset[int]] = []
 
-    def rec(pos: int, counts: tuple[int, ...], acc: list[frozenset[int]]):
-        if target is not None:
-            remaining = n - pos
-            if any(c > t for c, t in zip(counts, target)):
-                return
-            if any(t - c > remaining for c, t in zip(counts, target)):
-                return
-        if pos == n:
-            if target is None or counts == target:
-                yield MTuple(k=k, subsets=tuple(acc))
+    def rec(left: int):
+        if left == 0:
+            yield MTuple(k=k, subsets=tuple(acc))
             return
-        for s in subsets:
-            new_counts = tuple(
-                c + (1 if t in s else 0) for t, c in enumerate(counts, start=1)
-            )
+        done = forced = 0
+        for t, x in enumerate(need):
+            if x == 0:
+                done |= 1 << t
+            elif x == left:
+                forced |= 1 << t
+        # subsets are ordered by bitmask, so the index of s is its mask
+        for mask, s in enumerate(subsets):
+            if mask & done or forced & ~mask:
+                continue
+            for t in s:
+                need[t - 1] -= 1
             acc.append(s)
-            yield from rec(pos + 1, new_counts, acc)
+            yield from rec(left - 1)
             acc.pop()
+            for t in s:
+                need[t - 1] += 1
 
-    yield from rec(0, (0,) * k, [])
+    yield from rec(n)
 
 
 def m_coefficient(n: int, p: Sequence[int], k: Optional[int] = None) -> int:

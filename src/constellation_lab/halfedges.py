@@ -162,20 +162,40 @@ class HalfEdgeMap:
 
     @classmethod
     def from_json(cls, data: dict) -> "HalfEdgeMap":
-        hes = data["half_edges"]
-        nv = 1 + max(he["vertex"] for he in hes) if hes else 0
-        colors = [WHITE] * nv
-        for he in hes:
-            colors[he["vertex"]] = he["color"]
+        def read(hes):
+            nv = 1 + max(he["vertex"] for he in hes) if hes else 0
+            colors = [WHITE] * nv
+            for he in hes:
+                colors[he["vertex"]] = he["color"]
+            return (
+                tuple(he["vertex"] for he in hes),
+                tuple(he["next"] for he in hes),
+                tuple(he["twin"] for he in hes),
+                tuple(he["type"] for he in hes),
+                tuple(colors),
+            )
+
+        k = _json_field(data, "k")
+        vertex, nxt, twin, type_, colors = _json_field(data, "half_edges", read)
         return cls(
-            k=data["k"],
-            vertex=tuple(he["vertex"] for he in hes),
-            nxt=tuple(he["next"] for he in hes),
-            twin=tuple(he["twin"] for he in hes),
-            type=tuple(he["type"] for he in hes),
-            vertex_color=tuple(colors),
+            k=k,
+            vertex=vertex,
+            nxt=nxt,
+            twin=twin,
+            type=type_,
+            vertex_color=colors,
             root=data.get("root"),
         )
+
+
+def _json_field(data: dict, key: str, convert=lambda value: value):
+    """convert(data[key]); a missing or malformed key raises a ValueError naming it."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"missing key {key!r}")
+    try:
+        return convert(data[key])
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"malformed key {key!r} ({type(exc).__name__}: {exc})") from None
 
 
 def with_twins_cut(m: HalfEdgeMap, darts: set[int]) -> HalfEdgeMap:

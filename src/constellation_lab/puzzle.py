@@ -12,10 +12,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Optional, Sequence
 
-from .biddings import alpha_graph
+from .biddings import TypedGraph, alpha, alpha_graph
 from .counting import CheckReport, m_coefficient, m_tuples, strict_subsets
 
 
@@ -52,17 +52,36 @@ class ExactProbability:
 def tree_probability(
     n: int, k: int, p: Sequence[int], cap: Optional[int] = None
 ) -> ExactProbability:
-    """P(successor graph of a uniform pair is a tree), exactly."""
+    """P(successor graph of a uniform pair is a tree), exactly.
+
+    Every subset tuple R of type p is enumerated, and its n^(k-1) index
+    tuples are grouped by successor.  With ``mult[t][a]`` the number of i
+    such that alpha(t, R_i) = a, the index tuples whose successor graph has
+    the edges {t, f(t)} number ``prod_t mult[t][f(t)]``.  Only the maps f
+    made of successors that occur are tried, at most min(n, k)^(k-1) per
+    tuple, and each is tested with :meth:`TypedGraph.is_tree` once per call.
+    """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     p = tuple(p)
+    successors: dict[frozenset[int], tuple[int, ...]] = {}
+    tree_maps: dict[tuple[int, ...], bool] = {}
     hits = 0
     total_tuples = 0
     for mt in m_tuples(n, k, p, cap):
         total_tuples += 1
-        for indices in itertools.product(range(1, n + 1), repeat=k - 1):
-            if alpha_graph(indices, mt.subsets, k).is_tree():
-                hits += 1
+        mult: list[dict[int, int]] = [{} for _ in range(k - 1)]
+        for s in mt.subsets:
+            if s not in successors:
+                successors[s] = tuple(alpha(t, s, k) for t in range(1, k))
+            for row, a in zip(mult, successors[s]):
+                row[a] = row.get(a, 0) + 1
+        for f in itertools.product(*mult):
+            if f not in tree_maps:
+                edges = sorted((min(t, a), max(t, a)) for t, a in enumerate(f, start=1))
+                tree_maps[f] = TypedGraph(k=k, edges=tuple(edges)).is_tree()
+            if tree_maps[f]:
+                hits += prod(row[a] for row, a in zip(mult, f))
     if total_tuples == 0:
         raise UndefinedProbabilityError(f"no subset tuples of type {p}")
     return ExactProbability(hits, n ** (k - 1) * total_tuples)
@@ -320,13 +339,19 @@ def sample_puzzle(
     Subset tuples are drawn i.i.d. uniform over strict subsets and accepted
     when the per-type counts match p.  The generator is seeded with the
     first 64 bits drawn from ``Random(seed)``, so results depend only on the
-    arguments.  Raises SamplingError when no trial is accepted.
+    arguments.  Raises ValueError before drawing anything when n, k or
+    trials is below 1 or p is not a type vector of length k, and
+    SamplingError when no trial is accepted.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     p = tuple(p)
+    if len(p) != k or any(x < 0 for x in p):
+        raise ValueError("bad type vector")
     subsets = strict_subsets(k)
     rng = random.Random(random.Random(seed).getrandbits(64))
     accepted = tree_hits = r1_hits = 0

@@ -4,6 +4,7 @@ from math import comb, prod
 import pytest
 
 from constellation_lab.biddings import Bidding
+from constellation_lab import cli
 from constellation_lab.cli import main
 from constellation_lab.permutations import Permutation
 
@@ -184,3 +185,81 @@ def test_psi_cli_roundtrip(tmp_path, capsys):
     code, out = run(capsys, "psi", "--direction", "fwd", "--input", str(nebula_path))
     assert code == 0
     assert json.loads(out) == b.to_json()
+
+
+def test_puzzle_sample_rejects_bad_type_vector(capsys):
+    code = main(["puzzle", "--n", "3", "--k", "2", "--p", "1,2,3", "--sample", "10"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: bad type vector\n"
+
+
+@pytest.mark.parametrize(
+    "argv, data, key",
+    [
+        (["psi", "--direction", "inv"], {"omegas": [[1, 2], [2, 1]]}, "subsets"),
+        (["psi", "--direction", "fwd"], {"k": 2, "half_edges": []}, "black_labels"),
+        (["psi", "--direction", "fwd"], {"k": 2, "half_edges": [{"vertex": 0}]}, "half_edges"),
+        (["render", "--kind", "constellation"], {"k": 2}, "vertex_type"),
+    ],
+)
+def test_json_input_missing_or_malformed_key_is_usage_error(tmp_path, capsys, argv, data, key):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    code = main([*argv, "--input", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err and err.count("\n") == 1
+
+
+def test_parser_is_built_once_across_calls(capsys, monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["count", "--m", "--n", "2", "--k", "2", "--p", "1,1"]) == 0
+        assert main(["puzzle", "--n", "2", "--k", "3", "--p", "1,1,1"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_cap_env_var_is_read_on_each_call(capsys, monkeypatch):
+    argv = ["--format", "json", "jackson-check", "--n", "2", "--k", "2", "--p", "1,1"]
+    monkeypatch.setenv("CONSTELLATION_LAB_CAP", "1")
+    assert main(argv) == 3
+    monkeypatch.delenv("CONSTELLATION_LAB_CAP")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["cap"] == 10**8
+
+
+def test_invalid_cap_env_var_is_usage_error_even_with_cap_flag(capsys, monkeypatch):
+    monkeypatch.setenv("CONSTELLATION_LAB_CAP", "abc")
+    code = main(["--cap", "5", "count", "--m", "--n", "2", "--k", "2", "--p", "1,1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: CONSTELLATION_LAB_CAP") and err.count("\n") == 1
+
+
+def test_usage_error_does_not_break_the_next_call(capsys):
+    with pytest.raises(SystemExit):
+        main(["puzzle", "--n", "2", "--k", "3", "--p", "x"])
+    code, out = run(capsys, "puzzle", "--n", "2", "--k", "3", "--p", "1,1,1")
+    assert code == 0 and "1/2" in out
+
+
+def test_repeated_options_do_not_carry_over_between_calls(capsys):
+    argv = ["count", "--compositions", "--n", "2", "--gamma", "1,1", "--gamma", "2"]
+    code, first = run(capsys, *argv)
+    assert code == 0
+    _, second = run(capsys, *argv)
+    assert first == second
+    assert main(["count", "--compositions", "--n", "2"]) == 2

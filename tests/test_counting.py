@@ -16,6 +16,8 @@ from constellation_lab.counting import (
     enumerate_factorizations,
     m_coefficient,
     m_tuples,
+    strict_subsets,
+    subset_type,
     surjection_count,
     verify_gf_identity,
     verify_jackson,
@@ -238,6 +240,24 @@ def test_m_tuples_stream_counts_and_types():
     assert sum(1 for _ in m_tuples(2, 3)) == 7**2
     seen = set(mt.subsets for mt in m_tuples(3, 2))
     assert len(seen) == 27
+
+
+def test_m_tuples_matches_filtered_product_in_order():
+    # the pruned search yields exactly the filtered full product, in order
+    checked = 0
+    for k, nmax in [(2, 6), (3, 4), (4, 3)]:
+        subsets = strict_subsets(k)
+        for n in range(0, nmax + 1):
+            by_type: dict = {}
+            for tup in itertools.product(subsets, repeat=n):
+                by_type.setdefault(subset_type(k, tup), []).append(tup)
+            for p in itertools.product(range(0, n + 2), repeat=k):
+                assert [mt.subsets for mt in m_tuples(n, k, p)] == by_type.get(p, []), (n, p)
+                checked += 1
+            assert [mt.subsets for mt in m_tuples(n, k)] == list(
+                itertools.product(subsets, repeat=n)
+            )
+    assert checked == 1621
 
 
 @settings(deadline=None)

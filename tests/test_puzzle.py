@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from constellation_lab.counting import count_colored, m_coefficient, m_tuples
+from constellation_lab.biddings import alpha_graph
+from constellation_lab.counting import CapExceededError, count_colored, m_coefficient, m_tuples
 from constellation_lab.puzzle import (
     ExactProbability,
     SamplingError,
@@ -59,6 +60,35 @@ def test_r1_probability_matches_enumeration():
     assert checked == 604
     with pytest.raises(UndefinedProbabilityError):
         r1_probability(2, 3, (3, 3, 0))
+
+
+def test_tree_probability_matches_index_tuple_oracle():
+    # the successor-grouped count against one successor graph per index tuple
+    def by_index_tuples(n, k, p):
+        hits = total = 0
+        for mt in m_tuples(n, k, p):
+            total += 1
+            for indices in itertools.product(range(1, n + 1), repeat=k - 1):
+                hits += alpha_graph(indices, mt.subsets, k).is_tree()
+        return ExactProbability(hits, n ** (k - 1) * total)
+
+    cases = [(n, k, p) for k, nmax in [(2, 6), (3, 4), (4, 3)]
+             for n in range(1, nmax + 1) for p in feasible_types(n, k)]
+    assert len(cases) == 604
+    cases += [(n, 1, (0,)) for n in (1, 2, 3)]
+    cases += [(5, 4, p) for p in [(1, 0, 1, 1), (0, 2, 1, 1), (2, 1, 0, 3)]]
+    for n, k, p in cases:
+        assert tree_probability(n, k, p) == by_index_tuples(n, k, p), (n, k, p)
+
+
+def test_tree_probability_keeps_cap_and_errors():
+    with pytest.raises(CapExceededError):
+        tree_probability(6, 4, (3, 3, 3, 3), cap=1000)
+    for n, k, p in [(3, 2, (1, 2, 3)), (3, 2, (1, -1)), (3, 0, ())]:
+        with pytest.raises(ValueError):
+            tree_probability(n, k, p)
+    # k=9, n=2: at most 2^8 successor maps per tuple are tested, not all 9^8
+    assert tree_probability(2, 9, (1,) * 9) == r1_probability(2, 9, (1,) * 9)
 
 
 def test_tree_probability_invariant_under_slot_relabeling():
@@ -156,6 +186,14 @@ def test_sampling_acceptance_floor():
     # a uniform tuple has type (9,9,9,9) with probability about 3e-9
     with pytest.raises(SamplingError):
         sample_puzzle(12, 4, (9, 9, 9, 9), trials=100, seed=1)
+
+
+def test_sampling_rejects_bad_type_vector():
+    for p in [(1, 2, 3), (1,), (3, -1)]:
+        with pytest.raises(ValueError, match="bad type vector"):
+            sample_puzzle(3, 2, p, trials=10, seed=0)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        sample_puzzle(2, 0, (), trials=10, seed=0)
 
 
 def test_sampling_statistical_agreement():

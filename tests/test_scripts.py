@@ -30,6 +30,8 @@ def run_script(*argv):
             ["puzzle_scan.py", "--k", "3", "--n-max", "3", "--sample", "5", "2,3,4", "--trials", "20000"],
             "no mismatches",
         ),
+        # k=4 at n=4, one size past the acceptance grid
+        (["puzzle_scan.py", "--k", "4", "--n-max", "4"], "no mismatches"),
     ],
 )
 def test_script_exits_zero(argv, last_line):
