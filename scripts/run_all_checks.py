@@ -16,11 +16,14 @@ SWEEPS = [
     ["jackson-check", "--n", "4", "--k", "2", "--all-p"],
     ["jackson-check", "--n", "3", "--k", "3", "--all-p"],
     ["jackson-check", "--n", "2", "--k", "4", "--all-p"],
+    ["jackson-check", "--n", "4", "--k", "3", "--all-p"],
     ["gf-check", "--n", "3", "--k", "2", "--all-x"],
     ["gf-check", "--n", "3", "--k", "3", "--all-x"],
     ["mv-check", "--n", "4", "--k", "2"],
     ["mv-check", "--n", "3", "--k", "3"],
+    ["mv-check", "--n", "4", "--k", "3"],
     ["symmetry-check", "--n", "4", "--k", "2"],
+    ["symmetry-check", "--n", "3", "--k", "4"],
     ["roundtrip", "--bijection", "phi", "--n", "3", "--k", "2"],
     ["roundtrip", "--bijection", "phi", "--n", "2", "--k", "3"],
     ["roundtrip", "--bijection", "swap", "--n", "3", "--k", "2"],

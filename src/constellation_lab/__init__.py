@@ -35,6 +35,7 @@ from .counting import (
     count_by_color_compositions,
     count_colored,
     count_kappa,
+    cycle_type_census,
     enumerate_factorizations,
     m_coefficient,
     m_tuples,
@@ -69,7 +70,6 @@ from .biddings import (
     TypedGraph,
     alpha,
     alpha_graph,
-    is_tree,
     is_valid_bidding,
     psi,
     psi_inverse,

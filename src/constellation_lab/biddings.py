@@ -79,10 +79,6 @@ def alpha_graph(
     return TypedGraph(k=k, edges=tuple(sorted(edges)))
 
 
-def is_tree(g: TypedGraph) -> bool:
-    return g.is_tree()
-
-
 # ---------------------------------------------------------------------------
 # Prebiddings and biddings
 # ---------------------------------------------------------------------------
@@ -117,6 +113,8 @@ class Prebidding:
         return subset_type(self.k, self.subsets)
 
     def validate(self) -> Optional[str]:
+        if self.n < 1:
+            return "a prebidding needs n >= 1"
         if sorted(self.order) != sorted(
             (t, i) for t in range(1, self.k + 1) for i in range(1, self.n + 1)
         ):

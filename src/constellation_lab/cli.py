@@ -1,8 +1,9 @@
 """Command-line front end: counting, verification sweeps, roundtrips, rendering.
 
-Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error,
-3 enumeration cap exceeded.  Reports are deterministic for a fixed
-configuration (including seed).
+Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error
+(also a sweep at n < 1 or k < 1, which would check nothing, and a sampled
+puzzle type that accepts none of its trials), 3 enumeration cap exceeded.
+Reports are deterministic for a fixed configuration (including seed).
 """
 from __future__ import annotations
 
@@ -113,6 +114,21 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+def _sweep(fn):
+    """A subcommand that checks every object of size n with k types; n < 1
+    would check none, and k < 1 has no objects."""
+
+    @functools.wraps(fn)
+    def run(args) -> int:
+        for name, value in (("n", args.n), ("k", args.k)):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        return fn(args)
+
+    return run
+
+
+@_sweep
 def cmd_jackson_check(args) -> int:
     if not args.all_p and args.p is None:
         raise ValueError("jackson-check requires --p or --all-p")
@@ -124,21 +140,19 @@ def cmd_jackson_check(args) -> int:
     return EXIT_OK if ok else EXIT_FAILED
 
 
+@_sweep
 def cmd_gf_check(args) -> int:
-    census = counting.ell_vector_census(args.n, args.k, cap=args.cap)
-    if args.all_x:
-        xs_list = [xs for xs in itertools.product((1, 2, 3), repeat=args.k)]
-    else:
-        xs_list = [args.x]
-    reports = [
-        counting.verify_gf_identity(args.n, args.k, xs, census=census) for xs in xs_list
-    ]
+    if not args.all_x and args.x is None:
+        raise ValueError("gf-check requires --x or --all-x")
+    xs_list = list(itertools.product((1, 2, 3), repeat=args.k)) if args.all_x else [args.x]
+    reports = [counting.verify_gf_identity(args.n, args.k, xs, cap=args.cap) for xs in xs_list]
     ok = all(r.equal for r in reports)
     payload = _report(args, "gf-check", [r.to_json() for r in reports], ok)
     _emit(args, payload, _check_lines(reports))
     return EXIT_OK if ok else EXIT_FAILED
 
 
+@_sweep
 def cmd_mv_check(args) -> int:
     if args.gamma:
         gamma_tuples = [tuple(Composition(g) for g in args.gamma)]
@@ -152,19 +166,18 @@ def cmd_mv_check(args) -> int:
     return EXIT_OK if ok else EXIT_FAILED
 
 
+@_sweep
 def cmd_symmetry_check(args) -> int:
-    census: dict[tuple, int] = {}
-    for cf in counting.enumerate_colored_factorizations_all(args.n, args.k, cap=args.cap):
-        key = tuple(g.parts for g in cf.color_compositions())
-        census[key] = census.get(key, 0) + 1
-    by_profile: dict[tuple, dict] = {}
-    for key, cnt in census.items():
-        profile = tuple(len(parts) for parts in key)
-        by_profile.setdefault(profile, {})[key] = cnt
+    # the nonzero c(gamma) of each profile of composition lengths must agree
+    by_profile: dict[tuple[int, ...], list[int]] = {}
+    for gammas in itertools.product(compositions_of(args.n), repeat=args.k):
+        count = counting.count_by_color_compositions(gammas, cap=args.cap)
+        if count:
+            by_profile.setdefault(tuple(g.length for g in gammas), []).append(count)
     results = []
     ok = True
     for profile in sorted(by_profile):
-        values = set(by_profile[profile].values())
+        values = set(by_profile[profile])
         equal = len(values) == 1
         ok = ok and equal
         results.append(
@@ -185,6 +198,7 @@ def cmd_symmetry_check(args) -> int:
     return EXIT_OK if ok else EXIT_FAILED
 
 
+@_sweep
 def cmd_roundtrip(args) -> int:
     checked, failures = _run_roundtrip(args.bijection, args.n, args.k, args.p)
     ok = failures == 0
@@ -248,6 +262,7 @@ def _run_roundtrip(bijection: str, n: int, k: int, p: Optional[tuple[int, ...]])
     return checked, failures
 
 
+@_sweep
 def cmd_pointing_check(args) -> int:
     if args.p is not None:
         ps = [args.p]

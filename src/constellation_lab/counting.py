@@ -2,7 +2,8 @@
 
 All counts are exact Python integers; verification reports carry both
 sides of each identity.  Enumeration streams are deterministic (ordered
-lexicographically by the free data) and guarded by a visit cap.
+lexicographically by the free data) and guarded by a visit cap.  Every
+exhaustive count is a sum over one memoized cycle-type census.
 """
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterator, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .permutations import (
     Composition,
@@ -57,9 +59,6 @@ class ColoredFactorization:
     @property
     def n(self) -> int:
         return self.perms[0].n
-
-    def color_counts(self) -> tuple[int, ...]:
-        return tuple(max(col) for col in self.colorings)
 
     def color_compositions(self) -> tuple[Composition, ...]:
         """Per type, the composition whose i-th part is #elements colored i."""
@@ -187,27 +186,6 @@ def enumerate_colored_factorizations(
             yield ColoredFactorization(perms=perms, colorings=tuple(combo))
 
 
-def enumerate_colored_factorizations_all(
-    n: int, k: int, cap: Optional[int] = None
-) -> Iterator[ColoredFactorization]:
-    """All colored factorizations over every color-count vector at once."""
-    for perms in enumerate_factorizations(n, k, cap):
-        cycs = [cycles(q) for q in perms]
-        per_type = []
-        for t in range(k):
-            options = []
-            for p in range(1, len(cycs[t]) + 1):
-                for assign in _surjective_colorings(len(cycs[t]), p):
-                    col = [0] * n
-                    for cyc, color in zip(cycs[t], assign):
-                        for x in cyc:
-                            col[x - 1] = color
-                    options.append(tuple(col))
-            per_type.append(options)
-        for combo in itertools.product(*per_type):
-            yield ColoredFactorization(perms=perms, colorings=tuple(combo))
-
-
 def surjection_count(m: int, p: int) -> int:
     """Number of surjections from an m-set onto [p], by inclusion-exclusion."""
     if p < 0:
@@ -215,37 +193,37 @@ def surjection_count(m: int, p: int) -> int:
     return sum((-1) ** j * comb(p, j) * (p - j) ** m for j in range(p + 1))
 
 
-def count_colored(
-    n: int,
-    p: Sequence[int],
-    cap: Optional[int] = None,
-    census: Optional[dict[tuple[int, ...], int]] = None,
-) -> int:
-    """C^n_p: colored factorizations, summing surjection products per factorization.
+@lru_cache(maxsize=None)
+def cycle_type_census(
+    n: int, k: int, cap: Optional[int] = None
+) -> Mapping[tuple[tuple[int, ...], ...], int]:
+    """How many factorizations of (1,...,n) into k factors have each cycle type.
 
-    A precomputed :func:`ell_vector_census` groups the same sum by the
-    vector of factor cycle counts; sweeps over many p reuse one stream.
+    A key holds, per factor, its cycle lengths in decreasing order.  Every
+    exhaustive count of this module is a sum over this census, which is the
+    only counting pass over :func:`enumerate_factorizations`.  It is memoized
+    per (n, k, cap) for the life of the process, so a sweep walks its domain
+    once; the cap is checked when an entry is first built, and the mapping
+    is read-only because it is shared.
     """
+    census: dict[tuple[tuple[int, ...], ...], int] = {}
+    for perms in enumerate_factorizations(n, k, cap):
+        key = tuple(cycle_type(q).parts for q in perms)
+        census[key] = census.get(key, 0) + 1
+    return MappingProxyType(census)
+
+
+def count_colored(n: int, p: Sequence[int], cap: Optional[int] = None) -> int:
+    """C^n_p: colored factorizations, surjection products summed over the census."""
     p = tuple(p)
-    k = len(p)
     if any(pt < 1 for pt in p):
         raise ValueError("color counts must be positive")
     if any(pt > n for pt in p):
         return 0
-    if census is not None:
-        return sum(
-            cnt * _prod(surjection_count(ell, pt) for ell, pt in zip(ells, p))
-            for ells, cnt in census.items()
-        )
-    total = 0
-    for perms in enumerate_factorizations(n, k, cap):
-        ways = 1
-        for t in range(k):
-            ways *= surjection_count(len(cycles(perms[t])), p[t])
-            if ways == 0:
-                break
-        total += ways
-    return total
+    return sum(
+        cnt * _prod(surjection_count(len(lam), pt) for lam, pt in zip(lams, p))
+        for lams, cnt in cycle_type_census(n, len(p), cap).items()
+    )
 
 
 @lru_cache(maxsize=None)
@@ -266,22 +244,16 @@ def count_by_color_compositions(
     gammas: Sequence[Composition], cap: Optional[int] = None
 ) -> int:
     """c(gamma^(1),...,gamma^(k)): colored factorizations with exact color sizes."""
-    n = gammas[0].size
-    if any(g.size != n for g in gammas):
-        raise ValueError("compositions must all have the same size")
     k = len(gammas)
     if k < 2:
         raise ValueError("need at least 2 compositions")
-    total = 0
-    for perms in enumerate_factorizations(n, k, cap):
-        ways = 1
-        for t in range(k):
-            sizes = tuple(sorted((len(c) for c in cycles(perms[t])), reverse=True))
-            ways *= _composition_assignments(sizes, gammas[t].parts)
-            if ways == 0:
-                break
-        total += ways
-    return total
+    n = gammas[0].size
+    if any(g.size != n for g in gammas):
+        raise ValueError("compositions must all have the same size")
+    return sum(
+        cnt * _prod(_composition_assignments(lam, g.parts) for lam, g in zip(lams, gammas))
+        for lams, cnt in cycle_type_census(n, k, cap).items()
+    )
 
 
 def count_kappa(lams: Sequence[Composition], cap: Optional[int] = None) -> int:
@@ -289,13 +261,8 @@ def count_kappa(lams: Sequence[Composition], cap: Optional[int] = None) -> int:
     n = lams[0].size
     if any(l.size != n for l in lams):
         raise ValueError("partitions must all have the same size")
-    k = len(lams)
-    targets = tuple(Composition(tuple(sorted(l.parts, reverse=True))) for l in lams)
-    total = 0
-    for perms in enumerate_factorizations(n, k, cap):
-        if all(cycle_type(q) == target for q, target in zip(perms, targets)):
-            total += 1
-    return total
+    key = tuple(tuple(sorted(l.parts, reverse=True)) for l in lams)
+    return cycle_type_census(n, len(lams), cap).get(key, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +357,11 @@ def m_coefficient(n: int, p: Sequence[int], k: Optional[int] = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def verify_jackson(
-    n: int,
-    p: Sequence[int],
-    cap: Optional[int] = None,
-    census: Optional[dict[tuple[int, ...], int]] = None,
-) -> CheckReport:
+def verify_jackson(n: int, p: Sequence[int], cap: Optional[int] = None) -> CheckReport:
     """Colored-factorization count against n!^(k-1) * M^(n-1)_(p-1)."""
     p = tuple(p)
     k = len(p)
-    lhs = count_colored(n, p, cap, census=census)
+    lhs = count_colored(n, p, cap)
     rhs = factorial(n) ** (k - 1) * m_coefficient(n - 1, tuple(x - 1 for x in p))
     return CheckReport(
         name="jackson",
@@ -410,34 +372,20 @@ def verify_jackson(
     )
 
 
-def ell_vector_census(n: int, k: int, cap: Optional[int] = None) -> dict[tuple[int, ...], int]:
-    """How many factorizations have each vector of factor cycle counts."""
-    census: dict[tuple[int, ...], int] = {}
-    for perms in enumerate_factorizations(n, k, cap):
-        key = tuple(len(cycles(q)) for q in perms)
-        census[key] = census.get(key, 0) + 1
-    return census
-
-
 def verify_gf_identity(
-    n: int,
-    k: int,
-    xs: Sequence[int],
-    cap: Optional[int] = None,
-    census: Optional[dict[tuple[int, ...], int]] = None,
+    n: int, k: int, xs: Sequence[int], cap: Optional[int] = None
 ) -> CheckReport:
     """Exact evaluation of the cycle-count generating identity at integers.
 
-    Left side streams all factorizations; right side sums binomials times
-    n!^(k-1) M^(n-1) over color-count vectors.
+    Left side sums x_t^(cycles of factor t) over the cycle-type census; right
+    side sums binomials times n!^(k-1) M^(n-1) over color-count vectors.
     """
     xs = tuple(xs)
     if len(xs) != k or any(x < 0 for x in xs):
         raise ValueError("need k nonnegative integers")
-    if census is None:
-        census = ell_vector_census(n, k, cap)
     lhs = sum(
-        cnt * _prod(x**e for x, e in zip(xs, ells)) for ells, cnt in census.items()
+        cnt * _prod(x ** len(lam) for x, lam in zip(xs, lams))
+        for lams, cnt in cycle_type_census(n, k, cap).items()
     )
     rhs = 0
     for p in itertools.product(range(1, n + 1), repeat=k):

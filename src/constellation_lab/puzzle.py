@@ -23,8 +23,8 @@ class UndefinedProbabilityError(ValueError):
     """The conditioning event is empty (no subset tuple has the given type)."""
 
 
-class SamplingError(RuntimeError):
-    """Rejection sampling accepted none of its trials."""
+class SamplingError(ValueError):
+    """Rejection sampling accepted none of its trials (a usage error: the type is too rare)."""
 
 
 @dataclass(frozen=True)
@@ -341,7 +341,7 @@ def sample_puzzle(
     first 64 bits drawn from ``Random(seed)``, so results depend only on the
     arguments.  Raises ValueError before drawing anything when n, k or
     trials is below 1 or p is not a type vector of length k, and
-    SamplingError when no trial is accepted.
+    SamplingError, also a ValueError, when no trial is accepted.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -372,7 +372,7 @@ def sample_puzzle(
     if accepted == 0:
         raise SamplingError(
             f"no trial of {trials} accepted; type {p} is too rare for "
-            f"rejection sampling at n={n}, k={k}"
+            f"rejection sampling at n={n}, k={k} (SamplingError)"
         )
     return SampleResult(
         n=n,

@@ -48,9 +48,6 @@ class ColoredDigraph:
     n: int
     colorings: tuple[tuple[int, ...], ...]
 
-    def p_vector(self) -> tuple[int, ...]:
-        return tuple(max(col) for col in self.colorings)
-
     def tail(self, arc: Arc) -> DigraphVertex:
         t, i = arc
         return (t, self.colorings[t - 1][i - 1])

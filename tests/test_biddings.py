@@ -14,7 +14,6 @@ from constellation_lab.biddings import (
     canonical_labelling,
     enumerate_valid_biddings,
     enumerate_valid_prebiddings,
-    is_tree,
     is_valid_bidding,
     labellings,
     nebula_key,
@@ -65,7 +64,7 @@ def test_alpha_graph_fig7_edges():
     subsets = FIG7_BIDDING.subsets
     g = alpha_graph((2, 4), subsets, 3)
     assert g.edges == ((1, 2), (1, 3))
-    assert is_tree(g)
+    assert g.is_tree()
 
 
 def test_alpha_graph_empty_subset_gives_loop():
@@ -75,9 +74,9 @@ def test_alpha_graph_empty_subset_gives_loop():
 
 
 def test_is_tree_examples():
-    assert is_tree(TypedGraph(k=2, edges=((1, 2),)))
-    assert not is_tree(TypedGraph(k=3, edges=((1, 1), (2, 3))))
-    assert not is_tree(TypedGraph(k=3, edges=((1, 2), (1, 2))))
+    assert TypedGraph(k=2, edges=((1, 2),)).is_tree()
+    assert not TypedGraph(k=3, edges=((1, 1), (2, 3))).is_tree()
+    assert not TypedGraph(k=3, edges=((1, 2), (1, 2))).is_tree()
 
 
 def test_fig7_bidding_is_valid_and_roundtrips_byte_exact():
@@ -111,6 +110,11 @@ def test_prebidding_validity_messages():
     # greatest element must have type k
     pb = Prebidding(k=2, order=((2, 1), (1, 1)), subsets=(frozenset({1}),))
     assert "greatest" in pb.validate()
+    with pytest.raises(ValueError):
+        vartheta_inverse(pb)
+    # an empty order has no greatest element
+    pb = Prebidding(k=2, order=(), subsets=())
+    assert "n >= 1" in pb.validate()
     with pytest.raises(ValueError):
         vartheta_inverse(pb)
 

@@ -1,10 +1,11 @@
+import itertools
 import json
 from math import comb, prod
 
 import pytest
 
 from constellation_lab.biddings import Bidding
-from constellation_lab import cli
+from constellation_lab import cli, counting
 from constellation_lab.cli import main
 from constellation_lab.permutations import Permutation
 
@@ -114,6 +115,32 @@ def test_usage_error_exit_code():
 def test_cap_exceeded_exit_code(capsys):
     code = main(["--cap", "1", "jackson-check", "--n", "4", "--k", "3", "--all-p"])
     assert code == 3
+    # a census cached under a larger cap does not lift a smaller one
+    for command in (["jackson-check", "--all-p"], ["mv-check"], ["symmetry-check"]):
+        argv = [command[0], "--n", "3", "--k", "3", *command[1:]]
+        assert main(argv) == 0
+        assert main(["--cap", "35", *argv]) == 3
+    assert capsys.readouterr().err.count("exceeds cap 35") == 3
+
+
+def test_sweeps_share_one_factorization_walk(capsys, monkeypatch):
+    walks = []
+    original = counting.enumerate_factorizations
+
+    def counted(*args, **kwargs):
+        walks.append(args[:2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "enumerate_factorizations", counted)
+    counting.cycle_type_census.cache_clear()
+    try:
+        assert main(["jackson-check", "--n", "3", "--k", "2", "--all-p"]) == 0
+        assert main(["mv-check", "--n", "3", "--k", "2"]) == 0
+        assert main(["gf-check", "--n", "3", "--k", "2", "--all-x"]) == 0
+        assert main(["symmetry-check", "--n", "3", "--k", "2"]) == 0
+    finally:
+        counting.cycle_type_census.cache_clear()
+    assert walks == [(3, 2)]
 
 
 def test_roundtrip_commands(capsys):
@@ -127,6 +154,30 @@ def test_symmetry_check(capsys):
     code, out = run(capsys, "symmetry-check", "--n", "3", "--k", "2")
     assert code == 0
     assert "MISMATCH" not in out
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (2, 3), (3, 3), (2, 4)])
+def test_symmetry_check_groups_the_enumerated_composition_census(capsys, n, k):
+    census = {}
+    for p in itertools.product(range(1, n + 1), repeat=k):
+        for cf in counting.enumerate_colored_factorizations(n, k, p):
+            key = tuple(g.parts for g in cf.color_compositions())
+            census[key] = census.get(key, 0) + 1
+    by_profile = {}
+    for key, cnt in census.items():
+        by_profile.setdefault(tuple(len(parts) for parts in key), []).append(cnt)
+    expected = [
+        {
+            "profile": list(profile),
+            "classes": len(counts),
+            "counts": sorted({str(c) for c in counts}),
+            "equal": len(set(counts)) == 1,
+        }
+        for profile, counts in sorted(by_profile.items())
+    ]
+    code, out = run(capsys, "--format", "json", "symmetry-check", "--n", str(n), "--k", str(k))
+    assert code == 0
+    assert json.loads(out)["results"] == expected
 
 
 def test_pointing_check(capsys):
@@ -185,6 +236,39 @@ def test_psi_cli_roundtrip(tmp_path, capsys):
     code, out = run(capsys, "psi", "--direction", "fwd", "--input", str(nebula_path))
     assert code == 0
     assert json.loads(out) == b.to_json()
+
+
+def test_puzzle_sample_accepting_no_trial_is_usage_error(capsys):
+    code = main(["puzzle", "--n", "12", "--k", "4", "--p", "9,9,9,9", "--sample", "100"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no trial of 100 accepted") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jackson-check", "--all-p"],
+        ["jackson-check", "--p", "1,1"],
+        ["gf-check", "--all-x"],
+        ["mv-check"],
+        ["symmetry-check"],
+        *(["roundtrip", "--bijection", b] for b in ("phi", "swap", "lambda", "theta", "sigma", "psi")),
+        ["pointing-check"],
+        ["pointing-check", "--p", "0,0"],
+    ],
+)
+@pytest.mark.parametrize("n, k, bad", [("0", "2", "n"), ("-1", "2", "n"), ("1", "0", "k")])
+def test_sweeps_reject_empty_size(capsys, argv, n, k, bad):
+    code = main([*argv, "--n", n, "--k", k])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad} must be at least 1, got {n if bad == 'n' else k}\n"
+
+
+def test_gf_check_requires_a_point(capsys):
+    assert main(["gf-check", "--n", "2", "--k", "2"]) == 2
+    assert capsys.readouterr().err == "error: gf-check requires --x or --all-x\n"
 
 
 def test_puzzle_sample_rejects_bad_type_vector(capsys):

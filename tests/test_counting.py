@@ -10,9 +10,8 @@ from constellation_lab.counting import (
     count_by_color_compositions,
     count_colored,
     count_kappa,
-    ell_vector_census,
+    cycle_type_census,
     enumerate_colored_factorizations,
-    enumerate_colored_factorizations_all,
     enumerate_factorizations,
     m_coefficient,
     m_tuples,
@@ -26,11 +25,17 @@ from constellation_lab.counting import (
 from constellation_lab.permutations import (
     Composition,
     Permutation,
+    all_permutations,
     compose_all,
+    cycle_type,
+    cycles,
     identity,
     long_cycle,
     partitions_of,
 )
+
+# the exhaustive grid of acceptance criterion 3
+CRITERION_3_GRID = [(n, 2) for n in range(1, 5)] + [(n, 3) for n in range(1, 4)]
 
 
 def test_factorizations_n2_k2():
@@ -77,17 +82,22 @@ def test_count_colored_base_case_formula():
 
 
 def test_count_colored_matches_direct_enumeration():
-    for n, k in [(2, 2), (3, 2), (2, 3)]:
-        for p in itertools.product(range(1, n + 1), repeat=k):
+    for n, k in CRITERION_3_GRID:
+        for p in itertools.product(range(1, n + 2), repeat=k):
             direct = sum(1 for _ in enumerate_colored_factorizations(n, k, p))
             assert count_colored(n, p) == direct
 
 
-def test_count_colored_census_path_agrees():
-    for n, k in [(3, 2), (2, 3)]:
-        census = ell_vector_census(n, k)
-        for p in itertools.product(range(1, n + 1), repeat=k):
-            assert count_colored(n, p, census=census) == count_colored(n, p)
+def test_cycle_type_census_is_memoized_and_read_only():
+    census = cycle_type_census(3, 2)
+    assert cycle_type_census(3, 2) is census
+    assert sum(census.values()) == factorial(3)
+    with pytest.raises(TypeError):
+        census[((3,), (1, 1, 1))] = 0
+    # a smaller cap is a separate entry, checked before anything is walked
+    with pytest.raises(CapExceededError):
+        cycle_type_census(3, 2, 5)
+    assert cycle_type_census(3, 2, 6) == census
 
 
 def test_colored_factorization_validation():
@@ -127,15 +137,22 @@ def test_compositions_fig3_symmetry_pair():
 
 
 def test_composition_counts_depend_only_on_length_profile():
-    n, k = 4, 2
-    census = {}
-    for cf in enumerate_colored_factorizations_all(n, k):
-        key = tuple(g.parts for g in cf.color_compositions())
-        census[key] = census.get(key, 0) + 1
-    by_profile = {}
-    for key, cnt in census.items():
-        by_profile.setdefault(tuple(len(g) for g in key), set()).add(cnt)
-    assert all(len(v) == 1 for v in by_profile.values())
+    from constellation_lab.permutations import compositions_of
+
+    for n, k in CRITERION_3_GRID:
+        census = {}
+        for p in itertools.product(range(1, n + 1), repeat=k):
+            for cf in enumerate_colored_factorizations(n, k, p):
+                key = tuple(g.parts for g in cf.color_compositions())
+                census[key] = census.get(key, 0) + 1
+        by_profile = {}
+        for key, cnt in census.items():
+            by_profile.setdefault(tuple(len(g) for g in key), set()).add(cnt)
+        assert all(len(v) == 1 for v in by_profile.values())
+        # the census-based count agrees with the enumeration on every tuple
+        for gammas in itertools.product(list(compositions_of(n)), repeat=k):
+            key = tuple(g.parts for g in gammas)
+            assert count_by_color_compositions(gammas) == census.get(key, 0)
 
 
 def test_kappa_examples():
@@ -143,6 +160,17 @@ def test_kappa_examples():
         ln = Composition((n,))
         ones = Composition((1,) * n)
         assert count_kappa([ln, ones]) == 1
+    # every k-tuple of permutations, kept when its product is the long cycle
+    for n, k in CRITERION_3_GRID:
+        direct = {}
+        for perms in itertools.product(list(all_permutations(n)), repeat=k):
+            if compose_all(list(perms)) == long_cycle(n):
+                key = tuple(cycle_type(q) for q in perms)
+                direct[key] = direct.get(key, 0) + 1
+        for lams in itertools.product(list(partitions_of(n)), repeat=k):
+            assert count_kappa(lams) == direct.get(lams, 0)
+            # a cycle type given in increasing order is the same type
+            assert count_kappa([Composition(l.parts[::-1]) for l in lams]) == direct.get(lams, 0)
     assert count_kappa([Composition((2,)), Composition((2,))]) == 0
     for n, k in [(3, 2), (3, 3)]:
         total = sum(
@@ -295,15 +323,14 @@ def test_binomial_telescoping_to_cycle_count_sum():
     # sum over p of C^n_p * prod binom(x_t, p_t) equals the raw cycle-count
     # generating sum, independently of the closed form
     for n, k in [(3, 2), (2, 3)]:
-        census = ell_vector_census(n, k)
         for xs in itertools.product((0, 1, 2, 3), repeat=k):
             lhs = sum(
-                cnt * _int_prod(x**e for x, e in zip(xs, ells))
-                for ells, cnt in census.items()
+                _int_prod(x ** len(cycles(q)) for x, q in zip(xs, perms))
+                for perms in enumerate_factorizations(n, k)
             )
             rhs = 0
             for p in itertools.product(range(1, n + 1), repeat=k):
-                rhs += count_colored(n, p, census=census) * _int_prod(
+                rhs += count_colored(n, p) * _int_prod(
                     comb(x, pt) for x, pt in zip(xs, p)
                 )
             assert lhs == rhs

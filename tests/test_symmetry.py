@@ -3,7 +3,7 @@ from collections import defaultdict
 
 import pytest
 
-from constellation_lab.counting import enumerate_colored_factorizations_all
+from constellation_lab.counting import enumerate_colored_factorizations
 from constellation_lab.permutations import Composition
 from constellation_lab.symmetry import (
     swap_degree,
@@ -131,8 +131,9 @@ def test_colored_counts_symmetric_via_census():
     # c(gamma) depends only on the length profile, n <= 4 / k = 2, n <= 3 / k = 3
     for n, k in [(4, 2), (3, 3)]:
         census = defaultdict(int)
-        for cf in enumerate_colored_factorizations_all(n, k):
-            census[tuple(g.parts for g in cf.color_compositions())] += 1
+        for p in itertools.product(range(1, n + 1), repeat=k):
+            for cf in enumerate_colored_factorizations(n, k, p):
+                census[tuple(g.parts for g in cf.color_compositions())] += 1
         by_profile = defaultdict(set)
         for key, cnt in census.items():
             by_profile[tuple(len(g) for g in key)].add(cnt)
