@@ -29,10 +29,12 @@ SWEEPS = [
     ["roundtrip", "--bijection", "swap", "--n", "3", "--k", "2"],
     ["roundtrip", "--bijection", "lambda", "--n", "3", "--k", "2"],
     ["roundtrip", "--bijection", "lambda", "--n", "2", "--k", "3"],
+    ["roundtrip", "--bijection", "lambda", "--n", "3", "--k", "3"],
     ["roundtrip", "--bijection", "theta", "--n", "3", "--k", "2"],
     ["roundtrip", "--bijection", "sigma", "--n", "3", "--k", "2"],
     ["roundtrip", "--bijection", "psi", "--n", "2", "--k", "3"],
     ["pointing-check", "--n", "3", "--k", "2"],
+    ["pointing-check", "--n", "2", "--k", "3"],
     ["puzzle", "--n", "4", "--k", "3", "--p", "2,3,1"],
     ["puzzle", "--n", "6", "--k", "2", "--p", "3,2"],
     ["puzzle", "--n", "6", "--k", "3", "--p", "2,3,4", "--sample", "20000", "--seed", "7"],

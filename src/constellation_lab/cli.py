@@ -70,6 +70,18 @@ def _report(args, command: str, results: list[dict], ok: bool, extra: Optional[d
     return payload
 
 
+def _check_factors(args, flag: str, factors: Sequence, sizes: Sequence[tuple[int, ...]] = ()) -> None:
+    """Usage error unless the per-factor data of ``flag`` matches --k (when
+    given) and every composition in ``sizes`` sums to --n."""
+    if args.k is not None and len(factors) != args.k:
+        raise ValueError(f"{flag} gives {len(factors)} factors but --k is {args.k}")
+    for parts in sizes:
+        if sum(parts) != args.n:
+            raise ValueError(
+                f"{flag} {','.join(map(str, parts))} sums to {sum(parts)} but --n is {args.n}"
+            )
+
+
 def _check_lines(reports: list[CheckReport]) -> list[str]:
     lines = []
     for r in reports:
@@ -97,13 +109,16 @@ def cmd_count(args) -> int:
         value = counting.m_coefficient(args.n, args.p, k=args.k)
         label = f"M^{args.n}_{','.join(map(str, args.p))}"
     elif args.what == "colored":
+        _check_factors(args, "--p", args.p)
         value = counting.count_colored(args.n, args.p, cap=args.cap)
         label = f"C^{args.n}_{','.join(map(str, args.p))}"
     elif args.what == "compositions":
+        _check_factors(args, "--gamma", args.gamma, args.gamma)
         gammas = [Composition(g) for g in args.gamma]
         value = counting.count_by_color_compositions(gammas, cap=args.cap)
         label = "c(" + ";".join(str(g) for g in gammas) + ")"
     elif args.what == "kappa":
+        _check_factors(args, "--lam", args.lam, args.lam)
         lams = [Composition(l) for l in args.lam]
         value = counting.count_kappa(lams, cap=args.cap)
         label = "kappa(" + ";".join(str(l) for l in lams) + ")"
@@ -132,6 +147,8 @@ def _sweep(fn):
 def cmd_jackson_check(args) -> int:
     if not args.all_p and args.p is None:
         raise ValueError("jackson-check requires --p or --all-p")
+    if not args.all_p:
+        _check_factors(args, "--p", args.p)
     ps = [tuple(p) for p in _p_grid(args.n, args.k)] if args.all_p else [args.p]
     reports = [counting.verify_jackson(args.n, p, cap=args.cap) for p in ps]
     ok = all(r.equal for r in reports)
@@ -155,6 +172,7 @@ def cmd_gf_check(args) -> int:
 @_sweep
 def cmd_mv_check(args) -> int:
     if args.gamma:
+        _check_factors(args, "--gamma", args.gamma, args.gamma)
         gamma_tuples = [tuple(Composition(g) for g in args.gamma)]
     else:
         all_comps = list(compositions_of(args.n))

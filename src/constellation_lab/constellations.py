@@ -182,12 +182,39 @@ def is_transitive(perms: Sequence[Permutation]) -> bool:
     return count == n
 
 
+def _from_rotations(
+    k: int, n: int, verts: Sequence[tuple[int, Sequence[int]]], root: Optional[int]
+) -> tuple[Constellation, list[int]]:
+    """Assemble a constellation from (type, clockwise rotation) vertices.
+
+    The one place that numbers vertices: by (type, smallest incident
+    hyperedge).  Returns the constellation and ``new_id``, where
+    ``new_id[i]`` is the vertex id given to ``verts[i]``.
+    """
+    order = sorted(range(len(verts)), key=lambda i: (verts[i][0], min(verts[i][1])))
+    new_id = [0] * len(verts)
+    slot = [[0] * n for _ in range(k)]  # slot[t-1][h-1]: type-t vertex of hyperedge h
+    for v, i in enumerate(order, start=1):
+        new_id[i] = v
+        t, rot = verts[i]
+        for h in rot:
+            slot[t - 1][h - 1] = v
+    c = Constellation(
+        k=k,
+        n=n,
+        hyperedges=tuple(zip(*slot)),
+        vertex_type=tuple(verts[i][0] for i in order),
+        rotation=tuple(_norm_cycle(verts[i][1]) for i in order),
+        root=root,
+    )
+    return c, new_id
+
+
 def from_permutations(perms: Sequence[Permutation], root: Optional[int] = None) -> Constellation:
     """Inverse of the representation map (hyperedge-labelled objects).
 
     One type-t vertex per cycle of the t-th permutation; the clockwise
     rotation is the reversed cycle (cycles read counterclockwise).
-    Vertices are numbered by (type, smallest hyperedge in the cycle).
     """
     k = len(perms)
     if k < 2:
@@ -197,27 +224,8 @@ def from_permutations(perms: Sequence[Permutation], root: Optional[int] = None) 
         raise ValueError("size mismatch among permutations")
     if not is_transitive(perms):
         raise ValueError("not connected: permutations do not act transitively on [n]")
-    vertex_type: list[int] = []
-    rotation: list[tuple[int, ...]] = []
-    slot: dict[tuple[int, int], int] = {}  # (type, hyperedge) -> vertex id
-    for t in range(1, k + 1):
-        for cyc in cycles(perms[t - 1]):
-            vertex_type.append(t)
-            v = len(vertex_type)
-            rotation.append(_norm_cycle(list(reversed(cyc))))
-            for h in cyc:
-                slot[(t, h)] = v
-    hyperedges = tuple(
-        tuple(slot[(t, h)] for t in range(1, k + 1)) for h in range(1, n + 1)
-    )
-    return Constellation(
-        k=k,
-        n=n,
-        hyperedges=hyperedges,
-        vertex_type=tuple(vertex_type),
-        rotation=tuple(rotation),
-        root=root,
-    )
+    verts = [(t, cyc[::-1]) for t, p in enumerate(perms, start=1) for cyc in cycles(p)]
+    return _from_rotations(k, n, verts, root)[0]
 
 
 def to_permutations(c: Constellation) -> tuple[Permutation, ...]:
@@ -458,7 +466,8 @@ def constellation_from_dual(m: HalfEdgeMap) -> tuple[Constellation, dict[int, in
         raise ValueError("black vertices do not have one dart per type")
     # faces of the dual are the constellation vertices; black darts on one
     # face all share a type and give the counterclockwise hyperedge cycle
-    face_data: list[tuple[int, tuple[int, ...], list[int]]] = []  # (type, ccw cycle, darts)
+    verts: list[tuple[int, tuple[int, ...]]] = []
+    face_darts: list[list[int]] = []
     for orbit in m.faces():
         hs = []
         ts = set()
@@ -469,27 +478,11 @@ def constellation_from_dual(m: HalfEdgeMap) -> tuple[Constellation, dict[int, in
                 ts.add(m.type[x])
         if len(ts) != 1:
             raise ValueError("dual face mixes dart types; not a dual-constellation")
-        face_data.append((ts.pop(), tuple(hs), list(orbit)))
-    face_data.sort(key=lambda fd: (fd[0], min(fd[1])))
-    vertex_type = tuple(t for t, _, _ in face_data)
-    rotation = tuple(_norm_cycle(tuple(reversed(ccw))) for _, ccw, _ in face_data)
-    vertex_of_dart: dict[int, int] = {}
-    slot: dict[tuple[int, int], int] = {}
-    for vid, (t, ccw, darts) in enumerate(face_data, start=1):
-        for x in darts:
-            vertex_of_dart[x] = vid
-        for h in ccw:
-            slot[(t, h)] = vid
-    hyperedges = tuple(tuple(slot[(t, h)] for t in range(1, k + 1)) for h in range(1, n + 1))
+        verts.append((ts.pop(), tuple(reversed(hs))))
+        face_darts.append(orbit)
     root = None if m.root is None else hyperedge_of_black[m.root]
-    c = Constellation(
-        k=k,
-        n=n,
-        hyperedges=hyperedges,
-        vertex_type=vertex_type,
-        rotation=rotation,
-        root=root,
-    )
+    c, new_id = _from_rotations(k, n, verts, root)
+    vertex_of_dart = {x: new_id[i] for i, darts in enumerate(face_darts) for x in darts}
     problem = validate(c)
     if problem is not None:
         raise ValueError(f"dual reconstruction invalid: {problem}")
@@ -504,39 +497,32 @@ def constellation_from_dual(m: HalfEdgeMap) -> tuple[Constellation, dict[int, in
 def relabel_hyperedges(
     c: Constellation, s: dict[int, int]
 ) -> tuple[Constellation, dict[int, int]]:
-    """Rename hyperedges by s and renumber vertices canonically.
+    """Rename hyperedges by the bijection s and renumber vertices canonically.
 
     Returns (new constellation, vertex map old id -> new id).  The new
-    vertex ids follow the (type, smallest incident hyperedge) order used
-    by :func:`from_permutations`.
+    vertex ids follow the (type, smallest incident hyperedge) order of
+    :func:`_from_rotations`; labels and colors move with their vertices.
     """
-    perms = to_permutations(c)
-    images = []
-    for p in perms:
-        img = [0] * c.n
-        for x in range(1, c.n + 1):
-            img[s[x] - 1] = s[p(x)]
-        images.append(Permutation(tuple(img)))
-    new_c = from_permutations(images, root=None if c.root is None else s[c.root])
-    lookup = {
-        (new_c.vertex_type[v - 1], frozenset(new_c.rotation[v - 1])): v
-        for v in range(1, new_c.num_vertices + 1)
-    }
-    vmap = {}
-    for v in range(1, c.num_vertices + 1):
-        key = (c.vertex_type[v - 1], frozenset(s[h] for h in c.rotation[v - 1]))
-        vmap[v] = lookup[key]
-    if c.labels is not None:
-        labels = [0] * c.num_vertices
-        for v in range(1, c.num_vertices + 1):
-            labels[vmap[v] - 1] = c.labels[v - 1]
-        new_c = replace(new_c, labels=tuple(labels))
-    if c.colors is not None:
-        colors = [0] * c.num_vertices
-        for v in range(1, c.num_vertices + 1):
-            colors[vmap[v] - 1] = c.colors[v - 1]
-        new_c = replace(new_c, colors=tuple(colors))
-    return new_c, vmap
+    if sorted(s.get(h, 0) for h in range(1, c.n + 1)) != list(range(1, c.n + 1)):
+        raise ValueError(f"hyperedge relabelling is not a bijection of [{c.n}]")
+    verts = [(t, [s[h] for h in rot]) for t, rot in zip(c.vertex_type, c.rotation)]
+    new_c, new_id = _from_rotations(c.k, c.n, verts, None if c.root is None else s[c.root])
+    old_of_new = sorted(range(c.num_vertices), key=new_id.__getitem__)
+
+    def moved(values: Optional[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
+        return None if values is None else tuple(values[i] for i in old_of_new)
+
+    new_c = replace(new_c, labels=moved(c.labels), colors=moved(c.colors))
+    return new_c, {i + 1: v for i, v in enumerate(new_id)}
+
+
+def relabel_arborescence(a: Arborescence, s: dict[int, int], vmap: dict[int, int]) -> Arborescence:
+    """Carry an arborescence through :func:`relabel_hyperedges` (its s and vmap)."""
+    parent: list[Optional[Edge]] = [None] * len(a.parent_edge)
+    for v, e in enumerate(a.parent_edge, start=1):
+        if e is not None:
+            parent[vmap[v] - 1] = (s[e[0]], e[1])
+    return Arborescence(root_vertex=vmap[a.root_vertex], parent_edge=tuple(parent))
 
 
 def bfs_hyperedge_relabelling(c: Constellation) -> dict[int, int]:

@@ -193,7 +193,6 @@ def surjection_count(m: int, p: int) -> int:
     return sum((-1) ** j * comb(p, j) * (p - j) ** m for j in range(p + 1))
 
 
-@lru_cache(maxsize=None)
 def cycle_type_census(
     n: int, k: int, cap: Optional[int] = None
 ) -> Mapping[tuple[tuple[int, ...], ...], int]:
@@ -202,15 +201,25 @@ def cycle_type_census(
     A key holds, per factor, its cycle lengths in decreasing order.  Every
     exhaustive count of this module is a sum over this census, which is the
     only counting pass over :func:`enumerate_factorizations`.  It is memoized
-    per (n, k, cap) for the life of the process, so a sweep walks its domain
-    once; the cap is checked when an entry is first built, and the mapping
-    is read-only because it is shared.
+    per (n, k, cap) for the life of the process, with ``cap=None`` read as
+    ``DEFAULT_CAP`` and positional and keyword calls sharing one entry, so a
+    sweep walks its domain once; the cap is checked when an entry is first
+    built, and the mapping is read-only because it is shared.
     """
+    return _census(n, k, DEFAULT_CAP if cap is None else cap)
+
+
+@lru_cache(maxsize=None)
+def _census(n: int, k: int, cap: int) -> Mapping[tuple[tuple[int, ...], ...], int]:
     census: dict[tuple[tuple[int, ...], ...], int] = {}
     for perms in enumerate_factorizations(n, k, cap):
         key = tuple(cycle_type(q).parts for q in perms)
         census[key] = census.get(key, 0) + 1
     return MappingProxyType(census)
+
+
+cycle_type_census.cache_info = _census.cache_info  # type: ignore[attr-defined]
+cycle_type_census.cache_clear = _census.cache_clear  # type: ignore[attr-defined]
 
 
 def count_colored(n: int, p: Sequence[int], cap: Optional[int] = None) -> int:

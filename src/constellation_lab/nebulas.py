@@ -23,6 +23,7 @@ from .constellations import (
     dual,
     dual_black_dart,
     enumerate_rooted_constellations,
+    relabel_arborescence,
     relabel_hyperedges,
     validate,
     validate_arborescence,
@@ -313,16 +314,8 @@ def canonical_tree_pointed(tp: TreePointedConstellation) -> TreePointedConstella
     """Canonical hyperedge labels (root-first) with the decorations remapped."""
     s = bfs_hyperedge_relabelling(tp.constellation)
     new_c, vmap = relabel_hyperedges(tp.constellation, s)
-    parent: list[Optional[tuple[int, int]]] = [None] * new_c.num_vertices
-    for v in range(1, tp.constellation.num_vertices + 1):
-        e = tp.arborescence.parent_edge[v - 1]
-        if e is not None:
-            parent[vmap[v] - 1] = (s[e[0]], e[1])
     return TreePointedConstellation(
-        constellation=new_c,
-        arborescence=Arborescence(
-            root_vertex=vmap[tp.arborescence.root_vertex], parent_edge=tuple(parent)
-        ),
+        constellation=new_c, arborescence=relabel_arborescence(tp.arborescence, s, vmap)
     )
 
 

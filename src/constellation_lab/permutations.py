@@ -158,10 +158,22 @@ def compositions_of_length(n: int, length: int) -> Iterator[Composition]:
 
 
 def partitions_of(n: int) -> Iterator[Composition]:
-    """All partitions of n (weakly decreasing compositions)."""
-    seen = set()
-    for comp in compositions_of(n):
-        part = Composition(tuple(sorted(comp.parts, reverse=True)))
-        if part not in seen:
-            seen.add(part)
-            yield part
+    """All partitions of n (weakly decreasing compositions).
+
+    Ordered by number of parts, then lexicographically by the increasing
+    arrangement of the parts, the order in which they first occur among
+    :func:`compositions_of`.
+    """
+
+    def rising(total: int, length: int, least: int) -> Iterator[tuple[int, ...]]:
+        # weakly increasing sequences of `length` parts, each >= least, summing to total
+        if length == 1:
+            yield (total,)
+            return
+        for first in range(least, total // length + 1):
+            for rest in rising(total - first, length - 1, first):
+                yield (first,) + rest
+
+    for length in range(1, n + 1):
+        for parts in rising(n, length, 1):
+            yield Composition(parts[::-1])

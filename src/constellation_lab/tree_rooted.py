@@ -25,6 +25,7 @@ from .constellations import (
     _norm_cycle,
     arborescences_toward,
     enumerate_rooted_constellations,
+    relabel_arborescence,
     relabel_hyperedges,
     validate,
     validate_arborescence,
@@ -447,17 +448,8 @@ def canonical_tree_rooted(t_rooted: TreeRootedConstellation) -> TreeRootedConste
         if h not in s:
             s[h] = len(s) + 1
     new_c, vmap = relabel_hyperedges(t_rooted.constellation, s)
-    parent: list[Optional[tuple[int, int]]] = [None] * new_c.num_vertices
-    for v in range(1, t_rooted.constellation.num_vertices + 1):
-        e = t_rooted.arborescence.parent_edge[v - 1]
-        if e is not None:
-            parent[vmap[v] - 1] = (s[e[0]], e[1])
     return TreeRootedConstellation(
-        constellation=new_c,
-        arborescence=Arborescence(
-            root_vertex=vmap[t_rooted.arborescence.root_vertex],
-            parent_edge=tuple(parent),
-        ),
+        constellation=new_c, arborescence=relabel_arborescence(t_rooted.arborescence, s, vmap)
     )
 
 

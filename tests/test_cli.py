@@ -266,6 +266,46 @@ def test_sweeps_reject_empty_size(capsys, argv, n, k, bad):
     assert err == f"error: {bad} must be at least 1, got {n if bad == 'n' else k}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "3", "--k", "2", "--p", "1,1,1"], "--p gives 3 factors but --k is 2"),
+        (["--n", "3", "--k", "3", "--p", "1,1"], "--p gives 2 factors but --k is 3"),
+    ],
+)
+def test_jackson_check_p_must_match_k(capsys, argv, message):
+    assert main(["jackson-check", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "3", "--k", "4", "--gamma", "3", "--gamma", "1,2"], "--gamma gives 2 factors but --k is 4"),
+        (["--n", "4", "--k", "2", "--gamma", "3", "--gamma", "1,2"], "--gamma 3 sums to 3 but --n is 4"),
+        (["--n", "2", "--k", "2", "--gamma", "1,1", "--gamma", "1,2"], "--gamma 1,2 sums to 3 but --n is 2"),
+    ],
+)
+def test_mv_check_gamma_must_match_n_and_k(capsys, argv, message):
+    assert main(["mv-check", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--colored", "--n", "3", "--k", "3", "--p", "1,2"], "--p gives 2 factors but --k is 3"),
+        (["--compositions", "--n", "3", "--k", "3", "--gamma", "3", "--gamma", "1,2"], "--gamma gives 2 factors but --k is 3"),
+        (["--compositions", "--n", "3", "--gamma", "3", "--gamma", "1,1"], "--gamma 1,1 sums to 2 but --n is 3"),
+        (["--kappa", "--n", "4", "--lam", "3", "--lam", "1,2"], "--lam 3 sums to 3 but --n is 4"),
+        (["--kappa", "--n", "3", "--k", "2", "--lam", "3", "--lam", "1,2", "--lam", "3"], "--lam gives 3 factors but --k is 2"),
+    ],
+)
+def test_count_factor_data_must_match_n_and_k(capsys, argv, message):
+    assert main(["count", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_gf_check_requires_a_point(capsys):
     assert main(["gf-check", "--n", "2", "--k", "2"]) == 2
     assert capsys.readouterr().err == "error: gf-check requires --x or --all-x\n"

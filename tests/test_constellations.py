@@ -1,4 +1,6 @@
 import itertools
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +18,7 @@ from constellation_lab.constellations import (
     is_cactus,
     is_transitive,
     product_of,
+    relabel_hyperedges,
     to_permutations,
     transitive_tuples,
     validate,
@@ -131,15 +134,90 @@ def test_dual_single_hyperedge_k3():
     assert len(d.darts_at(blacks[0])) == 3
 
 
+# every transitive tuple is visited at these sizes
+RELABEL_GRID = [(n, k) for k, n_max in ((2, 4), (3, 3), (4, 2)) for n in range(1, n_max + 1)]
+
+
 def test_dual_preserves_genus_and_inverts():
-    for n, k in [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)]:
-        for perms in itertools.islice(transitive_tuples(n, k), 80):
-            c = from_permutations(perms)
+    rng = random.Random(5)
+    for n, k in RELABEL_GRID:
+        for perms in transitive_tuples(n, k):
+            c = from_permutations(perms, root=rng.randint(1, n))
             d = dual(c)
             assert d.validate() is None
             assert d.genus() == genus(c)
             c2, _, _ = constellation_from_dual(d)
             assert c2 == c
+
+
+def relabel_by_permutations(c, s):
+    """Reference relabelling: conjugate the representation by s, rebuild the
+    constellation, and find each vertex again by its type and hyperedge set."""
+    images = []
+    for p in to_permutations(c):
+        img = [0] * c.n
+        for x in range(1, c.n + 1):
+            img[s[x] - 1] = s[p(x)]
+        images.append(Permutation(tuple(img)))
+    new_c = from_permutations(images, root=None if c.root is None else s[c.root])
+    lookup = {
+        (new_c.vertex_type[v - 1], frozenset(new_c.rotation[v - 1])): v
+        for v in range(1, new_c.num_vertices + 1)
+    }
+    vmap = {
+        v: lookup[(c.vertex_type[v - 1], frozenset(s[h] for h in c.rotation[v - 1]))]
+        for v in range(1, c.num_vertices + 1)
+    }
+
+    def moved(values):
+        if values is None:
+            return None
+        out = [0] * c.num_vertices
+        for v in range(1, c.num_vertices + 1):
+            out[vmap[v] - 1] = values[v - 1]
+        return tuple(out)
+
+    return replace(new_c, labels=moved(c.labels), colors=moved(c.colors)), vmap
+
+
+def random_decorations(rng, c):
+    """Per type, bijective labels and surjective colors, both seeded."""
+    labels = [0] * c.num_vertices
+    colors = [0] * c.num_vertices
+    for t in range(1, c.k + 1):
+        vs = c.vertices_of_type(t)
+        ids = list(range(1, len(vs) + 1))
+        rng.shuffle(ids)
+        m = rng.randint(1, len(vs))
+        cols = list(range(1, m + 1)) + [rng.randint(1, m) for _ in range(len(vs) - m)]
+        rng.shuffle(cols)
+        for v, i, col in zip(vs, ids, cols):
+            labels[v - 1] = i
+            colors[v - 1] = col
+    return replace(c, labels=tuple(labels), colors=tuple(colors))
+
+
+def test_relabel_hyperedges_matches_the_permutation_route():
+    rng = random.Random(11)
+    for n, k in RELABEL_GRID:
+        for perms in transitive_tuples(n, k):
+            c = random_decorations(rng, from_permutations(perms, root=rng.randint(1, n)))
+            assert validate(c) is None
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            s = dict(zip(range(1, n + 1), images))
+            got = relabel_hyperedges(c, s)
+            assert got == relabel_by_permutations(c, s)
+            assert validate(got[0]) is None
+            bare = replace(c, root=None, labels=None, colors=None)
+            assert relabel_hyperedges(bare, s) == relabel_by_permutations(bare, s)
+
+
+@pytest.mark.parametrize("s", [{1: 1, 2: 1, 3: 2}, {1: 1, 2: 2, 3: 4}, {1: 2, 2: 3}])
+def test_relabel_hyperedges_rejects_a_non_bijection(s):
+    c = from_permutations((long_cycle(3), identity(3)), root=1)
+    with pytest.raises(ValueError):
+        relabel_hyperedges(c, s)
 
 
 def test_validate_reports_violations():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from constellation_lab.counting import (
+    DEFAULT_CAP,
     CapExceededError,
     ColoredFactorization,
     count_by_color_compositions,
@@ -98,6 +99,21 @@ def test_cycle_type_census_is_memoized_and_read_only():
     with pytest.raises(CapExceededError):
         cycle_type_census(3, 2, 5)
     assert cycle_type_census(3, 2, 6) == census
+
+
+def test_cycle_type_census_memo_key_is_normalised():
+    cycle_type_census.cache_clear()
+    try:
+        census = cycle_type_census(3, 2)
+        assert cycle_type_census(3, 2, DEFAULT_CAP) is census
+        assert cycle_type_census(n=3, k=2) is census
+        info = cycle_type_census.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        with pytest.raises(CapExceededError):
+            cycle_type_census(3, 2, 5)
+        assert cycle_type_census.cache_info().misses == 2
+    finally:
+        cycle_type_census.cache_clear()
 
 
 def test_colored_factorization_validation():

@@ -16,6 +16,7 @@ from constellation_lab.permutations import (
     identity,
     inverse,
     long_cycle,
+    partitions_of,
 )
 
 perms5 = st.permutations(range(1, 6)).map(lambda xs: Permutation(tuple(xs)))
@@ -106,6 +107,23 @@ def test_compositions_of_counts():
     for n in range(1, 7):
         assert sum(1 for _ in compositions_of(n)) == 2 ** (n - 1)
     assert [c.parts for c in compositions_of_length(4, 2)] == [(1, 3), (2, 2), (3, 1)]
+
+
+def test_partitions_of_counts_and_composition_filter():
+    # p(n) by the coin-change recurrence over part sizes
+    numbers = [1] + [0] * 20
+    for part in range(1, 21):
+        for m in range(part, 21):
+            numbers[m] += numbers[m - part]
+    for n in range(1, 21):
+        parts = [c.parts for c in partitions_of(n)]
+        assert len(parts) == len(set(parts)) == numbers[n]
+        assert all(c.is_partition() and c.size == n for c in partitions_of(n))
+    for n in range(1, 11):
+        first_seen = {}
+        for comp in compositions_of(n):
+            first_seen.setdefault(tuple(sorted(comp.parts, reverse=True)), None)
+        assert [c.parts for c in partitions_of(n)] == list(first_seen)
 
 
 def test_permutation_json_roundtrip():
