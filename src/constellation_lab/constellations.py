@@ -188,14 +188,12 @@ def _from_rotations(
     """Assemble a constellation from (type, clockwise rotation) vertices.
 
     The one place that numbers vertices: by (type, smallest incident
-    hyperedge).  Returns the constellation and ``new_id``, where
-    ``new_id[i]`` is the vertex id given to ``verts[i]``.
+    hyperedge).  Returns the constellation and ``order``, where vertex
+    ``j + 1`` is ``verts[order[j]]``.
     """
     order = sorted(range(len(verts)), key=lambda i: (verts[i][0], min(verts[i][1])))
-    new_id = [0] * len(verts)
     slot = [[0] * n for _ in range(k)]  # slot[t-1][h-1]: type-t vertex of hyperedge h
     for v, i in enumerate(order, start=1):
-        new_id[i] = v
         t, rot = verts[i]
         for h in rot:
             slot[t - 1][h - 1] = v
@@ -207,7 +205,7 @@ def _from_rotations(
         rotation=tuple(_norm_cycle(verts[i][1]) for i in order),
         root=root,
     )
-    return c, new_id
+    return c, order
 
 
 def from_permutations(perms: Sequence[Permutation], root: Optional[int] = None) -> Constellation:
@@ -481,8 +479,8 @@ def constellation_from_dual(m: HalfEdgeMap) -> tuple[Constellation, dict[int, in
         verts.append((ts.pop(), tuple(reversed(hs))))
         face_darts.append(orbit)
     root = None if m.root is None else hyperedge_of_black[m.root]
-    c, new_id = _from_rotations(k, n, verts, root)
-    vertex_of_dart = {x: new_id[i] for i, darts in enumerate(face_darts) for x in darts}
+    c, order = _from_rotations(k, n, verts, root)
+    vertex_of_dart = {x: j + 1 for j, i in enumerate(order) for x in face_darts[i]}
     problem = validate(c)
     if problem is not None:
         raise ValueError(f"dual reconstruction invalid: {problem}")
@@ -506,14 +504,13 @@ def relabel_hyperedges(
     if sorted(s.get(h, 0) for h in range(1, c.n + 1)) != list(range(1, c.n + 1)):
         raise ValueError(f"hyperedge relabelling is not a bijection of [{c.n}]")
     verts = [(t, [s[h] for h in rot]) for t, rot in zip(c.vertex_type, c.rotation)]
-    new_c, new_id = _from_rotations(c.k, c.n, verts, None if c.root is None else s[c.root])
-    old_of_new = sorted(range(c.num_vertices), key=new_id.__getitem__)
+    new_c, order = _from_rotations(c.k, c.n, verts, None if c.root is None else s[c.root])
 
     def moved(values: Optional[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
-        return None if values is None else tuple(values[i] for i in old_of_new)
+        return None if values is None else tuple(values[i] for i in order)
 
     new_c = replace(new_c, labels=moved(c.labels), colors=moved(c.colors))
-    return new_c, {i + 1: v for i, v in enumerate(new_id)}
+    return new_c, {i + 1: j + 1 for j, i in enumerate(order)}
 
 
 def relabel_arborescence(a: Arborescence, s: dict[int, int], vmap: dict[int, int]) -> Arborescence:

@@ -142,12 +142,14 @@ def test_dual_preserves_genus_and_inverts():
     rng = random.Random(5)
     for n, k in RELABEL_GRID:
         for perms in transitive_tuples(n, k):
-            c = from_permutations(perms, root=rng.randint(1, n))
-            d = dual(c)
-            assert d.validate() is None
-            assert d.genus() == genus(c)
-            c2, _, _ = constellation_from_dual(d)
-            assert c2 == c
+            rooted = from_permutations(perms, root=rng.randint(1, n))
+            for c in (rooted, replace(rooted, root=None)):
+                d = dual(c)
+                assert d.validate() is None
+                assert d.genus() == genus(c)
+                c2, _, _ = constellation_from_dual(d)
+                assert c2 == c
+                assert validate(c2) is None
 
 
 def relabel_by_permutations(c, s):
