@@ -145,6 +145,8 @@ def _sweep(fn):
 
 @_sweep
 def cmd_jackson_check(args) -> int:
+    if args.all_p and args.p is not None:
+        raise ValueError("jackson-check takes --p or --all-p, not both")
     if not args.all_p and args.p is None:
         raise ValueError("jackson-check requires --p or --all-p")
     if not args.all_p:
@@ -159,6 +161,8 @@ def cmd_jackson_check(args) -> int:
 
 @_sweep
 def cmd_gf_check(args) -> int:
+    if args.all_x and args.x is not None:
+        raise ValueError("gf-check takes --x or --all-x, not both")
     if not args.all_x and args.x is None:
         raise ValueError("gf-check requires --x or --all-x")
     xs_list = list(itertools.product((1, 2, 3), repeat=args.k)) if args.all_x else [args.x]
@@ -218,6 +222,10 @@ def cmd_symmetry_check(args) -> int:
 
 @_sweep
 def cmd_roundtrip(args) -> int:
+    if args.p is not None:
+        if args.bijection not in ("phi", "swap"):
+            raise ValueError(f"roundtrip --bijection {args.bijection} takes no --p")
+        _check_factors(args, "--p", args.p)
     checked, failures = _run_roundtrip(args.bijection, args.n, args.k, args.p)
     ok = failures == 0
     payload = _report(
@@ -283,6 +291,7 @@ def _run_roundtrip(bijection: str, n: int, k: int, p: Optional[tuple[int, ...]])
 @_sweep
 def cmd_pointing_check(args) -> int:
     if args.p is not None:
+        _check_factors(args, "--p", args.p)
         ps = [args.p]
     else:
         ps = [tuple(q) for q in itertools.product(range(0, args.n + 1), repeat=args.k)]

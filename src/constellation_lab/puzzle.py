@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
-from typing import Optional, Sequence
+from math import gcd, perm, prod
+from typing import Callable, Optional, Sequence
 
 from .biddings import TypedGraph, alpha, alpha_graph
 from .counting import CheckReport, m_coefficient, m_tuples, strict_subsets
@@ -24,7 +25,7 @@ class UndefinedProbabilityError(ValueError):
 
 
 class SamplingError(ValueError):
-    """Rejection sampling accepted none of its trials (a usage error: the type is too rare)."""
+    """Sampling accepted none of its trials (a usage error: the type is too rare)."""
 
 
 @dataclass(frozen=True)
@@ -166,6 +167,18 @@ def _count_with_supersets(
     return rec(0, p)
 
 
+def _set_partitions(items: Sequence[int]):
+    """Every set partition of ``items``, each a list of blocks."""
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for rest in _set_partitions(items[1:]):
+        yield [[first], *rest]
+        for i, block in enumerate(rest):
+            yield [*rest[:i], [first, *block], *rest[i + 1:]]
+
+
 def event_probability(
     constraints: Sequence[frozenset[int] | set[int]],
     n: int,
@@ -174,8 +187,10 @@ def event_probability(
 ) -> ExactProbability:
     """P(A_s is contained in R_{i_s} for all s) with i.i.d. uniform indices.
 
-    Computed by constrained tuple counting per index pattern rather than
-    enumerating the full product space.
+    The count for an index tuple depends only on which slots share an
+    index, so it is summed over the set partitions of the slots, each
+    weighted by the n(n-1)...(n-b+1) index tuples with that pattern of b
+    distinct indices, rather than over all n^m index tuples.
     """
     constraints = [frozenset(a) for a in constraints]
     m = len(constraints)
@@ -186,12 +201,14 @@ def event_probability(
     if total == 0:
         raise UndefinedProbabilityError(f"no subset tuples of type {p}")
     hits = 0
-    for indices in itertools.product(range(1, n + 1), repeat=m):
-        by_position: dict[int, set[int]] = {}
-        for a, i in zip(constraints, indices):
-            by_position.setdefault(i, set()).update(a)
-        unions = tuple(sorted((frozenset(u) for u in by_position.values()), key=sorted))
-        hits += _count_with_supersets(n, k, p, unions)
+    for blocks in _set_partitions(range(m)):
+        unions = tuple(
+            sorted(
+                (frozenset().union(*(constraints[s] for s in block)) for block in blocks),
+                key=sorted,
+            )
+        )
+        hits += perm(n, len(blocks)) * _count_with_supersets(n, k, p, unions)
     return ExactProbability(hits, n**m * total)
 
 
@@ -327,6 +344,20 @@ class SampleResult:
         }
 
 
+def _next_subset_weights(
+    left: int,
+    q: tuple[int, ...],
+    subsets: Sequence[frozenset[int]],
+    m: Callable[[int, tuple[int, ...]], int],
+) -> list[int]:
+    """Weight of each strict subset S as the next entry of a tuple of type q
+    with ``left`` entries still to draw: M^(left-1)_(q - 1_S), the number of
+    ways to finish the tuple after S, with M given by ``m``.  The weights sum
+    to M^left_q, so drawing every entry by them makes each tuple of type q
+    equally likely."""
+    return [m(left - 1, tuple(c - (t in s) for t, c in enumerate(q, start=1))) for s in subsets]
+
+
 def sample_puzzle(
     n: int,
     k: int,
@@ -334,14 +365,19 @@ def sample_puzzle(
     trials: int,
     seed: int,
 ) -> SampleResult:
-    """Rejection-sampled estimates of both puzzle probabilities.
+    """Exact-in-law estimates of both puzzle probabilities.
 
-    Subset tuples are drawn i.i.d. uniform over strict subsets and accepted
-    when the per-type counts match p.  The generator is seeded with the
-    first 64 bits drawn from ``Random(seed)``, so results depend only on the
-    arguments.  Raises ValueError before drawing anything when n, k or
-    trials is below 1 or p is not a type vector of length k, and
-    SamplingError, also a ValueError, when no trial is accepted.
+    The result has the law of rejection sampling: ``trials`` tuples of
+    strict subsets drawn i.i.d. uniform, those of type p accepted.  Without
+    drawing the rejected tuples, each trial is accepted with probability
+    M^n_p / (2^k - 1)^n, decided exactly by one integer draw.  Each accepted
+    tuple is then drawn uniformly among those of type p, entry by entry with
+    the weights of :func:`_next_subset_weights`; M and the weights of each
+    state are memoized for the call.  The generator is seeded with the first 64 bits drawn from
+    ``Random(seed)``, so results depend only on the arguments.  Raises
+    ValueError before drawing anything when n, k or trials is below 1 or p is
+    not a type vector of length k, and SamplingError, also a ValueError, when
+    no trial is accepted.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -354,26 +390,34 @@ def sample_puzzle(
         raise ValueError("bad type vector")
     subsets = strict_subsets(k)
     rng = random.Random(random.Random(seed).getrandbits(64))
-    accepted = tree_hits = r1_hits = 0
-    for _ in range(trials):
-        tup = [subsets[rng.randrange(len(subsets))] for _ in range(n)]
-        counts = [0] * k
-        for s in tup:
-            for x in s:
-                counts[x - 1] += 1
-        if tuple(counts) != p:
-            continue
-        accepted += 1
-        indices = [rng.randrange(1, n + 1) for _ in range(k - 1)]
+    randrange = rng.randrange
+    num, den = m_coefficient(n, p), len(subsets) ** n
+    accepted = sum(randrange(den) < num for _ in range(trials))
+    if accepted == 0:
+        raise SamplingError(
+            f"no trial of {trials} accepted; a uniform subset tuple has type {p} "
+            f"with probability {ExactProbability(num, den)} at n={n}, k={k} (SamplingError)"
+        )
+    m = lru_cache(maxsize=None)(m_coefficient)
+    # (entries left, type left) -> cumulative weights of the next entry
+    steps: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    tree_hits = r1_hits = 0
+    for _ in range(accepted):
+        tup = []
+        q = p
+        for left in range(n, 0, -1):
+            cum = steps.get((left, q))
+            if cum is None:
+                weights = _next_subset_weights(left, q, subsets, m)
+                cum = steps[left, q] = list(itertools.accumulate(weights))
+            s = subsets[bisect_right(cum, randrange(cum[-1]))]
+            tup.append(s)
+            q = tuple(c - (t in s) for t, c in enumerate(q, start=1))
+        indices = [randrange(1, n + 1) for _ in range(k - 1)]
         if alpha_graph(indices, tup, k).is_tree():
             tree_hits += 1
         if len(tup[0]) == k - 1:
             r1_hits += 1
-    if accepted == 0:
-        raise SamplingError(
-            f"no trial of {trials} accepted; type {p} is too rare for "
-            f"rejection sampling at n={n}, k={k} (SamplingError)"
-        )
     return SampleResult(
         n=n,
         k=k,

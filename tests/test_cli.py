@@ -306,6 +306,44 @@ def test_count_factor_data_must_match_n_and_k(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pointing-check", "--n", "2", "--k", "3", "--p", "1,1"], "--p gives 2 factors but --k is 3"),
+        (
+            ["roundtrip", "--bijection", "swap", "--n", "2", "--k", "2", "--p", "1,1,1"],
+            "--p gives 3 factors but --k is 2",
+        ),
+        (
+            ["roundtrip", "--bijection", "phi", "--n", "2", "--k", "3", "--p", "1,1"],
+            "--p gives 2 factors but --k is 3",
+        ),
+    ],
+)
+def test_p_must_match_k(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("bijection", ["lambda", "theta", "sigma", "psi"])
+def test_roundtrip_over_all_types_rejects_p(capsys, bijection):
+    argv = ["roundtrip", "--bijection", bijection, "--n", "2", "--k", "2", "--p", "1,1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: roundtrip --bijection {bijection} takes no --p\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["jackson-check", "--p", "1,1", "--all-p"], "jackson-check takes --p or --all-p, not both"),
+        (["gf-check", "--x", "1,1", "--all-x"], "gf-check takes --x or --all-x, not both"),
+    ],
+)
+def test_one_point_and_all_points_exclude_each_other(capsys, argv, message):
+    assert main([*argv, "--n", "2", "--k", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_gf_check_requires_a_point(capsys):
     assert main(["gf-check", "--n", "2", "--k", "2"]) == 2
     assert capsys.readouterr().err == "error: gf-check requires --x or --all-x\n"

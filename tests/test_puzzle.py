@@ -1,13 +1,21 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from constellation_lab.biddings import alpha_graph
-from constellation_lab.counting import CapExceededError, count_colored, m_coefficient, m_tuples
+from constellation_lab.counting import (
+    CapExceededError,
+    count_colored,
+    m_coefficient,
+    m_tuples,
+    strict_subsets,
+)
 from constellation_lab.puzzle import (
     ExactProbability,
     SamplingError,
     UndefinedProbabilityError,
+    _next_subset_weights,
     event_probability,
     event_probability_naive,
     r1_probability,
@@ -194,6 +202,43 @@ def test_sampling_rejects_bad_type_vector():
             sample_puzzle(3, 2, p, trials=10, seed=0)
     with pytest.raises(ValueError, match="k must be at least 1"):
         sample_puzzle(2, 0, (), trials=10, seed=0)
+
+
+def test_sequential_draw_is_uniform_over_tuples_of_the_type():
+    # the product of the draw's conditional probabilities along every tuple
+    # of type p is exactly 1/M^n_p, over the criterion-7 grid
+    checked = 0
+    for k, nmax in [(2, 5), (3, 4), (4, 3)]:
+        subsets = strict_subsets(k)
+        for n in range(1, nmax + 1):
+            for p in feasible_types(n, k):
+                for mt in m_tuples(n, k, p):
+                    law = Fraction(1)
+                    q = p
+                    for left, s in zip(range(n, 0, -1), mt.subsets):
+                        weights = _next_subset_weights(left, q, subsets, m_coefficient)
+                        law *= Fraction(weights[subsets.index(s)], sum(weights))
+                        q = tuple(c - (t in s) for t, c in enumerate(q, start=1))
+                    assert law == Fraction(1, m_coefficient(n, p)), (n, k, p, mt)
+                    checked += 1
+    assert checked == 6778
+
+
+def within_five_sigma(hits, trials, prob):
+    # (hits - N P)^2 <= 25 N P (1 - P), in integers
+    num, den = prob.numerator, prob.denominator
+    return (hits * den - trials * num) ** 2 <= 25 * trials * num * (den - num)
+
+
+@pytest.mark.parametrize("n, k, p, trials", [(6, 3, (2, 3, 4), 20_000), (6, 4, (4, 4, 4, 4), 200_000)])
+def test_sampling_acceptance_and_hits_within_five_sigma(n, k, p, trials):
+    res = sample_puzzle(n, k, p, trials=trials, seed=1)
+    assert res.trials == trials
+    accept = ExactProbability(m_coefficient(n, p), (2**k - 1) ** n)
+    assert within_five_sigma(res.accepted, trials, accept), res
+    exact = r1_probability(n, k, p)
+    assert within_five_sigma(res.tree_hits, res.accepted, exact), res
+    assert within_five_sigma(res.r1_hits, res.accepted, exact), res
 
 
 def test_sampling_statistical_agreement():
