@@ -2,13 +2,16 @@
 """Scan the tree-probability identity over a grid of types.
 
 For each feasible type at the requested size, print both exact
-probabilities side by side (they must agree), and optionally compare a
-seeded Monte Carlo estimate at a larger size where enumeration is still
-cheap enough to provide the exact value.
+probabilities side by side (they must agree).  Optionally sample one larger
+type with the seeded exact-in-law sampler and judge the counts in integers
+by a 5-sigma test: acceptances against M^n_p / (2^k - 1)^n, and both hit
+counts against the closed-form P(|R_1| = k-1), which the identity makes the
+tree probability too.  No enumeration runs at the sampled size.
 
 Usage:
   python3 scripts/puzzle_scan.py --k 3 --n-max 4
   python3 scripts/puzzle_scan.py --k 3 --n-max 4 --sample 6 2,3,4 --trials 100000
+  python3 scripts/puzzle_scan.py --k 4 --n-max 2 --sample 20 10,10,10,10 --trials 200000
 """
 from __future__ import annotations
 
@@ -17,13 +20,24 @@ import itertools
 import sys
 
 from constellation_lab.counting import m_coefficient
-from constellation_lab.puzzle import sample_puzzle, verify_puzzle
+from constellation_lab.puzzle import (
+    ExactProbability,
+    r1_probability,
+    sample_puzzle,
+    verify_puzzle,
+)
 
 
 def feasible_types(n: int, k: int):
     for p in itertools.product(range(0, n + 1), repeat=k):
         if m_coefficient(n, p):
             yield p
+
+
+def within_five_sigma(hits: int, trials: int, prob: ExactProbability) -> bool:
+    """(hits - N P)^2 <= 25 N P (1 - P), in integers."""
+    num, den = prob.numerator, prob.denominator
+    return (hits * den - trials * num) ** 2 <= 25 * trials * num * (den - num)
 
 
 def main() -> int:
@@ -47,11 +61,18 @@ def main() -> int:
         n = int(args.sample[0])
         p = tuple(int(x) for x in args.sample[1].split(","))
         res = sample_puzzle(n, args.k, p, trials=args.trials, seed=args.seed)
-        exact = verify_puzzle(n, args.k, p)
+        accept = ExactProbability(m_coefficient(n, p), (2**args.k - 1) ** n)
+        exact = r1_probability(n, args.k, p)
         print()
-        print(f"sampled n={n} p={p}: {res.accepted}/{res.trials} accepted")
-        print(f"  tree estimate {res.tree_estimate}  exact {exact.tree}")
-        print(f"  |R_1| estimate {res.r1_estimate}  exact {exact.r1}")
+        for label, hits, of, prob in [
+            ("accepted", res.accepted, res.trials, accept),
+            ("tree", res.tree_hits, res.accepted, exact),
+            (f"|R_1|={args.k - 1}", res.r1_hits, res.accepted, exact),
+        ]:
+            ok = within_five_sigma(hits, of, prob)
+            mark = "" if ok else "   <-- OUTSIDE 5 SIGMA"
+            print(f"sampled n={n} p={p}: {label} {hits}/{of}, exact probability {prob}{mark}")
+            bad += not ok
 
     print()
     print("no mismatches" if bad == 0 else f"{bad} MISMATCHES")

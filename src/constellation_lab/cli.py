@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error
 (also a sweep at n < 1 or k < 1, which would check nothing, and a sampled
-puzzle type that accepts none of its trials), 3 enumeration cap exceeded.
+puzzle type that accepts none of its trials), 3 enumeration cap exceeded,
+4 an internal check of the library failed (a bug, not a mismatch).
 Reports are deterministic for a fixed configuration (including seed).
 """
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -504,6 +506,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -212,27 +212,6 @@ def event_probability(
     return ExactProbability(hits, n**m * total)
 
 
-def event_probability_naive(
-    constraints: Sequence[frozenset[int] | set[int]],
-    n: int,
-    k: int,
-    p: Sequence[int],
-) -> ExactProbability:
-    """Full product-space enumeration; oracle for the factorized version."""
-    constraints = [frozenset(a) for a in constraints]
-    m = len(constraints)
-    hits = 0
-    total = 0
-    for mt in m_tuples(n, k, p):
-        total += 1
-        for indices in itertools.product(range(1, n + 1), repeat=m):
-            if all(a <= mt.subsets[i - 1] for a, i in zip(constraints, indices)):
-                hits += 1
-    if total == 0:
-        raise UndefinedProbabilityError(f"no subset tuples of type {p}")
-    return ExactProbability(hits, n**m * total)
-
-
 def verify_k3_inclusion_exclusion(n: int, p: Sequence[int]) -> CheckReport:
     """Nine-term alternating sum for k=3 against the direct tree probability."""
     k = 3
@@ -358,6 +337,40 @@ def _next_subset_weights(
     return [m(left - 1, tuple(c - (t in s) for t, c in enumerate(q, start=1))) for s in subsets]
 
 
+# fields drawn per getrandbits call in _count_below; bounds its memory
+_BLOCK = 4096
+
+
+def _count_below(rng: random.Random, trials: int, num: int, den: int) -> int:
+    """How many of ``trials`` uniform draws on [0, den) are below num.
+
+    Each draw is made as ``randrange(den)`` makes it: b = den.bit_length()
+    uniform bits, drawn again when they read den or more.  At most _BLOCK fields
+    come from one getrandbits call.  Setting each field's guard bit and
+    subtracting the bound replicated into every field leaves the guard set
+    exactly where the field is at least the bound, with no borrow between
+    fields, so one bit count counts those fields; no per-draw Python work.
+    Only the draws still undecided after a block are drawn again, so exactly
+    the first ``trials`` draws below den are counted.  Integers only.
+    """
+    b = den.bit_length()
+    width = 8 * (b // 8 + 1)  # b bits and a zero guard bit, padded to whole bytes
+    # a 1 at the bottom of each of _BLOCK fields; shifted right by width * j
+    # these constants serve a block of _BLOCK - j fields
+    ones = ((1 << (width * _BLOCK)) - 1) // ((1 << width) - 1)
+    mask, guard = ones * ((1 << b) - 1), ones << b
+    num_rep, den_rep = num * ones, den * ones
+    below = 0
+    while trials:
+        fields = min(trials, _BLOCK)
+        drop = width * (_BLOCK - fields)
+        g = guard >> drop
+        x = (rng.getrandbits(width * fields) & (mask >> drop)) | g
+        below += fields - ((x - (num_rep >> drop)) & g).bit_count()
+        trials -= fields - ((x - (den_rep >> drop)) & g).bit_count()
+    return below
+
+
 def sample_puzzle(
     n: int,
     k: int,
@@ -369,15 +382,16 @@ def sample_puzzle(
 
     The result has the law of rejection sampling: ``trials`` tuples of
     strict subsets drawn i.i.d. uniform, those of type p accepted.  Without
-    drawing the rejected tuples, each trial is accepted with probability
-    M^n_p / (2^k - 1)^n, decided exactly by one integer draw.  Each accepted
-    tuple is then drawn uniformly among those of type p, entry by entry with
-    the weights of :func:`_next_subset_weights`; M and the weights of each
-    state are memoized for the call.  The generator is seeded with the first 64 bits drawn from
-    ``Random(seed)``, so results depend only on the arguments.  Raises
-    ValueError before drawing anything when n, k or trials is below 1 or p is
-    not a type vector of length k, and SamplingError, also a ValueError, when
-    no trial is accepted.
+    drawing the rejected tuples, ``accepted`` counts the trials whose
+    uniform integer draw on [0, (2^k - 1)^n) falls below M^n_p, by the
+    packed-field block count of :func:`_count_below`.  Each accepted tuple
+    is then drawn uniformly among those of type p, entry by entry with the
+    weights of :func:`_next_subset_weights`; M and the weights of each state
+    are memoized for the call.  The generator is seeded with the first 64 bits
+    drawn from ``Random(seed)``, so results depend only on the arguments.
+    Raises ValueError before drawing anything when n, k or trials is below 1
+    or p is not a type vector of length k, and SamplingError, also a
+    ValueError, when no trial is accepted.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -392,7 +406,7 @@ def sample_puzzle(
     rng = random.Random(random.Random(seed).getrandbits(64))
     randrange = rng.randrange
     num, den = m_coefficient(n, p), len(subsets) ** n
-    accepted = sum(randrange(den) < num for _ in range(trials))
+    accepted = _count_below(rng, trials, num, den)
     if accepted == 0:
         raise SamplingError(
             f"no trial of {trials} accepted; a uniform subset tuple has type {p} "

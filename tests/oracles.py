@@ -1,0 +1,23 @@
+"""Brute-force oracles that only tests use: each enumerates the whole space
+that a library function counts by a faster route."""
+import itertools
+
+from constellation_lab.counting import m_tuples
+from constellation_lab.puzzle import ExactProbability, UndefinedProbabilityError
+
+
+def event_probability_naive(constraints, n, k, p):
+    """P(A_s is contained in R_{i_s} for all s) by full product-space
+    enumeration; oracle for :func:`constellation_lab.puzzle.event_probability`."""
+    constraints = [frozenset(a) for a in constraints]
+    m = len(constraints)
+    hits = 0
+    total = 0
+    for mt in m_tuples(n, k, p):
+        total += 1
+        for indices in itertools.product(range(1, n + 1), repeat=m):
+            if all(a <= mt.subsets[i - 1] for a, i in zip(constraints, indices)):
+                hits += 1
+    if total == 0:
+        raise UndefinedProbabilityError(f"no subset tuples of type {p}")
+    return ExactProbability(hits, n**m * total)

@@ -5,7 +5,7 @@ from math import comb, prod
 import pytest
 
 from constellation_lab.biddings import Bidding
-from constellation_lab import cli, counting
+from constellation_lab import cli, counting, nebulas
 from constellation_lab.cli import main
 from constellation_lab.permutations import Permutation
 
@@ -83,6 +83,18 @@ def test_cap_env_var_is_default(capsys, monkeypatch):
     monkeypatch.setenv("CONSTELLATION_LAB_CAP", "1")
     code = main(["jackson-check", "--n", "4", "--k", "3", "--all-p"])
     assert code == 3
+
+
+def test_internal_check_failure_is_its_own_exit_code(capsys, monkeypatch):
+    def broken_closure(nb):
+        raise AssertionError("vertex 1 closed by two bud-edges")
+
+    monkeypatch.setattr(nebulas, "dual_closure", broken_closure)
+    code = main(["roundtrip", "--bijection", "lambda", "--n", "2", "--k", "2"])
+    assert code == cli.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal check failed: vertex 1 closed by two bud-edges\n"
 
 
 def test_invalid_cap_env_var_is_usage_error(capsys, monkeypatch):

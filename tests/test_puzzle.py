@@ -1,7 +1,9 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from oracles import event_probability_naive
 
 from constellation_lab.biddings import alpha_graph
 from constellation_lab.counting import (
@@ -15,9 +17,10 @@ from constellation_lab.puzzle import (
     ExactProbability,
     SamplingError,
     UndefinedProbabilityError,
+    _BLOCK,
+    _count_below,
     _next_subset_weights,
     event_probability,
-    event_probability_naive,
     r1_probability,
     sample_puzzle,
     tree_probability,
@@ -224,10 +227,67 @@ def test_sequential_draw_is_uniform_over_tuples_of_the_type():
     assert checked == 6778
 
 
+class RecordingRng:
+    """getrandbits from a seeded generator, logging each (bits, value).
+
+    A draw past the 200th fails: a count that never decides its trials (a
+    redraw test that is always true) fails instead of looping forever.
+    A redraw has probability below 1/2, so a correct count of up to a few
+    blocks needs a few dozen draws."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.drawn = []
+
+    def getrandbits(self, bits):
+        assert len(self.drawn) < 200, "trials never decided"
+        value = self.rng.getrandbits(bits)
+        self.drawn.append((bits, value))
+        return value
+
+
+def count_below_by_loop(drawn, trials, num, den):
+    # one field at a time over the same bits: whole-byte fields with a
+    # guard bit above the b = den.bit_length() bits that are read
+    b = den.bit_length()
+    width = 8 * (b // 8 + 1)
+    below = decided = 0
+    for bits, value in drawn:
+        for i in range(bits // width):
+            if decided == trials:
+                return below
+            field = (value >> (width * i)) & ((1 << b) - 1)
+            if field >= den:
+                continue
+            decided += 1
+            below += field < num
+    assert decided == trials
+    return below
+
+
+@pytest.mark.parametrize("den", [1, 3, 7**6, 15**6, 15**17, 15**30], ids=lambda den: f"{den.bit_length()}-bit")
+def test_count_below_matches_a_loop_over_the_same_bits(den):
+    for num in sorted({0, 1, den - 1, den}):
+        for trials in [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]:
+            rng = RecordingRng(trials)
+            got = _count_below(rng, trials, num, den)
+            assert got == count_below_by_loop(rng.drawn, trials, num, den), (num, den, trials)
+
+
 def within_five_sigma(hits, trials, prob):
     # (hits - N P)^2 <= 25 N P (1 - P), in integers
     num, den = prob.numerator, prob.denominator
     return (hits * den - trials * num) ** 2 <= 25 * trials * num * (den - num)
+
+
+@pytest.mark.parametrize(
+    "trials, num, den",
+    [(10_000, 1, 3), (3 * _BLOCK + 5, 15**6 // 2, 15**6), (_BLOCK + 1, 3**73, 15**30)],
+    ids=["1/3", "half-of-15^6", "3^73/15^30"],
+)
+def test_count_below_within_five_sigma(trials, num, den):
+    below = _count_below(RecordingRng(3), trials, num, den)
+    assert within_five_sigma(below, trials, ExactProbability(num, den)), below
 
 
 @pytest.mark.parametrize("n, k, p, trials", [(6, 3, (2, 3, 4), 20_000), (6, 4, (4, 4, 4, 4), 200_000)])

@@ -32,6 +32,12 @@ def run_script(*argv):
         ),
         # k=4 at n=4, one size past the acceptance grid
         (["puzzle_scan.py", "--k", "4", "--n-max", "4"], "no mismatches"),
+        # a 79-bit (2^4-1)^20 and about 157 expected acceptances; no
+        # enumeration runs at the sampled size
+        (
+            ["puzzle_scan.py", "--k", "4", "--n-max", "2", "--sample", "20", "10,10,10,10", "--trials", "200000"],
+            "no mismatches",
+        ),
     ],
 )
 def test_script_exits_zero(argv, last_line):
