@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .halfedges import BLACK, WHITE, HalfEdgeMap, _json_field
@@ -264,7 +265,20 @@ def validate(c: Constellation) -> Optional[str]:
             return f"rotation incomplete at vertex {v}"
         if not incident[v]:
             return f"vertex {v} is isolated"
-    if not is_transitive(to_permutations(c)):
+    # the orbits of to_permutations(c) are the classes of hyperedges joined
+    # by shared vertices, since each rotation lists its incident hyperedges
+    reached = {1}
+    todo = [1]
+    seen = [False] * (nv + 1)
+    while todo:
+        for v in c.hyperedges[todo.pop() - 1]:
+            if not seen[v]:
+                seen[v] = True
+                for g in c.rotation[v - 1]:
+                    if g not in reached:
+                        reached.add(g)
+                        todo.append(g)
+    if len(reached) != c.n:
         return "not transitive"
     if c.root is not None and not (1 <= c.root <= c.n):
         return f"root hyperedge {c.root} out of range"
@@ -301,16 +315,17 @@ def validate_arborescence(c: Constellation, a: Arborescence) -> Optional[str]:
             return f"parent edge of vertex {v} has type {t}, vertex has type {c.vertex_type[v - 1]}"
         if c.edge_endpoints(e)[0] != v:
             return f"parent edge of vertex {v} is not incident to it"
-    # every vertex must reach the root by following parents
+    # every vertex must reach the root by following parents; mark[u] is the
+    # first vertex whose walk passed u, and every earlier walk reached the root
+    mark = [0] * (c.num_vertices + 1)
+    mark[a.root_vertex] = -1
     for v in range(1, c.num_vertices + 1):
-        seen = set()
         u = v
-        while u != a.root_vertex:
-            if u in seen:
-                return f"parent edges cycle at vertex {v}"
-            seen.add(u)
-            e = a.parent_edge[u - 1]
-            u = c.edge_endpoints(e)[1]
+        while mark[u] == 0:
+            mark[u] = v
+            u = c.edge_endpoints(a.parent_edge[u - 1])[1]
+        if mark[u] == v:
+            return f"parent edges cycle at vertex {v}"
     return None
 
 
@@ -570,23 +585,34 @@ def transitive_tuples(n: int, k: int) -> Iterator[tuple[Permutation, ...]]:
 
 
 def enumerate_rooted_constellations(
-    n: int, k: int, type_vector: Optional[tuple[int, ...]] = None
+    n: int, k: int, type_vector: Optional[Sequence[int]] = None
 ) -> list[Constellation]:
     """All rooted k-constellations of size n, in canonical form.
 
     Rooted objects are hyperedge-labelled objects modulo relabelling, so
-    we canonicalize every transitive tuple rooted at hyperedge 1 and
-    deduplicate.
+    every transitive tuple rooted at hyperedge 1 is canonicalized and
+    deduplicated.  The domain is walked once per (n, k) for the life of
+    the process; each call filters it by ``type_vector`` (vertices per
+    type) into a new list.
     """
+    domain = _rooted_constellations(n, k)
+    if type_vector is None:
+        return list(domain)
+    target = tuple(type_vector)
+    return [c for c in domain if c.type_vector() == target]
+
+
+@lru_cache(maxsize=None)
+def _rooted_constellations(n: int, k: int) -> tuple[Constellation, ...]:
     out = {}
     for perms in transitive_tuples(n, k):
-        if type_vector is not None:
-            if tuple(len(cycles(p)) for p in perms) != type_vector:
-                continue
-        c = from_permutations(perms, root=1)
-        canon, _ = canonical_rooted(c)
+        canon, _ = canonical_rooted(from_permutations(perms, root=1))
         out[canon.hyperedges + canon.rotation + (canon.root,)] = canon
-    return sorted(out.values(), key=lambda c: (c.hyperedges, c.rotation))
+    return tuple(sorted(out.values(), key=lambda c: (c.hyperedges, c.rotation)))
+
+
+enumerate_rooted_constellations.cache_info = _rooted_constellations.cache_info  # type: ignore[attr-defined]
+enumerate_rooted_constellations.cache_clear = _rooted_constellations.cache_clear  # type: ignore[attr-defined]
 
 
 def arborescences_toward(c: Constellation, v0: int) -> Iterator[Arborescence]:

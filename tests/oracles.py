@@ -2,7 +2,9 @@
 that a library function counts by a faster route."""
 import itertools
 
+from constellation_lab.constellations import canonical_rooted, from_permutations, transitive_tuples
 from constellation_lab.counting import m_tuples
+from constellation_lab.permutations import cycles
 from constellation_lab.puzzle import ExactProbability, UndefinedProbabilityError
 
 
@@ -21,3 +23,16 @@ def event_probability_naive(constraints, n, k, p):
     if total == 0:
         raise UndefinedProbabilityError(f"no subset tuples of type {p}")
     return ExactProbability(hits, n**m * total)
+
+
+def rooted_constellations_naive(n, k, type_vector=None):
+    """A fresh walk over all transitive k-tuples, keeping the tuples whose
+    cycle counts are ``type_vector``; oracle for
+    :func:`constellation_lab.constellations.enumerate_rooted_constellations`."""
+    out = {}
+    for perms in transitive_tuples(n, k):
+        if type_vector is not None and tuple(len(cycles(p)) for p in perms) != type_vector:
+            continue
+        canon, _ = canonical_rooted(from_permutations(perms, root=1))
+        out[canon.hyperedges + canon.rotation + (canon.root,)] = canon
+    return sorted(out.values(), key=lambda c: (c.hyperedges, c.rotation))

@@ -97,6 +97,14 @@ def test_internal_check_failure_is_its_own_exit_code(capsys, monkeypatch):
     assert captured.err == "error: internal check failed: vertex 1 closed by two bud-edges\n"
 
 
+def test_lambda_roundtrip_counts_a_closure_to_another_object(capsys, monkeypatch):
+    domain = list(nebulas.enumerate_tree_pointed(3, 2))
+    monkeypatch.setattr(nebulas, "dual_closure", lambda nb: domain[0])
+    code, out = run(capsys, "roundtrip", "--bijection", "lambda", "--n", "3", "--k", "2")
+    assert code == cli.EXIT_FAILED
+    assert f"lambda: {len(domain)} roundtrips, {len(domain) - 1} failures" in out
+
+
 def test_invalid_cap_env_var_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("CONSTELLATION_LAB_CAP", "abc")
     code = main(["count", "--m", "--n", "2", "--k", "2", "--p", "1,1"])

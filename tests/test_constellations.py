@@ -3,9 +3,13 @@ import random
 from dataclasses import replace
 
 import pytest
+from oracles import rooted_constellations_naive
 
+from constellation_lab.cli import main
 from constellation_lab.constellations import (
+    Arborescence,
     Constellation,
+    _from_rotations,
     arborescences_toward,
     canonical_rooted,
     constellation_from_dual,
@@ -22,10 +26,12 @@ from constellation_lab.constellations import (
     to_permutations,
     transitive_tuples,
     validate,
+    validate_arborescence,
     white_face_count,
 )
 from constellation_lab.permutations import (
     Permutation,
+    all_permutations,
     cycles,
     from_cycles,
     identity,
@@ -248,6 +254,37 @@ def test_validate_disconnected():
     assert validate(broken) == "not transitive"
 
 
+@pytest.mark.parametrize("n, k", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)])
+def test_validate_connectivity_agrees_with_transitivity(n, k):
+    # every k-tuple, transitive or not, read as rotations without the
+    # transitivity check of from_permutations
+    for perms in itertools.product(all_permutations(n), repeat=k):
+        verts = [(t, cyc[::-1]) for t, p in enumerate(perms, start=1) for cyc in cycles(p)]
+        c, _ = _from_rotations(k, n, verts, None)
+        transitive = is_transitive(perms)
+        assert validate(c) == (None if transitive else "not transitive"), perms
+
+
+@pytest.mark.parametrize(
+    "parent, problem",
+    [
+        # 1 -> 3 -> 1: a 2-cycle through vertex 1; vertex 2 points at the root
+        (((1, 1), (3, 1), (1, 2), None), "parent edges cycle at vertex 1"),
+        # 1 -> 3 -> 2 -> 3: vertex 1 reaches the 2-cycle through vertex 3
+        (((1, 1), (2, 1), (2, 2), None), "parent edges cycle at vertex 1"),
+        # 1 -> 3 -> 2 -> 4: a spanning tree toward the root 4
+        (((1, 1), (3, 1), (2, 2), None), None),
+    ],
+)
+def test_validate_arborescence_finds_parent_edge_cycles(parent, problem):
+    # k=2, n=3: type-1 vertices 1 on h1 and 2 on h2, h3; type-2 vertices
+    # 3 on h1, h2 and 4 on h3
+    c, _ = _from_rotations(2, 3, [(1, (1,)), (1, (2, 3)), (2, (1, 2)), (2, (3,))], None)
+    assert validate(c) is None
+    a = Arborescence(root_vertex=4, parent_edge=parent)
+    assert validate_arborescence(c, a) == problem
+
+
 def test_is_transitive():
     assert is_transitive((long_cycle(4), identity(4)))
     assert not is_transitive((identity(3), identity(3)))
@@ -282,6 +319,40 @@ def test_rooted_constellation_count_matches_quotient():
         import math
 
         assert rooted * math.factorial(n - 1) == labelled
+
+
+MEMO_GRID = [(n, 2) for n in (1, 2, 3)] + [(n, 3) for n in (1, 2, 3)] + [(1, 4), (2, 4)]
+
+
+@pytest.mark.parametrize("n, k", MEMO_GRID)
+def test_rooted_constellations_match_a_fresh_walk_per_type(n, k):
+    assert enumerate_rooted_constellations(n, k) == rooted_constellations_naive(n, k)
+    for tv in itertools.product(range(1, n + 1), repeat=k):
+        expected = rooted_constellations_naive(n, k, tv)
+        assert enumerate_rooted_constellations(n, k, tv) == expected, tv
+        # a list type vector filters like the tuple (it once matched nothing)
+        assert enumerate_rooted_constellations(n, k, list(tv)) == expected, tv
+
+
+def test_rooted_constellations_are_walked_once_per_size(capsys):
+    enumerate_rooted_constellations.cache_clear()
+    try:
+        assert main(["pointing-check", "--n", "3", "--k", "2"]) == 0
+        info = enumerate_rooted_constellations.cache_info()
+        assert info.misses == 1 and info.hits > 0
+    finally:
+        enumerate_rooted_constellations.cache_clear()
+
+
+def test_rooted_constellations_returns_a_fresh_list():
+    first = enumerate_rooted_constellations(3, 2)
+    expected = list(first)
+    first.clear()
+    assert enumerate_rooted_constellations(3, 2) == expected
+    typed = enumerate_rooted_constellations(3, 2, (2, 2))
+    expected_typed = list(typed)
+    typed.append(None)
+    assert enumerate_rooted_constellations(3, 2, (2, 2)) == expected_typed
 
 
 def test_dot_output_is_stable():

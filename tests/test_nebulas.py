@@ -86,8 +86,17 @@ def test_closure_strategies_agree_and_types_match():
             assert len(a) == len(tp.arborescence.edges())
 
 
+LAMBDA_GRID = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)]
+
+
+def test_enumerated_tree_pointed_objects_are_canonical():
+    for n, k in LAMBDA_GRID:
+        for tp in enumerate_tree_pointed(n, k):
+            assert canonical_tree_pointed(tp) == tp
+
+
 def test_dual_closure_inverts_opening():
-    for n, k in [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)]:
+    for n, k in LAMBDA_GRID:
         for tp in enumerate_tree_pointed(n, k):
             nb = dual_opening(tp)
             back = dual_closure(nb)
