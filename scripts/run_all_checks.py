@@ -33,6 +33,8 @@ SWEEPS = [
     ["roundtrip", "--bijection", "theta", "--n", "3", "--k", "2"],
     ["roundtrip", "--bijection", "sigma", "--n", "3", "--k", "2"],
     ["roundtrip", "--bijection", "psi", "--n", "2", "--k", "3"],
+    ["roundtrip", "--bijection", "sigma", "--n", "2", "--k", "4"],
+    ["roundtrip", "--bijection", "psi", "--n", "2", "--k", "4"],
     ["pointing-check", "--n", "3", "--k", "2"],
     ["pointing-check", "--n", "2", "--k", "3"],
     ["pointing-check", "--n", "3", "--k", "3"],

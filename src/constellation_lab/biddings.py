@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .counting import subset_type
-from .halfedges import BLACK, WHITE, HalfEdgeMap, _json_field
+from .halfedges import BLACK, WHITE, HalfEdgeMap, _json_field, _json_int
 from .nebulas import Nebula
 from .permutations import Permutation
+from .tree_rooted import best_compose, enumerate_eulerian_tours
 
 Pair = tuple[int, int]  # (type, label)
 
@@ -36,6 +37,12 @@ def alpha(t: int, subset: frozenset[int] | set[int], k: int) -> int:
     while (t + r) % k + 1 in subset:
         r += 1
     return (t + r - 1) % k + 1
+
+
+def _successor(k: int, subsets: Sequence[frozenset[int]]):
+    """The successor digraph on types as a BEST ``head``: arc (t, i) leads to
+    alpha(t, R_i)."""
+    return lambda t, pair: alpha(t, subsets[pair[1] - 1], k)
 
 
 @dataclass(frozen=True)
@@ -85,12 +92,12 @@ def alpha_graph(
 
 
 def _read_subsets(subsets) -> tuple[frozenset[int], ...]:
-    return tuple(frozenset(s) for s in subsets)
+    return tuple(frozenset(map(_json_int, s)) for s in subsets)
 
 
 def _read_labels(labels: dict) -> tuple[tuple[int, int], ...]:
     """JSON object keys are strings; labelled items are ints."""
-    return tuple(sorted((int(x), lab) for x, lab in labels.items()))
+    return tuple(sorted((int(x), _json_int(lab)) for x, lab in labels.items()))
 
 
 def _are_strict_subsets(k: int, subsets: Sequence[frozenset[int]]) -> bool:
@@ -412,21 +419,10 @@ def sigma_inverse(b: Bidding) -> Prebidding:
     if problem is not None:
         raise ValueError(problem)
     k, n = b.k, b.n
-    usage = {t: [b.omegas[t - 1](m) for m in range(1, n + 1)] for t in range(1, k + 1)}
-    usage[k] = [usage[k][-1]] + usage[k][:-1]
-    ptr = {t: 0 for t in range(1, k + 1)}
-    seq: list[Pair] = []
-    t = k
-    for _ in range(k * n):
-        if ptr[t] >= n:
-            raise ValueError("tour replay stuck: bidding is not valid")
-        i = usage[t][ptr[t]]
-        ptr[t] += 1
-        seq.append((t, i))
-        t = alpha(t, b.subsets[i - 1], k)
-    if t != k or any(ptr[s] != n for s in ptr):
-        raise ValueError("tour replay did not close")
-    return Prebidding(k=k, order=tuple(seq[1:] + seq[:1]), subsets=b.subsets)
+    exits = {t: tuple((t, w(m)) for m in range(1, n + 1)) for t, w in enumerate(b.omegas, start=1)}
+    exits[k] = exits[k][-1:] + exits[k][:-1]
+    seq = best_compose(k, exits, _successor(k, b.subsets))
+    return Prebidding(k=k, order=seq[1:] + seq[:1], subsets=b.subsets)
 
 
 def psi(ln: LabelledNebula) -> Bidding:
@@ -517,28 +513,10 @@ def enumerate_valid_prebiddings(
     """All valid prebiddings, by Eulerian search over the successor digraph."""
     from .counting import m_tuples
 
+    exits = {t: tuple((t, i) for i in range(1, n + 1)) for t in range(1, k + 1)}
     for mt in m_tuples(n, k, p):
-        R = mt.subsets
-        out_labels = {t: list(range(1, n + 1)) for t in range(1, k + 1)}
-        used = {t: [False] * (n + 1) for t in range(1, k + 1)}
-        seq: list[Pair] = []
-
-        def rec(t: int) -> Iterator[tuple[Pair, ...]]:
-            if len(seq) == k * n:
-                if t == k:
-                    yield tuple(seq)
-                return
-            for i in out_labels[t]:
-                if used[t][i]:
-                    continue
-                used[t][i] = True
-                seq.append((t, i))
-                yield from rec(alpha(t, R[i - 1], k))
-                seq.pop()
-                used[t][i] = False
-
-        for tour in rec(k):
-            yield Prebidding(k=k, order=tour[1:] + tour[:1], subsets=R)
+        for tour in enumerate_eulerian_tours(k, exits, _successor(k, mt.subsets)):
+            yield Prebidding(k=k, order=tour[1:] + tour[:1], subsets=mt.subsets)
 
 
 def enumerate_valid_biddings(

@@ -349,7 +349,11 @@ def cmd_render(args) -> int:
     if args.kind == "constellation":
         dot = constellation_to_dot(Constellation.from_json(data))
     else:
-        dot = halfedge_to_dot(HalfEdgeMap.from_json(data))
+        m = HalfEdgeMap.from_json(data)
+        problem = nebulas.validate_nebula(m) if args.kind == "nebula" else m.validate()
+        if problem is not None:
+            raise ValueError(problem)
+        dot = halfedge_to_dot(m)
     if args.out is None:
         sys.stdout.write(dot)
     else:

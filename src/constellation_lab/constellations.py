@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .halfedges import BLACK, WHITE, HalfEdgeMap, _json_field
+from .halfedges import BLACK, WHITE, HalfEdgeMap, _json_field, _json_int
 from .permutations import Permutation, all_permutations, compose_all, cycles
 
 Edge = tuple[int, int]  # (hyperedge id, type)
@@ -119,14 +119,14 @@ class Constellation:
         if "colors" in data:
             colors = _json_field(data, "colors", per_vertex)
         c = cls(
-            k=_json_field(data, "k"),
-            n=_json_field(data, "n"),
+            k=_json_field(data, "k", _json_int),
+            n=_json_field(data, "n", _json_int),
             hyperedges=_json_field(data, "hyperedges", lambda hes: tuple(tuple(he) for he in hes)),
             vertex_type=_json_field(data, "vertex_type", per_vertex),
             rotation=_json_field(
                 data, "rotation", lambda rot: tuple(_norm_cycle(r) for r in per_vertex(rot))
             ),
-            root=data.get("root"),
+            root=_json_field(data, "root", _json_int) if "root" in data else None,
             labels=labels,
             colors=colors,
         )

@@ -120,6 +120,11 @@ class HalfEdgeMap:
     def validate(self) -> Optional[str]:
         """Return the first violated structural invariant, or None if valid."""
         H = self.num_darts
+        V = self.num_vertices
+        if H and (min(self.vertex) < 0 or max(self.vertex) >= V):
+            return "a dart's vertex is out of range"
+        if self.root is not None and not 0 <= self.root < V:
+            return "root is not a vertex"
         for x in range(H):
             if not (0 <= self.nxt[x] < H):
                 return f"next[{x}] out of range"
@@ -129,6 +134,8 @@ class HalfEdgeMap:
                 return f"type[{x}] not in [k]"
             t = self.twin[x]
             if t is not None:
+                if not 0 <= t < H:
+                    return f"twin[{x}] is not a dart"
                 if self.twin[t] != x:
                     return f"twin not an involution at {x}"
                 if t == x:
@@ -163,19 +170,19 @@ class HalfEdgeMap:
     @classmethod
     def from_json(cls, data: dict) -> "HalfEdgeMap":
         def read(hes):
-            nv = 1 + max(he["vertex"] for he in hes) if hes else 0
-            colors = [WHITE] * nv
-            for he in hes:
-                colors[he["vertex"]] = he["color"]
+            vertex = tuple(_json_int(he["vertex"]) for he in hes)
+            colors = [WHITE] * (1 + max(vertex) if hes else 0)
+            for v, he in zip(vertex, hes):
+                colors[v] = he["color"]
             return (
-                tuple(he["vertex"] for he in hes),
-                tuple(he["next"] for he in hes),
-                tuple(he["twin"] for he in hes),
-                tuple(he["type"] for he in hes),
+                vertex,
+                tuple(_json_int(he["next"]) for he in hes),
+                tuple(None if he["twin"] is None else _json_int(he["twin"]) for he in hes),
+                tuple(_json_int(he["type"]) for he in hes),
                 tuple(colors),
             )
 
-        k = _json_field(data, "k")
+        k = _json_field(data, "k", _json_int)
         vertex, nxt, twin, type_, colors = _json_field(data, "half_edges", read)
         return cls(
             k=k,
@@ -184,8 +191,15 @@ class HalfEdgeMap:
             twin=twin,
             type=type_,
             vertex_color=colors,
-            root=data.get("root"),
+            root=_json_field(data, "root", _json_int) if "root" in data else None,
         )
+
+
+def _json_int(value) -> int:
+    """value itself if it is an integer (JSON true/false are not)."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _json_field(data: dict, key: str, convert=lambda value: value):

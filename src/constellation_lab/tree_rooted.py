@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Optional, Sequence
 
 from .constellations import (
     Arborescence,
@@ -58,31 +58,8 @@ class ColoredDigraph:
         t2 = t % self.k + 1
         return (t2, self.colorings[t2 - 1][i - 1])
 
-    def vertices(self) -> list[DigraphVertex]:
-        out = []
-        for t in range(1, self.k + 1):
-            for c in range(1, max(self.colorings[t - 1]) + 1):
-                out.append((t, c))
-        return out
-
     def arcs(self) -> list[Arc]:
         return [(t, i) for t in range(1, self.k + 1) for i in range(1, self.n + 1)]
-
-
-@dataclass(frozen=True)
-class SimpleDigraph:
-    """A plain arc-labelled digraph, for the generic tour machinery."""
-
-    arc_list: tuple[tuple[Hashable, Hashable, Hashable], ...]  # (arc id, tail, head)
-
-    def arcs(self) -> list[Hashable]:
-        return [a for a, _, _ in self.arc_list]
-
-    def tail(self, arc: Hashable) -> Hashable:
-        return next(t for a, t, _ in self.arc_list if a == arc)
-
-    def head(self, arc: Hashable) -> Hashable:
-        return next(h for a, _, h in self.arc_list if a == arc)
 
 
 @dataclass(frozen=True)
@@ -247,108 +224,83 @@ def xi_inverse(tour: EulerianDigraphTour) -> ColoredFactorization:
 # ---------------------------------------------------------------------------
 
 
-def best_decompose(tour: EulerianDigraphTour):
-    """Split a tour into its last-exit arborescence and residual exit orders.
+def best_decompose(tour: EulerianDigraphTour) -> dict[DigraphVertex, tuple[Arc, ...]]:
+    """Each vertex's exits in tour order.
 
-    Returns (tree, orders): ``tree[v]`` is the last outgoing arc of each
-    non-start vertex (these form an arborescence toward the start vertex),
-    and ``orders[v]`` the remaining outgoing arcs in usage order (for the
-    start vertex, all of them; its first entry is the tour's first arc).
+    The last exit of every vertex other than the start vertex is its
+    last-exit arc; these arcs form an arborescence toward the start vertex.
     """
-    dg = tour.digraph
-    v0 = dg.tail(tour.arcs[0])
-    usage: dict[DigraphVertex, list[Arc]] = {v: [] for v in dg.vertices()}
+    exits: dict[DigraphVertex, list[Arc]] = {}
     for arc in tour.arcs:
-        usage[dg.tail(arc)].append(arc)
-    tree: dict[DigraphVertex, Arc] = {}
-    orders: dict[DigraphVertex, tuple[Arc, ...]] = {}
-    for v, used in usage.items():
-        if v == v0:
-            orders[v] = tuple(used)
-        else:
-            tree[v] = used[-1]
-            orders[v] = tuple(used[:-1])
-    return tree, orders
+        exits.setdefault(tour.digraph.tail(arc), []).append(arc)
+    return {v: tuple(used) for v, used in exits.items()}
 
 
-def best_compose(
-    digraph, tree: dict, orders: dict
-) -> tuple[Hashable, ...]:
-    """Replay the tour determined by an arborescence and residual orders.
+# A digraph for the BEST helpers below is a start vertex v0, a mapping
+# ``exits`` from every vertex to its outgoing arcs in order, and a function
+# ``head(v, arc)`` giving the vertex an arc of v leads to.
 
-    The start vertex is the one without a tree arc; every other vertex
-    exits along its tree arc last.  Returns the arc sequence; raises if
-    the replay is not Eulerian (i.e. the tree data is invalid).
+
+def best_compose(v0, exits: Mapping, head: Callable) -> tuple[Hashable, ...]:
+    """Replay the tour that leaves each vertex along its exits in order.
+
+    The replay is an Eulerian tour exactly when the last exits of the
+    vertices other than v0 form an arborescence toward v0 (BEST theorem).
+    Returns the arc sequence; raises ValueError if the walk gets stuck
+    away from v0 or returns to v0 with exits left unused.
     """
-    (v0,) = set(orders) - set(tree)
-    full: dict[Hashable, tuple] = {}
-    for v in orders:
-        full[v] = orders[v] if v == v0 else orders[v] + (tree[v],)
-    ptr = {v: 0 for v in full}
+    unused = {v: iter(arcs) for v, arcs in exits.items()}
     seq = []
     v = v0
-    total = len(digraph.arcs())
-    for _ in range(total):
-        if ptr[v] >= len(full[v]):
-            raise ValueError("replay stuck: not a valid arborescence decomposition")
-        arc = full[v][ptr[v]]
-        ptr[v] += 1
-        if digraph.tail(arc) != v:
-            raise ValueError(f"arc {arc} does not leave vertex {v}")
+    while (arc := next(unused[v], None)) is not None:
         seq.append(arc)
-        v = digraph.head(arc)
-    if v != v0 or any(ptr[u] != len(full[u]) for u in full):
-        raise ValueError("replay did not close into an Eulerian tour")
+        v = head(v, arc)
+    if v != v0:
+        raise ValueError(f"tour replay stuck at vertex {v}")
+    if len(seq) != sum(map(len, exits.values())):
+        raise ValueError("tour replay closed with exits left unused")
     return tuple(seq)
 
 
-def enumerate_eulerian_tours(digraph, v0) -> Iterator[tuple[Hashable, ...]]:
-    """All Eulerian tours from v0, by direct backtracking (test oracle)."""
-    arcs = list(digraph.arcs())
-    out_arcs: dict[Hashable, list[Hashable]] = {}
-    for a in arcs:
-        out_arcs.setdefault(digraph.tail(a), []).append(a)
+def enumerate_eulerian_tours(v0, exits: Mapping, head: Callable) -> Iterator[tuple[Hashable, ...]]:
+    """All Eulerian tours from v0, by backtracking over the exits in order."""
+    total = sum(map(len, exits.values()))
     used: set[Hashable] = set()
     seq: list[Hashable] = []
 
     def rec(v) -> Iterator[tuple[Hashable, ...]]:
-        if len(seq) == len(arcs):
+        if len(seq) == total:
             if v == v0:
                 yield tuple(seq)
             return
-        for a in out_arcs.get(v, []):
-            if a in used:
+        for arc in exits[v]:
+            if arc in used:
                 continue
-            used.add(a)
-            seq.append(a)
-            yield from rec(digraph.head(a))
+            used.add(arc)
+            seq.append(arc)
+            yield from rec(head(v, arc))
             seq.pop()
-            used.remove(a)
+            used.remove(arc)
 
     yield from rec(v0)
 
 
-def digraph_arborescences(digraph, v0) -> Iterator[dict]:
+def digraph_arborescences(v0, exits: Mapping, head: Callable) -> Iterator[dict]:
     """All arc sets {v != v0: outgoing arc} forming a tree toward v0."""
-    arcs = list(digraph.arcs())
-    vertices = sorted({digraph.tail(a) for a in arcs} | {digraph.head(a) for a in arcs})
-    others = [v for v in vertices if v != v0]
-    choices = [[a for a in arcs if digraph.tail(a) == v] for v in others]
-    for combo in itertools.product(*choices):
+    others = [v for v in exits if v != v0]
+
+    def reaches_v0(v, tree: dict) -> bool:
+        seen = set()
+        while v != v0:
+            if v in seen:
+                return False
+            seen.add(v)
+            v = head(v, tree[v])
+        return True
+
+    for combo in itertools.product(*(exits[v] for v in others)):
         tree = dict(zip(others, combo))
-        ok = True
-        for v in others:
-            seen = set()
-            u = v
-            while u != v0:
-                if u in seen:
-                    ok = False
-                    break
-                seen.add(u)
-                u = digraph.head(tree[u])
-            if not ok:
-                break
-        if ok:
+        if all(reaches_v0(v, tree) for v in others):
             yield tree
 
 
@@ -368,9 +320,9 @@ def phi(cf: ColoredFactorization) -> TreeRootedConstellation:
     """
     tour = xi(cf)
     dg = tour.digraph
-    tree, orders = best_decompose(tour)
+    exits = best_decompose(tour)
     v0 = dg.tail(tour.arcs[0])
-    dverts = sorted(dg.vertices())
+    dverts = sorted(exits)
     vid = {dv: idx + 1 for idx, dv in enumerate(dverts)}
     rotation = []
     labels = []
@@ -380,10 +332,9 @@ def phi(cf: ColoredFactorization) -> TreeRootedConstellation:
         t, c = dv
         vertex_type.append(t)
         labels.append(c)
-        exits = orders[dv] if dv == v0 else orders[dv] + (tree[dv],)
-        rotation.append(_norm_cycle([i for (_, i) in exits]))
+        rotation.append(_norm_cycle([i for (_, i) in exits[dv]]))
         if dv != v0:
-            parent[vid[dv] - 1] = (tree[dv][1], t)
+            parent[vid[dv] - 1] = (exits[dv][-1][1], t)
     hyperedges = tuple(
         tuple(vid[(t, cf.colorings[t - 1][h - 1])] for t in range(1, dg.k + 1))
         for h in range(1, dg.n + 1)
@@ -404,7 +355,7 @@ def phi(cf: ColoredFactorization) -> TreeRootedConstellation:
     return canonical_tree_rooted(t_rooted)
 
 
-def tree_rooted_tour(t_rooted: TreeRootedConstellation) -> list[Arc]:
+def tree_rooted_tour(t_rooted: TreeRootedConstellation) -> tuple[Arc, ...]:
     """Replay the Eulerian tour encoded by the rotations and the arborescence.
 
     Exit order at the root vertex starts at the root hyperedge; at every
@@ -412,32 +363,16 @@ def tree_rooted_tour(t_rooted: TreeRootedConstellation) -> list[Arc]:
     hyperedge (its last exit).
     """
     c = t_rooted.constellation
-    a = t_rooted.arborescence
     v0 = c.root_vertex
-    order: dict[int, tuple[int, ...]] = {}
-    for v in range(1, c.num_vertices + 1):
-        rot = c.rotation[v - 1]
+    exits: dict[int, tuple[Arc, ...]] = {}
+    for v, rot in enumerate(c.rotation, start=1):
         if v == v0:
             i = rot.index(c.root)
-            order[v] = rot[i:] + rot[:i]
         else:
-            h_par = a.parent_edge[v - 1][0]
-            i = rot.index(h_par)
-            order[v] = rot[i + 1 :] + rot[: i + 1]
-    ptr = {v: 0 for v in order}
-    seq: list[Arc] = []
-    v = v0
-    for _ in range(c.n * c.k):
-        if ptr[v] >= len(order[v]):
-            raise ValueError("tour replay stuck: invalid tree-rooted constellation")
+            i = rot.index(t_rooted.arborescence.parent_edge[v - 1][0]) + 1
         t = c.vertex_type[v - 1]
-        h = order[v][ptr[v]]
-        ptr[v] += 1
-        seq.append((t, h))
-        v = c.hyperedges[h - 1][t % c.k]
-    if v != v0 or any(ptr[u] != len(order[u]) for u in order):
-        raise ValueError("tour replay did not close")
-    return seq
+        exits[v] = tuple((t, h) for h in rot[i:] + rot[:i])
+    return best_compose(v0, exits, lambda v, arc: c.hyperedges[arc[1] - 1][arc[0] % c.k])
 
 
 def canonical_tree_rooted(t_rooted: TreeRootedConstellation) -> TreeRootedConstellation:
@@ -465,7 +400,7 @@ def phi_inverse(t_rooted: TreeRootedConstellation) -> ColoredFactorization:
         for t in range(1, c.k + 1)
     )
     tour = EulerianDigraphTour(
-        digraph=ColoredDigraph(k=c.k, n=c.n, colorings=colorings), arcs=tuple(seq)
+        digraph=ColoredDigraph(k=c.k, n=c.n, colorings=colorings), arcs=seq
     )
     return xi_inverse(tour)
 

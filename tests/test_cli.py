@@ -4,7 +4,8 @@ from math import comb, prod
 
 import pytest
 
-from constellation_lab.biddings import Bidding
+from constellation_lab.biddings import Bidding, psi_inverse
+from constellation_lab.constellations import Constellation, dual
 from constellation_lab import cli, counting, nebulas
 from constellation_lab.cli import main
 from constellation_lab.permutations import Permutation
@@ -376,6 +377,17 @@ def test_puzzle_sample_rejects_bad_type_vector(capsys):
     assert err == "error: bad type vector\n"
 
 
+def _labelled_nebula_json():
+    b = Bidding(omegas=(Permutation((1, 2)), Permutation((2, 1))),
+                subsets=(frozenset({1}), frozenset({2})))
+    return psi_inverse(b).to_json()
+
+
+# the rooted constellation with one hyperedge on two vertices
+ONE_EDGE = {"k": 2, "n": 1, "hyperedges": [[1, 2]], "vertex_type": {"1": 1, "2": 2},
+            "rotation": {"1": [1], "2": [1]}, "root": 1}
+
+
 @pytest.mark.parametrize(
     "argv, data, key",
     [
@@ -383,6 +395,12 @@ def test_puzzle_sample_rejects_bad_type_vector(capsys):
         (["psi", "--direction", "fwd"], {"k": 2, "half_edges": []}, "black_labels"),
         (["psi", "--direction", "fwd"], {"k": 2, "half_edges": [{"vertex": 0}]}, "half_edges"),
         (["render", "--kind", "constellation"], {"k": 2}, "vertex_type"),
+        (["psi", "--direction", "inv"], {"omegas": [[1, 2], [2, 1]], "subsets": [["a"], [2]]},
+         "subsets"),
+        (["render", "--kind", "constellation"], {**ONE_EDGE, "root": "x"}, "root"),
+        (["render", "--kind", "constellation"], {**ONE_EDGE, "k": "2"}, "k"),
+        (["psi", "--direction", "fwd"], {**_labelled_nebula_json(), "black_labels": {"0": "a", "1": 2}},
+         "black_labels"),
     ],
 )
 def test_json_input_missing_or_malformed_key_is_usage_error(tmp_path, capsys, argv, data, key):
@@ -392,6 +410,40 @@ def test_json_input_missing_or_malformed_key_is_usage_error(tmp_path, capsys, ar
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(key) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("twin", 99, "twin[0] is not a dart"),
+     ("type", "x", "malformed key 'half_edges' (TypeError: expected an integer, got 'x')")],
+)
+def test_psi_rejects_half_edges_out_of_range_or_not_integers(tmp_path, capsys, field, value, message):
+    data = _labelled_nebula_json()
+    data["half_edges"][0][field] = value
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    assert main(["psi", "--direction", "fwd", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_render_validates_halfedge_and_nebula_input(tmp_path, capsys):
+    # the dual of the one-hyperedge constellation is a valid half-edge map
+    # with two faces, so it is not a nebula
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(dual(Constellation.from_json(ONE_EDGE)).to_json()))
+    code, out = run(capsys, "render", "--kind", "halfedge", "--input", str(path))
+    assert code == 0 and out.startswith("graph")
+    assert main(["render", "--kind", "nebula", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "error: nebula must have a single face, found 2\n"
+
+    data = _labelled_nebula_json()
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "render", "--kind", "nebula", "--input", str(path))
+    assert code == 0 and out.startswith("graph")
+    data["half_edges"][0]["twin"] = 99
+    path.write_text(json.dumps(data))
+    assert main(["render", "--kind", "halfedge", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "error: twin[0] is not a dart\n"
 
 
 def test_parser_is_built_once_across_calls(capsys, monkeypatch):

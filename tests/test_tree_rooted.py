@@ -10,7 +10,6 @@ from constellation_lab.counting import (
 )
 from constellation_lab.permutations import cycles
 from constellation_lab.tree_rooted import (
-    SimpleDigraph,
     best_compose,
     best_decompose,
     canonical_tree_rooted,
@@ -33,7 +32,7 @@ def all_colored(n, k):
 def test_xi_trivial_case():
     cf = next(enumerate_colored_factorizations(1, 2, (1, 1)))
     tour = xi(cf)
-    assert len(tour.digraph.vertices()) == 2
+    assert len(best_decompose(tour)) == 2
     assert len(tour.arcs) == 2
     assert tour.validate() is None
 
@@ -45,38 +44,48 @@ def test_xi_tour_length_and_roundtrip():
         assert xi_inverse(tour) == cf
 
 
+def _plain_digraph(arc_list):
+    """(exits, head) of the digraph given as (arc id, tail, head) triples."""
+    exits, heads = {}, {}
+    for arc, tail, head in arc_list:
+        exits.setdefault(tail, []).append(arc)
+        heads[arc] = head
+    return exits, lambda v, arc: heads[arc]
+
+
 def test_best_two_vertex_digraph():
     # two vertices, two parallel arc-pairs each way; tours from u exist
-    dg = SimpleDigraph(
-        arc_list=(("a1", "u", "v"), ("a2", "u", "v"), ("b1", "v", "u"), ("b2", "v", "u"))
+    exits, head = _plain_digraph(
+        (("a1", "u", "v"), ("a2", "u", "v"), ("b1", "v", "u"), ("b2", "v", "u"))
     )
-    tours = list(enumerate_eulerian_tours(dg, "u"))
+    tours = list(enumerate_eulerian_tours("u", exits, head))
     assert tours
     for seq in tours:
         # last exit of the only non-start vertex forms the one-edge tree
-        last_v_exit = [a for a in seq if dg.tail(a) == "v"][-1]
-        assert dg.head(last_v_exit) == "u"
+        last_v_exit = [a for a in seq if a in exits["v"]][-1]
+        assert head("v", last_v_exit) == "u"
+
+
+THREE_VERTICES = (
+    ("a1", "u", "v"),
+    ("a2", "u", "v"),
+    ("b1", "v", "u"),
+    ("b2", "v", "u"),
+    ("c1", "v", "w"),
+    ("d1", "w", "v"),
+    ("e1", "v", "v"),
+)
 
 
 def test_best_tour_count_equals_arborescence_order_pairs():
-    dg = SimpleDigraph(
-        arc_list=(
-            ("a1", "u", "v"),
-            ("a2", "u", "v"),
-            ("b1", "v", "u"),
-            ("b2", "v", "u"),
-            ("c1", "v", "w"),
-            ("d1", "w", "v"),
-            ("e1", "v", "v"),
-        )
-    )
+    exits, head = _plain_digraph(THREE_VERTICES)
     for v0 in ("u", "v", "w"):
-        tours = sum(1 for _ in enumerate_eulerian_tours(dg, v0))
+        tours = sum(1 for _ in enumerate_eulerian_tours(v0, exits, head))
         pairs = 0
-        for tree in digraph_arborescences(dg, v0):
+        for tree in digraph_arborescences(v0, exits, head):
             ways = 1
             for vert in ("u", "v", "w"):
-                out = sum(1 for a in dg.arcs() if dg.tail(a) == vert)
+                out = len(exits[vert])
                 if vert != v0:
                     out -= 1  # the tree arc is pinned last
                 ways *= factorial(out)
@@ -87,8 +96,41 @@ def test_best_tour_count_equals_arborescence_order_pairs():
 def test_best_decompose_compose_roundtrip():
     for cf in all_colored(3, 2):
         tour = xi(cf)
-        tree, orders = best_decompose(tour)
-        assert best_compose(tour.digraph, tree, orders) == tour.arcs
+        dg = tour.digraph
+        v0 = dg.tail(tour.arcs[0])
+        assert best_compose(v0, best_decompose(tour), lambda v, arc: dg.head(arc)) == tour.arcs
+
+
+def test_best_compose_replays_every_tour_from_its_exits():
+    exits, head = _plain_digraph(THREE_VERTICES)
+    for v0 in ("u", "v", "w"):
+        for seq in enumerate_eulerian_tours(v0, exits, head):
+            used = {v: tuple(a for a in seq if a in arcs) for v, arcs in exits.items()}
+            assert best_compose(v0, used, head) == seq
+
+
+def test_best_compose_rejects_last_exits_with_a_cycle_avoiding_v0():
+    # the last exits of v and w (c1 and d1) form the cycle v -> w -> v
+    exits, head = _plain_digraph(
+        (("a1", "u", "v"), ("b1", "v", "u"), ("c1", "v", "w"), ("d1", "w", "v"))
+    )
+    with pytest.raises(ValueError, match="exits left unused"):
+        best_compose("u", exits, head)
+
+
+def test_best_compose_rejects_an_early_return_to_v0():
+    # the last exits w -> v -> u do form a tree toward u, but no arc enters w,
+    # so the walk is back at u for good with w's exit unused
+    exits, head = _plain_digraph((("a1", "u", "v"), ("b1", "v", "u"), ("d1", "w", "v")))
+    with pytest.raises(ValueError, match="exits left unused"):
+        best_compose("u", exits, head)
+
+
+def test_best_compose_rejects_a_walk_stuck_away_from_v0():
+    # unbalanced: v has no exit, so the walk ends there
+    exits, head = _plain_digraph((("a1", "u", "v"),))
+    with pytest.raises(ValueError, match="stuck at vertex v"):
+        best_compose("u", {**exits, "v": ()}, head)
 
 
 def test_phi_trivial_case():
