@@ -110,8 +110,8 @@ class Constellation:
     def from_json(cls, data: dict) -> "Constellation":
         nv = _json_field(data, "vertex_type", len)
 
-        def per_vertex(values) -> tuple:
-            return tuple(values[str(v)] for v in range(1, nv + 1))
+        def per_vertex(values, read=_json_int) -> tuple:
+            return tuple(read(values[str(v)]) for v in range(1, nv + 1))
 
         labels = colors = None
         if "labels" in data:
@@ -121,10 +121,14 @@ class Constellation:
         c = cls(
             k=_json_field(data, "k", _json_int),
             n=_json_field(data, "n", _json_int),
-            hyperedges=_json_field(data, "hyperedges", lambda hes: tuple(tuple(he) for he in hes)),
+            hyperedges=_json_field(
+                data, "hyperedges", lambda hes: tuple(tuple(map(_json_int, he)) for he in hes)
+            ),
             vertex_type=_json_field(data, "vertex_type", per_vertex),
             rotation=_json_field(
-                data, "rotation", lambda rot: tuple(_norm_cycle(r) for r in per_vertex(rot))
+                data,
+                "rotation",
+                lambda rot: per_vertex(rot, lambda r: _norm_cycle([*map(_json_int, r)])),
             ),
             root=_json_field(data, "root", _json_int) if "root" in data else None,
             labels=labels,
@@ -291,7 +295,9 @@ def validate(c: Constellation) -> Optional[str]:
     if c.colors is not None:
         for t in range(1, c.k + 1):
             got = {c.colors[v - 1] for v in c.vertices_of_type(t)}
-            if got != set(range(1, max(got) + 1)):
+            # onto [max(got)] exactly when got is [len(got)], which never
+            # sizes a set by an input value
+            if got != set(range(1, len(got) + 1)):
                 return f"colors of type {t} are not surjective"
     return None
 

@@ -171,15 +171,22 @@ class HalfEdgeMap:
     def from_json(cls, data: dict) -> "HalfEdgeMap":
         def read(hes):
             vertex = tuple(_json_int(he["vertex"]) for he in hes)
-            colors = [WHITE] * (1 + max(vertex) if hes else 0)
+            colors: dict[int, str] = {}
             for v, he in zip(vertex, hes):
-                colors[v] = he["color"]
+                if he["color"] not in (BLACK, WHITE):
+                    raise ValueError(f"color {he['color']!r} is not {BLACK!r} or {WHITE!r}")
+                if colors.setdefault(v, he["color"]) != he["color"]:
+                    raise ValueError(f"the half-edges at vertex {v} disagree on its color")
+            # the V distinct ids are 0..V-1 exactly when each is below V
+            for v in colors:
+                if not 0 <= v < len(colors):
+                    raise ValueError(f"vertex ids must be 0..{len(colors) - 1}, got {v}")
             return (
                 vertex,
                 tuple(_json_int(he["next"]) for he in hes),
                 tuple(None if he["twin"] is None else _json_int(he["twin"]) for he in hes),
                 tuple(_json_int(he["type"]) for he in hes),
-                tuple(colors),
+                tuple(colors[v] for v in range(len(colors))),
             )
 
         k = _json_field(data, "k", _json_int)

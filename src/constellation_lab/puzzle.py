@@ -384,11 +384,20 @@ def sample_puzzle(
     strict subsets drawn i.i.d. uniform, those of type p accepted.  Without
     drawing the rejected tuples, ``accepted`` counts the trials whose
     uniform integer draw on [0, (2^k - 1)^n) falls below M^n_p, by the
-    packed-field block count of :func:`_count_below`.  Each accepted tuple
-    is then drawn uniformly among those of type p, entry by entry with the
-    weights of :func:`_next_subset_weights`; M and the weights of each state
-    are memoized for the call.  The generator is seeded with the first 64 bits
-    drawn from ``Random(seed)``, so results depend only on the arguments.
+    packed-field block count of :func:`_count_below`.  For each accepted
+    tuple R only the entries the two events read are drawn: the k-1 indices
+    come first, the distinct positions of (1, i_1, ..., i_{k-1}) are
+    renumbered 1..b in order of first appearance, and the first b <= min(n, k)
+    entries of a uniform tuple of type p are drawn entry by entry with the
+    weights of :func:`_next_subset_weights` (Nijenhuis-Wilf).  The indices are
+    independent of R and the uniform law on tuples of type p does not change
+    when positions are permuted, so (R_1, R_{i_1}, ...) has the law of the
+    renumbered prefix, and the law of the result is that of drawing all n
+    entries.  M and the weights of each state are memoized for the call.  The
+    generator is seeded with the first 64 bits drawn from ``Random(seed)``,
+    so results depend only on the arguments; since the indices are drawn
+    first and fewer entries follow, a given seed gives other counts than a
+    draw of all n entries would.
     Raises ValueError before drawing anything when n, k or trials is below 1
     or p is not a type vector of length k, and SamplingError, also a
     ValueError, when no trial is accepted.
@@ -417,9 +426,12 @@ def sample_puzzle(
     steps: dict[tuple[int, tuple[int, ...]], list[int]] = {}
     tree_hits = r1_hits = 0
     for _ in range(accepted):
+        # positions 1, i_1, ..., i_{k-1} renumbered 1..b by first appearance
+        pos = {1: 1}
+        indices = [pos.setdefault(randrange(1, n + 1), len(pos) + 1) for _ in range(k - 1)]
         tup = []
         q = p
-        for left in range(n, 0, -1):
+        for left in range(n, n - len(pos), -1):
             cum = steps.get((left, q))
             if cum is None:
                 weights = _next_subset_weights(left, q, subsets, m)
@@ -427,7 +439,6 @@ def sample_puzzle(
             s = subsets[bisect_right(cum, randrange(cum[-1]))]
             tup.append(s)
             q = tuple(c - (t in s) for t, c in enumerate(q, start=1))
-        indices = [randrange(1, n + 1) for _ in range(k - 1)]
         if alpha_graph(indices, tup, k).is_tree():
             tree_hits += 1
         if len(tup[0]) == k - 1:

@@ -377,10 +377,14 @@ def test_puzzle_sample_rejects_bad_type_vector(capsys):
     assert err == "error: bad type vector\n"
 
 
-def _labelled_nebula_json():
+def _labelled_nebula_json(darts=(), **fields):
+    # vertex 0 holds darts 0 and 1, both black; ``fields`` override those of ``darts``
     b = Bidding(omegas=(Permutation((1, 2)), Permutation((2, 1))),
                 subsets=(frozenset({1}), frozenset({2})))
-    return psi_inverse(b).to_json()
+    data = psi_inverse(b).to_json()
+    for x in darts:
+        data["half_edges"][x].update(fields)
+    return data
 
 
 # the rooted constellation with one hyperedge on two vertices
@@ -401,6 +405,19 @@ ONE_EDGE = {"k": 2, "n": 1, "hyperedges": [[1, 2]], "vertex_type": {"1": 1, "2":
         (["render", "--kind", "constellation"], {**ONE_EDGE, "k": "2"}, "k"),
         (["psi", "--direction", "fwd"], {**_labelled_nebula_json(), "black_labels": {"0": "a", "1": 2}},
          "black_labels"),
+        # a vertex id far past the half-edges sizes nothing
+        (["render", "--kind", "halfedge"], _labelled_nebula_json((0,), vertex=10**30), "half_edges"),
+        # a color that is neither black nor white on every dart of a vertex,
+        # and darts of one vertex that disagree
+        (["psi", "--direction", "fwd"], _labelled_nebula_json((0, 1), color="x"), "half_edges"),
+        (["psi", "--direction", "fwd"], _labelled_nebula_json((0,), color="white"), "half_edges"),
+        # vertex 1 renumbered 7 leaves vertices 1 to 6 without a half-edge
+        (["render", "--kind", "nebula"], _labelled_nebula_json((2, 3), vertex=7), "half_edges"),
+        # nested lists where a constellation holds integers
+        (["render", "--kind", "constellation"], {**ONE_EDGE, "hyperedges": [[[1], 2]]}, "hyperedges"),
+        (["render", "--kind", "constellation"], {**ONE_EDGE, "rotation": {"1": [[1]], "2": [1]}},
+         "rotation"),
+        (["render", "--kind", "constellation"], {**ONE_EDGE, "colors": {"1": 1, "2": [1]}}, "colors"),
     ],
 )
 def test_json_input_missing_or_malformed_key_is_usage_error(tmp_path, capsys, argv, data, key):
@@ -415,7 +432,9 @@ def test_json_input_missing_or_malformed_key_is_usage_error(tmp_path, capsys, ar
 @pytest.mark.parametrize(
     "field, value, message",
     [("twin", 99, "twin[0] is not a dart"),
-     ("type", "x", "malformed key 'half_edges' (TypeError: expected an integer, got 'x')")],
+     ("type", "x", "malformed key 'half_edges' (TypeError: expected an integer, got 'x')"),
+     ("vertex", 10**30, f"malformed key 'half_edges' (ValueError: vertex ids must be 0..3, got {10**30})"),
+     ("color", "x", "malformed key 'half_edges' (ValueError: color 'x' is not 'black' or 'white')")],
 )
 def test_psi_rejects_half_edges_out_of_range_or_not_integers(tmp_path, capsys, field, value, message):
     data = _labelled_nebula_json()

@@ -1,6 +1,9 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import prod
+from types import SimpleNamespace
 
 import pytest
 from oracles import event_probability_naive
@@ -225,6 +228,113 @@ def test_sequential_draw_is_uniform_over_tuples_of_the_type():
                     assert law == Fraction(1, m_coefficient(n, p)), (n, k, p, mt)
                     checked += 1
     assert checked == 6778
+
+
+def prefix_draw_law(n, k, p):
+    """Exact law of (tree hit, r1 hit) for one accepted tuple as the sampler
+    draws it: the indices first, the distinct positions of (1, i_1, ...)
+    renumbered 1..b in order of first appearance, and only b entries drawn
+    by the weights of _next_subset_weights."""
+    subsets = strict_subsets(k)
+    patterns = Counter()
+    for idx in itertools.product(range(1, n + 1), repeat=k - 1):
+        distinct = list(dict.fromkeys((1, *idx)))
+        patterns[tuple(distinct.index(i) + 1 for i in idx)] += 1
+
+    def prefixes(b, q, prefix, prob):
+        if len(prefix) == b:
+            yield prefix, prob
+            return
+        weights = _next_subset_weights(n - len(prefix), q, subsets, m_coefficient)
+        for s, w in zip(subsets, weights):
+            if w:
+                rest = tuple(c - (t in s) for t, c in enumerate(q, start=1))
+                yield from prefixes(b, rest, [*prefix, s], prob * Fraction(w, sum(weights)))
+
+    law = Counter()
+    for pattern, count in patterns.items():
+        for prefix, prob in prefixes(max(pattern, default=1), p, [], Fraction(1)):
+            event = (alpha_graph(pattern, prefix, k).is_tree(), len(prefix[0]) == k - 1)
+            law[event] += prob * Fraction(count, n ** (k - 1))
+    return law
+
+
+def full_tuple_law(n, k, p):
+    """The same law over every tuple of type p and every index tuple."""
+    hits = Counter()
+    for mt in m_tuples(n, k, p):
+        for idx in itertools.product(range(1, n + 1), repeat=k - 1):
+            hits[alpha_graph(idx, mt.subsets, k).is_tree(), len(mt.subsets[0]) == k - 1] += 1
+    total = m_coefficient(n, p) * n ** (k - 1)
+    return Counter({event: Fraction(h, total) for event, h in hits.items()})
+
+
+@pytest.mark.parametrize("k, nmax", [(2, 5), (3, 4), (4, 2)])
+def test_prefix_draw_has_the_law_of_a_full_tuple(k, nmax):
+    for n in range(1, nmax + 1):
+        for p in feasible_types(n, k):
+            assert prefix_draw_law(n, k, p) == full_tuple_law(n, k, p), (n, k, p)
+
+
+@pytest.mark.parametrize(
+    "n, k, p, trials",
+    [(6, 3, (2, 3, 4), 2000), (8, 3, (4, 5, 4), 2000), (6, 4, (4, 4, 4, 4), 20_000), (2, 4, (1, 1, 1, 1), 100)],
+)
+def test_sampler_draws_at_most_min_n_k_entries(monkeypatch, n, k, p, trials):
+    lefts = set()
+
+    def recording(left, q, subsets, m):
+        lefts.add(left)
+        return _next_subset_weights(left, q, subsets, m)
+
+    monkeypatch.setattr("constellation_lab.puzzle._next_subset_weights", recording)
+    sample_puzzle(n, k, p, trials=trials, seed=5)
+    assert min(lefts) == n - min(n, k) + 1
+
+
+class ScriptedRandom:
+    """Stands in for random.Random: randrange returns the next value of a
+    script, 0 past its end, and records the size of every range drawn from."""
+
+    def __init__(self, script):
+        self.script = script
+        self.sizes = []
+
+    def getrandbits(self, bits):
+        return 0
+
+    def randrange(self, start, stop=None):
+        lo, hi = (0, start) if stop is None else (start, stop)
+        i = len(self.sizes)
+        self.sizes.append(hi - lo)
+        return lo + (self.script[i] if i < len(self.script) else 0)
+
+
+def sampler_law(monkeypatch, n, k, p):
+    """Exact law of (tree hit, r1 hit) of sample_puzzle itself with one
+    accepted tuple: it is run once for every sequence of randrange values."""
+    monkeypatch.setattr("constellation_lab.puzzle._count_below", lambda rng, trials, num, den: 1)
+    law = Counter()
+    script = []
+    while True:
+        rng = ScriptedRandom(script)
+        monkeypatch.setattr("constellation_lab.puzzle.random", SimpleNamespace(Random=lambda seed: rng))
+        res = sample_puzzle(n, k, p, trials=1, seed=0)
+        law[res.tree_hits == 1, res.r1_hits == 1] += Fraction(1, prod(rng.sizes))
+        # the next script in odometer order: raise the last value below its range
+        script = script + [0] * (len(rng.sizes) - len(script))
+        while script and script[-1] == rng.sizes[len(script) - 1] - 1:
+            script.pop()
+        if not script:
+            return law
+        script[-1] += 1
+
+
+@pytest.mark.parametrize("k, nmax", [(2, 4), (3, 3), (4, 2)])
+def test_sampler_has_the_law_of_a_full_tuple(monkeypatch, k, nmax):
+    for n in range(1, nmax + 1):
+        for p in feasible_types(n, k):
+            assert sampler_law(monkeypatch, n, k, p) == full_tuple_law(n, k, p), (n, k, p)
 
 
 class RecordingRng:

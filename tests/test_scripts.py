@@ -38,6 +38,11 @@ def run_script(*argv):
             ["puzzle_scan.py", "--k", "4", "--n-max", "2", "--sample", "20", "10,10,10,10", "--trials", "200000"],
             "no mismatches",
         ),
+        # n=60: about 430 acceptances, each drawing at most 3 of the 60 entries
+        (
+            ["puzzle_scan.py", "--k", "3", "--n-max", "2", "--sample", "60", "26,26,26", "--trials", "400000"],
+            "no mismatches",
+        ),
     ],
 )
 def test_script_exits_zero(argv, last_line):
