@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Print a digest of what the CLI does on a fixed set of command lines.
+
+Each argv of ``run_all_checks.SWEEPS``, plus the command lines below (counts,
+streams, file input and output, and the usage, cap and sampling error paths),
+runs once with ``--format text`` and once with ``--format json`` through
+``constellation_lab.cli.main``, in process.  One line per run gives the
+format, the exit code, and the sha256 of stdout, of stderr and of the
+``--out`` file ("-" when none was written).  An argparse error is pinned by
+the code of its ``SystemExit``.
+
+Two source trees behave the same on these command lines when their digests
+are equal:
+
+  PYTHONPATH=old/src python3 scripts/cli_digest.py > old.txt
+  PYTHONPATH=src python3 scripts/cli_digest.py > new.txt
+  diff old.txt new.txt
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+from constellation_lab.biddings import Bidding, psi_inverse
+from constellation_lab.cli import main
+from constellation_lab.permutations import Permutation
+from run_all_checks import SWEEPS
+
+# {dir} stands for a temporary directory that holds the input files below
+# and the --out file; the printed argv keeps the placeholder
+EXTRA = [
+    ["count", "--what", "m", "--n", "4", "--k", "3", "--p", "2,3,1"],
+    ["count", "--colored", "--n", "3", "--p", "2,2"],
+    ["count", "--what", "compositions", "--n", "3", "--gamma", "1,2", "--gamma", "2,1"],
+    ["count", "--what", "kappa", "--n", "3", "--lam", "1,2", "--lam", "3"],
+    ["enumerate", "--what", "factorizations", "--n", "3", "--k", "2"],
+    ["enumerate", "--what", "mtuples", "--n", "2", "--k", "2", "--p", "1,1"],
+    ["render", "--kind", "halfedge", "--input", "{dir}/nebula.json"],
+    ["psi", "--direction", "inv", "--input", "{dir}/bidding.json"],
+    ["psi", "--direction", "fwd", "--input", "{dir}/nebula.json"],
+    ["--out", "{dir}/out", "jackson-check", "--n", "3", "--k", "2", "--all-p"],
+    ["--out", "{dir}/out", "puzzle", "--n", "3", "--k", "3", "--p", "1,2,1"],
+    ["--out", "{dir}/out", "psi", "--direction", "inv", "--input", "{dir}/bidding.json"],
+    ["--cap", "10", "jackson-check", "--n", "4", "--k", "2", "--all-p"],
+    ["puzzle", "--n", "12", "--k", "4", "--p", "9,9,9,9", "--sample", "100"],
+    ["puzzle", "--n", "0", "--k", "2", "--p", "0,0"],
+    ["puzzle", "--n", "3", "--k", "2", "--p", "1,2", "--sample", "0"],
+    ["jackson-check", "--n", "4", "--k", "2"],
+    ["jackson-check", "--n", "0", "--k", "2", "--all-p"],
+    ["pointing-check", "--n", "3", "--k", "2", "--p", "1,1,1"],
+    ["count", "--what", "m", "--n", "3"],
+    ["psi", "--direction", "inv", "--input", "{dir}/missing.json"],
+    ["jackson-check", "--n", "x", "--k", "2"],
+]
+
+FORMATS = ("text", "json")
+
+
+def write_inputs(folder: str) -> None:
+    b = Bidding(
+        omegas=(Permutation((1, 4, 3, 2)), Permutation((3, 2, 1, 4)), Permutation((4, 1, 3, 2))),
+        subsets=(frozenset({2}), frozenset({2, 3}), frozenset({1, 2}), frozenset({2, 3})),
+    )
+    for name, data in (("bidding.json", b.to_json()), ("nebula.json", psi_inverse(b).to_json())):
+        with open(os.path.join(folder, name), "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+
+
+def sha(data: str) -> str:
+    return hashlib.sha256(data.encode("utf-8")).hexdigest()
+
+
+def digest(argv: list[str], fmt: str, folder: str) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["--format", fmt, *(a.replace("{dir}", folder) for a in argv)])
+        except SystemExit as exc:
+            code = exc.code
+    out_file = os.path.join(folder, "out")
+    written = "-"
+    if os.path.exists(out_file):
+        with open(out_file, encoding="utf-8") as handle:
+            written = sha(handle.read())
+        os.remove(out_file)
+    # messages may name an input file; the placeholder keeps them comparable
+    stderr = err.getvalue().replace(folder, "{dir}")
+    fields = f"exit={code} stdout={sha(out.getvalue())} stderr={sha(stderr)} out={written}"
+    return f"{fmt} {fields}  {' '.join(argv)}"
+
+
+def main_digest() -> int:
+    with tempfile.TemporaryDirectory() as folder:
+        write_inputs(folder)
+        for argv in [*SWEEPS, *EXTRA]:
+            for fmt in FORMATS:
+                print(digest(argv, fmt, folder))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digest())

@@ -19,11 +19,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+from fractions import Fraction
 
 from constellation_lab.counting import m_coefficient
 from constellation_lab.puzzle import (
-    ExactProbability,
     r1_probability,
+    ratio,
     sample_puzzle,
     verify_puzzle,
 )
@@ -35,7 +36,7 @@ def feasible_types(n: int, k: int):
             yield p
 
 
-def within_five_sigma(hits: int, trials: int, prob: ExactProbability) -> bool:
+def within_five_sigma(hits: int, trials: int, prob: Fraction) -> bool:
     """(hits - N P)^2 <= 25 N P (1 - P), in integers."""
     num, den = prob.numerator, prob.denominator
     return (hits * den - trials * num) ** 2 <= 25 * trials * num * (den - num)
@@ -55,14 +56,14 @@ def main() -> int:
         for p in feasible_types(n, args.k):
             r = verify_puzzle(n, args.k, p)
             mark = "" if r.equal else "   <-- MISMATCH"
-            print(f"n={n} p={p}: P(tree) = {r.tree}  P(|R_1|={args.k - 1}) = {r.r1}{mark}")
+            print(f"n={n} p={p}: P(tree) = {ratio(r.tree)}  P(|R_1|={args.k - 1}) = {ratio(r.r1)}{mark}")
             bad += not r.equal
 
     if args.sample is not None:
         n = int(args.sample[0])
         p = tuple(int(x) for x in args.sample[1].split(","))
         res = sample_puzzle(n, args.k, p, trials=args.trials, seed=args.seed)
-        accept = ExactProbability(m_coefficient(n, p), (2**args.k - 1) ** n)
+        accept = Fraction(m_coefficient(n, p), (2**args.k - 1) ** n)
         exact = r1_probability(n, args.k, p)
         print()
         for label, hits, of, prob in [
@@ -72,7 +73,7 @@ def main() -> int:
         ]:
             ok = within_five_sigma(hits, of, prob)
             mark = "" if ok else "   <-- OUTSIDE 5 SIGMA"
-            print(f"sampled n={n} p={p}: {label} {hits}/{of}, exact probability {prob}{mark}")
+            print(f"sampled n={n} p={p}: {label} {hits}/{of}, exact probability {ratio(prob)}{mark}")
             bad += not ok
 
     print()

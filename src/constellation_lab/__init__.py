@@ -79,7 +79,6 @@ from .biddings import (
     vartheta_inverse,
 )
 from .puzzle import (
-    ExactProbability,
     event_probability,
     r1_probability,
     sample_puzzle,

@@ -95,6 +95,10 @@ def _read_subsets(subsets) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(map(_json_int, s)) for s in subsets)
 
 
+def _read_omegas(omegas) -> tuple[Permutation, ...]:
+    return tuple(Permutation(tuple(map(_json_int, w))) for w in omegas)
+
+
 def _read_labels(labels: dict) -> tuple[tuple[int, int], ...]:
     """JSON object keys are strings; labelled items are ints."""
     return tuple(sorted((int(x), _json_int(lab)) for x, lab in labels.items()))
@@ -137,21 +141,6 @@ class Prebidding:
                 return f"after ({t},{i}) expected type {expected}, found {t2}"
         return None
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "order": [list(pair) for pair in self.order],
-            "subsets": [sorted(s) for s in self.subsets],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Prebidding":
-        return cls(
-            k=_json_field(data, "k"),
-            order=_json_field(data, "order", lambda order: tuple((t, i) for t, i in order)),
-            subsets=_json_field(data, "subsets", _read_subsets),
-        )
-
 
 @dataclass(frozen=True)
 class Bidding:
@@ -189,9 +178,7 @@ class Bidding:
     @classmethod
     def from_json(cls, data: dict) -> "Bidding":
         return cls(
-            omegas=_json_field(
-                data, "omegas", lambda omegas: tuple(Permutation(tuple(w)) for w in omegas)
-            ),
+            omegas=_json_field(data, "omegas", _read_omegas),
             subsets=_json_field(data, "subsets", _read_subsets),
         )
 

@@ -9,6 +9,7 @@ Reports are deterministic for a fixed configuration (including seed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -21,6 +22,7 @@ from .constellations import Constellation, constellation_to_dot, halfedge_to_dot
 from .counting import CapExceededError, CheckReport, DEFAULT_CAP
 from .halfedges import HalfEdgeMap
 from .permutations import Composition, compositions_of
+from .puzzle import ratio
 
 SCHEMA = "constellation-lab/2"
 CAP_ENV = "CONSTELLATION_LAB_CAP"
@@ -43,33 +45,45 @@ def _p_grid(n: int, k: int):
     return itertools.product(range(1, n + 1), repeat=k)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
-    try:
+@contextlib.contextmanager
+def _output(args):
+    """stdout, or the --out file, opened for the block and closed after it."""
+    if args.out is None:
+        yield sys.stdout
+    else:
+        with open(args.out, "w", encoding="utf-8") as out:
+            yield out
+
+
+def _finish(args, command: str, results: list[dict], ok: bool, text_lines: list[str]) -> int:
+    """Write the report of ``command`` in --format and return its exit code."""
+    with _output(args) as out:
         if args.format == "json":
+            payload = {
+                "schema": SCHEMA,
+                "command": command,
+                "ok": ok,
+                "cap": args.cap,
+                "results": results,
+            }
             json.dump(payload, out, indent=2, sort_keys=True)
             out.write("\n")
         else:
             for line in text_lines:
                 out.write(line + "\n")
-            if "ok" in payload:
-                out.write(f"ok: {str(payload['ok']).lower()}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+            out.write(f"ok: {str(ok).lower()}\n")
+    return EXIT_OK if ok else EXIT_FAILED
 
 
-def _report(args, command: str, results: list[dict], ok: bool, extra: Optional[dict] = None) -> dict:
-    payload = {
-        "schema": SCHEMA,
-        "command": command,
-        "ok": ok,
-        "cap": args.cap,
-        "results": results,
-    }
-    if extra:
-        payload.update(extra)
-    return payload
+def _check(args, command: str, reports: list[CheckReport]) -> int:
+    """Finish a *-check command: one text line per identity checked."""
+    lines = []
+    for r in reports:
+        params = " ".join(f"{k}={v}" for k, v in r.params)
+        verdict = "ok" if r.equal else "MISMATCH"
+        lines.append(f"{r.name} {params}: lhs={r.lhs} rhs={r.rhs} [{verdict}]")
+    ok = all(r.equal for r in reports)
+    return _finish(args, command, [r.to_json() for r in reports], ok, lines)
 
 
 def _check_factors(args, flag: str, factors: Sequence, sizes: Sequence[tuple[int, ...]] = ()) -> None:
@@ -82,15 +96,6 @@ def _check_factors(args, flag: str, factors: Sequence, sizes: Sequence[tuple[int
             raise ValueError(
                 f"{flag} {','.join(map(str, parts))} sums to {sum(parts)} but --n is {args.n}"
             )
-
-
-def _check_lines(reports: list[CheckReport]) -> list[str]:
-    lines = []
-    for r in reports:
-        params = " ".join(f"{k}={v}" for k, v in r.params)
-        verdict = "ok" if r.equal else "MISMATCH"
-        lines.append(f"{r.name} {params}: lhs={r.lhs} rhs={r.rhs} [{verdict}]")
-    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +131,8 @@ def cmd_count(args) -> int:
         label = "kappa(" + ";".join(str(l) for l in lams) + ")"
     else:
         raise AssertionError(args.what)
-    payload = _report(args, "count", [{"what": args.what, "value": str(value)}], True)
-    _emit(args, payload, [f"{label} = {value}"])
-    return EXIT_OK
+    results = [{"what": args.what, "value": str(value)}]
+    return _finish(args, "count", results, True, [f"{label} = {value}"])
 
 
 def _sweep(fn):
@@ -155,10 +159,7 @@ def cmd_jackson_check(args) -> int:
         _check_factors(args, "--p", args.p)
     ps = [tuple(p) for p in _p_grid(args.n, args.k)] if args.all_p else [args.p]
     reports = [counting.verify_jackson(args.n, p, cap=args.cap) for p in ps]
-    ok = all(r.equal for r in reports)
-    payload = _report(args, "jackson-check", [r.to_json() for r in reports], ok)
-    _emit(args, payload, _check_lines(reports))
-    return EXIT_OK if ok else EXIT_FAILED
+    return _check(args, "jackson-check", reports)
 
 
 @_sweep
@@ -169,10 +170,7 @@ def cmd_gf_check(args) -> int:
         raise ValueError("gf-check requires --x or --all-x")
     xs_list = list(itertools.product((1, 2, 3), repeat=args.k)) if args.all_x else [args.x]
     reports = [counting.verify_gf_identity(args.n, args.k, xs, cap=args.cap) for xs in xs_list]
-    ok = all(r.equal for r in reports)
-    payload = _report(args, "gf-check", [r.to_json() for r in reports], ok)
-    _emit(args, payload, _check_lines(reports))
-    return EXIT_OK if ok else EXIT_FAILED
+    return _check(args, "gf-check", reports)
 
 
 @_sweep
@@ -184,10 +182,7 @@ def cmd_mv_check(args) -> int:
         all_comps = list(compositions_of(args.n))
         gamma_tuples = list(itertools.product(all_comps, repeat=args.k))
     reports = [counting.verify_mv_formula(gs, cap=args.cap) for gs in gamma_tuples]
-    ok = all(r.equal for r in reports)
-    payload = _report(args, "mv-check", [r.to_json() for r in reports], ok)
-    _emit(args, payload, _check_lines(reports))
-    return EXIT_OK if ok else EXIT_FAILED
+    return _check(args, "mv-check", reports)
 
 
 @_sweep
@@ -212,14 +207,12 @@ def cmd_symmetry_check(args) -> int:
                 "equal": equal,
             }
         )
-    payload = _report(args, "symmetry-check", results, ok)
     lines = [
         f"profile {r['profile']}: {r['classes']} composition tuples, "
         f"counts {r['counts']} [{'ok' if r['equal'] else 'MISMATCH'}]"
         for r in results
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK if ok else EXIT_FAILED
+    return _finish(args, "symmetry-check", results, ok, lines)
 
 
 @_sweep
@@ -229,15 +222,13 @@ def cmd_roundtrip(args) -> int:
             raise ValueError(f"roundtrip --bijection {args.bijection} takes no --p")
         _check_factors(args, "--p", args.p)
     checked, failures = _run_roundtrip(args.bijection, args.n, args.k, args.p)
-    ok = failures == 0
-    payload = _report(
+    return _finish(
         args,
         "roundtrip",
         [{"bijection": args.bijection, "checked": checked, "failures": failures}],
-        ok,
+        failures == 0,
+        [f"{args.bijection}: {checked} roundtrips, {failures} failures"],
     )
-    _emit(args, payload, [f"{args.bijection}: {checked} roundtrips, {failures} failures"])
-    return EXIT_OK if ok else EXIT_FAILED
 
 
 def _run_roundtrip(bijection: str, n: int, k: int, p: Optional[tuple[int, ...]]):
@@ -298,48 +289,41 @@ def cmd_pointing_check(args) -> int:
     else:
         ps = [tuple(q) for q in itertools.product(range(0, args.n + 1), repeat=args.k)]
     reports = [nebulas.verify_pointing(args.n, args.k, p) for p in ps]
-    ok = all(r.equal for r in reports)
-    payload = _report(args, "pointing-check", [r.to_json() for r in reports], ok)
-    _emit(args, payload, _check_lines(reports))
-    return EXIT_OK if ok else EXIT_FAILED
+    return _check(args, "pointing-check", reports)
 
 
 def cmd_puzzle(args) -> int:
     if args.sample is not None:
         result = puzzle.sample_puzzle(args.n, args.k, args.p, args.sample, args.seed)
-        payload = _report(args, "puzzle", [result.to_json()], True)
-        _emit(
+        return _finish(
             args,
-            payload,
+            "puzzle",
+            [result.to_json()],
+            True,
             [
                 f"sampled {result.trials} trials, accepted {result.accepted}",
-                f"tree ~ {result.tree_estimate}  |R_1|=k-1 ~ {result.r1_estimate}",
+                f"tree ~ {ratio(result.tree_estimate)}  |R_1|=k-1 ~ {ratio(result.r1_estimate)}",
             ],
         )
-        return EXIT_OK
     report = puzzle.verify_puzzle(args.n, args.k, args.p, cap=args.cap)
-    payload = _report(args, "puzzle", [report.to_json()], report.equal)
     verdict = "ok" if report.equal else "MISMATCH"
-    _emit(
+    return _finish(
         args,
-        payload,
-        [f"P(tree) = {report.tree}  P(|R_1|=k-1) = {report.r1}  [{verdict}]"],
+        "puzzle",
+        [report.to_json()],
+        report.equal,
+        [f"P(tree) = {ratio(report.tree)}  P(|R_1|=k-1) = {ratio(report.r1)}  [{verdict}]"],
     )
-    return EXIT_OK if report.equal else EXIT_FAILED
 
 
 def cmd_enumerate(args) -> int:
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
-    try:
+    with _output(args) as out:
         if args.what == "factorizations":
             for perms in counting.enumerate_factorizations(args.n, args.k, cap=args.cap):
                 out.write(json.dumps([list(q.image) for q in perms]) + "\n")
         else:
             for mt in counting.m_tuples(args.n, args.k, args.p, cap=args.cap):
                 out.write(json.dumps(mt.to_json()) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -354,11 +338,8 @@ def cmd_render(args) -> int:
         if problem is not None:
             raise ValueError(problem)
         dot = halfedge_to_dot(m)
-    if args.out is None:
-        sys.stdout.write(dot)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dot)
+    with _output(args) as out:
+        out.write(dot)
     return EXIT_OK
 
 
@@ -371,12 +352,8 @@ def cmd_psi(args) -> int:
     else:
         b = biddings.Bidding.from_json(data)
         result = biddings.psi_inverse(b).to_json()
-    text = json.dumps(result, indent=2, sort_keys=True)
-    if args.out is None:
-        sys.stdout.write(text + "\n")
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+    with _output(args) as out:
+        out.write(json.dumps(result, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 

@@ -83,7 +83,7 @@ class ColoredFactorization:
                 if len({col[x - 1] for x in cyc}) != 1:
                     return f"coloring {t} not constant on cycle {cyc}"
             used = set(col)
-            if used != set(range(1, max(used) + 1)):
+            if used != set(range(1, len(used) + 1)):
                 return f"coloring {t} is not surjective"
         return None
 

@@ -3,8 +3,8 @@
 Over the uniform distribution on pairs of (k-1) index slots in [n] and a
 subset tuple of prescribed type, the probability that the successor graph
 is a tree equals the probability that the first subset has k-1 elements.
-Probabilities are exact integer ratios throughout; floats never decide a
-verdict.
+Probabilities are exact ``Fraction`` values throughout, printed as "num/den"
+by :func:`ratio`; floats never decide a verdict.
 """
 from __future__ import annotations
 
@@ -13,7 +13,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, perm, prod
+from fractions import Fraction
+from math import perm, prod
 from typing import Callable, Optional, Sequence
 
 from .biddings import TypedGraph, alpha, alpha_graph
@@ -28,31 +29,15 @@ class SamplingError(ValueError):
     """Sampling accepted none of its trials (a usage error: the type is too rare)."""
 
 
-@dataclass(frozen=True)
-class ExactProbability:
-    """A probability as a reduced fraction of big integers."""
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self) -> None:
-        if self.denominator <= 0:
-            raise ValueError("denominator must be positive")
-        g = gcd(self.numerator, self.denominator)
-        if g != 1:
-            object.__setattr__(self, "numerator", self.numerator // g)
-            object.__setattr__(self, "denominator", self.denominator // g)
-
-    def __str__(self) -> str:
-        return f"{self.numerator}/{self.denominator}"
-
-    def to_json(self) -> str:
-        return str(self)
+def ratio(x: Fraction) -> str:
+    """``x`` as "num/den" in lowest terms, also when the denominator is 1,
+    which ``str(Fraction(1))`` would print as "1"."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def tree_probability(
     n: int, k: int, p: Sequence[int], cap: Optional[int] = None
-) -> ExactProbability:
+) -> Fraction:
     """P(successor graph of a uniform pair is a tree), exactly.
 
     Every subset tuple R of type p is enumerated, and its n^(k-1) index
@@ -85,10 +70,10 @@ def tree_probability(
                 hits += prod(row[a] for row, a in zip(mult, f))
     if total_tuples == 0:
         raise UndefinedProbabilityError(f"no subset tuples of type {p}")
-    return ExactProbability(hits, n ** (k - 1) * total_tuples)
+    return Fraction(hits, n ** (k - 1) * total_tuples)
 
 
-def r1_probability(n: int, k: int, p: Sequence[int]) -> ExactProbability:
+def r1_probability(n: int, k: int, p: Sequence[int]) -> Fraction:
     """P(|R_1| = k-1) = sum_t M^(n-1)_(p - 1 + e_t) / M^n_p, exactly.
 
     R_1 = [k] - {t} leaves n-1 subsets of type p - 1 + e_t.
@@ -101,7 +86,7 @@ def r1_probability(n: int, k: int, p: Sequence[int]) -> ExactProbability:
         m_coefficient(n - 1, tuple(x - 1 + (s == t) for s, x in enumerate(p, start=1)))
         for t in range(1, k + 1)
     )
-    return ExactProbability(hits, total)
+    return Fraction(hits, total)
 
 
 @dataclass(frozen=True)
@@ -109,8 +94,8 @@ class PuzzleReport:
     n: int
     k: int
     p: tuple[int, ...]
-    tree: ExactProbability
-    r1: ExactProbability
+    tree: Fraction
+    r1: Fraction
     equal: bool
 
     def to_json(self) -> dict:
@@ -118,8 +103,8 @@ class PuzzleReport:
             "n": self.n,
             "k": self.k,
             "p": list(self.p),
-            "tree_probability": str(self.tree),
-            "r1_probability": str(self.r1),
+            "tree_probability": ratio(self.tree),
+            "r1_probability": ratio(self.r1),
             "equal": self.equal,
         }
 
@@ -184,7 +169,7 @@ def event_probability(
     n: int,
     k: int,
     p: Sequence[int],
-) -> ExactProbability:
+) -> Fraction:
     """P(A_s is contained in R_{i_s} for all s) with i.i.d. uniform indices.
 
     The count for an index tuple depends only on which slots share an
@@ -192,6 +177,8 @@ def event_probability(
     weighted by the n(n-1)...(n-b+1) index tuples with that pattern of b
     distinct indices, rather than over all n^m index tuples.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     constraints = [frozenset(a) for a in constraints]
     m = len(constraints)
     if m > k - 1:
@@ -209,7 +196,7 @@ def event_probability(
             )
         )
         hits += perm(n, len(blocks)) * _count_with_supersets(n, k, p, unions)
-    return ExactProbability(hits, n**m * total)
+    return Fraction(hits, n**m * total)
 
 
 def verify_k3_inclusion_exclusion(n: int, p: Sequence[int]) -> CheckReport:
@@ -217,7 +204,7 @@ def verify_k3_inclusion_exclusion(n: int, p: Sequence[int]) -> CheckReport:
     k = 3
     p = tuple(p)
 
-    def P(a: set[int], b: set[int]) -> ExactProbability:
+    def P(a: set[int], b: set[int]) -> Fraction:
         return event_probability([a, b], n, k, p)
 
     terms = [
@@ -231,17 +218,12 @@ def verify_k3_inclusion_exclusion(n: int, p: Sequence[int]) -> CheckReport:
         (1, P({1, 2}, {2, 3})),
         (1, P({1, 3}, {2, 3})),
     ]
-    num = 0
-    den = 1
-    for sign, prob in terms:
-        num = num * prob.denominator + sign * prob.numerator * den
-        den *= prob.denominator
-    rhs = ExactProbability(num, den)
+    rhs = sum(sign * prob for sign, prob in terms)
     lhs = tree_probability(n, k, p)
     return CheckReport(
         name="k3-inclusion-exclusion",
-        lhs=str(lhs),
-        rhs=str(rhs),
+        lhs=ratio(lhs),
+        rhs=ratio(rhs),
         equal=lhs == rhs,
         params=(("n", n), ("p", p)),
     )
@@ -263,12 +245,7 @@ def verify_exchange_lemma(
     t1 = event_probability([{a}, {b}], n, k, p)
     t2 = event_probability([{a, c}, {b}], n, k, p)
     t3 = event_probability([{a, b}, {a, c}], n, k, p)
-    num = (
-        t1.numerator * t2.denominator * t3.denominator
-        - t2.numerator * t1.denominator * t3.denominator
-        + t3.numerator * t1.denominator * t2.denominator
-    )
-    rhs = ExactProbability(num, t1.denominator * t2.denominator * t3.denominator)
+    rhs = t1 - t2 + t3
     e1 = e2 = 0
     for mt in m_tuples(n, k, p):
         for i, j in itertools.product(range(1, n + 1), repeat=2):
@@ -279,8 +256,8 @@ def verify_exchange_lemma(
                 e2 += 1
     return CheckReport(
         name="exchange-lemma",
-        lhs=str(lhs),
-        rhs=str(rhs),
+        lhs=ratio(lhs),
+        rhs=ratio(rhs),
         equal=lhs == rhs and e1 == e2,
         params=(("n", n), ("p", p), ("abc", (a, b, c)), ("E1", e1), ("E2", e2)),
     )
@@ -303,12 +280,12 @@ class SampleResult:
     seed: int
 
     @property
-    def tree_estimate(self) -> ExactProbability:
-        return ExactProbability(self.tree_hits, self.accepted)
+    def tree_estimate(self) -> Fraction:
+        return Fraction(self.tree_hits, self.accepted)
 
     @property
-    def r1_estimate(self) -> ExactProbability:
-        return ExactProbability(self.r1_hits, self.accepted)
+    def r1_estimate(self) -> Fraction:
+        return Fraction(self.r1_hits, self.accepted)
 
     def to_json(self) -> dict:
         return {
@@ -317,8 +294,8 @@ class SampleResult:
             "p": list(self.p),
             "trials": self.trials,
             "accepted": self.accepted,
-            "tree_estimate": str(self.tree_estimate),
-            "r1_estimate": str(self.r1_estimate),
+            "tree_estimate": ratio(self.tree_estimate),
+            "r1_estimate": ratio(self.r1_estimate),
             "seed": self.seed,
         }
 
@@ -419,7 +396,7 @@ def sample_puzzle(
     if accepted == 0:
         raise SamplingError(
             f"no trial of {trials} accepted; a uniform subset tuple has type {p} "
-            f"with probability {ExactProbability(num, den)} at n={n}, k={k} (SamplingError)"
+            f"with probability {ratio(Fraction(num, den))} at n={n}, k={k} (SamplingError)"
         )
     m = lru_cache(maxsize=None)(m_coefficient)
     # (entries left, type left) -> cumulative weights of the next entry

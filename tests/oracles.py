@@ -1,11 +1,12 @@
 """Brute-force oracles that only tests use: each enumerates the whole space
 that a library function counts by a faster route."""
 import itertools
+from fractions import Fraction
 
 from constellation_lab.constellations import canonical_rooted, from_permutations, transitive_tuples
 from constellation_lab.counting import m_tuples
 from constellation_lab.permutations import cycles
-from constellation_lab.puzzle import ExactProbability, UndefinedProbabilityError
+from constellation_lab.puzzle import UndefinedProbabilityError
 
 
 def event_probability_naive(constraints, n, k, p):
@@ -22,7 +23,7 @@ def event_probability_naive(constraints, n, k, p):
                 hits += 1
     if total == 0:
         raise UndefinedProbabilityError(f"no subset tuples of type {p}")
-    return ExactProbability(hits, n**m * total)
+    return Fraction(hits, n**m * total)
 
 
 def rooted_constellations_naive(n, k, type_vector=None):

@@ -259,6 +259,34 @@ def test_psi_cli_roundtrip(tmp_path, capsys):
     assert json.loads(out) == b.to_json()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jackson-check", "--n", "3", "--k", "2", "--all-p"],
+        ["--format", "json", "jackson-check", "--n", "3", "--k", "2", "--all-p"],
+        ["symmetry-check", "--n", "3", "--k", "2"],
+        ["roundtrip", "--bijection", "phi", "--n", "3", "--k", "2"],
+        ["puzzle", "--n", "2", "--k", "3", "--p", "1,1,1"],
+        ["puzzle", "--n", "3", "--k", "2", "--p", "1,2", "--sample", "500", "--seed", "4"],
+        ["count", "--what", "m", "--n", "4", "--k", "3", "--p", "2,3,1"],
+        ["render", "--kind", "halfedge", "--input", "{nebula}"],
+        ["psi", "--direction", "fwd", "--input", "{nebula}"],
+    ],
+    ids=["check-text", "check-json", "symmetry", "roundtrip", "puzzle", "puzzle-sample", "count",
+         "render", "psi"],
+)
+def test_out_file_gets_the_bytes_stdout_gets(tmp_path, capsys, argv):
+    nebula = tmp_path / "nebula.json"
+    nebula.write_text(json.dumps(_labelled_nebula_json()))
+    argv = [a.format(nebula=nebula) for a in argv]
+    code, out = run(capsys, *argv)
+    assert code == 0 and out
+    path = tmp_path / "out.txt"
+    assert main(["--out", str(path), *argv]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode("utf-8")
+
+
 def test_puzzle_sample_accepting_no_trial_is_usage_error(capsys):
     code = main(["puzzle", "--n", "12", "--k", "4", "--p", "9,9,9,9", "--sample", "100"])
     assert code == 2
@@ -418,6 +446,9 @@ ONE_EDGE = {"k": 2, "n": 1, "hyperedges": [[1, 2]], "vertex_type": {"1": 1, "2":
         (["render", "--kind", "constellation"], {**ONE_EDGE, "rotation": {"1": [[1]], "2": [1]}},
          "rotation"),
         (["render", "--kind", "constellation"], {**ONE_EDGE, "colors": {"1": 1, "2": [1]}}, "colors"),
+        # omega entries are integers: neither floats nor JSON true
+        (["psi", "--direction", "inv"], {"omegas": [[1.0, 2.0], [2, 1]], "subsets": [[1], [2]]}, "omegas"),
+        (["psi", "--direction", "inv"], {"omegas": [[True, 2], [2, 1]], "subsets": [[1], [2]]}, "omegas"),
     ],
 )
 def test_json_input_missing_or_malformed_key_is_usage_error(tmp_path, capsys, argv, data, key):

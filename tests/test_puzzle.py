@@ -17,7 +17,6 @@ from constellation_lab.counting import (
     strict_subsets,
 )
 from constellation_lab.puzzle import (
-    ExactProbability,
     SamplingError,
     UndefinedProbabilityError,
     _BLOCK,
@@ -25,6 +24,7 @@ from constellation_lab.puzzle import (
     _next_subset_weights,
     event_probability,
     r1_probability,
+    ratio,
     sample_puzzle,
     tree_probability,
     verify_exchange_lemma,
@@ -39,25 +39,31 @@ def feasible_types(n, k):
             yield p
 
 
-def test_exact_probability_reduces():
-    pr = ExactProbability(4, 8)
-    assert (pr.numerator, pr.denominator) == (1, 2)
-    assert str(ExactProbability(0, 5)) == "0/1"
-    with pytest.raises(ValueError):
-        ExactProbability(1, 0)
+def test_ratio_prints_lowest_terms_with_a_denominator():
+    assert ratio(Fraction(4, 8)) == "1/2"
+    assert ratio(Fraction(0, 5)) == "0/1"
+    assert ratio(Fraction(1)) == "1/1"
+    assert ratio(tree_probability(2, 2, (1, 1))) == "1/1"
+
+
+def test_event_probability_rejects_empty_size():
+    # n^m index tuples would be a zero denominator
+    for constraints in ([], [{1}], [{1}, {2}]):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            event_probability(constraints, 0, 3, (0, 0, 0))
 
 
 def test_tree_probability_examples():
-    assert tree_probability(2, 2, (1, 1)) == ExactProbability(1, 1)
-    assert tree_probability(2, 3, (1, 1, 1)) == ExactProbability(1, 2)
+    assert tree_probability(2, 2, (1, 1)) == Fraction(1, 1)
+    assert tree_probability(2, 3, (1, 1, 1)) == Fraction(1, 2)
     with pytest.raises(UndefinedProbabilityError):
         tree_probability(2, 3, (3, 3, 0))
 
 
 def test_r1_probability_examples():
-    assert r1_probability(2, 2, (1, 1)) == ExactProbability(1, 1)
-    assert r1_probability(2, 3, (1, 1, 1)) == ExactProbability(1, 2)
-    assert r1_probability(3, 2, (0, 0)) == ExactProbability(0, 1)
+    assert r1_probability(2, 2, (1, 1)) == Fraction(1, 1)
+    assert r1_probability(2, 3, (1, 1, 1)) == Fraction(1, 2)
+    assert r1_probability(3, 2, (0, 0)) == Fraction(0, 1)
 
 
 def test_r1_probability_matches_enumeration():
@@ -69,7 +75,7 @@ def test_r1_probability_matches_enumeration():
             for p in feasible_types(n, k):
                 tuples = list(m_tuples(n, k, p))
                 hits = sum(1 for mt in tuples if len(mt.subsets[0]) == k - 1)
-                assert r1_probability(n, k, p) == ExactProbability(hits, len(tuples))
+                assert r1_probability(n, k, p) == Fraction(hits, len(tuples))
                 checked += 1
     assert checked == 604
     with pytest.raises(UndefinedProbabilityError):
@@ -84,7 +90,7 @@ def test_tree_probability_matches_index_tuple_oracle():
             total += 1
             for indices in itertools.product(range(1, n + 1), repeat=k - 1):
                 hits += alpha_graph(indices, mt.subsets, k).is_tree()
-        return ExactProbability(hits, n ** (k - 1) * total)
+        return Fraction(hits, n ** (k - 1) * total)
 
     cases = [(n, k, p) for k, nmax in [(2, 6), (3, 4), (4, 3)]
              for n in range(1, nmax + 1) for p in feasible_types(n, k)]
@@ -144,10 +150,10 @@ def test_verify_puzzle_small_sweeps():
 
 
 def test_event_probability_examples():
-    assert event_probability([set(), set()], 2, 3, (1, 1, 1)) == ExactProbability(1, 1)
+    assert event_probability([set(), set()], 2, 3, (1, 1, 1)) == Fraction(1, 1)
     got = event_probability([{1}, {2}], 2, 3, (1, 1, 1))
     assert got == event_probability_naive([{1}, {2}], 2, 3, (1, 1, 1))
-    assert event_probability([{1}], 2, 3, (0, 1, 1)) == ExactProbability(0, 1)
+    assert event_probability([{1}], 2, 3, (0, 1, 1)) == Fraction(0, 1)
 
 
 def test_event_probability_matches_naive():
@@ -192,8 +198,8 @@ def test_sampling_is_deterministic():
 def test_sampling_trivial_type_always_tree():
     res = sample_puzzle(2, 2, (1, 1), trials=200, seed=7)
     assert res.accepted > 0
-    assert res.tree_estimate == ExactProbability(1, 1)
-    assert res.r1_estimate == ExactProbability(1, 1)
+    assert res.tree_estimate == Fraction(1, 1)
+    assert res.r1_estimate == Fraction(1, 1)
 
 
 def test_sampling_acceptance_floor():
@@ -397,14 +403,14 @@ def within_five_sigma(hits, trials, prob):
 )
 def test_count_below_within_five_sigma(trials, num, den):
     below = _count_below(RecordingRng(3), trials, num, den)
-    assert within_five_sigma(below, trials, ExactProbability(num, den)), below
+    assert within_five_sigma(below, trials, Fraction(num, den)), below
 
 
 @pytest.mark.parametrize("n, k, p, trials", [(6, 3, (2, 3, 4), 20_000), (6, 4, (4, 4, 4, 4), 200_000)])
 def test_sampling_acceptance_and_hits_within_five_sigma(n, k, p, trials):
     res = sample_puzzle(n, k, p, trials=trials, seed=1)
     assert res.trials == trials
-    accept = ExactProbability(m_coefficient(n, p), (2**k - 1) ** n)
+    accept = Fraction(m_coefficient(n, p), (2**k - 1) ** n)
     assert within_five_sigma(res.accepted, trials, accept), res
     exact = r1_probability(n, k, p)
     assert within_five_sigma(res.tree_hits, res.accepted, exact), res

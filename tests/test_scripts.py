@@ -1,4 +1,5 @@
 """The scripts under ``scripts/`` run against the current CLI and library."""
+import itertools
 import os
 import subprocess
 import sys
@@ -49,3 +50,16 @@ def test_script_exits_zero(argv, last_line):
     done = run_script(*argv)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == last_line
+
+
+def test_cli_digest_prints_one_line_per_argv_and_format(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
+    import cli_digest
+
+    done = run_script("cli_digest.py")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    argvs = [*cli_digest.SWEEPS, *cli_digest.EXTRA]
+    assert len(lines) == len(argvs) * len(cli_digest.FORMATS)
+    for line, (argv, fmt) in zip(lines, itertools.product(argvs, cli_digest.FORMATS)):
+        assert line.startswith(f"{fmt} exit=") and line.endswith("  " + " ".join(argv)), line

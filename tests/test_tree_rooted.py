@@ -227,6 +227,16 @@ def test_xi_inverse_rejects_non_surjective_coloring():
         xi_inverse(bad)
 
 
+def test_phi_rejects_a_huge_color_without_sizing_a_set_by_it():
+    from dataclasses import replace
+
+    # p = (1, 1): each factor is one cycle, so one color value covers it
+    cf = next(enumerate_colored_factorizations(2, 2, (1, 1)))
+    bad = replace(cf, colorings=((10**30, 10**30),) + cf.colorings[1:])
+    with pytest.raises(ValueError, match="coloring 1 is not surjective"):
+        phi(bad)
+
+
 def test_phi_inverse_rejects_invalid():
     t = phi(next(enumerate_colored_factorizations(2, 2, (1, 1))))
     from dataclasses import replace
