@@ -56,6 +56,10 @@ EXTRA = [
     ["count", "--what", "m", "--n", "3"],
     ["psi", "--direction", "inv", "--input", "{dir}/missing.json"],
     ["jackson-check", "--n", "x", "--k", "2"],
+    ["--cap", "5", "roundtrip", "--bijection", "phi", "--n", "3", "--k", "2"],
+    ["--cap", "5", "roundtrip", "--bijection", "theta", "--n", "3", "--k", "2"],
+    ["--cap", "5", "roundtrip", "--bijection", "sigma", "--n", "3", "--k", "2"],
+    ["--cap", "5", "roundtrip", "--bijection", "psi", "--n", "3", "--k", "2"],
 ]
 
 FORMATS = ("text", "json")

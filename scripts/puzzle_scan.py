@@ -10,6 +10,8 @@ tree probability too.  No enumeration runs at the sampled size.
 
 Usage:
   python3 scripts/puzzle_scan.py --k 3 --n-max 4
+  python3 scripts/puzzle_scan.py --k 3 --n-max 8
+  python3 scripts/puzzle_scan.py --k 4 --n-max 5
   python3 scripts/puzzle_scan.py --k 3 --n-max 4 --sample 6 2,3,4 --trials 100000
   python3 scripts/puzzle_scan.py --k 4 --n-max 2 --sample 20 10,10,10,10 --trials 200000
   python3 scripts/puzzle_scan.py --k 3 --n-max 2 --sample 60 26,26,26 --trials 400000

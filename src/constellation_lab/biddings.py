@@ -495,13 +495,14 @@ def labellings(nb: Nebula) -> Iterator[LabelledNebula]:
 
 
 def enumerate_valid_prebiddings(
-    n: int, k: int, p: Optional[Sequence[int]] = None
+    n: int, k: int, p: Optional[Sequence[int]] = None, cap: Optional[int] = None
 ) -> Iterator[Prebidding]:
-    """All valid prebiddings, by Eulerian search over the successor digraph."""
+    """All valid prebiddings, by Eulerian search over the successor digraph.
+    The cap bounds the subset tuples searched, as in :func:`m_tuples`."""
     from .counting import m_tuples
 
     exits = {t: tuple((t, i) for i in range(1, n + 1)) for t in range(1, k + 1)}
-    for mt in m_tuples(n, k, p):
+    for mt in m_tuples(n, k, p, cap):
         for tour in enumerate_eulerian_tours(k, exits, _successor(k, mt.subsets)):
             yield Prebidding(k=k, order=tour[1:] + tour[:1], subsets=mt.subsets)
 

@@ -221,7 +221,7 @@ def cmd_roundtrip(args) -> int:
         if args.bijection not in ("phi", "swap"):
             raise ValueError(f"roundtrip --bijection {args.bijection} takes no --p")
         _check_factors(args, "--p", args.p)
-    checked, failures = _run_roundtrip(args.bijection, args.n, args.k, args.p)
+    checked, failures = _run_roundtrip(args.bijection, args.n, args.k, args.p, args.cap)
     return _finish(
         args,
         "roundtrip",
@@ -231,12 +231,14 @@ def cmd_roundtrip(args) -> int:
     )
 
 
-def _run_roundtrip(bijection: str, n: int, k: int, p: Optional[tuple[int, ...]]):
+def _run_roundtrip(
+    bijection: str, n: int, k: int, p: Optional[tuple[int, ...]], cap: int
+):
     checked = failures = 0
     if bijection == "phi":
         ps = [p] if p else [tuple(q) for q in _p_grid(n, k)]
         for pv in ps:
-            for cf in counting.enumerate_colored_factorizations(n, k, pv):
+            for cf in counting.enumerate_colored_factorizations(n, k, pv, cap=cap):
                 checked += 1
                 if tree_rooted.phi_inverse(tree_rooted.phi(cf)) != cf:
                     failures += 1
@@ -264,7 +266,7 @@ def _run_roundtrip(bijection: str, n: int, k: int, p: Optional[tuple[int, ...]])
             if back != tp:
                 failures += 1
     elif bijection in ("theta", "sigma", "psi"):
-        for pb in biddings.enumerate_valid_prebiddings(n, k):
+        for pb in biddings.enumerate_valid_prebiddings(n, k, cap=cap):
             checked += 1
             if bijection == "theta":
                 if biddings.vartheta(biddings.vartheta_inverse(pb)) != pb:

@@ -14,11 +14,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from math import perm, prod
-from typing import Callable, Optional, Sequence
+from math import factorial, perm, prod
+from typing import Callable, Iterator, Optional, Sequence
 
 from .biddings import TypedGraph, alpha, alpha_graph
-from .counting import CheckReport, m_coefficient, m_tuples, strict_subsets
+from .counting import CheckReport, _check_cap, m_coefficient, m_tuples, strict_subsets
 
 
 class UndefinedProbabilityError(ValueError):
@@ -35,39 +35,104 @@ def ratio(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _subset_multisets(
+    n: int, k: int, p: Sequence[int], cap: Optional[int] = None
+) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
+    """Each multiset of n strict subsets of [k] of type p once, with its
+    number of arrangements.
+
+    The search is :func:`m_tuples`' depth-first search with the masks kept
+    nondecreasing along the tuple, so it meets each multiset once, as its
+    sorted arrangement.  It yields the ``(mask, count)`` pairs of the
+    multiset in mask order and the weight ``n! / prod_S count_S!``; the
+    weights sum to M^n_p.  The arguments and the cap, which bounds the
+    tuple space as in :func:`m_tuples`, are checked at the call, before
+    the first multiset is asked for.
+    """
+    if n < 0 or k < 1:
+        raise ValueError("need n >= 0 and k >= 1")
+    _check_cap((2**k - 1) ** n, cap)
+    need = list(p)
+    if len(need) != k or any(x < 0 for x in need):
+        raise ValueError("bad type vector")
+    subsets = strict_subsets(k)
+    counts = [0] * len(subsets)
+
+    def rec(left: int, low: int):
+        if left == 0:
+            pairs = tuple((mask, c) for mask, c in enumerate(counts) if c)
+            yield pairs, factorial(n) // prod(factorial(c) for _, c in pairs)
+            return
+        done = forced = 0
+        for t, x in enumerate(need):
+            if x == 0:
+                done |= 1 << t
+            elif x == left:
+                forced |= 1 << t
+        # subsets are ordered by bitmask, so the index of s is its mask
+        for mask in range(low, len(subsets)):
+            if mask & done or forced & ~mask:
+                continue
+            for t in subsets[mask]:
+                need[t - 1] -= 1
+            counts[mask] += 1
+            yield from rec(left - 1, mask)
+            counts[mask] -= 1
+            for t in subsets[mask]:
+                need[t - 1] += 1
+
+    return iter(()) if any(x > n for x in need) else rec(n, 0)
+
+
+@lru_cache(maxsize=None)
+def _successor_rows(k: int) -> tuple[tuple[int, ...], ...]:
+    """alpha(t, S) for t = 1..k-1, indexed by the mask of S."""
+    return tuple(tuple(alpha(t, s, k) for t in range(1, k)) for s in strict_subsets(k))
+
+
+@lru_cache(maxsize=None)
+def _tree_maps(k: int) -> dict[tuple[int, ...], bool]:
+    """Whether the successor map f (f[t-1] = successor of t) makes a tree;
+    filled as maps are met, kept for the life of the process."""
+    return {}
+
+
 def tree_probability(
     n: int, k: int, p: Sequence[int], cap: Optional[int] = None
 ) -> Fraction:
     """P(successor graph of a uniform pair is a tree), exactly.
 
-    Every subset tuple R of type p is enumerated, and its n^(k-1) index
-    tuples are grouped by successor.  With ``mult[t][a]`` the number of i
-    such that alpha(t, R_i) = a, the index tuples whose successor graph has
-    the edges {t, f(t)} number ``prod_t mult[t][f(t)]``.  Only the maps f
-    made of successors that occur are tried, at most min(n, k)^(k-1) per
-    tuple, and each is tested with :meth:`TypedGraph.is_tree` once per call.
+    Positions are exchangeable, so only the multiset of a subset tuple R of
+    type p matters; each is visited once by :func:`_subset_multisets` and
+    weighted by its number of arrangements.  Its n^(k-1) index tuples are
+    grouped by successor: with ``mult[t][a]`` the number of i such that
+    alpha(t, R_i) = a, the index tuples whose successor graph has the edges
+    {t, f(t)} number ``prod_t mult[t][f(t)]``.  Only the maps f made of
+    successors that occur are tried, at most min(n, k)^(k-1) per multiset,
+    and each is tested with :meth:`TypedGraph.is_tree` once per process.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     p = tuple(p)
-    successors: dict[frozenset[int], tuple[int, ...]] = {}
-    tree_maps: dict[tuple[int, ...], bool] = {}
+    multisets = _subset_multisets(n, k, p, cap)  # checks k, p and the cap first
+    successors = _successor_rows(k)
+    tree_maps = _tree_maps(k)
     hits = 0
     total_tuples = 0
-    for mt in m_tuples(n, k, p, cap):
-        total_tuples += 1
+    for counts, weight in multisets:
+        total_tuples += weight
         mult: list[dict[int, int]] = [{} for _ in range(k - 1)]
-        for s in mt.subsets:
-            if s not in successors:
-                successors[s] = tuple(alpha(t, s, k) for t in range(1, k))
-            for row, a in zip(mult, successors[s]):
-                row[a] = row.get(a, 0) + 1
+        for mask, c in counts:
+            for row, a in zip(mult, successors[mask]):
+                row[a] = row.get(a, 0) + c
+        tree_hits = 0
         for f in itertools.product(*mult):
             if f not in tree_maps:
                 edges = sorted((min(t, a), max(t, a)) for t, a in enumerate(f, start=1))
                 tree_maps[f] = TypedGraph(k=k, edges=tuple(edges)).is_tree()
             if tree_maps[f]:
-                hits += prod(row[a] for row, a in zip(mult, f))
+                tree_hits += prod(row[a] for row, a in zip(mult, f))
+        hits += weight * tree_hits
     if total_tuples == 0:
         raise UndefinedProbabilityError(f"no subset tuples of type {p}")
     return Fraction(hits, n ** (k - 1) * total_tuples)

@@ -2,11 +2,49 @@
 that a library function counts by a faster route."""
 import itertools
 from fractions import Fraction
+from math import prod
+
+from constellation_lab.biddings import TypedGraph, alpha
 
 from constellation_lab.constellations import canonical_rooted, from_permutations, transitive_tuples
 from constellation_lab.counting import m_tuples
 from constellation_lab.permutations import cycles
 from constellation_lab.puzzle import UndefinedProbabilityError
+
+
+def tree_probability_by_tuples(n, k, p, cap=None):
+    """P(successor graph of a uniform pair is a tree) by a walk over every
+    subset tuple of type p, its index tuples grouped by successor; oracle for
+    :func:`constellation_lab.puzzle.tree_probability`, which walks multisets.
+
+    With ``mult[t][a]`` the number of i such that alpha(t, R_i) = a, the
+    index tuples whose successor graph has the edges {t, f(t)} number
+    ``prod_t mult[t][f(t)]``.
+    """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    p = tuple(p)
+    successors = {}
+    tree_maps = {}
+    hits = 0
+    total_tuples = 0
+    for mt in m_tuples(n, k, p, cap):
+        total_tuples += 1
+        mult = [{} for _ in range(k - 1)]
+        for s in mt.subsets:
+            if s not in successors:
+                successors[s] = tuple(alpha(t, s, k) for t in range(1, k))
+            for row, a in zip(mult, successors[s]):
+                row[a] = row.get(a, 0) + 1
+        for f in itertools.product(*mult):
+            if f not in tree_maps:
+                edges = sorted((min(t, a), max(t, a)) for t, a in enumerate(f, start=1))
+                tree_maps[f] = TypedGraph(k=k, edges=tuple(edges)).is_tree()
+            if tree_maps[f]:
+                hits += prod(row[a] for row, a in zip(mult, f))
+    if total_tuples == 0:
+        raise UndefinedProbabilityError(f"no subset tuples of type {p}")
+    return Fraction(hits, n ** (k - 1) * total_tuples)
 
 
 def event_probability_naive(constraints, n, k, p):

@@ -171,6 +171,17 @@ def test_roundtrip_commands(capsys):
         assert "0 failures" in out
 
 
+@pytest.mark.parametrize("bijection", ["phi", "theta", "sigma", "psi"])
+def test_roundtrip_respects_cap(capsys, bijection):
+    # 3!^1 factorizations for phi and 3^3 subset tuples for the others, all above 5
+    code = main(["--cap", "5", "roundtrip", "--bijection", bijection, "--n", "3", "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert captured.err.startswith("error: enumeration of ") and captured.err.endswith(" exceeds cap 5\n")
+
+
 def test_symmetry_check(capsys):
     code, out = run(capsys, "symmetry-check", "--n", "3", "--k", "2")
     assert code == 0

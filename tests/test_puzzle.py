@@ -1,12 +1,13 @@
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import prod
 from types import SimpleNamespace
 
 import pytest
-from oracles import event_probability_naive
+from oracles import event_probability_naive, tree_probability_by_tuples
 
 from constellation_lab.biddings import alpha_graph
 from constellation_lab.counting import (
@@ -22,6 +23,7 @@ from constellation_lab.puzzle import (
     _BLOCK,
     _count_below,
     _next_subset_weights,
+    _subset_multisets,
     event_probability,
     r1_probability,
     ratio,
@@ -109,6 +111,59 @@ def test_tree_probability_keeps_cap_and_errors():
             tree_probability(n, k, p)
     # k=9, n=2: at most 2^8 successor maps per tuple are tested, not all 9^8
     assert tree_probability(2, 9, (1,) * 9) == r1_probability(2, 9, (1,) * 9)
+
+
+def _criterion7_and_n5_k4_types():
+    # the 604 criterion-7 types, and the n=5, k=4 types with 100-160 tuples
+    cases = [(n, k, p) for k, nmax in [(2, 6), (3, 4), (4, 3)]
+             for n in range(1, nmax + 1) for p in feasible_types(n, k)]
+    cases += [(5, 4, p) for p in feasible_types(5, 4) if 100 <= m_coefficient(5, p) <= 160]
+    return cases
+
+
+def test_subset_multisets_group_the_tuples_by_sorted_arrangement():
+    cases = _criterion7_and_n5_k4_types()
+    assert len(cases) > 604
+    for n, k, p in cases:
+        by_multiset = Counter(
+            tuple(sorted(sum(1 << (t - 1) for t in s) for s in mt.subsets))
+            for mt in m_tuples(n, k, p)
+        )
+        walked = list(_subset_multisets(n, k, p))
+        sorted_masks = [
+            tuple(mask for mask, c in counts for _ in range(c)) for counts, _ in walked
+        ]
+        assert len(set(sorted_masks)) == len(walked), (n, k, p)
+        assert dict(zip(sorted_masks, (w for _, w in walked))) == by_multiset, (n, k, p)
+        assert sum(w for _, w in walked) == m_coefficient(n, p), (n, k, p)
+
+
+def test_subset_multisets_keep_the_cap_and_errors_of_m_tuples():
+    def cap_hit(walk, *args):
+        try:
+            list(walk(*args))
+        except CapExceededError:
+            return True
+        return False
+
+    for n, k in [(0, 1), (1, 1), (3, 2), (4, 3), (5, 4)]:
+        size = (2**k - 1) ** n
+        for cap in (size - 1, size):
+            args = (n, k, (n // 2,) * k, cap)
+            assert cap_hit(_subset_multisets, *args) == cap_hit(m_tuples, *args) == (cap < size)
+    for n, k, p in [(3, 0, ()), (-1, 2, (0, 0)), (3, 2, (1, 2, 3)), (3, 2, (1, -1))]:
+        with pytest.raises(ValueError) as expected:
+            list(m_tuples(n, k, p))
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            list(_subset_multisets(n, k, p))
+    assert list(_subset_multisets(2, 3, (3, 3, 0))) == []
+
+
+def test_tree_probability_matches_the_tuple_walk_past_the_grid():
+    cases = [(n, k, p) for n, k in [(5, 3), (4, 4)] for p in feasible_types(n, k)]
+    assert len(cases) == 771
+    for n, k, p in cases:
+        assert tree_probability(n, k, p) == tree_probability_by_tuples(n, k, p), (n, k, p)
 
 
 def test_tree_probability_invariant_under_slot_relabeling():

@@ -33,6 +33,10 @@ def run_script(*argv):
         ),
         # k=4 at n=4, one size past the acceptance grid
         (["puzzle_scan.py", "--k", "4", "--n-max", "4"], "no mismatches"),
+        # exact past the tuple walk's reach: tree_probability visits each
+        # subset multiset once, weighted by its arrangements
+        (["puzzle_scan.py", "--k", "3", "--n-max", "8"], "no mismatches"),
+        (["puzzle_scan.py", "--k", "4", "--n-max", "5"], "no mismatches"),
         # a 79-bit (2^4-1)^20 and about 157 expected acceptances; no
         # enumeration runs at the sampled size
         (
