@@ -60,6 +60,11 @@ EXTRA = [
     ["--cap", "5", "roundtrip", "--bijection", "theta", "--n", "3", "--k", "2"],
     ["--cap", "5", "roundtrip", "--bijection", "sigma", "--n", "3", "--k", "2"],
     ["--cap", "5", "roundtrip", "--bijection", "psi", "--n", "3", "--k", "2"],
+    ["puzzle", "--n", "6", "--k", "4", "--p", "4,4,4,4", "--sample", "30000", "--seed", "13"],
+    ["puzzle", "--n", "3", "--k", "1", "--p", "0", "--sample", "50", "--seed", "2"],
+    ["--cap", "5", "roundtrip", "--bijection", "swap", "--n", "3", "--k", "2"],
+    ["--cap", "5", "roundtrip", "--bijection", "lambda", "--n", "3", "--k", "2"],
+    ["--cap", "1", "pointing-check", "--n", "3", "--k", "2"],
 ]
 
 FORMATS = ("text", "json")

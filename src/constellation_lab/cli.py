@@ -245,7 +245,7 @@ def _run_roundtrip(
     elif bijection == "swap":
         ps = [p] if p else [tuple(q) for q in _p_grid(n, k)]
         for pv in ps:
-            for t_obj in tree_rooted.enumerate_tree_rooted(n, k, pv):
+            for t_obj in tree_rooted.enumerate_tree_rooted(n, k, pv, cap):
                 for t in range(1, k + 1):
                     pt = pv[t - 1]
                     for i, j in itertools.permutations(range(1, pt + 1), 2):
@@ -259,7 +259,7 @@ def _run_roundtrip(
                         if back != t_obj:
                             failures += 1
     elif bijection == "lambda":
-        for tp in nebulas.enumerate_tree_pointed(n, k):
+        for tp in nebulas.enumerate_tree_pointed(n, k, cap=cap):
             checked += 1
             nb = nebulas.dual_opening(tp)
             back = nebulas.canonical_tree_pointed(nebulas.dual_closure(nb))
@@ -290,7 +290,7 @@ def cmd_pointing_check(args) -> int:
         ps = [args.p]
     else:
         ps = [tuple(q) for q in itertools.product(range(0, args.n + 1), repeat=args.k)]
-    reports = [nebulas.verify_pointing(args.n, args.k, p) for p in ps]
+    reports = [nebulas.verify_pointing(args.n, args.k, p, args.cap) for p in ps]
     return _check(args, "pointing-check", reports)
 
 

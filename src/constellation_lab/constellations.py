@@ -19,8 +19,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from math import factorial
 from typing import Iterator, Optional, Sequence
 
+from .counting import DEFAULT_CAP, _check_cap
 from .halfedges import BLACK, WHITE, HalfEdgeMap, _json_field, _json_int
 from .permutations import Permutation, all_permutations, compose_all, cycles
 
@@ -591,17 +593,22 @@ def transitive_tuples(n: int, k: int) -> Iterator[tuple[Permutation, ...]]:
 
 
 def enumerate_rooted_constellations(
-    n: int, k: int, type_vector: Optional[Sequence[int]] = None
+    n: int,
+    k: int,
+    type_vector: Optional[Sequence[int]] = None,
+    cap: Optional[int] = None,
 ) -> list[Constellation]:
     """All rooted k-constellations of size n, in canonical form.
 
     Rooted objects are hyperedge-labelled objects modulo relabelling, so
     every transitive tuple rooted at hyperedge 1 is canonicalized and
-    deduplicated.  The domain is walked once per (n, k) for the life of
-    the process; each call filters it by ``type_vector`` (vertices per
-    type) into a new list.
+    deduplicated.  The domain is walked once per (n, k, cap) for the life
+    of the process, with ``None`` read as ``DEFAULT_CAP``; the n!^k tuples
+    of the walk are checked against the cap before it starts
+    (:class:`CapExceededError`).  Each call filters the domain by
+    ``type_vector`` (vertices per type) into a new list.
     """
-    domain = _rooted_constellations(n, k)
+    domain = _rooted_constellations(n, k, DEFAULT_CAP if cap is None else cap)
     if type_vector is None:
         return list(domain)
     target = tuple(type_vector)
@@ -609,7 +616,8 @@ def enumerate_rooted_constellations(
 
 
 @lru_cache(maxsize=None)
-def _rooted_constellations(n: int, k: int) -> tuple[Constellation, ...]:
+def _rooted_constellations(n: int, k: int, cap: int) -> tuple[Constellation, ...]:
+    _check_cap(factorial(n) ** k, cap)
     out = {}
     for perms in transitive_tuples(n, k):
         canon, _ = canonical_rooted(from_permutations(perms, root=1))

@@ -320,11 +320,12 @@ def canonical_tree_pointed(tp: TreePointedConstellation) -> TreePointedConstella
 
 
 def enumerate_tree_pointed(
-    n: int, k: int, reduced_type: Optional[Sequence[int]] = None
+    n: int, k: int, reduced_type: Optional[Sequence[int]] = None, cap: Optional[int] = None
 ) -> Iterator[TreePointedConstellation]:
-    """All tree-pointed constellations of size n (canonical forms)."""
+    """All tree-pointed constellations of size n (canonical forms); ``cap``
+    bounds the rooted-constellation domain they are built from."""
     target = None if reduced_type is None else tuple(reduced_type)
-    for c in enumerate_rooted_constellations(n, k):
+    for c in enumerate_rooted_constellations(n, k, cap=cap):
         p = c.type_vector()
         for v0 in range(1, c.num_vertices + 1):
             if target is not None:
@@ -336,21 +337,22 @@ def enumerate_tree_pointed(
                 yield TreePointedConstellation(constellation=c, arborescence=arb)
 
 
-def count_tree_rooted(n: int, k: int, p: Sequence[int]) -> int:
-    return sum(1 for _ in enumerate_tree_rooted(n, k, p))
+def count_tree_rooted(n: int, k: int, p: Sequence[int], cap: Optional[int] = None) -> int:
+    return sum(1 for _ in enumerate_tree_rooted(n, k, p, cap))
 
 
-def verify_pointing(n: int, k: int, p: Sequence[int]) -> CheckReport:
+def verify_pointing(n: int, k: int, p: Sequence[int], cap: Optional[int] = None) -> CheckReport:
     """Pointing correspondence: tree-pointed objects of reduced type p times
-    the product of p_t! against the labelled tree-rooted unions."""
+    the product of p_t! against the labelled tree-rooted unions; ``cap``
+    bounds the rooted-constellation domain both sides walk."""
     p = tuple(p)
-    lhs = sum(1 for _ in enumerate_tree_pointed(n, k, p))
+    lhs = sum(1 for _ in enumerate_tree_pointed(n, k, p, cap))
     for pt in p:
         lhs *= factorial(pt)
     rhs = 0
     for t in range(1, k + 1):
         bumped = tuple(x + (1 if s == t else 0) for s, x in enumerate(p, start=1))
-        rhs += count_tree_rooted(n, k, bumped)
+        rhs += count_tree_rooted(n, k, bumped, cap)
     return CheckReport(
         name="pointing",
         lhs=lhs,

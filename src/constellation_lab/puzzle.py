@@ -14,10 +14,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from math import factorial, perm, prod
-from typing import Callable, Iterator, Optional, Sequence
+from math import comb, factorial, perm, prod
+from operator import sub
+from typing import Iterator, Optional, Sequence
 
-from .biddings import TypedGraph, alpha, alpha_graph
+from .biddings import TypedGraph, alpha
 from .counting import CheckReport, _check_cap, m_coefficient, m_tuples, strict_subsets
 
 
@@ -97,6 +98,13 @@ def _tree_maps(k: int) -> dict[tuple[int, ...], bool]:
     return {}
 
 
+def _new_tree_map(k: int, f: tuple[int, ...]) -> bool:
+    """Test a successor map missing from :func:`_tree_maps` and store it."""
+    edges = sorted((min(t, a), max(t, a)) for t, a in enumerate(f, start=1))
+    tree = _tree_maps(k)[f] = TypedGraph(k=k, edges=tuple(edges)).is_tree()
+    return tree
+
+
 def tree_probability(
     n: int, k: int, p: Sequence[int], cap: Optional[int] = None
 ) -> Fraction:
@@ -127,10 +135,10 @@ def tree_probability(
                 row[a] = row.get(a, 0) + c
         tree_hits = 0
         for f in itertools.product(*mult):
-            if f not in tree_maps:
-                edges = sorted((min(t, a), max(t, a)) for t, a in enumerate(f, start=1))
-                tree_maps[f] = TypedGraph(k=k, edges=tuple(edges)).is_tree()
-            if tree_maps[f]:
+            tree = tree_maps.get(f)
+            if tree is None:
+                tree = _new_tree_map(k, f)
+            if tree:
                 tree_hits += prod(row[a] for row, a in zip(mult, f))
         hits += weight * tree_hits
     if total_tuples == 0:
@@ -365,18 +373,40 @@ class SampleResult:
         }
 
 
-def _next_subset_weights(
-    left: int,
-    q: tuple[int, ...],
-    subsets: Sequence[frozenset[int]],
-    m: Callable[[int, tuple[int, ...]], int],
-) -> list[int]:
-    """Weight of each strict subset S as the next entry of a tuple of type q
-    with ``left`` entries still to draw: M^(left-1)_(q - 1_S), the number of
-    ways to finish the tuple after S, with M given by ``m``.  The weights sum
-    to M^left_q, so drawing every entry by them makes each tuple of type q
-    equally likely."""
-    return [m(left - 1, tuple(c - (t in s) for t, c in enumerate(q, start=1))) for s in subsets]
+def _next_subset_weights(left: int, q: tuple[int, ...], k: int) -> list[int]:
+    """Weight of each strict subset S of [k], indexed by its mask, as the
+    next entry of a tuple of type q with ``left`` entries still to draw:
+    M^(left-1)_(q - 1_S), the number of ways to finish the tuple after S.
+    The weights sum to M^left_q, so drawing every entry by them makes each
+    tuple of type q equally likely.
+
+    All 2^k - 1 weights come from one binomial expansion of
+    :func:`m_coefficient`'s closed form, with N = left - 1: for each j up to
+    min(N, min q), (-1)^j C(N, j) times, per type t, C(N-j, q_t-j) when t is
+    not in S and C(N-j, q_t-1-j) when it is.  The products for every S are
+    built at once by doubling a list once per type, so the index of S is
+    its mask, as in :func:`strict_subsets`.
+    """
+    n = left - 1
+    weights = [0] * (2**k - 1)
+    for j in range(min(n, *q) + 1):
+        prods = [(-1) ** j * comb(n, j)]
+        for x in q:
+            out = comb(n - j, x - j)
+            into = comb(n - j, x - 1 - j) if x > j else 0
+            prods = [w * out for w in prods] + [w * into for w in prods]
+        # the last product is S = [k], which is not strict
+        weights = [w + v for w, v in zip(weights, prods)]
+    return weights
+
+
+def _sampler_step(
+    left: int, q: tuple[int, ...], k: int, bits: Sequence[tuple[int, ...]]
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The cumulative weights of the next entry, by mask, and the type left
+    after each mask; ``bits[mask]`` is the 0/1 vector of the mask's types."""
+    cum = list(itertools.accumulate(_next_subset_weights(left, q, k)))
+    return cum, [tuple(map(sub, q, b)) for b in bits]
 
 
 # fields drawn per getrandbits call in _count_below; bounds its memory
@@ -435,11 +465,15 @@ def sample_puzzle(
     independent of R and the uniform law on tuples of type p does not change
     when positions are permuted, so (R_1, R_{i_1}, ...) has the law of the
     renumbered prefix, and the law of the result is that of drawing all n
-    entries.  M and the weights of each state are memoized for the call.  The
-    generator is seeded with the first 64 bits drawn from ``Random(seed)``,
-    so results depend only on the arguments; since the indices are drawn
-    first and fewer entries follow, a given seed gives other counts than a
-    draw of all n entries would.
+    entries.  Entries are drawn as masks: each state (entries left, type
+    left) met in the call keeps its cumulative weights and the type left
+    after each mask, so a state's binomial expansion runs once per call.
+    The tree test reads the successor map of the drawn prefix in the
+    per-process memo that :func:`tree_probability` fills.  The generator is
+    seeded with the first 64 bits drawn from ``Random(seed)``, so results
+    depend only on the arguments; since the indices are drawn first and
+    fewer entries follow, a given seed gives other counts than a draw of all
+    n entries would.
     Raises ValueError before drawing anything when n, k or trials is below 1
     or p is not a type vector of length k, and SamplingError, also a
     ValueError, when no trial is accepted.
@@ -453,37 +487,47 @@ def sample_puzzle(
     p = tuple(p)
     if len(p) != k or any(x < 0 for x in p):
         raise ValueError("bad type vector")
-    subsets = strict_subsets(k)
     rng = random.Random(random.Random(seed).getrandbits(64))
     randrange = rng.randrange
-    num, den = m_coefficient(n, p), len(subsets) ** n
+    num, den = m_coefficient(n, p), (2**k - 1) ** n
     accepted = _count_below(rng, trials, num, den)
     if accepted == 0:
         raise SamplingError(
             f"no trial of {trials} accepted; a uniform subset tuple has type {p} "
             f"with probability {ratio(Fraction(num, den))} at n={n}, k={k} (SamplingError)"
         )
-    m = lru_cache(maxsize=None)(m_coefficient)
-    # (entries left, type left) -> cumulative weights of the next entry
-    steps: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    bits = [tuple(mask >> t & 1 for t in range(k)) for mask in range(2**k - 1)]
+    first = _sampler_step(n, p, k, bits)
+    if first[0][-1] != num:
+        raise AssertionError(
+            f"the first entry's weights sum to {first[0][-1]}, not M^{n}_{p} = {num}"
+        )
+    # (entries left, type left) -> (cumulative weights, type left) by mask
+    steps = {(n, p): first}
+    successors = _successor_rows(k)
+    tree_maps = _tree_maps(k)
     tree_hits = r1_hits = 0
     for _ in range(accepted):
         # positions 1, i_1, ..., i_{k-1} renumbered 1..b by first appearance
         pos = {1: 1}
         indices = [pos.setdefault(randrange(1, n + 1), len(pos) + 1) for _ in range(k - 1)]
-        tup = []
+        masks = []
         q = p
         for left in range(n, n - len(pos), -1):
-            cum = steps.get((left, q))
-            if cum is None:
-                weights = _next_subset_weights(left, q, subsets, m)
-                cum = steps[left, q] = list(itertools.accumulate(weights))
-            s = subsets[bisect_right(cum, randrange(cum[-1]))]
-            tup.append(s)
-            q = tuple(c - (t in s) for t, c in enumerate(q, start=1))
-        if alpha_graph(indices, tup, k).is_tree():
+            step = steps.get((left, q))
+            if step is None:
+                step = steps[left, q] = _sampler_step(left, q, k, bits)
+            cum, after = step
+            mask = bisect_right(cum, randrange(cum[-1]))
+            masks.append(mask)
+            q = after[mask]
+        f = tuple(successors[masks[i - 1]][t] for t, i in enumerate(indices))
+        tree = tree_maps.get(f)
+        if tree is None:
+            tree = _new_tree_map(k, f)
+        if tree:
             tree_hits += 1
-        if len(tup[0]) == k - 1:
+        if masks[0].bit_count() == k - 1:
             r1_hits += 1
     return SampleResult(
         n=n,

@@ -406,11 +406,12 @@ def phi_inverse(t_rooted: TreeRootedConstellation) -> ColoredFactorization:
 
 
 def enumerate_tree_rooted(
-    n: int, k: int, p: Sequence[int]
+    n: int, k: int, p: Sequence[int], cap: Optional[int] = None
 ) -> Iterator[TreeRootedConstellation]:
-    """All vertex-labelled tree-rooted constellations of the given type."""
+    """All vertex-labelled tree-rooted constellations of the given type;
+    ``cap`` bounds the rooted-constellation domain they are built from."""
     p = tuple(p)
-    for c in enumerate_rooted_constellations(n, k, p):
+    for c in enumerate_rooted_constellations(n, k, p, cap):
         v0 = c.root_vertex
         for arb in arborescences_toward(c, v0):
             by_type = [c.vertices_of_type(t) for t in range(1, k + 1)]

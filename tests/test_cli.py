@@ -171,15 +171,29 @@ def test_roundtrip_commands(capsys):
         assert "0 failures" in out
 
 
-@pytest.mark.parametrize("bijection", ["phi", "theta", "sigma", "psi"])
+@pytest.mark.parametrize("bijection", ["phi", "theta", "sigma", "psi", "swap", "lambda"])
 def test_roundtrip_respects_cap(capsys, bijection):
-    # 3!^1 factorizations for phi and 3^3 subset tuples for the others, all above 5
+    # 3!^1 factorizations for phi, 3^3 subset tuples for theta, sigma and
+    # psi, and 3!^2 permutation pairs under the rooted-constellation domain
+    # of swap and lambda, all above 5
     code = main(["--cap", "5", "roundtrip", "--bijection", bijection, "--n", "3", "--k", "2"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err.count("error:") == 1
     assert captured.err.startswith("error: enumeration of ") and captured.err.endswith(" exceeds cap 5\n")
+
+
+def test_pointing_check_respects_cap(capsys):
+    assert main(["pointing-check", "--n", "3", "--k", "2"]) == 0
+    capsys.readouterr()
+    # a domain walked under the default cap does not lift a smaller one
+    for cap in ("1", "35"):
+        assert main(["--cap", cap, "pointing-check", "--n", "3", "--k", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: enumeration of 36 tuples exceeds cap {cap}\n"
+    assert main(["--cap", "36", "pointing-check", "--n", "3", "--k", "2"]) == 0
 
 
 def test_symmetry_check(capsys):

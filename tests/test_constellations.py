@@ -6,6 +6,7 @@ import pytest
 from oracles import rooted_constellations_naive
 
 from constellation_lab.cli import main
+from constellation_lab.counting import CapExceededError
 from constellation_lab.constellations import (
     Arborescence,
     Constellation,
@@ -342,6 +343,15 @@ def test_rooted_constellations_are_walked_once_per_size(capsys):
         assert info.misses == 1 and info.hits > 0
     finally:
         enumerate_rooted_constellations.cache_clear()
+
+
+def test_rooted_constellations_check_the_cap_before_the_walk(monkeypatch):
+    def no_walk(n, k):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr("constellation_lab.constellations.transitive_tuples", no_walk)
+    with pytest.raises(CapExceededError, match="enumeration of 36 tuples exceeds cap 35"):
+        enumerate_rooted_constellations(3, 2, cap=35)
 
 
 def test_rooted_constellations_returns_a_fresh_list():

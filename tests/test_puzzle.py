@@ -10,6 +10,7 @@ import pytest
 from oracles import event_probability_naive, tree_probability_by_tuples
 
 from constellation_lab.biddings import alpha_graph
+from constellation_lab.cli import main
 from constellation_lab.counting import (
     CapExceededError,
     count_colored,
@@ -283,12 +284,58 @@ def test_sequential_draw_is_uniform_over_tuples_of_the_type():
                     law = Fraction(1)
                     q = p
                     for left, s in zip(range(n, 0, -1), mt.subsets):
-                        weights = _next_subset_weights(left, q, subsets, m_coefficient)
+                        weights = _next_subset_weights(left, q, k)
                         law *= Fraction(weights[subsets.index(s)], sum(weights))
                         q = tuple(c - (t in s) for t, c in enumerate(q, start=1))
                     assert law == Fraction(1, m_coefficient(n, p)), (n, k, p, mt)
                     checked += 1
     assert checked == 6778
+
+
+@pytest.mark.parametrize("k, left_max", [(1, 6), (2, 6), (3, 6), (4, 6), (5, 4)])
+def test_batched_weights_equal_m_coefficients(k, left_max):
+    # one binomial expansion gives M^(left-1)_(q - 1_S) for every S, also
+    # for types no tuple has
+    subsets = strict_subsets(k)
+    for left in range(1, left_max + 1):
+        for q in itertools.product(range(left + 1), repeat=k):
+            expected = [
+                m_coefficient(left - 1, tuple(c - (t in s) for t, c in enumerate(q, start=1)))
+                for s in subsets
+            ]
+            assert _next_subset_weights(left, q, k) == expected, (left, q)
+
+
+@pytest.mark.parametrize(
+    "n, k, p, trials, seed, counts",
+    [
+        (6, 3, (2, 3, 4), 5000, 11, (76, 35, 46)),
+        (6, 4, (4, 4, 4, 4), 30000, 13, (27, 19, 21)),
+        (60, 3, (26, 26, 26), 400_000, 3, (440, 196, 186)),
+        (3, 1, (0,), 50, 2, (50, 50, 50)),
+        (5, 5, (4, 4, 3, 3, 2), 20000, 4, (7, 0, 2)),
+    ],
+)
+def test_sampler_counts_for_a_seed_are_pinned(n, k, p, trials, seed, counts):
+    # the seeded stream: the same randrange calls in the same order give
+    # the same counts, whatever the sampler memoizes
+    res = sample_puzzle(n, k, p, trials=trials, seed=seed)
+    assert (res.accepted, res.tree_hits, res.r1_hits) == counts
+
+
+def test_sampler_checks_its_first_weights_against_m(capsys, monkeypatch):
+    def off_by_one(left, q, k):
+        weights = _next_subset_weights(left, q, k)
+        return [weights[0] + 1, *weights[1:]]
+
+    monkeypatch.setattr("constellation_lab.puzzle._next_subset_weights", off_by_one)
+    with pytest.raises(AssertionError, match=r"sum to 4, not M\^3_\(1, 2\) = 3"):
+        sample_puzzle(3, 2, (1, 2), trials=100, seed=1)
+    code = main(["puzzle", "--n", "3", "--k", "2", "--p", "1,2", "--sample", "100"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
 
 
 def prefix_draw_law(n, k, p):
@@ -306,7 +353,7 @@ def prefix_draw_law(n, k, p):
         if len(prefix) == b:
             yield prefix, prob
             return
-        weights = _next_subset_weights(n - len(prefix), q, subsets, m_coefficient)
+        weights = _next_subset_weights(n - len(prefix), q, k)
         for s, w in zip(subsets, weights):
             if w:
                 rest = tuple(c - (t in s) for t, c in enumerate(q, start=1))
@@ -344,9 +391,9 @@ def test_prefix_draw_has_the_law_of_a_full_tuple(k, nmax):
 def test_sampler_draws_at_most_min_n_k_entries(monkeypatch, n, k, p, trials):
     lefts = set()
 
-    def recording(left, q, subsets, m):
+    def recording(left, q, k):
         lefts.add(left)
-        return _next_subset_weights(left, q, subsets, m)
+        return _next_subset_weights(left, q, k)
 
     monkeypatch.setattr("constellation_lab.puzzle._next_subset_weights", recording)
     sample_puzzle(n, k, p, trials=trials, seed=5)
