@@ -65,6 +65,9 @@ EXTRA = [
     ["--cap", "5", "roundtrip", "--bijection", "swap", "--n", "3", "--k", "2"],
     ["--cap", "5", "roundtrip", "--bijection", "lambda", "--n", "3", "--k", "2"],
     ["--cap", "1", "pointing-check", "--n", "3", "--k", "2"],
+    ["enumerate", "--what", "factorizations", "--n", "2", "--k", "2", "--p", "5,5"],
+    ["puzzle", "--n", "3", "--k", "2", "--p", "1,2", "--seed", "99"],
+    ["--out", "{dir}/out", "--cap", "10", "enumerate", "--what", "factorizations", "--n", "4", "--k", "2"],
 ]
 
 FORMATS = ("text", "json")

@@ -39,6 +39,8 @@ SWEEPS = [
     ["pointing-check", "--n", "2", "--k", "3"],
     ["pointing-check", "--n", "3", "--k", "3"],
     ["pointing-check", "--n", "4", "--k", "2"],
+    ["pointing-check", "--n", "5", "--k", "2"],
+    ["pointing-check", "--n", "3", "--k", "4"],
     ["puzzle", "--n", "4", "--k", "3", "--p", "2,3,1"],
     ["puzzle", "--n", "6", "--k", "2", "--p", "3,2"],
     ["puzzle", "--n", "6", "--k", "3", "--p", "2,3,4", "--sample", "20000", "--seed", "7"],

@@ -458,12 +458,6 @@ def canonical_labelling(nb: Nebula) -> LabelledNebula:
     )
 
 
-def nebula_key(nb: Nebula):
-    """Canonical encoding of a rooted nebula (its canonical prebidding)."""
-    pb = vartheta(canonical_labelling(nb))
-    return (pb.k, pb.order, pb.subsets)
-
-
 def labellings(nb: Nebula) -> Iterator[LabelledNebula]:
     """All n! * prod(p_t!) labellings of a rooted nebula."""
     m = nb.hmap
@@ -506,16 +500,3 @@ def enumerate_valid_prebiddings(
         for tour in enumerate_eulerian_tours(k, exits, _successor(k, mt.subsets)):
             yield Prebidding(k=k, order=tour[1:] + tour[:1], subsets=mt.subsets)
 
-
-def enumerate_valid_biddings(
-    n: int, k: int, p: Optional[Sequence[int]] = None
-) -> Iterator[Bidding]:
-    """All valid biddings, by brute force over omega tuples and subsets."""
-    from .counting import m_tuples
-    from .permutations import all_permutations
-
-    for mt in m_tuples(n, k, p):
-        for omegas in itertools.product(all_permutations(n), repeat=k):
-            b = Bidding(omegas=omegas, subsets=mt.subsets)
-            if is_valid_bidding(b):
-                yield b

@@ -18,7 +18,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import biddings, counting, nebulas, puzzle, symmetry, tree_rooted
-from .constellations import Constellation, constellation_to_dot, halfedge_to_dot
+from .constellations import Constellation, canonical_rooted, constellation_to_dot, halfedge_to_dot
 from .counting import CapExceededError, CheckReport, DEFAULT_CAP
 from .halfedges import HalfEdgeMap
 from .permutations import Composition, compositions_of
@@ -261,9 +261,9 @@ def _run_roundtrip(
     elif bijection == "lambda":
         for tp in nebulas.enumerate_tree_pointed(n, k, cap=cap):
             checked += 1
-            nb = nebulas.dual_opening(tp)
-            back = nebulas.canonical_tree_pointed(nebulas.dual_closure(nb))
-            if back != tp:
+            back = nebulas.dual_closure(nebulas.dual_opening(tp))
+            canon = canonical_rooted(back.constellation, back.arborescence)
+            if canon != (tp.constellation, tp.arborescence):
                 failures += 1
     elif bijection in ("theta", "sigma", "psi"):
         for pb in biddings.enumerate_valid_prebiddings(n, k, cap=cap):
@@ -295,6 +295,8 @@ def cmd_pointing_check(args) -> int:
 
 
 def cmd_puzzle(args) -> int:
+    if args.seed is not None and args.sample is None:
+        raise ValueError("puzzle takes --seed only with --sample")
     if args.sample is not None:
         result = puzzle.sample_puzzle(args.n, args.k, args.p, args.sample, args.seed)
         return _finish(
@@ -319,13 +321,20 @@ def cmd_puzzle(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.what == "factorizations":
+        if args.p is not None:
+            raise ValueError("enumerate --what factorizations takes no --p")
+        stream = counting.enumerate_factorizations(args.n, args.k, cap=args.cap)
+        lines = (json.dumps([list(q.image) for q in perms]) for perms in stream)
+    else:
+        stream = counting.m_tuples(args.n, args.k, args.p, cap=args.cap)
+        lines = (json.dumps(mt.to_json()) for mt in stream)
+    # the stream checks its arguments and the cap when asked for its first
+    # item, so a failing call exits before --out is opened (and truncated)
+    first = list(itertools.islice(lines, 1))
     with _output(args) as out:
-        if args.what == "factorizations":
-            for perms in counting.enumerate_factorizations(args.n, args.k, cap=args.cap):
-                out.write(json.dumps([list(q.image) for q in perms]) + "\n")
-        else:
-            for mt in counting.m_tuples(args.n, args.k, args.p, cap=args.cap):
-                out.write(json.dumps(mt.to_json()) + "\n")
+        for line in itertools.chain(first, lines):
+            out.write(line + "\n")
     return EXIT_OK
 
 
@@ -442,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--p", type=_parse_ints, required=True)
     sp.add_argument("--sample", type=int, default=None, help="Monte Carlo trials")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=None, help="sampler seed (default 0)")
 
     sp = add("enumerate", cmd_enumerate, help="emit streams as JSONL")
     sp.add_argument("--what", choices=["factorizations", "mtuples"], required=True)

@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Sequence
 
 from .counting import DEFAULT_CAP, _check_cap
 from .halfedges import BLACK, WHITE, HalfEdgeMap, _json_field, _json_int
-from .permutations import Permutation, all_permutations, compose_all, cycles
+from .permutations import Permutation, all_permutations, cycles
 
 Edge = tuple[int, int]  # (hyperedge id, type)
 Dart = tuple[int, int, int]  # (hyperedge id, type, side); side 0 = type-t end
@@ -156,14 +156,6 @@ class Arborescence:
 
     def edges(self) -> frozenset[Edge]:
         return frozenset(e for e in self.parent_edge if e is not None)
-
-    def to_json(self) -> dict:
-        return {
-            "root_vertex": self.root_vertex,
-            "parent_edge": {
-                str(v + 1): list(e) for v, e in enumerate(self.parent_edge) if e is not None
-            },
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -574,10 +566,19 @@ def bfs_hyperedge_relabelling(c: Constellation) -> dict[int, int]:
     return s
 
 
-def canonical_rooted(c: Constellation) -> tuple[Constellation, dict[int, int]]:
-    """Canonical form of a rooted constellation (root hyperedge becomes 1)."""
+def canonical_rooted(
+    c: Constellation, a: Optional[Arborescence] = None
+) -> tuple[Constellation, Optional[Arborescence]]:
+    """Canonical form of a rooted constellation (root hyperedge becomes 1).
+
+    The one canonical labelling of rooted, tree-rooted and tree-pointed
+    objects: hyperedges are renamed by :func:`bfs_hyperedge_relabelling`,
+    which reads neither labels, colors nor ``a``.  Returns the canonical
+    constellation and ``a`` carried along (None when no ``a`` is given).
+    """
     s = bfs_hyperedge_relabelling(c)
-    return relabel_hyperedges(c, s)
+    canon, vmap = relabel_hyperedges(c, s)
+    return canon, None if a is None else relabel_arborescence(a, s, vmap)
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +602,11 @@ def enumerate_rooted_constellations(
     """All rooted k-constellations of size n, in canonical form.
 
     Rooted objects are hyperedge-labelled objects modulo relabelling, so
-    every transitive tuple rooted at hyperedge 1 is canonicalized and
-    deduplicated.  The domain is walked once per (n, k, cap) for the life
-    of the process, with ``None`` read as ``DEFAULT_CAP``; the n!^k tuples
-    of the walk are checked against the cap before it starts
+    of the transitive tuples rooted at hyperedge 1 the walk keeps the one
+    per class that is already canonical: the tuple whose root-first BFS
+    labelling is the identity.  The domain is walked once per (n, k, cap)
+    for the life of the process, with ``None`` read as ``DEFAULT_CAP``; the
+    n!^k tuples of the walk are checked against the cap before it starts
     (:class:`CapExceededError`).  Each call filters the domain by
     ``type_vector`` (vertices per type) into a new list.
     """
@@ -618,11 +620,12 @@ def enumerate_rooted_constellations(
 @lru_cache(maxsize=None)
 def _rooted_constellations(n: int, k: int, cap: int) -> tuple[Constellation, ...]:
     _check_cap(factorial(n) ** k, cap)
-    out = {}
+    out = []
     for perms in transitive_tuples(n, k):
-        canon, _ = canonical_rooted(from_permutations(perms, root=1))
-        out[canon.hyperedges + canon.rotation + (canon.root,)] = canon
-    return tuple(sorted(out.values(), key=lambda c: (c.hyperedges, c.rotation)))
+        c = from_permutations(perms, root=1)
+        if all(h == g for h, g in bfs_hyperedge_relabelling(c).items()):
+            out.append(c)
+    return tuple(sorted(out, key=lambda c: (c.hyperedges, c.rotation)))
 
 
 enumerate_rooted_constellations.cache_info = _rooted_constellations.cache_info  # type: ignore[attr-defined]
@@ -700,7 +703,3 @@ def halfedge_to_dot(m: HalfEdgeMap) -> str:
                 lines.append(f'  v{m.vertex[x]} -- v{m.vertex[t]} [label="{m.type[x]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def product_of(c: Constellation) -> Permutation:
-    return compose_all(list(to_permutations(c)))

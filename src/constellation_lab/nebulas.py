@@ -11,26 +11,24 @@ of the one face no glued pair closed off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
-from typing import Iterator, Optional, Sequence
+from functools import lru_cache
+from math import factorial, prod
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .constellations import (
     Arborescence,
     Constellation,
     arborescences_toward,
-    bfs_hyperedge_relabelling,
     constellation_from_dual,
     dual,
     dual_black_dart,
     enumerate_rooted_constellations,
-    relabel_arborescence,
-    relabel_hyperedges,
     validate,
     validate_arborescence,
 )
-from .counting import CheckReport
+from .counting import DEFAULT_CAP, CheckReport
 from .halfedges import BLACK, WHITE, HalfEdgeMap, with_twins_cut, with_twins_joined
-from .tree_rooted import enumerate_tree_rooted
 
 
 @dataclass(frozen=True)
@@ -191,31 +189,6 @@ def _match_parenthesis(m: HalfEdgeMap, word: list[int]) -> list[tuple[int, int]]
     return pairs
 
 
-def _match_fixpoint(m: HalfEdgeMap, word: list[int]) -> list[tuple[int, int]]:
-    """Alternative strategy: repeatedly glue the last adjacent (white, black)
-    pair on the remaining cyclic word.  Used to certify order-independence."""
-    remaining = list(word)
-    pairs: list[tuple[int, int]] = []
-    while remaining:
-        n = len(remaining)
-        found = None
-        for idx in range(n - 1, -1, -1):
-            w, b = remaining[idx], remaining[(idx + 1) % n]
-            if (
-                m.vertex_color[m.vertex[w]] == WHITE
-                and m.vertex_color[m.vertex[b]] == BLACK
-            ):
-                found = idx
-                break
-        if found is None:
-            raise ValueError("no matching bud pair on a nonempty word")
-        w, b = remaining[found], remaining[(found + 1) % len(remaining)]
-        pairs.append((w, b))
-        remaining.remove(w)
-        remaining.remove(b)
-    return pairs
-
-
 def closure(nb: Nebula) -> tuple[HalfEdgeMap, tuple[tuple[int, int], ...]]:
     """Glue matching buds recursively; returns the dual-constellation and the
     bud-edges as (white dart, black dart) pairs, oriented white to black."""
@@ -310,49 +283,56 @@ def is_parenthesis_nebula(nb: Nebula) -> ParenthesisReport:
 # ---------------------------------------------------------------------------
 
 
-def canonical_tree_pointed(tp: TreePointedConstellation) -> TreePointedConstellation:
-    """Canonical hyperedge labels (root-first) with the decorations remapped."""
-    s = bfs_hyperedge_relabelling(tp.constellation)
-    new_c, vmap = relabel_hyperedges(tp.constellation, s)
-    return TreePointedConstellation(
-        constellation=new_c, arborescence=relabel_arborescence(tp.arborescence, s, vmap)
-    )
-
-
 def enumerate_tree_pointed(
-    n: int, k: int, reduced_type: Optional[Sequence[int]] = None, cap: Optional[int] = None
+    n: int, k: int, cap: Optional[int] = None
 ) -> Iterator[TreePointedConstellation]:
     """All tree-pointed constellations of size n (canonical forms); ``cap``
     bounds the rooted-constellation domain they are built from."""
-    target = None if reduced_type is None else tuple(reduced_type)
     for c in enumerate_rooted_constellations(n, k, cap=cap):
-        p = c.type_vector()
         for v0 in range(1, c.num_vertices + 1):
-            if target is not None:
-                t0 = c.vertex_type[v0 - 1]
-                reduced = tuple(x - (1 if t == t0 else 0) for t, x in enumerate(p, start=1))
-                if reduced != target:
-                    continue
             for arb in arborescences_toward(c, v0):
                 yield TreePointedConstellation(constellation=c, arborescence=arb)
 
 
-def count_tree_rooted(n: int, k: int, p: Sequence[int], cap: Optional[int] = None) -> int:
-    return sum(1 for _ in enumerate_tree_rooted(n, k, p, cap))
+@lru_cache(maxsize=None)
+def _pointing_census(n: int, k: int, cap: int) -> tuple[Mapping[tuple[int, ...], int], ...]:
+    """Both sides of the pointing correspondence, from one pass per size.
+
+    Returns ``(pointed, rooted)``: tree-pointed objects counted by reduced
+    type, and unlabelled tree-rooted objects (arborescences toward the
+    root vertex) counted by type.  Labels are free within each type, so a
+    type p has ``rooted[p] * prod p_t!`` labelled tree-rooted objects.
+    Memoized per (n, k, cap); callers read ``None`` as ``DEFAULT_CAP``.
+    """
+    pointed: dict[tuple[int, ...], int] = {}
+    rooted: dict[tuple[int, ...], int] = {}
+    for c in enumerate_rooted_constellations(n, k, cap=cap):
+        p = c.type_vector()
+        for v0 in range(1, c.num_vertices + 1):
+            count = sum(1 for _ in arborescences_toward(c, v0))
+            t0 = c.vertex_type[v0 - 1]
+            reduced = p[: t0 - 1] + (p[t0 - 1] - 1,) + p[t0:]
+            pointed[reduced] = pointed.get(reduced, 0) + count
+            if v0 == c.root_vertex:
+                rooted[p] = rooted.get(p, 0) + count
+    return MappingProxyType(pointed), MappingProxyType(rooted)
+
+
+def _labellings(p: Sequence[int]) -> int:
+    return prod(factorial(x) for x in p)
 
 
 def verify_pointing(n: int, k: int, p: Sequence[int], cap: Optional[int] = None) -> CheckReport:
     """Pointing correspondence: tree-pointed objects of reduced type p times
     the product of p_t! against the labelled tree-rooted unions; ``cap``
-    bounds the rooted-constellation domain both sides walk."""
+    bounds the rooted-constellation domain both sides are counted on."""
+    pointed, rooted = _pointing_census(n, k, DEFAULT_CAP if cap is None else cap)
     p = tuple(p)
-    lhs = sum(1 for _ in enumerate_tree_pointed(n, k, p, cap))
-    for pt in p:
-        lhs *= factorial(pt)
+    lhs = pointed.get(p, 0) * _labellings(p)
     rhs = 0
     for t in range(1, k + 1):
         bumped = tuple(x + (1 if s == t else 0) for s, x in enumerate(p, start=1))
-        rhs += count_tree_rooted(n, k, bumped, cap)
+        rhs += rooted.get(bumped, 0) * _labellings(bumped)
     return CheckReport(
         name="pointing",
         lhs=lhs,

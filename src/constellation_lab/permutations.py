@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -123,17 +123,6 @@ def cycle_type(p: Permutation) -> Composition:
 def cycle_string(p: Permutation) -> str:
     """Human-readable cycle notation, e.g. ``(1,3,2,5)(4)``."""
     return "".join("(" + ",".join(str(x) for x in c) + ")" for c in cycles(p))
-
-
-def from_cycles(n: int, cycs: Iterable[Iterable[int]]) -> Permutation:
-    """Build a permutation of [n] from cycles; omitted elements are fixed points."""
-    image = list(range(1, n + 1))
-    for cyc in cycs:
-        cyc = list(cyc)
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            image[a - 1] = b
-    p = Permutation(tuple(image))
-    return p
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:

@@ -448,7 +448,7 @@ def sample_puzzle(
     k: int,
     p: Sequence[int],
     trials: int,
-    seed: int,
+    seed: Optional[int] = None,
 ) -> SampleResult:
     """Exact-in-law estimates of both puzzle probabilities.
 
@@ -470,10 +470,10 @@ def sample_puzzle(
     after each mask, so a state's binomial expansion runs once per call.
     The tree test reads the successor map of the drawn prefix in the
     per-process memo that :func:`tree_probability` fills.  The generator is
-    seeded with the first 64 bits drawn from ``Random(seed)``, so results
-    depend only on the arguments; since the indices are drawn first and
-    fewer entries follow, a given seed gives other counts than a draw of all
-    n entries would.
+    seeded with the first 64 bits drawn from ``Random(seed)``, with None
+    read as 0, so results depend only on the arguments; since the indices
+    are drawn first and fewer entries follow, a given seed gives other
+    counts than a draw of all n entries would.
     Raises ValueError before drawing anything when n, k or trials is below 1
     or p is not a type vector of length k, and SamplingError, also a
     ValueError, when no trial is accepted.
@@ -487,6 +487,8 @@ def sample_puzzle(
     p = tuple(p)
     if len(p) != k or any(x < 0 for x in p):
         raise ValueError("bad type vector")
+    if seed is None:
+        seed = 0
     rng = random.Random(random.Random(seed).getrandbits(64))
     randrange = rng.randrange
     num, den = m_coefficient(n, p), (2**k - 1) ** n

@@ -16,7 +16,7 @@ edge of hyperedge g; the tour of the canonical input (product equal to
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Hashable, Iterator, Mapping, Optional, Sequence
 
 from .constellations import (
@@ -24,9 +24,8 @@ from .constellations import (
     Constellation,
     _norm_cycle,
     arborescences_toward,
+    canonical_rooted,
     enumerate_rooted_constellations,
-    relabel_arborescence,
-    relabel_hyperedges,
     validate,
     validate_arborescence,
 )
@@ -132,16 +131,6 @@ class TreeRootedConstellation:
         if self.arborescence.root_vertex != c.root_vertex:
             return "arborescence does not point to the root vertex"
         return None
-
-    def to_json(self) -> dict:
-        data = self.constellation.to_json()
-        data["arborescence"] = {
-            str(v + 1): list(e)
-            for v, e in enumerate(self.arborescence.parent_edge)
-            if e is not None
-        }
-        data["root_vertex"] = self.arborescence.root_vertex
-        return data
 
 
 # ---------------------------------------------------------------------------
@@ -285,25 +274,6 @@ def enumerate_eulerian_tours(v0, exits: Mapping, head: Callable) -> Iterator[tup
     yield from rec(v0)
 
 
-def digraph_arborescences(v0, exits: Mapping, head: Callable) -> Iterator[dict]:
-    """All arc sets {v != v0: outgoing arc} forming a tree toward v0."""
-    others = [v for v in exits if v != v0]
-
-    def reaches_v0(v, tree: dict) -> bool:
-        seen = set()
-        while v != v0:
-            if v in seen:
-                return False
-            seen.add(v)
-            v = head(v, tree[v])
-        return True
-
-    for combo in itertools.product(*(exits[v] for v in others)):
-        tree = dict(zip(others, combo))
-        if all(reaches_v0(v, tree) for v in others):
-            yield tree
-
-
 # ---------------------------------------------------------------------------
 # The bijection itself
 # ---------------------------------------------------------------------------
@@ -314,7 +284,9 @@ def phi(cf: ColoredFactorization) -> TreeRootedConstellation:
 
     Composition of the tour encoding, the last-exit decomposition, and the
     reassembly of exit orders as clockwise rotations; hyperedge labels are
-    then canonicalized away (first visit along the tour).
+    then canonicalized away by :func:`canonical_rooted` (root-first BFS),
+    so the images are exactly the objects :func:`enumerate_tree_rooted`
+    yields.
     Raises ValueError on invalid input.  The output is valid by construction
     and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
     """
@@ -348,11 +320,8 @@ def phi(cf: ColoredFactorization) -> TreeRootedConstellation:
         root=tour.arcs[0][1],
         labels=tuple(labels),
     )
-    t_rooted = TreeRootedConstellation(
-        constellation=c,
-        arborescence=Arborescence(root_vertex=vid[v0], parent_edge=tuple(parent)),
-    )
-    return canonical_tree_rooted(t_rooted)
+    arb = Arborescence(root_vertex=vid[v0], parent_edge=tuple(parent))
+    return TreeRootedConstellation(*canonical_rooted(c, arb))
 
 
 def tree_rooted_tour(t_rooted: TreeRootedConstellation) -> tuple[Arc, ...]:
@@ -373,19 +342,6 @@ def tree_rooted_tour(t_rooted: TreeRootedConstellation) -> tuple[Arc, ...]:
         t = c.vertex_type[v - 1]
         exits[v] = tuple((t, h) for h in rot[i:] + rot[:i])
     return best_compose(v0, exits, lambda v, arc: c.hyperedges[arc[1] - 1][arc[0] % c.k])
-
-
-def canonical_tree_rooted(t_rooted: TreeRootedConstellation) -> TreeRootedConstellation:
-    """Relabel hyperedges by first visit along the tour (root becomes 1)."""
-    seq = tree_rooted_tour(t_rooted)
-    s: dict[int, int] = {}
-    for _, h in seq:
-        if h not in s:
-            s[h] = len(s) + 1
-    new_c, vmap = relabel_hyperedges(t_rooted.constellation, s)
-    return TreeRootedConstellation(
-        constellation=new_c, arborescence=relabel_arborescence(t_rooted.arborescence, s, vmap)
-    )
 
 
 def phi_inverse(t_rooted: TreeRootedConstellation) -> ColoredFactorization:
@@ -410,11 +366,9 @@ def enumerate_tree_rooted(
 ) -> Iterator[TreeRootedConstellation]:
     """All vertex-labelled tree-rooted constellations of the given type;
     ``cap`` bounds the rooted-constellation domain they are built from."""
-    p = tuple(p)
-    for c in enumerate_rooted_constellations(n, k, p, cap):
-        v0 = c.root_vertex
-        for arb in arborescences_toward(c, v0):
-            by_type = [c.vertices_of_type(t) for t in range(1, k + 1)]
+    for c in enumerate_rooted_constellations(n, k, tuple(p), cap):
+        by_type = [c.vertices_of_type(t) for t in range(1, k + 1)]
+        for arb in arborescences_toward(c, c.root_vertex):
             for label_choice in itertools.product(
                 *(itertools.permutations(range(1, len(vs) + 1)) for vs in by_type)
             ):
@@ -423,14 +377,5 @@ def enumerate_tree_rooted(
                     for v, lab in zip(vs, perm):
                         labels[v - 1] = lab
                 yield TreeRootedConstellation(
-                    constellation=Constellation(
-                        k=c.k,
-                        n=c.n,
-                        hyperedges=c.hyperedges,
-                        vertex_type=c.vertex_type,
-                        rotation=c.rotation,
-                        root=c.root,
-                        labels=tuple(labels),
-                    ),
-                    arborescence=arb,
+                    constellation=replace(c, labels=tuple(labels)), arborescence=arb
                 )

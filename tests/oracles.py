@@ -2,14 +2,28 @@
 that a library function counts by a faster route."""
 import itertools
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
-from constellation_lab.biddings import TypedGraph, alpha
-
-from constellation_lab.constellations import canonical_rooted, from_permutations, transitive_tuples
+from constellation_lab.biddings import (
+    Bidding,
+    TypedGraph,
+    alpha,
+    canonical_labelling,
+    is_valid_bidding,
+    vartheta,
+)
+from constellation_lab.constellations import (
+    canonical_rooted,
+    from_permutations,
+    to_permutations,
+    transitive_tuples,
+)
 from constellation_lab.counting import m_tuples
-from constellation_lab.permutations import cycles
+from constellation_lab.halfedges import BLACK, WHITE
+from constellation_lab.nebulas import enumerate_tree_pointed
+from constellation_lab.permutations import Permutation, all_permutations, compose_all, cycles
 from constellation_lab.puzzle import UndefinedProbabilityError
+from constellation_lab.tree_rooted import enumerate_tree_rooted
 
 
 def tree_probability_by_tuples(n, k, p, cap=None):
@@ -75,3 +89,95 @@ def rooted_constellations_naive(n, k, type_vector=None):
         canon, _ = canonical_rooted(from_permutations(perms, root=1))
         out[canon.hyperedges + canon.rotation + (canon.root,)] = canon
     return sorted(out.values(), key=lambda c: (c.hyperedges, c.rotation))
+
+
+def pointing_counts_naive(n, k, p, cap=None):
+    """Both sides of the pointing correspondence by enumeration: tree-pointed
+    objects filtered by reduced type p, times prod p_t!, and every labelled
+    tree-rooted object of each type p + e_t; oracle for
+    :func:`constellation_lab.nebulas.verify_pointing`."""
+    p = tuple(p)
+    pointed = sum(1 for tp in enumerate_tree_pointed(n, k, cap) if tp.reduced_type() == p)
+    lhs = pointed * prod(factorial(x) for x in p)
+    rhs = 0
+    for t in range(k):
+        bumped = p[:t] + (p[t] + 1,) + p[t + 1:]
+        rhs += sum(1 for _ in enumerate_tree_rooted(n, k, bumped, cap))
+    return lhs, rhs
+
+
+def from_cycles(n, cycs):
+    """Build a permutation of [n] from cycles; omitted elements are fixed points."""
+    image = list(range(1, n + 1))
+    for cyc in cycs:
+        cyc = list(cyc)
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            image[a - 1] = b
+    return Permutation(tuple(image))
+
+
+def product_of(c):
+    """The product of the permutations a constellation represents."""
+    return compose_all(list(to_permutations(c)))
+
+
+def digraph_arborescences(v0, exits, head):
+    """All arc sets {v != v0: outgoing arc} forming a tree toward v0, by brute
+    force over every choice of one exit per vertex (digraphs as in
+    :func:`constellation_lab.tree_rooted.best_compose`)."""
+    others = [v for v in exits if v != v0]
+
+    def reaches_v0(v, tree):
+        seen = set()
+        while v != v0:
+            if v in seen:
+                return False
+            seen.add(v)
+            v = head(v, tree[v])
+        return True
+
+    for combo in itertools.product(*(exits[v] for v in others)):
+        tree = dict(zip(others, combo))
+        if all(reaches_v0(v, tree) for v in others):
+            yield tree
+
+
+def _match_fixpoint(m, word):
+    """Alternative to :func:`constellation_lab.nebulas._match_parenthesis`:
+    repeatedly glue the last adjacent (white, black) pair on the remaining
+    cyclic word.  Used to certify order-independence."""
+    remaining = list(word)
+    pairs = []
+    while remaining:
+        n = len(remaining)
+        found = None
+        for idx in range(n - 1, -1, -1):
+            w, b = remaining[idx], remaining[(idx + 1) % n]
+            if (
+                m.vertex_color[m.vertex[w]] == WHITE
+                and m.vertex_color[m.vertex[b]] == BLACK
+            ):
+                found = idx
+                break
+        if found is None:
+            raise ValueError("no matching bud pair on a nonempty word")
+        w, b = remaining[found], remaining[(found + 1) % len(remaining)]
+        pairs.append((w, b))
+        remaining.remove(w)
+        remaining.remove(b)
+    return pairs
+
+
+def nebula_key(nb):
+    """Canonical encoding of a rooted nebula (its canonical prebidding)."""
+    pb = vartheta(canonical_labelling(nb))
+    return (pb.k, pb.order, pb.subsets)
+
+
+def enumerate_valid_biddings(n, k, p=None):
+    """All valid biddings, by brute force over omega tuples and subsets."""
+    for mt in m_tuples(n, k, p):
+        for omegas in itertools.product(all_permutations(n), repeat=k):
+            b = Bidding(omegas=omegas, subsets=mt.subsets)
+            if is_valid_bidding(b):
+                yield b

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import enumerate_valid_biddings, nebula_key
 
 from constellation_lab.biddings import (
     Bidding,
@@ -12,11 +13,9 @@ from constellation_lab.biddings import (
     alpha,
     alpha_graph,
     canonical_labelling,
-    enumerate_valid_biddings,
     enumerate_valid_prebiddings,
     is_valid_bidding,
     labellings,
-    nebula_key,
     psi,
     psi_inverse,
     sigma,

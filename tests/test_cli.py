@@ -255,9 +255,48 @@ def test_enumerate_jsonl(capsys, tmp_path):
     assert sorted(lines) == ['[[1], [2]]', '[[2], [1]]']
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--cap", "10", "enumerate", "--what", "factorizations", "--n", "4", "--k", "2"], 3),
+        (["enumerate", "--what", "mtuples", "--n", "3", "--k", "2", "--p", "1,1,1"], 2),
+    ],
+)
+def test_enumerate_keeps_the_out_file_when_the_stream_fails(tmp_path, capsys, argv, code):
+    path = tmp_path / "out"
+    path.write_text("earlier data\n")
+    assert main(["--out", str(path), *argv]) == code
+    assert path.read_text() == "earlier data\n"
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_enumerate_factorizations_rejects_p(capsys):
+    argv = ["enumerate", "--what", "factorizations", "--n", "2", "--k", "2", "--p", "5,5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: enumerate --what factorizations takes no --p\n"
+
+
+def test_puzzle_rejects_seed_without_sample(capsys):
+    assert main(["puzzle", "--n", "3", "--k", "2", "--p", "1,2", "--seed", "99"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: puzzle takes --seed only with --sample\n"
+
+
+def test_puzzle_sample_reports_seed_zero_by_default(capsys):
+    argv = ["--format", "json", "puzzle", "--n", "3", "--k", "2", "--p", "1,2", "--sample", "50"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    code, seeded = run(capsys, *argv, "--seed", "0")
+    assert json.loads(out)["results"][0]["seed"] == 0 and out == seeded
+
+
 def test_render_constellation(capsys, tmp_path):
     from constellation_lab.constellations import from_permutations
-    from constellation_lab.permutations import from_cycles
+    from oracles import from_cycles
 
     c = from_permutations(
         (from_cycles(2, [[1, 2]]), from_cycles(2, [])), root=1

@@ -3,10 +3,11 @@ import random
 from dataclasses import replace
 
 import pytest
-from oracles import rooted_constellations_naive
+from oracles import from_cycles, product_of, rooted_constellations_naive
 
 from constellation_lab.cli import main
 from constellation_lab.counting import CapExceededError
+from constellation_lab.nebulas import _pointing_census
 from constellation_lab.constellations import (
     Arborescence,
     Constellation,
@@ -22,7 +23,7 @@ from constellation_lab.constellations import (
     halfedge_to_dot,
     is_cactus,
     is_transitive,
-    product_of,
+    relabel_arborescence,
     relabel_hyperedges,
     to_permutations,
     transitive_tuples,
@@ -34,7 +35,6 @@ from constellation_lab.permutations import (
     Permutation,
     all_permutations,
     cycles,
-    from_cycles,
     identity,
     long_cycle,
 )
@@ -297,12 +297,33 @@ def test_json_roundtrip():
 
 
 def test_canonical_rooted_is_idempotent_and_label_free():
+    rng = random.Random(5)
     for perms in itertools.islice(transitive_tuples(3, 2), 40):
         c = from_permutations(perms, root=1)
-        canon, _ = canonical_rooted(c)
-        assert canon.root == 1
+        canon, no_arb = canonical_rooted(c)
+        assert canon.root == 1 and no_arb is None
         again, _ = canonical_rooted(canon)
         assert again == canon
+        # vertex labels ride along and do not change the labelling
+        labels = tuple(
+            c.vertices_of_type(t)[::-1].index(v) + 1 for v, t in enumerate(c.vertex_type, start=1)
+        )
+        labelled, _ = canonical_rooted(replace(c, labels=labels))
+        assert validate(labelled) is None and replace(labelled, labels=None) == canon
+        # an arborescence is carried along and does not change the labelling;
+        # nor do the hyperedge labels it was given under
+        images = list(range(1, c.n + 1))
+        rng.shuffle(images)
+        s = dict(zip(range(1, c.n + 1), images))
+        shuffled, vmap = relabel_hyperedges(c, s)
+        for v0 in range(1, c.num_vertices + 1):
+            for a in arborescences_toward(c, v0):
+                got_c, got_a = canonical_rooted(c, a)
+                assert got_c == canon
+                assert validate_arborescence(got_c, got_a) is None
+                assert canonical_rooted(got_c, got_a) == (got_c, got_a)
+                moved = relabel_arborescence(a, s, vmap)
+                assert canonical_rooted(shuffled, moved) == (got_c, got_a)
 
 
 def test_arborescence_enumeration_smoke():
@@ -337,12 +358,15 @@ def test_rooted_constellations_match_a_fresh_walk_per_type(n, k):
 
 def test_rooted_constellations_are_walked_once_per_size(capsys):
     enumerate_rooted_constellations.cache_clear()
+    _pointing_census.cache_clear()
     try:
         assert main(["pointing-check", "--n", "3", "--k", "2"]) == 0
         info = enumerate_rooted_constellations.cache_info()
-        assert info.misses == 1 and info.hits > 0
+        # one walk of the domain, then one pointing census read for every type
+        assert info.misses == 1 and _pointing_census.cache_info().hits > 0
     finally:
         enumerate_rooted_constellations.cache_clear()
+        _pointing_census.cache_clear()
 
 
 def test_rooted_constellations_check_the_cap_before_the_walk(monkeypatch):

@@ -2,10 +2,11 @@ import itertools
 from collections import Counter
 
 import pytest
+from oracles import _match_fixpoint, nebula_key, pointing_counts_naive
 
-from constellation_lab.biddings import nebula_key
 from constellation_lab.constellations import (
     Arborescence,
+    canonical_rooted,
     from_permutations,
 )
 from constellation_lab.halfedges import BLACK, WHITE
@@ -13,9 +14,8 @@ from constellation_lab.nebulas import (
     Nebula,
     TreePointedConstellation,
     _bud_word,
-    _match_fixpoint,
     _match_parenthesis,
-    canonical_tree_pointed,
+    _pointing_census,
     closure,
     dual_closure,
     dual_opening,
@@ -24,6 +24,10 @@ from constellation_lab.nebulas import (
     verify_pointing,
 )
 from constellation_lab.permutations import identity
+
+
+def canonical_tree_pointed(tp):
+    return TreePointedConstellation(*canonical_rooted(tp.constellation, tp.arborescence))
 
 
 def size_one_pointed(k=3, v0_type=3):
@@ -117,6 +121,16 @@ def test_verify_pointing_small():
             assert r.equal, r
     empty = verify_pointing(1, 2, (1, 1))  # both sides vanish
     assert empty.equal and empty.lhs == 0 and empty.rhs == 0
+
+
+POINTING_GRID = [(n, 2) for n in (1, 2, 3, 4)] + [(n, 3) for n in (1, 2, 3)] + [(1, 4), (2, 4)]
+
+
+@pytest.mark.parametrize("n, k", POINTING_GRID)
+def test_pointing_census_matches_the_naive_walk(n, k):
+    for p in itertools.product(range(0, n + 2), repeat=k):
+        r = verify_pointing(n, k, p)
+        assert (r.lhs, r.rhs) == pointing_counts_naive(n, k, p), p
 
 
 def test_parenthesis_budless_is_true():

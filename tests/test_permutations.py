@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
+from oracles import from_cycles
 
 from constellation_lab.permutations import (
     Composition,
@@ -12,7 +13,6 @@ from constellation_lab.permutations import (
     cycle_string,
     cycle_type,
     cycles,
-    from_cycles,
     identity,
     inverse,
     long_cycle,

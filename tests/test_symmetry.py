@@ -11,7 +11,12 @@ from constellation_lab.symmetry import (
     transport_inverse,
     transport_schedule,
 )
-from constellation_lab.tree_rooted import canonical_tree_rooted, enumerate_tree_rooted
+from constellation_lab.constellations import canonical_rooted
+from constellation_lab.tree_rooted import TreeRootedConstellation, enumerate_tree_rooted
+
+
+def canonical_tree_rooted(t_obj):
+    return TreeRootedConstellation(*canonical_rooted(t_obj.constellation, t_obj.arborescence))
 
 
 def tree_rooted_objects(n, k):
