@@ -68,6 +68,8 @@ EXTRA = [
     ["enumerate", "--what", "factorizations", "--n", "2", "--k", "2", "--p", "5,5"],
     ["puzzle", "--n", "3", "--k", "2", "--p", "1,2", "--seed", "99"],
     ["--out", "{dir}/out", "--cap", "10", "enumerate", "--what", "factorizations", "--n", "4", "--k", "2"],
+    ["roundtrip", "--bijection", "phi", "--n", "2", "--k", "2", "--p", "9,9"],
+    ["roundtrip", "--bijection", "swap", "--n", "1", "--k", "2", "--p", "1,1"],
 ]
 
 FORMATS = ("text", "json")

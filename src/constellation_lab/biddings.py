@@ -203,9 +203,6 @@ class LabelledNebula:
     black_labels: tuple[tuple[int, int], ...]  # (vertex, label), sorted by vertex
     white_bud_labels: tuple[tuple[int, int], ...]  # (dart, label), sorted by dart
 
-    def black_label(self, v: int) -> int:
-        return dict(self.black_labels)[v]
-
     def label_sets(self) -> tuple[frozenset[int], ...]:
         """R_i: the bud types at the black vertex labelled i."""
         m = self.nebula.hmap

@@ -215,10 +215,71 @@ def cmd_symmetry_check(args) -> int:
     return _finish(args, "symmetry-check", results, ok, lines)
 
 
+def _colored(n: int, k: int, p: Optional[tuple[int, ...]], cap: int):
+    for pv in [p] if p else _p_grid(n, k):
+        yield from counting.enumerate_colored_factorizations(n, k, pv, cap=cap)
+
+
+def _swap_domain(n: int, k: int, p: Optional[tuple[int, ...]], cap: int):
+    """(object, t, i, j) for labels i != j of type t, vertex i of hyperdegree >= 2."""
+    for pv in [p] if p else _p_grid(n, k):
+        for obj in tree_rooted.enumerate_tree_rooted(n, k, pv, cap):
+            c = obj.constellation
+            for t in range(1, k + 1):
+                for i, j in itertools.permutations(range(1, pv[t - 1] + 1), 2):
+                    if c.hyperdegree(c.vertex_by_label(t, i)) >= 2:
+                        yield obj, t, i, j
+
+
+def _swap(x):
+    obj, t, i, j = x
+    return symmetry.swap_degree(obj, t, i, j), t, j, i
+
+
+def _close(nb) -> nebulas.TreePointedConstellation:
+    """dual_closure in the canonical form that enumerate_tree_pointed yields."""
+    back = nebulas.dual_closure(nb)
+    return nebulas.TreePointedConstellation(*canonical_rooted(back.constellation, back.arborescence))
+
+
+def _prebiddings(n: int, k: int, p: Optional[tuple[int, ...]], cap: int):
+    return biddings.enumerate_valid_prebiddings(n, k, p, cap)
+
+
+# bijection -> (domain(n, k, p, cap), forward, inverse, takes --p); the maps are
+# looked up on each call, so a patched or traced module function is the one that runs
+ROUNDTRIPS = {
+    "phi": (_colored, lambda x: tree_rooted.phi(x), lambda x: tree_rooted.phi_inverse(x), True),
+    "swap": (_swap_domain, _swap, _swap, True),
+    "lambda": (lambda n, k, p, cap: nebulas.enumerate_tree_pointed(n, k, cap),
+               lambda x: nebulas.dual_opening(x), _close, False),
+    "theta": (_prebiddings, lambda x: biddings.vartheta_inverse(x),
+              lambda x: biddings.vartheta(x), False),
+    "sigma": (_prebiddings, lambda x: biddings.sigma(x), lambda x: biddings.sigma_inverse(x), False),
+    "psi": (lambda n, k, p, cap: map(biddings.sigma, _prebiddings(n, k, p, cap)),
+            lambda x: biddings.psi_inverse(x), lambda x: biddings.psi(x), False),
+}
+
+
+def _run_roundtrip(bijection: str, n: int, k: int, p: Optional[tuple[int, ...]], cap: int):
+    domain, forward, inverse, _ = ROUNDTRIPS[bijection]
+    checked = failures = 0
+    # the domain's argument and cap errors propagate; a map rejecting its input fails the check
+    for x in domain(n, k, p, cap):
+        checked += 1
+        try:
+            same = inverse(forward(x)) == x
+        except ValueError:
+            same = False
+        failures += not same
+    return checked, failures
+
+
 @_sweep
 def cmd_roundtrip(args) -> int:
+    *_, takes_p = ROUNDTRIPS[args.bijection]
     if args.p is not None:
-        if args.bijection not in ("phi", "swap"):
+        if not takes_p:
             raise ValueError(f"roundtrip --bijection {args.bijection} takes no --p")
         _check_factors(args, "--p", args.p)
     checked, failures = _run_roundtrip(args.bijection, args.n, args.k, args.p, args.cap)
@@ -229,58 +290,6 @@ def cmd_roundtrip(args) -> int:
         failures == 0,
         [f"{args.bijection}: {checked} roundtrips, {failures} failures"],
     )
-
-
-def _run_roundtrip(
-    bijection: str, n: int, k: int, p: Optional[tuple[int, ...]], cap: int
-):
-    checked = failures = 0
-    if bijection == "phi":
-        ps = [p] if p else [tuple(q) for q in _p_grid(n, k)]
-        for pv in ps:
-            for cf in counting.enumerate_colored_factorizations(n, k, pv, cap=cap):
-                checked += 1
-                if tree_rooted.phi_inverse(tree_rooted.phi(cf)) != cf:
-                    failures += 1
-    elif bijection == "swap":
-        ps = [p] if p else [tuple(q) for q in _p_grid(n, k)]
-        for pv in ps:
-            for t_obj in tree_rooted.enumerate_tree_rooted(n, k, pv, cap):
-                for t in range(1, k + 1):
-                    pt = pv[t - 1]
-                    for i, j in itertools.permutations(range(1, pt + 1), 2):
-                        u = t_obj.constellation.vertex_by_label(t, i)
-                        if t_obj.constellation.hyperdegree(u) < 2:
-                            continue
-                        checked += 1
-                        back = symmetry.swap_degree(
-                            symmetry.swap_degree(t_obj, t, i, j), t, j, i
-                        )
-                        if back != t_obj:
-                            failures += 1
-    elif bijection == "lambda":
-        for tp in nebulas.enumerate_tree_pointed(n, k, cap=cap):
-            checked += 1
-            back = nebulas.dual_closure(nebulas.dual_opening(tp))
-            canon = canonical_rooted(back.constellation, back.arborescence)
-            if canon != (tp.constellation, tp.arborescence):
-                failures += 1
-    elif bijection in ("theta", "sigma", "psi"):
-        for pb in biddings.enumerate_valid_prebiddings(n, k, cap=cap):
-            checked += 1
-            if bijection == "theta":
-                if biddings.vartheta(biddings.vartheta_inverse(pb)) != pb:
-                    failures += 1
-            elif bijection == "sigma":
-                if biddings.sigma_inverse(biddings.sigma(pb)) != pb:
-                    failures += 1
-            else:
-                b = biddings.sigma(pb)
-                if biddings.psi(biddings.psi_inverse(b)) != b:
-                    failures += 1
-    else:
-        raise argparse.ArgumentTypeError(f"unknown bijection {bijection}")
-    return checked, failures
 
 
 @_sweep
@@ -436,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
 
     sp = add("roundtrip", cmd_roundtrip, help="exhaustive bijection roundtrips")
-    sp.add_argument("--bijection", choices=["phi", "swap", "lambda", "theta", "sigma", "psi"], required=True)
+    sp.add_argument("--bijection", choices=list(ROUNDTRIPS), required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--p", type=_parse_ints)

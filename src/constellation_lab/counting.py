@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -230,7 +230,7 @@ def count_colored(n: int, p: Sequence[int], cap: Optional[int] = None) -> int:
     if any(pt > n for pt in p):
         return 0
     return sum(
-        cnt * _prod(surjection_count(len(lam), pt) for lam, pt in zip(lams, p))
+        cnt * prod(surjection_count(len(lam), pt) for lam, pt in zip(lams, p))
         for lams, cnt in cycle_type_census(n, len(p), cap).items()
     )
 
@@ -260,7 +260,7 @@ def count_by_color_compositions(
     if any(g.size != n for g in gammas):
         raise ValueError("compositions must all have the same size")
     return sum(
-        cnt * _prod(_composition_assignments(lam, g.parts) for lam, g in zip(lams, gammas))
+        cnt * prod(_composition_assignments(lam, g.parts) for lam, g in zip(lams, gammas))
         for lams, cnt in cycle_type_census(n, k, cap).items()
     )
 
@@ -356,7 +356,7 @@ def m_coefficient(n: int, p: Sequence[int], k: Optional[int] = None) -> int:
         raise ValueError("need k >= 1")
     # math.comb rejects negative arguments, and every term past min(n, p) is 0
     return sum(
-        (-1) ** j * comb(n, j) * _prod(comb(n - j, x - j) for x in p)
+        (-1) ** j * comb(n, j) * prod(comb(n - j, x - j) for x in p)
         for j in range(min(n, *p) + 1)
     )
 
@@ -393,14 +393,14 @@ def verify_gf_identity(
     if len(xs) != k or any(x < 0 for x in xs):
         raise ValueError("need k nonnegative integers")
     lhs = sum(
-        cnt * _prod(x ** len(lam) for x, lam in zip(xs, lams))
+        cnt * prod(x ** len(lam) for x, lam in zip(xs, lams))
         for lams, cnt in cycle_type_census(n, k, cap).items()
     )
     rhs = 0
     for p in itertools.product(range(1, n + 1), repeat=k):
         term = factorial(n) ** (k - 1) * m_coefficient(n - 1, tuple(x - 1 for x in p))
         if term:
-            rhs += term * _prod(comb(x, pt) for x, pt in zip(xs, p))
+            rhs += term * prod(comb(x, pt) for x, pt in zip(xs, p))
     return CheckReport(
         name="gf-identity",
         lhs=lhs,
@@ -420,7 +420,7 @@ def verify_mv_formula(
     num = factorial(n) ** (k - 1) * m_coefficient(
         n - 1, tuple(g.length - 1 for g in gammas)
     )
-    den = _prod(comb(n - 1, g.length - 1) for g in gammas)
+    den = prod(comb(n - 1, g.length - 1) for g in gammas)
     rhs = Fraction(num, den)
     return CheckReport(
         name="mv-formula",
@@ -429,10 +429,3 @@ def verify_mv_formula(
         equal=lhs == rhs,
         params=(("n", n), ("k", k), ("gammas", tuple(str(g) for g in gammas))),
     )
-
-
-def _prod(it) -> int:
-    out = 1
-    for x in it:
-        out *= x
-    return out

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from math import comb, prod
@@ -6,7 +7,7 @@ import pytest
 
 from constellation_lab.biddings import Bidding, psi_inverse
 from constellation_lab.constellations import Constellation, dual
-from constellation_lab import cli, counting, nebulas
+from constellation_lab import cli, counting, nebulas, tree_rooted
 from constellation_lab.cli import main
 from constellation_lab.permutations import Permutation
 
@@ -104,6 +105,38 @@ def test_lambda_roundtrip_counts_a_closure_to_another_object(capsys, monkeypatch
     code, out = run(capsys, "roundtrip", "--bijection", "lambda", "--n", "3", "--k", "2")
     assert code == cli.EXIT_FAILED
     assert f"lambda: {len(domain)} roundtrips, {len(domain) - 1} failures" in out
+
+
+def _rootless_opening(tp):
+    nb = nebulas.dual_opening(tp)
+    return nebulas.Nebula(hmap=dataclasses.replace(nb.hmap, root=None))
+
+
+def _parentless_phi(cf):
+    t = tree_rooted.phi(cf)
+    arb = dataclasses.replace(t.arborescence, parent_edge=(None,) * len(t.arborescence.parent_edge))
+    return dataclasses.replace(t, arborescence=arb)
+
+
+@pytest.mark.parametrize(
+    "bijection, broken_forward, size",
+    [("lambda", _rootless_opening, 10), ("phi", _parentless_phi, 6)],
+)
+def test_roundtrip_counts_a_rejected_intermediate_object_as_a_failure(
+    capsys, monkeypatch, bijection, broken_forward, size
+):
+    # the inverse map rejects what the broken forward map hands it: a failed
+    # check (exit 1), not a usage error
+    domain, _, inverse, takes_p = cli.ROUNDTRIPS[bijection]
+    first = next(iter(domain(2, 2, None, counting.DEFAULT_CAP)))
+    with pytest.raises(ValueError):
+        inverse(broken_forward(first))
+    monkeypatch.setitem(cli.ROUNDTRIPS, bijection, (domain, broken_forward, inverse, takes_p))
+    code = main(["roundtrip", "--bijection", bijection, "--n", "2", "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_FAILED == 1
+    assert f"{bijection}: {size} roundtrips, {size} failures\n" in captured.out
+    assert captured.err == ""
 
 
 def test_invalid_cap_env_var_is_usage_error(capsys, monkeypatch):
