@@ -70,6 +70,8 @@ EXTRA = [
     ["--out", "{dir}/out", "--cap", "10", "enumerate", "--what", "factorizations", "--n", "4", "--k", "2"],
     ["roundtrip", "--bijection", "phi", "--n", "2", "--k", "2", "--p", "9,9"],
     ["roundtrip", "--bijection", "swap", "--n", "1", "--k", "2", "--p", "1,1"],
+    ["roundtrip", "--bijection", "lambda", "--n", "2", "--k", "4"],
+    ["roundtrip", "--bijection", "lambda", "--n", "4", "--k", "2"],
 ]
 
 FORMATS = ("text", "json")

@@ -18,7 +18,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import biddings, counting, nebulas, puzzle, symmetry, tree_rooted
-from .constellations import Constellation, canonical_rooted, constellation_to_dot, halfedge_to_dot
+from .constellations import Constellation, constellation_to_dot, halfedge_to_dot
 from .counting import CapExceededError, CheckReport, DEFAULT_CAP
 from .halfedges import HalfEdgeMap
 from .permutations import Composition, compositions_of
@@ -236,12 +236,6 @@ def _swap(x):
     return symmetry.swap_degree(obj, t, i, j), t, j, i
 
 
-def _close(nb) -> nebulas.TreePointedConstellation:
-    """dual_closure in the canonical form that enumerate_tree_pointed yields."""
-    back = nebulas.dual_closure(nb)
-    return nebulas.TreePointedConstellation(*canonical_rooted(back.constellation, back.arborescence))
-
-
 def _prebiddings(n: int, k: int, p: Optional[tuple[int, ...]], cap: int):
     return biddings.enumerate_valid_prebiddings(n, k, p, cap)
 
@@ -252,7 +246,7 @@ ROUNDTRIPS = {
     "phi": (_colored, lambda x: tree_rooted.phi(x), lambda x: tree_rooted.phi_inverse(x), True),
     "swap": (_swap_domain, _swap, _swap, True),
     "lambda": (lambda n, k, p, cap: nebulas.enumerate_tree_pointed(n, k, cap),
-               lambda x: nebulas.dual_opening(x), _close, False),
+               lambda x: nebulas.dual_opening(x), lambda x: nebulas.dual_closure(x), False),
     "theta": (_prebiddings, lambda x: biddings.vartheta_inverse(x),
               lambda x: biddings.vartheta(x), False),
     "sigma": (_prebiddings, lambda x: biddings.sigma(x), lambda x: biddings.sigma_inverse(x), False),

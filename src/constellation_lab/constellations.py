@@ -9,10 +9,10 @@ permutation are the counterclockwise hyperedge orders around the type-t
 vertices, so the stored clockwise rotations are the reversed cycles.
 
 Edges are pairs (h, t): the type-t side of hyperedge h, joining its
-type-t vertex to its type-(t+1) vertex.  Each edge has a "lo" dart at the
-type-t end and a "hi" dart at the other end; faces are traced with the
-clockwise-tour step dart -> cw_next(twin(dart)).  Hi-dart orbits are
-exactly the n black k-gons, lo-dart orbits are the white faces.
+type-t vertex to its type-(t+1) vertex.  The white faces are the white
+vertices of the dual map, which :func:`dual` writes straight from the
+rotations; faces are traced only by :class:`HalfEdgeMap`, so genus is
+read off the dual.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from .halfedges import BLACK, WHITE, HalfEdgeMap, _json_field, _json_int
 from .permutations import Permutation, all_permutations, cycles
 
 Edge = tuple[int, int]  # (hyperedge id, type)
-Dart = tuple[int, int, int]  # (hyperedge id, type, side); side 0 = type-t end
 
 
 def _norm_cycle(seq: Sequence[int]) -> tuple[int, ...]:
@@ -334,59 +333,8 @@ def validate_arborescence(c: Constellation, a: Arborescence) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-def _cw_dart_order(c: Constellation, v: int) -> list[Dart]:
-    """Clockwise dart listing around v: per hyperedge the lo dart of its
-    type-t edge then the hi dart of its type-(t-1) edge."""
-    t = c.vertex_type[v - 1]
-    t_prev = (t - 2) % c.k + 1
-    out: list[Dart] = []
-    for h in c.rotation[v - 1]:
-        out.append((h, t, 0))
-        out.append((h, t_prev, 1))
-    return out
-
-
-def _face_orbits(c: Constellation) -> list[list[Dart]]:
-    """Orbits of the clockwise tour step on all 2nk darts."""
-    cw_next: dict[Dart, Dart] = {}
-    for v in range(1, c.num_vertices + 1):
-        order = _cw_dart_order(c, v)
-        for d, d2 in zip(order, order[1:] + order[:1]):
-            cw_next[d] = d2
-    faces: list[list[Dart]] = []
-    seen: set[Dart] = set()
-    for d0 in sorted(cw_next):
-        if d0 in seen:
-            continue
-        orbit = []
-        d = d0
-        while d not in seen:
-            seen.add(d)
-            orbit.append(d)
-            h, t, side = d
-            d = cw_next[(h, t, 1 - side)]
-        faces.append(orbit)
-    return faces
-
-
-def white_faces(c: Constellation) -> list[list[Dart]]:
-    """The white faces as lo-dart tour cycles; hi-dart orbits are the black k-gons."""
-    whites = []
-    for orbit in _face_orbits(c):
-        sides = {side for (_, _, side) in orbit}
-        if len(sides) != 1:
-            raise AssertionError("face orbit mixes sides; corrupted rotations")
-        if sides == {0}:
-            whites.append(orbit)
-        else:
-            hs = {h for (h, _, _) in orbit}
-            if len(hs) != 1 or len(orbit) != c.k:
-                raise AssertionError("black face is not a single k-gon")
-    return whites
-
-
 def white_face_count(c: Constellation) -> int:
-    return len(white_faces(c))
+    return dual(c).num_vertices - c.n
 
 
 def is_cactus(c: Constellation) -> bool:
@@ -394,14 +342,8 @@ def is_cactus(c: Constellation) -> bool:
 
 
 def genus(c: Constellation) -> int:
-    """Genus via V - E + F = 2 - 2g with E = nk and F = n + #white faces."""
-    v = c.num_vertices
-    e = c.n * c.k
-    f = c.n + white_face_count(c)
-    chi = v - e + f
-    if chi % 2 != 0 or chi > 2:
-        raise ValueError(f"inconsistent Euler characteristic {chi}")
-    return (2 - chi) // 2
+    """Genus of the dual map, which is that of c (V - E + F = 2 - 2g)."""
+    return dual(c).genus()
 
 
 def _edge_index(c: Constellation, e: Edge) -> int:
@@ -422,35 +364,43 @@ def dual(c: Constellation) -> HalfEdgeMap:
     """The dual map: black vertices are hyperedges, white vertices are white faces.
 
     Types increase clockwise around black vertices and decrease around
-    white ones (the white rotation is the reversed white-face tour).
-    Dart ids follow :func:`dual_black_dart` / :func:`dual_white_dart`;
-    black vertex ids are h-1, white vertex ids follow after n.
+    white ones.  Where g comes just before h clockwise around a type-t
+    vertex, the dual edge crossing (h, t) follows the one crossing
+    (g, t-1) clockwise around their white vertex.  Dart ids follow
+    :func:`dual_black_dart` / :func:`dual_white_dart`; black vertex ids
+    are h-1, and white vertex ids n, n+1, ... number the white rotations
+    in increasing order of their least dart.
     """
-    whites = white_faces(c)
-    H = 2 * c.n * c.k
-    vertex = [0] * H
+    k = c.k
+    H = 2 * c.n * k
+    vertex = [-1] * H
     nxt = [0] * H
     twin: list[Optional[int]] = [0] * H
     dtype = [0] * H
     for h in range(1, c.n + 1):
-        for t in range(1, c.k + 1):
+        for t in range(1, k + 1):
             b = dual_black_dart(c, (h, t))
             w = b + 1
             vertex[b] = h - 1
             dtype[b] = dtype[w] = t
             twin[b] = w
             twin[w] = b
-            t_next = t % c.k + 1
-            nxt[b] = dual_black_dart(c, (h, t_next))
-    for f, orbit in enumerate(whites):
-        wv = c.n + f
-        for d_prev, d in zip(orbit, orbit[1:] + orbit[:1]):
-            w = dual_white_dart(c, (d[0], d[1]))
-            vertex[w] = wv
-            nxt[w] = dual_white_dart(c, (d_prev[0], d_prev[1]))
-    colors = tuple([BLACK] * c.n + [WHITE] * len(whites))
+            nxt[b] = dual_black_dart(c, (h, t % k + 1))
+    for t, rot in zip(c.vertex_type, c.rotation):
+        t_prev = (t - 2) % k + 1
+        for g, h in zip(rot[-1:] + rot[:-1], rot):
+            nxt[dual_white_dart(c, (h, t))] = dual_white_dart(c, (g, t_prev))
+    wv = c.n
+    for w in range(1, H, 2):
+        if vertex[w] < 0:
+            x = w
+            while vertex[x] < 0:
+                vertex[x] = wv
+                x = nxt[x]
+            wv += 1
+    colors = tuple([BLACK] * c.n + [WHITE] * (wv - c.n))
     root = None if c.root is None else c.root - 1
-    return HalfEdgeMap(c.k, tuple(vertex), tuple(nxt), tuple(twin), tuple(dtype), colors, root)
+    return HalfEdgeMap(k, tuple(vertex), tuple(nxt), tuple(twin), tuple(dtype), colors, root)
 
 
 def constellation_from_dual(m: HalfEdgeMap) -> tuple[Constellation, dict[int, int], dict[int, int]]:

@@ -14,12 +14,14 @@ from constellation_lab.biddings import (
 )
 from constellation_lab.constellations import (
     canonical_rooted,
+    dual_black_dart,
+    dual_white_dart,
     from_permutations,
     to_permutations,
     transitive_tuples,
 )
 from constellation_lab.counting import m_tuples
-from constellation_lab.halfedges import BLACK, WHITE
+from constellation_lab.halfedges import BLACK, WHITE, HalfEdgeMap
 from constellation_lab.nebulas import enumerate_tree_pointed
 from constellation_lab.permutations import Permutation, all_permutations, compose_all, cycles
 from constellation_lab.puzzle import UndefinedProbabilityError
@@ -181,3 +183,45 @@ def enumerate_valid_biddings(n, k, p=None):
             b = Bidding(omegas=omegas, subsets=mt.subsets)
             if is_valid_bidding(b):
                 yield b
+
+
+def dual_by_face_orbits(c):
+    """The dual map built by tracing the faces of c on its 2nk darts.
+
+    A dart (h, t, side) sits on edge (h, t), at its type-t end for side 0.
+    Around each vertex the clockwise dart order is, per hyperedge h of the
+    rotation, (h, t, 0) then (h, t-1, 1); the tour step is
+    d -> cw_next(twin(d)).  The side-0 orbits are the white faces, numbered
+    by least dart; oracle for :func:`constellation_lab.constellations.dual`.
+    """
+    cw_next = {}
+    for t, rot in zip(c.vertex_type, c.rotation):
+        order = [d for h in rot for d in ((h, t, 0), (h, (t - 2) % c.k + 1, 1))]
+        cw_next.update(zip(order, order[1:] + order[:1]))
+    whites = []
+    seen = set()
+    for d0 in sorted(cw_next):
+        orbit = []
+        d = d0
+        while d not in seen:
+            seen.add(d)
+            orbit.append(d)
+            d = cw_next[(d[0], d[1], 1 - d[2])]
+        if orbit and d0[2] == 0:
+            whites.append(orbit)
+    H = 2 * c.n * c.k
+    vertex, nxt, twin, dtype = [0] * H, [0] * H, [0] * H, [0] * H
+    for h in range(1, c.n + 1):
+        for t in range(1, c.k + 1):
+            b = dual_black_dart(c, (h, t))
+            vertex[b], dtype[b], dtype[b + 1] = h - 1, t, t
+            twin[b], twin[b + 1] = b + 1, b
+            nxt[b] = dual_black_dart(c, (h, t % c.k + 1))
+    for f, orbit in enumerate(whites):
+        for d_prev, d in zip(orbit, orbit[1:] + orbit[:1]):
+            w = dual_white_dart(c, d[:2])
+            vertex[w] = c.n + f
+            nxt[w] = dual_white_dart(c, d_prev[:2])
+    colors = (BLACK,) * c.n + (WHITE,) * len(whites)
+    root = None if c.root is None else c.root - 1
+    return HalfEdgeMap(c.k, tuple(vertex), tuple(nxt), tuple(twin), tuple(dtype), colors, root)

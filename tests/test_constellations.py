@@ -3,7 +3,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from oracles import from_cycles, product_of, rooted_constellations_naive
+from oracles import dual_by_face_orbits, from_cycles, product_of, rooted_constellations_naive
 
 from constellation_lab.cli import main
 from constellation_lab.counting import CapExceededError
@@ -115,8 +115,12 @@ def test_genus_fig2():
     assert genus(from_permutations(fig2_right())) == 1
 
 
+# every transitive tuple is visited at these sizes
+RELABEL_GRID = [(n, k) for k, n_max in ((2, 4), (3, 3), (4, 2)) for n in range(1, n_max + 1)]
+
+
 def test_white_faces_match_product_cycles():
-    for n, k in [(3, 2), (3, 3), (2, 3)]:
+    for n, k in RELABEL_GRID:
         for perms in transitive_tuples(n, k):
             c = from_permutations(perms)
             assert white_face_count(c) == len(cycles(product_of(c)))
@@ -141,10 +145,6 @@ def test_dual_single_hyperedge_k3():
     assert len(d.darts_at(blacks[0])) == 3
 
 
-# every transitive tuple is visited at these sizes
-RELABEL_GRID = [(n, k) for k, n_max in ((2, 4), (3, 3), (4, 2)) for n in range(1, n_max + 1)]
-
-
 def test_dual_preserves_genus_and_inverts():
     rng = random.Random(5)
     for n, k in RELABEL_GRID:
@@ -154,9 +154,33 @@ def test_dual_preserves_genus_and_inverts():
                 d = dual(c)
                 assert d.validate() is None
                 assert d.genus() == genus(c)
+                # Euler's relation with the white faces read off the product
+                white = len(cycles(product_of(c)))
+                assert 2 - 2 * genus(c) == c.num_vertices - n * k + n + white
                 c2, _, _ = constellation_from_dual(d)
                 assert c2 == c
                 assert validate(c2) is None
+
+
+def test_dual_matches_the_face_orbit_construction():
+    # field for field, so the white vertex numbering is pinned too
+    rng = random.Random(11)
+    cs = []
+    for n, k in RELABEL_GRID:
+        for perms in transitive_tuples(n, k):
+            rooted = from_permutations(perms, root=rng.randint(1, n))
+            cs += [rooted, replace(rooted, root=None)]
+    for n, k in [(8, 3), (10, 4), (12, 3), (9, 4)]:
+        drawn = 0
+        while drawn < 15:
+            perms = [Permutation(tuple(rng.sample(range(1, n + 1), n))) for _ in range(k)]
+            if is_transitive(perms):
+                cs.append(from_permutations(perms, root=rng.randint(1, n)))
+                drawn += 1
+    for c in cs:
+        got, want = dual(c), dual_by_face_orbits(c)
+        for field in ("vertex", "nxt", "twin", "type", "vertex_color", "root"):
+            assert getattr(got, field) == getattr(want, field), field
 
 
 def relabel_by_permutations(c, s):

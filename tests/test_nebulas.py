@@ -104,14 +104,13 @@ def test_dual_closure_inverts_opening():
         for tp in enumerate_tree_pointed(n, k):
             nb = dual_opening(tp)
             back = dual_closure(nb)
-            assert canonical_tree_pointed(back) == canonical_tree_pointed(tp)
+            assert back == tp  # no canonical form: the closure keeps every label
             assert nebula_key(dual_opening(back)) == nebula_key(nb)
 
 
 def test_dual_closure_size_one_inverts():
     tp = size_one_pointed(k=3, v0_type=3)
-    back = dual_closure(dual_opening(tp))
-    assert canonical_tree_pointed(back) == canonical_tree_pointed(tp)
+    assert dual_closure(dual_opening(tp)) == tp
 
 
 def test_verify_pointing_small():
