@@ -72,6 +72,8 @@ EXTRA = [
     ["roundtrip", "--bijection", "swap", "--n", "1", "--k", "2", "--p", "1,1"],
     ["roundtrip", "--bijection", "lambda", "--n", "2", "--k", "4"],
     ["roundtrip", "--bijection", "lambda", "--n", "4", "--k", "2"],
+    ["puzzle", "--n", "8", "--k", "3", "--p", "4,5,4", "--sample", "5000", "--seed", "21"],
+    ["puzzle", "--n", "6", "--k", "3", "--p", "2,3,4", "--sample", "5000", "--seed", "-3"],
 ]
 
 FORMATS = ("text", "json")

@@ -454,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--p", type=_parse_ints, required=True)
     sp.add_argument("--sample", type=int, default=None, help="Monte Carlo trials")
-    sp.add_argument("--seed", type=int, default=None, help="sampler seed (default 0)")
+    sp.add_argument("--seed", type=int, default=None, help="sampler seed, at least 0 (default 0)")
 
     sp = add("enumerate", cmd_enumerate, help="emit streams as JSONL")
     sp.add_argument("--what", choices=["factorizations", "mtuples"], required=True)

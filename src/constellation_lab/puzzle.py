@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import comb, factorial, perm, prod
-from operator import sub
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .biddings import TypedGraph, alpha
 from .counting import CheckReport, _check_cap, m_coefficient, m_tuples, strict_subsets
@@ -400,13 +399,29 @@ def _next_subset_weights(left: int, q: tuple[int, ...], k: int) -> list[int]:
     return weights
 
 
-def _sampler_step(
-    left: int, q: tuple[int, ...], k: int, bits: Sequence[tuple[int, ...]]
-) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The cumulative weights of the next entry, by mask, and the type left
-    after each mask; ``bits[mask]`` is the 0/1 vector of the mask's types."""
+class _SamplerState(NamedTuple):
+    """A state of the sequential draw: ``left`` entries of type ``q`` still
+    to draw.  ``cum`` holds the cumulative weights of the next entry by mask
+    and ``after[mask]`` the state after that mask, None until first needed."""
+
+    left: int
+    q: tuple[int, ...]
+    cum: list[int]
+    after: list[Optional[_SamplerState]]
+
+    def successor(self, mask: int) -> _SamplerState:
+        """The state after ``mask``, built and stored in ``after`` once."""
+        q = tuple(c - (mask >> t & 1) for t, c in enumerate(self.q))
+        state = self.after[mask] = _sampler_state(self.left - 1, q, len(q))
+        return state
+
+
+@lru_cache(maxsize=None)
+def _sampler_state(left: int, q: tuple[int, ...], k: int) -> _SamplerState:
+    """The state (entries left, type left) of the draw, kept for the life of
+    the process; its successors are filled in as the draws reach them."""
     cum = list(itertools.accumulate(_next_subset_weights(left, q, k)))
-    return cum, [tuple(map(sub, q, b)) for b in bits]
+    return _SamplerState(left, q, cum, [None] * len(cum))
 
 
 # fields drawn per getrandbits call in _count_below; bounds its memory
@@ -466,17 +481,20 @@ def sample_puzzle(
     when positions are permuted, so (R_1, R_{i_1}, ...) has the law of the
     renumbered prefix, and the law of the result is that of drawing all n
     entries.  Entries are drawn as masks: each state (entries left, type
-    left) met in the call keeps its cumulative weights and the type left
-    after each mask, so a state's binomial expansion runs once per call.
+    left) keeps its cumulative weights and the state after each mask for
+    the life of the process, so a state's binomial expansion runs once per
+    process, while the first state's total is checked against M^n_p on
+    every call.
     The tree test reads the successor map of the drawn prefix in the
     per-process memo that :func:`tree_probability` fills.  The generator is
     seeded with the first 64 bits drawn from ``Random(seed)``, with None
     read as 0, so results depend only on the arguments; since the indices
     are drawn first and fewer entries follow, a given seed gives other
     counts than a draw of all n entries would.
-    Raises ValueError before drawing anything when n, k or trials is below 1
-    or p is not a type vector of length k, and SamplingError, also a
-    ValueError, when no trial is accepted.
+    Raises ValueError before drawing anything when n, k or trials is below 1,
+    seed is negative (``Random`` would seed with its absolute value, so -3
+    would repeat the draws of 3) or p is not a type vector of length k, and
+    SamplingError, also a ValueError, when no trial is accepted.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -484,6 +502,8 @@ def sample_puzzle(
         raise ValueError(f"k must be at least 1, got {k}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     p = tuple(p)
     if len(p) != k or any(x < 0 for x in p):
         raise ValueError("bad type vector")
@@ -498,14 +518,11 @@ def sample_puzzle(
             f"no trial of {trials} accepted; a uniform subset tuple has type {p} "
             f"with probability {ratio(Fraction(num, den))} at n={n}, k={k} (SamplingError)"
         )
-    bits = [tuple(mask >> t & 1 for t in range(k)) for mask in range(2**k - 1)]
-    first = _sampler_step(n, p, k, bits)
-    if first[0][-1] != num:
+    first = _sampler_state(n, p, k)
+    if first.cum[-1] != num:
         raise AssertionError(
-            f"the first entry's weights sum to {first[0][-1]}, not M^{n}_{p} = {num}"
+            f"the first entry's weights sum to {first.cum[-1]}, not M^{n}_{p} = {num}"
         )
-    # (entries left, type left) -> (cumulative weights, type left) by mask
-    steps = {(n, p): first}
     successors = _successor_rows(k)
     tree_maps = _tree_maps(k)
     tree_hits = r1_hits = 0
@@ -513,16 +530,13 @@ def sample_puzzle(
         # positions 1, i_1, ..., i_{k-1} renumbered 1..b by first appearance
         pos = {1: 1}
         indices = [pos.setdefault(randrange(1, n + 1), len(pos) + 1) for _ in range(k - 1)]
-        masks = []
-        q = p
-        for left in range(n, n - len(pos), -1):
-            step = steps.get((left, q))
-            if step is None:
-                step = steps[left, q] = _sampler_step(left, q, k, bits)
-            cum, after = step
+        state, masks = first, []
+        for j in range(len(pos)):
+            if j:
+                state = state.after[mask] or state.successor(mask)
+            cum = state.cum
             mask = bisect_right(cum, randrange(cum[-1]))
             masks.append(mask)
-            q = after[mask]
         f = tuple(successors[masks[i - 1]][t] for t, i in enumerate(indices))
         tree = tree_maps.get(f)
         if tree is None:

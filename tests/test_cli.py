@@ -319,6 +319,14 @@ def test_puzzle_rejects_seed_without_sample(capsys):
     assert captured.err == "error: puzzle takes --seed only with --sample\n"
 
 
+def test_puzzle_sample_rejects_a_negative_seed(capsys):
+    argv = ["puzzle", "--n", "6", "--k", "3", "--p", "2,3,4", "--sample", "5000", "--seed", "-3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be at least 0, got -3\n"
+
+
 def test_puzzle_sample_reports_seed_zero_by_default(capsys):
     argv = ["--format", "json", "puzzle", "--n", "3", "--k", "2", "--p", "1,2", "--sample", "50"]
     code, out = run(capsys, *argv)

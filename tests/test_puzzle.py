@@ -24,6 +24,7 @@ from constellation_lab.puzzle import (
     _BLOCK,
     _count_below,
     _next_subset_weights,
+    _sampler_state,
     _subset_multisets,
     event_probability,
     r1_probability,
@@ -272,6 +273,16 @@ def test_sampling_rejects_bad_type_vector():
         sample_puzzle(2, 0, (), trials=10, seed=0)
 
 
+def test_sampling_rejects_a_negative_seed_before_drawing(monkeypatch):
+    # Random seeds with abs(seed), so -3 would repeat the draws of 3
+    def no_generator(seed):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr("constellation_lab.puzzle.random", SimpleNamespace(Random=no_generator))
+    with pytest.raises(ValueError, match="seed must be at least 0, got -3"):
+        sample_puzzle(6, 3, (2, 3, 4), trials=5000, seed=-3)
+
+
 def test_sequential_draw_is_uniform_over_tuples_of_the_type():
     # the product of the draw's conditional probabilities along every tuple
     # of type p is exactly 1/M^n_p, over the criterion-7 grid
@@ -306,16 +317,16 @@ def test_batched_weights_equal_m_coefficients(k, left_max):
             assert _next_subset_weights(left, q, k) == expected, (left, q)
 
 
-@pytest.mark.parametrize(
-    "n, k, p, trials, seed, counts",
-    [
-        (6, 3, (2, 3, 4), 5000, 11, (76, 35, 46)),
-        (6, 4, (4, 4, 4, 4), 30000, 13, (27, 19, 21)),
-        (60, 3, (26, 26, 26), 400_000, 3, (440, 196, 186)),
-        (3, 1, (0,), 50, 2, (50, 50, 50)),
-        (5, 5, (4, 4, 3, 3, 2), 20000, 4, (7, 0, 2)),
-    ],
-)
+PINNED_SAMPLES = [
+    (6, 3, (2, 3, 4), 5000, 11, (76, 35, 46)),
+    (6, 4, (4, 4, 4, 4), 30000, 13, (27, 19, 21)),
+    (60, 3, (26, 26, 26), 400_000, 3, (440, 196, 186)),
+    (3, 1, (0,), 50, 2, (50, 50, 50)),
+    (5, 5, (4, 4, 3, 3, 2), 20000, 4, (7, 0, 2)),
+]
+
+
+@pytest.mark.parametrize("n, k, p, trials, seed, counts", PINNED_SAMPLES)
 def test_sampler_counts_for_a_seed_are_pinned(n, k, p, trials, seed, counts):
     # the seeded stream: the same randrange calls in the same order give
     # the same counts, whatever the sampler memoizes
@@ -323,6 +334,40 @@ def test_sampler_counts_for_a_seed_are_pinned(n, k, p, trials, seed, counts):
     assert (res.accepted, res.tree_hits, res.r1_hits) == counts
 
 
+@pytest.fixture
+def cold_sampler_states():
+    """Clears the sampler's per-process state memo before and after the
+    test: a patched _next_subset_weights is called only for states not yet
+    built, and the states built from it must not serve later tests."""
+    _sampler_state.cache_clear()
+    yield
+    _sampler_state.cache_clear()
+
+
+@pytest.mark.parametrize("n, k, p, trials, seed, counts", PINNED_SAMPLES)
+def test_sampler_counts_do_not_depend_on_the_state_memo(cold_sampler_states, n, k, p, trials, seed, counts):
+    cold = sample_puzzle(n, k, p, trials=trials, seed=seed)
+    warm = sample_puzzle(n, k, p, trials=trials, seed=seed)
+    assert (cold.accepted, cold.tree_hits, cold.r1_hits) == counts
+    assert (warm.accepted, warm.tree_hits, warm.r1_hits) == counts
+
+
+def test_sampler_builds_each_state_once_per_process(monkeypatch, cold_sampler_states):
+    calls = []
+
+    def recording(left, q, k):
+        calls.append((left, q))
+        return _next_subset_weights(left, q, k)
+
+    monkeypatch.setattr("constellation_lab.puzzle._next_subset_weights", recording)
+    sample_puzzle(6, 3, (2, 3, 4), trials=5000, seed=11)
+    assert calls and len(calls) == len(set(calls))
+    calls.clear()
+    sample_puzzle(6, 3, (2, 3, 4), trials=5000, seed=11)
+    assert calls == []
+
+
+@pytest.mark.usefixtures("cold_sampler_states")
 def test_sampler_checks_its_first_weights_against_m(capsys, monkeypatch):
     def off_by_one(left, q, k):
         weights = _next_subset_weights(left, q, k)
@@ -388,6 +433,7 @@ def test_prefix_draw_has_the_law_of_a_full_tuple(k, nmax):
     "n, k, p, trials",
     [(6, 3, (2, 3, 4), 2000), (8, 3, (4, 5, 4), 2000), (6, 4, (4, 4, 4, 4), 20_000), (2, 4, (1, 1, 1, 1), 100)],
 )
+@pytest.mark.usefixtures("cold_sampler_states")
 def test_sampler_draws_at_most_min_n_k_entries(monkeypatch, n, k, p, trials):
     lefts = set()
 
