@@ -409,19 +409,34 @@ class _SamplerState(NamedTuple):
     cum: list[int]
     after: list[Optional[_SamplerState]]
 
-    def successor(self, mask: int) -> _SamplerState:
-        """The state after ``mask``, built and stored in ``after`` once."""
-        q = tuple(c - (mask >> t & 1) for t, c in enumerate(self.q))
-        state = self.after[mask] = _sampler_state(self.left - 1, q, len(q))
-        return state
+
+# types whose draw states are kept: calls that alternate between a few types
+# reuse them, and a loop over many types holds no more than this many
+_SAMPLED_TYPES = 8
 
 
-@lru_cache(maxsize=None)
-def _sampler_state(left: int, q: tuple[int, ...], k: int) -> _SamplerState:
-    """The state (entries left, type left) of the draw, kept for the life of
-    the process; its successors are filled in as the draws reach them."""
-    cum = list(itertools.accumulate(_next_subset_weights(left, q, k)))
-    return _SamplerState(left, q, cum, [None] * len(cum))
+@lru_cache(maxsize=_SAMPLED_TYPES)
+def _sampler_states(n: int, k: int, p: tuple[int, ...]) -> dict:
+    """The draw states of type p met so far, by (entries left, type left),
+    for the last _SAMPLED_TYPES types sampled.  A type holds at most the
+    states reachable in its first min(n, k) - 1 entries."""
+    return {}
+
+
+def _sampler_state(states: dict, left: int, q: tuple[int, ...]) -> _SamplerState:
+    """The state (left, q) from ``states``, built and stored when missing."""
+    state = states.get((left, q))
+    if state is None:
+        cum = list(itertools.accumulate(_next_subset_weights(left, q, len(q))))
+        state = states[left, q] = _SamplerState(left, q, cum, [None] * len(cum))
+    return state
+
+
+def _successor(states: dict, state: _SamplerState, mask: int) -> _SamplerState:
+    """The state after ``mask``, found or built once and linked in ``after``."""
+    q = tuple(c - (mask >> t & 1) for t, c in enumerate(state.q))
+    nxt = state.after[mask] = _sampler_state(states, state.left - 1, q)
+    return nxt
 
 
 # fields drawn per getrandbits call in _count_below; bounds its memory
@@ -481,10 +496,11 @@ def sample_puzzle(
     when positions are permuted, so (R_1, R_{i_1}, ...) has the law of the
     renumbered prefix, and the law of the result is that of drawing all n
     entries.  Entries are drawn as masks: each state (entries left, type
-    left) keeps its cumulative weights and the state after each mask for
-    the life of the process, so a state's binomial expansion runs once per
-    process, while the first state's total is checked against M^n_p on
-    every call.
+    left) met keeps its cumulative weights and, once reached, the state
+    after each mask.  :func:`_sampler_states` keeps the states of the last
+    _SAMPLED_TYPES types sampled in the process, so calls repeated on one
+    type run a state's binomial expansion once; the first state's total is
+    checked against M^n_p on every call.
     The tree test reads the successor map of the drawn prefix in the
     per-process memo that :func:`tree_probability` fills.  The generator is
     seeded with the first 64 bits drawn from ``Random(seed)``, with None
@@ -518,7 +534,8 @@ def sample_puzzle(
             f"no trial of {trials} accepted; a uniform subset tuple has type {p} "
             f"with probability {ratio(Fraction(num, den))} at n={n}, k={k} (SamplingError)"
         )
-    first = _sampler_state(n, p, k)
+    states = _sampler_states(n, k, p)
+    first = _sampler_state(states, n, p)
     if first.cum[-1] != num:
         raise AssertionError(
             f"the first entry's weights sum to {first.cum[-1]}, not M^{n}_{p} = {num}"
@@ -533,7 +550,7 @@ def sample_puzzle(
         state, masks = first, []
         for j in range(len(pos)):
             if j:
-                state = state.after[mask] or state.successor(mask)
+                state = state.after[mask] or _successor(states, state, mask)
             cum = state.cum
             mask = bisect_right(cum, randrange(cum[-1]))
             masks.append(mask)

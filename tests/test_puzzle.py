@@ -22,9 +22,10 @@ from constellation_lab.puzzle import (
     SamplingError,
     UndefinedProbabilityError,
     _BLOCK,
+    _SAMPLED_TYPES,
     _count_below,
     _next_subset_weights,
-    _sampler_state,
+    _sampler_states,
     _subset_multisets,
     event_probability,
     r1_probability,
@@ -339,9 +340,9 @@ def cold_sampler_states():
     """Clears the sampler's per-process state memo before and after the
     test: a patched _next_subset_weights is called only for states not yet
     built, and the states built from it must not serve later tests."""
-    _sampler_state.cache_clear()
+    _sampler_states.cache_clear()
     yield
-    _sampler_state.cache_clear()
+    _sampler_states.cache_clear()
 
 
 @pytest.mark.parametrize("n, k, p, trials, seed, counts", PINNED_SAMPLES)
@@ -365,6 +366,14 @@ def test_sampler_builds_each_state_once_per_process(monkeypatch, cold_sampler_st
     calls.clear()
     sample_puzzle(6, 3, (2, 3, 4), trials=5000, seed=11)
     assert calls == []
+
+
+def test_sampler_keeps_the_states_of_a_bounded_number_of_types(cold_sampler_states):
+    types = [(x, y) for x in range(4) for y in range(4) if x + y <= 4]
+    assert len(types) > _SAMPLED_TYPES
+    for p in types:
+        sample_puzzle(4, 2, p, trials=2000, seed=1)
+    assert _sampler_states.cache_info().currsize == _SAMPLED_TYPES
 
 
 @pytest.mark.usefixtures("cold_sampler_states")
