@@ -28,6 +28,7 @@ import tempfile
 
 from constellation_lab.biddings import Bidding, psi_inverse
 from constellation_lab.cli import main
+from constellation_lab.constellations import from_permutations
 from constellation_lab.permutations import Permutation
 from run_all_checks import SWEEPS
 
@@ -41,6 +42,8 @@ EXTRA = [
     ["enumerate", "--what", "factorizations", "--n", "3", "--k", "2"],
     ["enumerate", "--what", "mtuples", "--n", "2", "--k", "2", "--p", "1,1"],
     ["render", "--kind", "halfedge", "--input", "{dir}/nebula.json"],
+    ["render", "--kind", "nebula", "--input", "{dir}/nebula.json"],
+    ["render", "--kind", "constellation", "--input", "{dir}/constellation.json"],
     ["psi", "--direction", "inv", "--input", "{dir}/bidding.json"],
     ["psi", "--direction", "fwd", "--input", "{dir}/nebula.json"],
     ["--out", "{dir}/out", "jackson-check", "--n", "3", "--k", "2", "--all-p"],
@@ -84,7 +87,15 @@ def write_inputs(folder: str) -> None:
         omegas=(Permutation((1, 4, 3, 2)), Permutation((3, 2, 1, 4)), Permutation((4, 1, 3, 2))),
         subsets=(frozenset({2}), frozenset({2, 3}), frozenset({1, 2}), frozenset({2, 3})),
     )
-    for name, data in (("bidding.json", b.to_json()), ("nebula.json", psi_inverse(b).to_json())):
+    c = from_permutations(
+        (Permutation((2, 1, 4, 3)), Permutation((1, 3, 2, 4)), Permutation((4, 2, 3, 1))), root=2
+    )
+    inputs = (
+        ("bidding.json", b.to_json()),
+        ("nebula.json", psi_inverse(b).to_json()),
+        ("constellation.json", c.to_json()),
+    )
+    for name, data in inputs:
         with open(os.path.join(folder, name), "w", encoding="utf-8") as handle:
             json.dump(data, handle)
 

@@ -15,10 +15,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .counting import subset_type
+from .counting import m_tuples, subset_type
 from .halfedges import BLACK, WHITE, HalfEdgeMap, _json_field, _json_int
 from .nebulas import Nebula
-from .permutations import Permutation
+from .permutations import Permutation, orbits
 from .tree_rooted import best_compose, enumerate_eulerian_tours
 
 Pair = tuple[int, int]  # (type, label)
@@ -337,19 +337,11 @@ def vartheta_inverse(pb: Prebidding) -> LabelledNebula:
             src = wdart(t % k + 1, prev_i)
         nxt[src] = wdart(t, i)
     # white vertices from the rotation cycles
-    n_vertices = n
-    seen = [False] * num
-    for x in range(n * k, num):
-        if seen[x]:
-            continue
-        vid = n_vertices
-        n_vertices += 1
-        y = x
-        while not seen[y]:
-            seen[y] = True
-            vertex[y] = vid
-            y = nxt[y]
-    colors = tuple([BLACK] * n + [WHITE] * (n_vertices - n))
+    whites = orbits(nxt, range(n * k, num))
+    for vid, orbit in enumerate(whites, start=n):
+        for x in orbit:
+            vertex[x] = vid
+    colors = tuple([BLACK] * n + [WHITE] * len(whites))
     root_label = pb.order[-1][1]
     hmap = HalfEdgeMap(
         k=k,
@@ -490,8 +482,6 @@ def enumerate_valid_prebiddings(
 ) -> Iterator[Prebidding]:
     """All valid prebiddings, by Eulerian search over the successor digraph.
     The cap bounds the subset tuples searched, as in :func:`m_tuples`."""
-    from .counting import m_tuples
-
     exits = {t: tuple((t, i) for i in range(1, n + 1)) for t in range(1, k + 1)}
     for mt in m_tuples(n, k, p, cap):
         for tour in enumerate_eulerian_tours(k, exits, _successor(k, mt.subsets)):

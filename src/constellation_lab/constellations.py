@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Sequence
 
 from .counting import DEFAULT_CAP, _check_cap
 from .halfedges import BLACK, WHITE, HalfEdgeMap, _json_field, _json_int
-from .permutations import Permutation, all_permutations, cycles
+from .permutations import Permutation, all_permutations, cycles, orbits
 
 Edge = tuple[int, int]  # (hyperedge id, type)
 
@@ -390,15 +390,11 @@ def dual(c: Constellation) -> HalfEdgeMap:
         t_prev = (t - 2) % k + 1
         for g, h in zip(rot[-1:] + rot[:-1], rot):
             nxt[dual_white_dart(c, (h, t))] = dual_white_dart(c, (g, t_prev))
-    wv = c.n
-    for w in range(1, H, 2):
-        if vertex[w] < 0:
-            x = w
-            while vertex[x] < 0:
-                vertex[x] = wv
-                x = nxt[x]
-            wv += 1
-    colors = tuple([BLACK] * c.n + [WHITE] * (wv - c.n))
+    whites = orbits(nxt, range(1, H, 2))
+    for wv, orbit in enumerate(whites, start=c.n):
+        for x in orbit:
+            vertex[x] = wv
+    colors = tuple([BLACK] * c.n + [WHITE] * len(whites))
     root = None if c.root is None else c.root - 1
     return HalfEdgeMap(k, tuple(vertex), tuple(nxt), tuple(twin), tuple(dtype), colors, root)
 

@@ -6,19 +6,23 @@ is a *bud* (a dangling half-edge).  Vertices are colored black or white.
 
 The single traversal primitive is the *clockwise tour*: walking around a
 face with the edges on the right of the walker, crossing buds in place.
-On darts it is the permutation
+On darts it is the permutation ``tour_steps``:
 
     step(x) = next[x]        if x is a bud,
     step(x) = next[twin[x]]  otherwise.
 
 The tour reaches every dart exactly once per face, and the corner crossed
 just before reaching dart x is the corner preceding x in clockwise order
-around its vertex.  Faces of the map are the orbits of ``step``.
+around its vertex.  Faces, tours and vertex rotations are all orbits, read
+by :func:`~constellation_lab.permutations.orbits`: faces and tours of
+``tour_steps``, rotations of ``next``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+from .permutations import orbits
 
 BLACK = "black"
 WHITE = "white"
@@ -59,56 +63,29 @@ class HalfEdgeMap:
     def is_bud(self, x: int) -> bool:
         return self.twin[x] is None
 
-    def step(self, x: int) -> int:
-        """Clockwise-tour successor of dart x (see module docstring)."""
-        if self.twin[x] is None:
-            return self.nxt[x]
-        return self.nxt[self.twin[x]]
+    @property
+    def tour_steps(self) -> list[int]:
+        """Clockwise-tour successor of every dart (see module docstring)."""
+        nxt = self.nxt
+        return [nxt[x if t is None else t] for x, t in enumerate(self.twin)]
 
     def rotations(self) -> dict[int, tuple[int, ...]]:
         """Clockwise dart cycle around each vertex, min dart first."""
-        out: dict[int, list[int]] = {v: [] for v in range(self.num_vertices)}
-        seen = [False] * self.num_darts
-        for x in range(self.num_darts):
-            if seen[x]:
-                continue
-            cyc = []
-            y = x
-            while not seen[y]:
-                seen[y] = True
-                cyc.append(y)
-                y = self.nxt[y]
-            v = self.vertex[x]
-            out[v] = cyc
-        return {v: tuple(c) for v, c in out.items()}
+        out: dict[int, tuple[int, ...]] = {v: () for v in range(self.num_vertices)}
+        for cyc in orbits(self.nxt, range(self.num_darts)):
+            out[self.vertex[cyc[0]]] = tuple(cyc)
+        return out
 
     def darts_at(self, v: int) -> list[int]:
         return [x for x in range(self.num_darts) if self.vertex[x] == v]
 
     def faces(self) -> list[tuple[int, ...]]:
         """Orbits of the tour step, i.e. the faces, each as a dart cycle."""
-        seen = [False] * self.num_darts
-        out = []
-        for x in range(self.num_darts):
-            if seen[x]:
-                continue
-            cyc = []
-            y = x
-            while not seen[y]:
-                seen[y] = True
-                cyc.append(y)
-                y = self.step(y)
-            out.append(tuple(cyc))
-        return out
+        return [tuple(cyc) for cyc in orbits(self.tour_steps, range(self.num_darts))]
 
     def tour(self, start: int) -> list[int]:
-        """The clockwise tour as the dart sequence reached from ``start``."""
-        seq = [start]
-        y = self.step(start)
-        while y != start:
-            seq.append(y)
-            y = self.step(y)
-        return seq
+        """The clockwise tour from ``start``, up to its first repeated dart."""
+        return orbits(self.tour_steps, (start,))[0]
 
     def genus(self) -> int:
         """Genus via Euler's relation (buds do not count as edges)."""

@@ -129,8 +129,9 @@ def validate_nebula(m: HalfEdgeMap) -> Optional[str]:
             white_buds[m.type[x] - 1] += 1
     if black_buds != white_buds:
         return f"bud counts differ per type: black {black_buds}, white {white_buds}"
-    if len(m.faces()) != 1:
-        return f"nebula must have a single face, found {len(m.faces())}"
+    num_faces = len(m.faces())
+    if num_faces != 1:
+        return f"nebula must have a single face, found {num_faces}"
     if m.root is None:
         return "nebula is not rooted"
     if m.vertex_color[m.root] != BLACK:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -98,21 +98,31 @@ def inverse(p: Permutation) -> Permutation:
     return Permutation(tuple(inv))
 
 
-def cycles(p: Permutation) -> list[list[int]]:
-    """Cycle decomposition; each cycle starts at its minimum, cycles sorted by minimum."""
-    seen = [False] * (p.n + 1)
+def orbits(succ: Sequence[int], domain: Iterable[int]) -> list[list[int]]:
+    """The orbits of ``x -> succ[x]`` that meet ``domain``, in the order met.
+
+    Each orbit starts at its first point in ``domain`` and stops before its
+    first point already listed, so the walk ends on any successor list; on a
+    permutation the orbits are its cycles.  Points are indices into ``succ``.
+    """
+    seen = [False] * len(succ)
     out: list[list[int]] = []
-    for start in range(1, p.n + 1):
+    for start in domain:
         if seen[start]:
             continue
-        cyc = []
+        orbit = []
         x = start
         while not seen[x]:
             seen[x] = True
-            cyc.append(x)
-            x = p(x)
-        out.append(cyc)
+            orbit.append(x)
+            x = succ[x]
+        out.append(orbit)
     return out
+
+
+def cycles(p: Permutation) -> list[list[int]]:
+    """Cycle decomposition; each cycle starts at its minimum, cycles sorted by minimum."""
+    return orbits((0,) + p.image, range(1, p.n + 1))
 
 
 def cycle_type(p: Permutation) -> Composition:

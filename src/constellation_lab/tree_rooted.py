@@ -30,7 +30,7 @@ from .constellations import (
     validate_arborescence,
 )
 from .counting import ColoredFactorization
-from .permutations import Composition, Permutation, compose_all, inverse
+from .permutations import Composition, Permutation, compose_all, inverse, orbits
 
 Arc = tuple[int, int]  # (type, hyperedge label)
 DigraphVertex = tuple[int, int]  # (type, color)
@@ -186,13 +186,12 @@ def xi_inverse(tour: EulerianDigraphTour) -> ColoredFactorization:
     product = compose_all(list(perms))
     root = seq[0][1]
     # relabel so that the product becomes the long cycle with root at 1
+    (cycle,) = orbits((0,) + product.image, (root,))
+    if len(cycle) < n:
+        raise ValueError("tour product is not a single n-cycle")
     s = [0] * (n + 1)
-    x = root
-    for j in range(n):
-        if s[x]:
-            raise ValueError("tour product is not a single n-cycle")
-        s[x] = j + 1
-        x = product(x)
+    for j, x in enumerate(cycle, start=1):
+        s[x] = j
     new_perms = []
     for p in perms:
         img = [0] * n

@@ -9,7 +9,7 @@ from constellation_lab.constellations import (
     canonical_rooted,
     from_permutations,
 )
-from constellation_lab.halfedges import BLACK, WHITE
+from constellation_lab.halfedges import BLACK, WHITE, HalfEdgeMap
 from constellation_lab.nebulas import (
     Nebula,
     TreePointedConstellation,
@@ -138,6 +138,22 @@ def test_parenthesis_budless_is_true():
     d = dual(from_permutations((identity(1),) * 2, root=1))
     rep = is_parenthesis_nebula(Nebula(hmap=d))
     assert rep.is_parenthesis
+
+
+def test_tour_and_parenthesis_check_end_on_a_malformed_map():
+    # both darts step to dart 0, so the tour from dart 1 never comes back
+    m = HalfEdgeMap(
+        k=2,
+        vertex=(0, 0),
+        nxt=(0, 0),
+        twin=(None, None),
+        type=(1, 2),
+        vertex_color=(BLACK,),
+        root=0,
+    )
+    assert m.tour(1) == [1, 0]
+    assert m.faces() == [(0,), (1,)]
+    assert is_parenthesis_nebula(Nebula(hmap=m)).started_at_bud
 
 
 def test_parenthesis_iff_tree_rooted():

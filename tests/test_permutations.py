@@ -16,6 +16,7 @@ from constellation_lab.permutations import (
     identity,
     inverse,
     long_cycle,
+    orbits,
     partitions_of,
 )
 
@@ -129,3 +130,27 @@ def test_partitions_of_counts_and_composition_filter():
 def test_permutation_json_roundtrip():
     p = from_cycles(5, [[2, 4], [1, 5]])
     assert Permutation.from_json(p.to_json()) == p
+
+
+def test_orbits_partition_every_permutation_of_s5():
+    for p in all_permutations(5):
+        succ = [x - 1 for x in p.image]
+        out = orbits(succ, range(5))
+        assert sorted(x for orbit in out for x in orbit) == list(range(5))
+        for orbit in out:
+            assert orbit[0] == min(orbit)
+            assert [succ[x] for x in orbit] == orbit[1:] + orbit[:1]
+        assert [orbit[0] for orbit in out] == sorted(orbit[0] for orbit in out)
+
+
+def test_orbits_of_a_closed_domain_stay_inside_it():
+    # odd points go to odd points: (1 5 3)(0 2)(4)
+    succ = [2, 5, 0, 1, 4, 3]
+    assert orbits(succ, range(1, 6, 2)) == [[1, 5, 3]]
+    assert orbits(succ, range(0, 6, 2)) == [[0, 2], [4]]
+
+
+def test_cycles_are_the_orbits_read_one_based():
+    for p in all_permutations(5):
+        zero_based = orbits([x - 1 for x in p.image], range(5))
+        assert cycles(p) == [[x + 1 for x in orbit] for orbit in zero_based]
