@@ -2,9 +2,9 @@
 """Print a digest of what the CLI does on a fixed set of command lines.
 
 Each argv of ``run_all_checks.SWEEPS``, plus the command lines below (counts,
-streams, file input and output, and the usage, cap and sampling error paths),
-runs once with ``--format text`` and once with ``--format json`` through
-``constellation_lab.cli.main``, in process.  One line per run gives the
+streams, file input and output, and the usage, cap, sampling and invalid-input
+error paths), runs once with ``--format text`` and once with ``--format json``
+through ``constellation_lab.cli.main``, in process.  One line per run gives the
 format, the exit code, and the sha256 of stdout, of stderr and of the
 ``--out`` file ("-" when none was written).  An argparse error is pinned by
 the code of its ``SystemExit``.
@@ -25,10 +25,11 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 from constellation_lab.biddings import Bidding, psi_inverse
 from constellation_lab.cli import main
-from constellation_lab.constellations import from_permutations
+from constellation_lab.constellations import Constellation, from_permutations
 from constellation_lab.permutations import Permutation
 from run_all_checks import SWEEPS
 
@@ -77,6 +78,8 @@ EXTRA = [
     ["roundtrip", "--bijection", "lambda", "--n", "4", "--k", "2"],
     ["puzzle", "--n", "8", "--k", "3", "--p", "4,5,4", "--sample", "5000", "--seed", "21"],
     ["puzzle", "--n", "6", "--k", "3", "--p", "2,3,4", "--sample", "5000", "--seed", "-3"],
+    ["render", "--kind", "constellation", "--input", "{dir}/disconnected.json"],
+    ["psi", "--direction", "fwd", "--input", "{dir}/bad_labels.json"],
 ]
 
 FORMATS = ("text", "json")
@@ -90,10 +93,22 @@ def write_inputs(folder: str) -> None:
     c = from_permutations(
         (Permutation((2, 1, 4, 3)), Permutation((1, 3, 2, 4)), Permutation((4, 2, 3, 1))), root=2
     )
+    # two hyperedges with no vertex in common: valid rotations, not transitive
+    disconnected = Constellation(
+        k=2,
+        n=2,
+        hyperedges=((1, 3), (2, 4)),
+        vertex_type=(1, 1, 2, 2),
+        rotation=((1,), (2,), (1,), (2,)),
+    )
+    ln = psi_inverse(b)
+    (x, _), *rest = ln.white_bud_labels
     inputs = (
         ("bidding.json", b.to_json()),
-        ("nebula.json", psi_inverse(b).to_json()),
+        ("nebula.json", ln.to_json()),
         ("constellation.json", c.to_json()),
+        ("disconnected.json", disconnected.to_json()),
+        ("bad_labels.json", replace(ln, white_bud_labels=((x, 99), *rest)).to_json()),
     )
     for name, data in inputs:
         with open(os.path.join(folder, name), "w", encoding="utf-8") as handle:

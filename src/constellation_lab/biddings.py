@@ -206,14 +206,12 @@ class LabelledNebula:
     def label_sets(self) -> tuple[frozenset[int], ...]:
         """R_i: the bud types at the black vertex labelled i."""
         m = self.nebula.hmap
-        by_label = {lab: v for v, lab in self.black_labels}
-        out = []
-        for i in range(1, self.nebula.size + 1):
-            v = by_label[i]
-            out.append(
-                frozenset(m.type[x] for x in m.darts_at(v) if m.is_bud(x))
-            )
-        return tuple(out)
+        lab = dict(self.black_labels)
+        out: list[set[int]] = [set() for _ in range(self.nebula.size)]
+        for t, buds in enumerate(m.buds_by_type(BLACK), start=1):
+            for x in buds:
+                out[lab[m.vertex[x]] - 1].add(t)
+        return tuple(map(frozenset, out))
 
     def validate(self) -> Optional[str]:
         problem = self.nebula.validate()
@@ -227,19 +225,11 @@ class LabelledNebula:
         ):
             return "black labels are not a bijection onto [n]"
         wlab = dict(self.white_bud_labels)
-        by_type: dict[int, list[int]] = {}
-        allowed: dict[int, set[int]] = {}
-        for x in m.buds:
-            t = m.type[x]
-            if m.vertex_color[m.vertex[x]] == WHITE:
-                by_type.setdefault(t, []).append(x)
-            else:
-                allowed.setdefault(t, set()).add(lab[m.vertex[x]])
-        if sorted(wlab) != sorted(x for xs in by_type.values() for x in xs):
+        whites = m.buds_by_type(WHITE)
+        if set(wlab) != {x for buds in whites for x in buds}:
             return "white bud labels do not cover exactly the white buds"
-        for t, darts in by_type.items():
-            got = {wlab[x] for x in darts}
-            if got != allowed.get(t, set()):
+        for t, (wbuds, bbuds) in enumerate(zip(whites, m.buds_by_type(BLACK)), start=1):
+            if {wlab[x] for x in wbuds} != {lab[m.vertex[x]] for x in bbuds}:
                 return f"white bud labels of type {t} are not the black-bud labels"
         return None
 
@@ -432,13 +422,10 @@ def canonical_labelling(nb: Nebula) -> LabelledNebula:
             black_labels[v] = len(black_labels) + 1
         if m.is_bud(x) and m.vertex_color[v] == WHITE:
             white_buds_in_order.setdefault(m.type[x], []).append(x)
-    eligible: dict[int, list[int]] = {}
-    for x in m.buds:
-        if m.vertex_color[m.vertex[x]] == BLACK:
-            eligible.setdefault(m.type[x], []).append(black_labels[m.vertex[x]])
+    eligible = [sorted(black_labels[m.vertex[x]] for x in buds) for buds in m.buds_by_type(BLACK)]
     wlab = {}
     for t, darts in white_buds_in_order.items():
-        for x, lab in zip(darts, sorted(eligible[t])):
+        for x, lab in zip(darts, eligible[t - 1]):
             wlab[x] = lab
     return LabelledNebula(
         nebula=nb,
@@ -452,23 +439,17 @@ def labellings(nb: Nebula) -> Iterator[LabelledNebula]:
     m = nb.hmap
     blacks = nb.black_vertices()
     n = len(blacks)
-    white_by_type: dict[int, list[int]] = {}
-    black_by_type: dict[int, list[int]] = {}
-    for x in m.buds:
-        if m.vertex_color[m.vertex[x]] == WHITE:
-            white_by_type.setdefault(m.type[x], []).append(x)
-        else:
-            black_by_type.setdefault(m.type[x], []).append(m.vertex[x])
-    types = sorted(white_by_type)
+    white_by_type = m.buds_by_type(WHITE)
+    black_by_type = m.buds_by_type(BLACK)
     for black_image in itertools.permutations(range(1, n + 1)):
         lab = dict(zip(blacks, black_image))
-        pools = [[lab[v] for v in black_by_type[t]] for t in types]
+        pools = [[lab[m.vertex[x]] for x in buds] for buds in black_by_type]
         for assignment in itertools.product(
             *(itertools.permutations(pool) for pool in pools)
         ):
             wlab = {}
-            for t, labs in zip(types, assignment):
-                for x, l in zip(white_by_type[t], labs):
+            for buds, labs in zip(white_by_type, assignment):
+                for x, l in zip(buds, labs):
                     wlab[x] = l
             yield LabelledNebula(
                 nebula=nb,

@@ -264,18 +264,7 @@ def validate(c: Constellation) -> Optional[str]:
             return f"vertex {v} is isolated"
     # the orbits of to_permutations(c) are the classes of hyperedges joined
     # by shared vertices, since each rotation lists its incident hyperedges
-    reached = {1}
-    todo = [1]
-    seen = [False] * (nv + 1)
-    while todo:
-        for v in c.hyperedges[todo.pop() - 1]:
-            if not seen[v]:
-                seen[v] = True
-                for g in c.rotation[v - 1]:
-                    if g not in reached:
-                        reached.add(g)
-                        todo.append(g)
-    if len(reached) != c.n:
+    if len(_hyperedge_order(c, 1)) != c.n:
         return "not transitive"
     if c.root is not None and not (1 <= c.root <= c.n):
         return f"root hyperedge {c.root} out of range"
@@ -483,33 +472,43 @@ def relabel_arborescence(a: Arborescence, s: dict[int, int], vmap: dict[int, int
     return Arborescence(root_vertex=vmap[a.root_vertex], parent_edge=tuple(parent))
 
 
+def _hyperedge_order(c: Constellation, start: int) -> list[int]:
+    """The hyperedges reached from ``start``, root-first.
+
+    Each reached hyperedge scans its vertices in type order, and a vertex
+    not scanned before lists its rotation clockwise from just after that
+    hyperedge.  A vertex is scanned once: its whole rotation is then reached.
+    """
+    order = [start]
+    reached = [False] * (c.n + 1)
+    reached[start] = True
+    scanned = [False] * (c.num_vertices + 1)
+    for h in order:  # grows while it is read
+        for v in c.hyperedges[h - 1]:
+            if scanned[v]:
+                continue
+            scanned[v] = True
+            rot = c.rotation[v - 1]
+            i = rot.index(h)
+            for g in rot[i + 1 :] + rot[:i]:
+                if not reached[g]:
+                    reached[g] = True
+                    order.append(g)
+    return order
+
+
 def bfs_hyperedge_relabelling(c: Constellation) -> dict[int, int]:
     """Deterministic root-first hyperedge labelling of a rooted constellation.
 
-    Hyperedges are discovered from the root by scanning each hyperedge's
-    vertices in type order and each vertex's rotation clockwise starting
-    after the current hyperedge.  Independent of the existing labels.
+    Hyperedge h is renamed by its place in :func:`_hyperedge_order` from the
+    root, so the root becomes 1.  Independent of the existing labels.
     """
     if c.root is None:
         raise ValueError("constellation is not rooted")
-    s = {c.root: 1}
-    order = [c.root]
-    qi = 0
-    while qi < len(order):
-        h = order[qi]
-        qi += 1
-        for t in range(1, c.k + 1):
-            v = c.hyperedges[h - 1][t - 1]
-            rot = c.rotation[v - 1]
-            i = rot.index(h)
-            for j in range(1, len(rot)):
-                g = rot[(i + j) % len(rot)]
-                if g not in s:
-                    s[g] = len(s) + 1
-                    order.append(g)
-    if len(s) != c.n:
+    order = _hyperedge_order(c, c.root)
+    if len(order) != c.n:
         raise ValueError("not transitive")
-    return s
+    return {h: place for place, h in enumerate(order, start=1)}
 
 
 def canonical_rooted(
@@ -566,10 +565,11 @@ def enumerate_rooted_constellations(
 @lru_cache(maxsize=None)
 def _rooted_constellations(n: int, k: int, cap: int) -> tuple[Constellation, ...]:
     _check_cap(factorial(n) ** k, cap)
+    first_n = list(range(1, n + 1))
     out = []
     for perms in transitive_tuples(n, k):
         c = from_permutations(perms, root=1)
-        if all(h == g for h, g in bfs_hyperedge_relabelling(c).items()):
+        if _hyperedge_order(c, 1) == first_n:
             out.append(c)
     return tuple(sorted(out, key=lambda c: (c.hyperedges, c.rotation)))
 

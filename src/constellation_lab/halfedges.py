@@ -63,6 +63,14 @@ class HalfEdgeMap:
     def is_bud(self, x: int) -> bool:
         return self.twin[x] is None
 
+    def buds_by_type(self, color: str) -> list[list[int]]:
+        """The buds at ``color`` vertices, one list per type 1..k, in dart order."""
+        out: list[list[int]] = [[] for _ in range(self.k)]
+        for x, t in enumerate(self.twin):
+            if t is None and self.vertex_color[self.vertex[x]] == color:
+                out[self.type[x] - 1].append(x)
+        return out
+
     @property
     def tour_steps(self) -> list[int]:
         """Clockwise-tour successor of every dart (see module docstring)."""

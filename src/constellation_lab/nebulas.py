@@ -77,12 +77,7 @@ class Nebula:
 
     def type_vector(self) -> tuple[int, ...]:
         """Black buds per type."""
-        m = self.hmap
-        p = [0] * m.k
-        for x in m.buds:
-            if m.vertex_color[m.vertex[x]] == BLACK:
-                p[m.type[x] - 1] += 1
-        return tuple(p)
+        return tuple(len(buds) for buds in self.hmap.buds_by_type(BLACK))
 
     def black_dart(self, v: int, t: int) -> int:
         m = self.hmap
@@ -120,13 +115,8 @@ def validate_nebula(m: HalfEdgeMap) -> Optional[str]:
             t = m.twin[x]
             if t is not None and m.vertex_color[m.vertex[t]] == m.vertex_color[v]:
                 return f"edge at dart {x} joins two {m.vertex_color[v]} vertices"
-    black_buds = [0] * m.k
-    white_buds = [0] * m.k
-    for x in m.buds:
-        if m.vertex_color[m.vertex[x]] == BLACK:
-            black_buds[m.type[x] - 1] += 1
-        else:
-            white_buds[m.type[x] - 1] += 1
+    black_buds = [len(buds) for buds in m.buds_by_type(BLACK)]
+    white_buds = [len(buds) for buds in m.buds_by_type(WHITE)]
     if black_buds != white_buds:
         return f"bud counts differ per type: black {black_buds}, white {white_buds}"
     num_faces = len(m.faces())

@@ -32,13 +32,6 @@ class Permutation:
     def __str__(self) -> str:
         return cycle_string(self)
 
-    def to_json(self) -> list[int]:
-        return list(self.image)
-
-    @classmethod
-    def from_json(cls, data: Sequence[int]) -> "Permutation":
-        return cls(tuple(int(x) for x in data))
-
 
 @dataclass(frozen=True, order=True)
 class Composition:

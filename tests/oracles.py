@@ -108,6 +108,28 @@ def pointing_counts_naive(n, k, p, cap=None):
     return lhs, rhs
 
 
+def bfs_hyperedge_relabelling_naive(c):
+    """Root-first hyperedge labelling that rescans every vertex of each
+    reached hyperedge; oracle for
+    :func:`constellation_lab.constellations.bfs_hyperedge_relabelling`."""
+    s = {c.root: 1}
+    order = [c.root]
+    qi = 0
+    while qi < len(order):
+        h = order[qi]
+        qi += 1
+        for t in range(1, c.k + 1):
+            v = c.hyperedges[h - 1][t - 1]
+            rot = c.rotation[v - 1]
+            i = rot.index(h)
+            for j in range(1, len(rot)):
+                g = rot[(i + j) % len(rot)]
+                if g not in s:
+                    s[g] = len(s) + 1
+                    order.append(g)
+    return s
+
+
 def from_cycles(n, cycs):
     """Build a permutation of [n] from cycles; omitted elements are fixed points."""
     image = list(range(1, n + 1))

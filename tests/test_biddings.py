@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from math import factorial
 
 import pytest
@@ -116,6 +117,19 @@ def test_prebidding_validity_messages():
     assert "n >= 1" in pb.validate()
     with pytest.raises(ValueError):
         vartheta_inverse(pb)
+
+
+def test_labelled_nebula_validity_messages():
+    # FIG7_BIDDING is also the bidding scripts/cli_digest.py writes
+    ln = psi_inverse(FIG7_BIDDING)
+    assert ln.validate() is None
+    (x, _), *rest = ln.white_bud_labels
+    dropped = replace(ln, white_bud_labels=tuple(rest))
+    assert dropped.validate() == "white bud labels do not cover exactly the white buds"
+    renamed = replace(ln, white_bud_labels=((x, 99), *rest))
+    assert renamed.validate() == "white bud labels of type 2 are not the black-bud labels"
+    with pytest.raises(ValueError, match="of type 2"):
+        psi(renamed)
 
 
 def test_vartheta_roundtrip_on_openings():

@@ -3,7 +3,13 @@ import random
 from dataclasses import replace
 
 import pytest
-from oracles import dual_by_face_orbits, from_cycles, product_of, rooted_constellations_naive
+from oracles import (
+    bfs_hyperedge_relabelling_naive,
+    dual_by_face_orbits,
+    from_cycles,
+    product_of,
+    rooted_constellations_naive,
+)
 
 from constellation_lab.cli import main
 from constellation_lab.counting import CapExceededError
@@ -13,6 +19,7 @@ from constellation_lab.constellations import (
     Constellation,
     _from_rotations,
     arborescences_toward,
+    bfs_hyperedge_relabelling,
     canonical_rooted,
     constellation_from_dual,
     constellation_to_dot,
@@ -348,6 +355,29 @@ def test_canonical_rooted_is_idempotent_and_label_free():
                 assert canonical_rooted(got_c, got_a) == (got_c, got_a)
                 moved = relabel_arborescence(a, s, vmap)
                 assert canonical_rooted(shuffled, moved) == (got_c, got_a)
+
+
+def random_transitive_tuple(rng, n, k):
+    while True:
+        perms = tuple(Permutation(tuple(rng.sample(range(1, n + 1), n))) for _ in range(k))
+        if is_transitive(perms):
+            return perms
+
+
+def test_bfs_relabelling_matches_the_rescanning_walk():
+    # every hyperedge-labelled constellation of the grid, rooted at every
+    # hyperedge, then random ones past it
+    rng = random.Random(20)
+    tuples = [perms for n, k in RELABEL_GRID for perms in transitive_tuples(n, k)]
+    tuples += [
+        random_transitive_tuple(rng, n, k) for n in range(5, 13) for k in (2, 3, 4) for _ in range(3)
+    ]
+    for perms in tuples:
+        for root in range(1, perms[0].n + 1):
+            c = from_permutations(perms, root=root)
+            got = bfs_hyperedge_relabelling(c)
+            expected = bfs_hyperedge_relabelling_naive(c)
+            assert list(got.items()) == list(expected.items()), (perms, root)
 
 
 def test_arborescence_enumeration_smoke():

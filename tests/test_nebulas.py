@@ -65,6 +65,22 @@ def test_dual_opening_bud_types_match_tree_edge_types():
             assert len(nb.hmap.faces()) == 1
 
 
+@pytest.mark.parametrize("n, k", [(3, 2), (2, 3), (3, 3)])
+def test_buds_by_type_partitions_the_buds(n, k):
+    for tp in enumerate_tree_pointed(n, k):
+        m = dual_opening(tp).hmap
+        census = {color: m.buds_by_type(color) for color in (BLACK, WHITE)}
+        for color, by_type in census.items():
+            assert len(by_type) == k
+            for t, buds in enumerate(by_type, start=1):
+                assert buds == sorted(buds)
+                assert all(m.is_bud(x) and m.type[x] == t for x in buds)
+                assert all(m.vertex_color[m.vertex[x]] == color for x in buds)
+        every = sorted(x for by_type in census.values() for buds in by_type for x in buds)
+        assert every == list(m.buds)
+        assert Nebula(hmap=m).type_vector() == tuple(len(buds) for buds in census[BLACK])
+
+
 def test_closure_of_budless_map_is_identity():
     from constellation_lab.constellations import dual
 

@@ -127,11 +127,6 @@ def test_partitions_of_counts_and_composition_filter():
         assert [c.parts for c in partitions_of(n)] == list(first_seen)
 
 
-def test_permutation_json_roundtrip():
-    p = from_cycles(5, [[2, 4], [1, 5]])
-    assert Permutation.from_json(p.to_json()) == p
-
-
 def test_orbits_partition_every_permutation_of_s5():
     for p in all_permutations(5):
         succ = [x - 1 for x in p.image]
