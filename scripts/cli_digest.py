@@ -15,6 +15,9 @@ are equal:
   PYTHONPATH=old/src python3 scripts/cli_digest.py > old.txt
   PYTHONPATH=src python3 scripts/cli_digest.py > new.txt
   diff old.txt new.txt
+
+The digest of this tree is committed as ``tests/data/cli_digest.txt``, and
+``tests/test_scripts.py`` compares the script's output with it.
 """
 from __future__ import annotations
 
@@ -80,6 +83,7 @@ EXTRA = [
     ["puzzle", "--n", "6", "--k", "3", "--p", "2,3,4", "--sample", "5000", "--seed", "-3"],
     ["render", "--kind", "constellation", "--input", "{dir}/disconnected.json"],
     ["psi", "--direction", "fwd", "--input", "{dir}/bad_labels.json"],
+    ["psi", "--direction", "fwd", "--input", "{dir}/aliased_labels.json"],
 ]
 
 FORMATS = ("text", "json")
@@ -103,12 +107,16 @@ def write_inputs(folder: str) -> None:
     )
     ln = psi_inverse(b)
     (x, _), *rest = ln.white_bud_labels
+    # " 013" reads as dart 13 to int(), a second key for a labelled bud
+    aliased = ln.to_json()
+    aliased["white_bud_labels"][" 013"] = 0
     inputs = (
         ("bidding.json", b.to_json()),
         ("nebula.json", ln.to_json()),
         ("constellation.json", c.to_json()),
         ("disconnected.json", disconnected.to_json()),
         ("bad_labels.json", replace(ln, white_bud_labels=((x, 99), *rest)).to_json()),
+        ("aliased_labels.json", aliased),
     )
     for name, data in inputs:
         with open(os.path.join(folder, name), "w", encoding="utf-8") as handle:

@@ -22,10 +22,8 @@ from .constellations import (
     dual,
     from_permutations,
     genus,
-    is_cactus,
     to_permutations,
     validate,
-    white_face_count,
 )
 from .counting import (
     CapExceededError,
@@ -53,14 +51,13 @@ from .tree_rooted import (
     xi,
     xi_inverse,
 )
-from .symmetry import swap_degree, transport, transport_inverse
+from .symmetry import swap_degree, transport
 from .nebulas import (
     Nebula,
     TreePointedConstellation,
     closure,
     dual_closure,
     dual_opening,
-    is_parenthesis_nebula,
     verify_pointing,
 )
 from .biddings import (

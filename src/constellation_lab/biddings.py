@@ -99,9 +99,18 @@ def _read_omegas(omegas) -> tuple[Permutation, ...]:
     return tuple(Permutation(tuple(map(_json_int, w))) for w in omegas)
 
 
+def _label_key(key: str) -> int:
+    """A labelled item from a JSON object key, which must be the decimal
+    string of a non-negative integer with no sign, space or leading zero,
+    so that no two keys name one item."""
+    if not (key.isascii() and key.isdecimal()) or (key[0] == "0" and key != "0"):
+        raise ValueError(f"key {key!r} is not a non-negative integer in canonical form")
+    return int(key)
+
+
 def _read_labels(labels: dict) -> tuple[tuple[int, int], ...]:
     """JSON object keys are strings; labelled items are ints."""
-    return tuple(sorted((int(x), _json_int(lab)) for x, lab in labels.items()))
+    return tuple(sorted((_label_key(x), _json_int(lab)) for x, lab in labels.items()))
 
 
 def _are_strict_subsets(k: int, subsets: Sequence[frozenset[int]]) -> bool:
@@ -400,38 +409,8 @@ def psi_inverse(b: Bidding) -> LabelledNebula:
 
 
 # ---------------------------------------------------------------------------
-# Canonical labelling, equality, enumeration
+# Labellings and enumeration
 # ---------------------------------------------------------------------------
-
-
-def canonical_labelling(nb: Nebula) -> LabelledNebula:
-    """Deterministic labelling: black vertices by first appearance on the
-    tour from the root's type-1 dart; white buds of type t get the sorted
-    eligible labels in appearance order."""
-    problem = nb.validate()
-    if problem is not None:
-        raise ValueError(problem)
-    m = nb.hmap
-    start = nb.black_dart(m.root, 1)
-    seq = m.tour(start)
-    black_labels: dict[int, int] = {}
-    white_buds_in_order: dict[int, list[int]] = {}
-    for x in seq:
-        v = m.vertex[x]
-        if m.vertex_color[v] == BLACK and v not in black_labels:
-            black_labels[v] = len(black_labels) + 1
-        if m.is_bud(x) and m.vertex_color[v] == WHITE:
-            white_buds_in_order.setdefault(m.type[x], []).append(x)
-    eligible = [sorted(black_labels[m.vertex[x]] for x in buds) for buds in m.buds_by_type(BLACK)]
-    wlab = {}
-    for t, darts in white_buds_in_order.items():
-        for x, lab in zip(darts, eligible[t - 1]):
-            wlab[x] = lab
-    return LabelledNebula(
-        nebula=nb,
-        black_labels=tuple(sorted(black_labels.items())),
-        white_bud_labels=tuple(sorted(wlab.items())),
-    )
 
 
 def labellings(nb: Nebula) -> Iterator[LabelledNebula]:

@@ -317,17 +317,20 @@ def validate_arborescence(c: Constellation, a: Arborescence) -> Optional[str]:
     return None
 
 
+def _validate_tree_pointed(c: Constellation, a: Arborescence) -> Optional[str]:
+    """The checks of a tree-pointed constellation, which a tree-rooted one
+    starts with: c is valid and rooted, and ``a`` is an arborescence of c."""
+    problem = validate(c)
+    if problem is not None:
+        return problem
+    if c.root is None:
+        return "constellation is not rooted"
+    return validate_arborescence(c, a)
+
+
 # ---------------------------------------------------------------------------
 # Faces, genus, duality
 # ---------------------------------------------------------------------------
-
-
-def white_face_count(c: Constellation) -> int:
-    return dual(c).num_vertices - c.n
-
-
-def is_cactus(c: Constellation) -> bool:
-    return white_face_count(c) == 1
 
 
 def genus(c: Constellation) -> int:

@@ -60,17 +60,6 @@ class ColoredFactorization:
     def n(self) -> int:
         return self.perms[0].n
 
-    def color_compositions(self) -> tuple[Composition, ...]:
-        """Per type, the composition whose i-th part is #elements colored i."""
-        out = []
-        for col in self.colorings:
-            p = max(col)
-            parts = [0] * p
-            for c in col:
-                parts[c - 1] += 1
-            out.append(Composition(tuple(parts)))
-        return tuple(out)
-
     def validate(self) -> Optional[str]:
         if any(p.n != self.n for p in self.perms):
             return "size mismatch"
@@ -287,34 +276,34 @@ def strict_subsets(k: int) -> list[frozenset[int]]:
     return out
 
 
-def m_tuples(
-    n: int, k: int, p: Optional[Sequence[int]] = None, cap: Optional[int] = None
-) -> Iterator[MTuple]:
-    """n-tuples of strict subsets of [k]; with p given, only those of type p.
+def _mask_tuples(
+    n: int, k: int, p: Optional[Sequence[int]], cap: Optional[int], nondecreasing: bool = False
+) -> Iterator[Sequence[int]]:
+    """The n-tuples of strict subsets of [k] as lists of masks, the indices
+    of :func:`strict_subsets`, in lexicographic order: all of them, or with
+    p given those of type p, and with ``nondecreasing`` only the sorted ones.
 
-    Tuples come in lexicographic order of :func:`strict_subsets`.  With p
-    given the search is depth-first over positions and keeps the count each
-    type still needs: a position skips every subset holding a type that
-    needs no more, or missing a type that needs every position left.
+    With p given the search is depth-first over positions and keeps the
+    count each type still needs: a position skips every mask below ``low``,
+    every subset holding a type that needs no more, and every subset missing
+    a type that needs every position left.  The arguments and the cap, which
+    bounds the (2^k - 1)^n tuples, are checked at the call, before the first
+    tuple is asked for.  The search reuses the list it yields.
     """
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     _check_cap((2**k - 1) ** n, cap)
     subsets = strict_subsets(k)
     if p is None:
-        for tup in itertools.product(subsets, repeat=n):
-            yield MTuple(k=k, subsets=tup)
-        return
+        return itertools.product(range(len(subsets)), repeat=n)
     need = list(p)
     if len(need) != k or any(x < 0 for x in need):
         raise ValueError("bad type vector")
-    if any(x > n for x in need):
-        return
-    acc: list[frozenset[int]] = []
+    acc: list[int] = []
 
-    def rec(left: int):
+    def rec(left: int, low: int) -> Iterator[list[int]]:
         if left == 0:
-            yield MTuple(k=k, subsets=tuple(acc))
+            yield acc
             return
         done = forced = 0
         for t, x in enumerate(need):
@@ -323,18 +312,32 @@ def m_tuples(
             elif x == left:
                 forced |= 1 << t
         # subsets are ordered by bitmask, so the index of s is its mask
-        for mask, s in enumerate(subsets):
+        for mask in range(low, len(subsets)):
             if mask & done or forced & ~mask:
                 continue
-            for t in s:
+            for t in subsets[mask]:
                 need[t - 1] -= 1
-            acc.append(s)
-            yield from rec(left - 1)
+            acc.append(mask)
+            yield from rec(left - 1, mask if nondecreasing else 0)
             acc.pop()
-            for t in s:
+            for t in subsets[mask]:
                 need[t - 1] += 1
 
-    yield from rec(n)
+    return iter(()) if any(x > n for x in need) else rec(n, 0)
+
+
+def m_tuples(
+    n: int, k: int, p: Optional[Sequence[int]] = None, cap: Optional[int] = None
+) -> Iterator[MTuple]:
+    """n-tuples of strict subsets of [k]; with p given, only those of type p.
+
+    Tuples come in lexicographic order of :func:`strict_subsets`, from the
+    pruned search of :func:`_mask_tuples`.
+    """
+    tuples = _mask_tuples(n, k, p, cap)
+    subsets = strict_subsets(k)
+    for masks in tuples:
+        yield MTuple(k=k, subsets=tuple([subsets[mask] for mask in masks]))
 
 
 def m_coefficient(n: int, p: Sequence[int], k: Optional[int] = None) -> int:

@@ -84,9 +84,6 @@ class HalfEdgeMap:
             out[self.vertex[cyc[0]]] = tuple(cyc)
         return out
 
-    def darts_at(self, v: int) -> list[int]:
-        return [x for x in range(self.num_darts) if self.vertex[x] == v]
-
     def faces(self) -> list[tuple[int, ...]]:
         """Orbits of the tour step, i.e. the faces, each as a dart cycle."""
         return [tuple(cyc) for cyc in orbits(self.tour_steps, range(self.num_darts))]

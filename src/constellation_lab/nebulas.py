@@ -19,13 +19,12 @@ from typing import Iterator, Mapping, Optional, Sequence
 from .constellations import (
     Arborescence,
     Constellation,
+    _validate_tree_pointed,
     arborescences_toward,
     constellation_from_dual,
     dual,
     dual_black_dart,
     enumerate_rooted_constellations,
-    validate,
-    validate_arborescence,
 )
 from .counting import DEFAULT_CAP, CheckReport
 from .halfedges import BLACK, WHITE, HalfEdgeMap, with_twins_cut, with_twins_joined
@@ -38,24 +37,8 @@ class TreePointedConstellation:
     constellation: Constellation
     arborescence: Arborescence
 
-    @property
-    def pointed_vertex(self) -> int:
-        return self.arborescence.root_vertex
-
-    def reduced_type(self) -> tuple[int, ...]:
-        c = self.constellation
-        p = list(c.type_vector())
-        p[c.vertex_type[self.pointed_vertex - 1] - 1] -= 1
-        return tuple(p)
-
     def validate(self) -> Optional[str]:
-        c = self.constellation
-        problem = validate(c)
-        if problem is not None:
-            return problem
-        if c.root is None:
-            return "constellation is not rooted"
-        return validate_arborescence(c, self.arborescence)
+        return _validate_tree_pointed(self.constellation, self.arborescence)
 
 
 @dataclass(frozen=True)
@@ -78,13 +61,6 @@ class Nebula:
     def type_vector(self) -> tuple[int, ...]:
         """Black buds per type."""
         return tuple(len(buds) for buds in self.hmap.buds_by_type(BLACK))
-
-    def black_dart(self, v: int, t: int) -> int:
-        m = self.hmap
-        for x in m.darts_at(v):
-            if m.type[x] == t:
-                return x
-        raise ValueError(f"black vertex {v} has no dart of type {t}")
 
     def validate(self) -> Optional[str]:
         return validate_nebula(self.hmap)
@@ -222,51 +198,6 @@ def dual_closure(nb: Nebula) -> TreePointedConstellation:
         constellation=c,
         arborescence=Arborescence(root_vertex=unclosed[0], parent_edge=tuple(parent)),
     )
-
-
-# ---------------------------------------------------------------------------
-# Parenthesis characterization of tree-rootedness
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParenthesisReport:
-    is_parenthesis: bool
-    started_at_bud: bool
-
-
-def is_parenthesis_nebula(nb: Nebula) -> ParenthesisReport:
-    """Whether black buds never lead white buds on the clockwise tour.
-
-    The count starts at the corner between the type-(k-1) and type-k
-    half-edges of the root vertex: that corner lies in the face that the
-    closure leaves unclosed exactly when the recovered arborescence points
-    at the root vertex, so validity here characterizes tree-rootedness.
-    The corner is canonical whether or not the adjacent type-k half-edge
-    is a bud; the report flags the bud case.
-    """
-    m = nb.hmap
-    if m.root is None:
-        raise ValueError("nebula is not rooted")
-    start = None
-    for x in m.darts_at(m.root):
-        if m.type[x] == m.k:
-            start = x
-            break
-    if start is None:
-        raise ValueError(f"root vertex has no type-{m.k} half-edge")
-    whites = blacks = 0
-    ok = True
-    for x in m.tour(start):
-        if not m.is_bud(x):
-            continue
-        if m.vertex_color[m.vertex[x]] == WHITE:
-            whites += 1
-        else:
-            blacks += 1
-            if blacks > whites:
-                ok = False
-    return ParenthesisReport(is_parenthesis=ok, started_at_bud=m.is_bud(start))
 
 
 # ---------------------------------------------------------------------------

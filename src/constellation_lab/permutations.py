@@ -51,9 +51,6 @@ class Composition:
     def length(self) -> int:
         return len(self.parts)
 
-    def is_partition(self) -> bool:
-        return all(a >= b for a, b in zip(self.parts, self.parts[1:]))
-
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
@@ -148,24 +145,3 @@ def compositions_of_length(n: int, length: int) -> Iterator[Composition]:
         bounds = (0,) + cuts + (n,)
         yield Composition(tuple(b - a for a, b in zip(bounds, bounds[1:])))
 
-
-def partitions_of(n: int) -> Iterator[Composition]:
-    """All partitions of n (weakly decreasing compositions).
-
-    Ordered by number of parts, then lexicographically by the increasing
-    arrangement of the parts, the order in which they first occur among
-    :func:`compositions_of`.
-    """
-
-    def rising(total: int, length: int, least: int) -> Iterator[tuple[int, ...]]:
-        # weakly increasing sequences of `length` parts, each >= least, summing to total
-        if length == 1:
-            yield (total,)
-            return
-        for first in range(least, total // length + 1):
-            for rest in rising(total - first, length - 1, first):
-                yield (first,) + rest
-
-    for length in range(1, n + 1):
-        for parts in rising(n, length, 1):
-            yield Composition(parts[::-1])

@@ -18,7 +18,7 @@ from math import comb, factorial, perm, prod
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .biddings import TypedGraph, alpha
-from .counting import CheckReport, _check_cap, m_coefficient, m_tuples, strict_subsets
+from .counting import CheckReport, _mask_tuples, m_coefficient, m_tuples, strict_subsets
 
 
 class UndefinedProbabilityError(ValueError):
@@ -41,47 +41,20 @@ def _subset_multisets(
     """Each multiset of n strict subsets of [k] of type p once, with its
     number of arrangements.
 
-    The search is :func:`m_tuples`' depth-first search with the masks kept
-    nondecreasing along the tuple, so it meets each multiset once, as its
-    sorted arrangement.  It yields the ``(mask, count)`` pairs of the
-    multiset in mask order and the weight ``n! / prod_S count_S!``; the
-    weights sum to M^n_p.  The arguments and the cap, which bounds the
-    tuple space as in :func:`m_tuples`, are checked at the call, before
-    the first multiset is asked for.
+    Each multiset is met once, as its sorted arrangement: the subset-tuple
+    search of :func:`_mask_tuples` with the masks kept nondecreasing, which
+    checks the arguments and the cap at the call, as in :func:`m_tuples`.
+    It yields the ``(mask, count)`` pairs of the multiset in mask order and
+    the weight ``n! / prod_S count_S!``; the weights sum to M^n_p.
     """
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
-    _check_cap((2**k - 1) ** n, cap)
-    need = list(p)
-    if len(need) != k or any(x < 0 for x in need):
-        raise ValueError("bad type vector")
-    subsets = strict_subsets(k)
-    counts = [0] * len(subsets)
+    tuples = _mask_tuples(n, k, p, cap, nondecreasing=True)
+    arrangements = factorial(n)
 
-    def rec(left: int, low: int):
-        if left == 0:
-            pairs = tuple((mask, c) for mask, c in enumerate(counts) if c)
-            yield pairs, factorial(n) // prod(factorial(c) for _, c in pairs)
-            return
-        done = forced = 0
-        for t, x in enumerate(need):
-            if x == 0:
-                done |= 1 << t
-            elif x == left:
-                forced |= 1 << t
-        # subsets are ordered by bitmask, so the index of s is its mask
-        for mask in range(low, len(subsets)):
-            if mask & done or forced & ~mask:
-                continue
-            for t in subsets[mask]:
-                need[t - 1] -= 1
-            counts[mask] += 1
-            yield from rec(left - 1, mask)
-            counts[mask] -= 1
-            for t in subsets[mask]:
-                need[t - 1] += 1
+    def weighted(masks: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], int]:
+        pairs = tuple((mask, len(list(run))) for mask, run in itertools.groupby(masks))
+        return pairs, arrangements // prod(factorial(c) for _, c in pairs)
 
-    return iter(()) if any(x > n for x in need) else rec(n, 0)
+    return map(weighted, tuples)
 
 
 @lru_cache(maxsize=None)
@@ -121,7 +94,7 @@ def tree_probability(
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     p = tuple(p)
-    multisets = _subset_multisets(n, k, p, cap)  # checks k, p and the cap first
+    multisets = _subset_multisets(n, k, p, cap)  # its search checks k, p and the cap here
     successors = _successor_rows(k)
     tree_maps = _tree_maps(k)
     hits = 0

@@ -136,13 +136,3 @@ def transport(
     for t, i, j in transport_schedule(t_rooted.vertex_compositions(), target):
         t_rooted = swap_degree(t_rooted, t, i, j)
     return t_rooted
-
-
-def transport_inverse(
-    t_rooted: TreeRootedConstellation, original: Sequence[Composition]
-) -> TreeRootedConstellation:
-    """Undo a transport whose source compositions were ``original``."""
-    schedule = transport_schedule(original, t_rooted.vertex_compositions())
-    for t, i, j in reversed(schedule):
-        t_rooted = swap_degree(t_rooted, t, j, i)
-    return t_rooted

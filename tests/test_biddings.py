@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import enumerate_valid_biddings, nebula_key
+from oracles import canonical_labelling, enumerate_valid_biddings, nebula_key
 
 from constellation_lab.biddings import (
     Bidding,
@@ -13,7 +13,6 @@ from constellation_lab.biddings import (
     TypedGraph,
     alpha,
     alpha_graph,
-    canonical_labelling,
     enumerate_valid_prebiddings,
     is_valid_bidding,
     labellings,

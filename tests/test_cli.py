@@ -4,6 +4,7 @@ import json
 from math import comb, prod
 
 import pytest
+from oracles import color_compositions
 
 from constellation_lab.biddings import Bidding, psi_inverse
 from constellation_lab.constellations import Constellation, dual
@@ -240,7 +241,7 @@ def test_symmetry_check_groups_the_enumerated_composition_census(capsys, n, k):
     census = {}
     for p in itertools.product(range(1, n + 1), repeat=k):
         for cf in counting.enumerate_colored_factorizations(n, k, p):
-            key = tuple(g.parts for g in cf.color_compositions())
+            key = tuple(g.parts for g in color_compositions(cf))
             census[key] = census.get(key, 0) + 1
     by_profile = {}
     for key, cnt in census.items():
@@ -554,6 +555,11 @@ ONE_EDGE = {"k": 2, "n": 1, "hyperedges": [[1, 2]], "vertex_type": {"1": 1, "2":
         # omega entries are integers: neither floats nor JSON true
         (["psi", "--direction", "inv"], {"omegas": [[1.0, 2.0], [2, 1]], "subsets": [[1], [2]]}, "omegas"),
         (["psi", "--direction", "inv"], {"omegas": [[True, 2], [2, 1]], "subsets": [[1], [2]]}, "omegas"),
+        # int() reads each of these keys as 4, a white bud that already has a label
+        *((["psi", "--direction", "fwd"],
+           {**_labelled_nebula_json(), "white_bud_labels": {"4": 1, "7": 2, alias: 1}},
+           "white_bud_labels")
+          for alias in (" 4", "4 ", "04", "+4", "0_4", "\u0664")),
     ],
 )
 def test_json_input_missing_or_malformed_key_is_usage_error(tmp_path, capsys, argv, data, key):

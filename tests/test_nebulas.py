@@ -2,7 +2,7 @@ import itertools
 from collections import Counter
 
 import pytest
-from oracles import _match_fixpoint, nebula_key, pointing_counts_naive
+from oracles import _match_fixpoint, is_parenthesis_nebula, nebula_key, pointing_counts_naive
 
 from constellation_lab.constellations import (
     Arborescence,
@@ -15,12 +15,10 @@ from constellation_lab.nebulas import (
     TreePointedConstellation,
     _bud_word,
     _match_parenthesis,
-    _pointing_census,
     closure,
     dual_closure,
     dual_opening,
     enumerate_tree_pointed,
-    is_parenthesis_nebula,
     verify_pointing,
 )
 from constellation_lab.permutations import identity
@@ -177,13 +175,13 @@ def test_parenthesis_iff_tree_rooted():
         for tp in enumerate_tree_pointed(n, k):
             nb = dual_opening(tp)
             rep = is_parenthesis_nebula(nb)
-            tree_rooted = tp.pointed_vertex == tp.constellation.root_vertex
+            tree_rooted = tp.arborescence.root_vertex == tp.constellation.root_vertex
             assert rep.is_parenthesis == tree_rooted
 
 
 def test_openings_of_tree_rooted_are_parenthesis():
     for tp in enumerate_tree_pointed(3, 2):
-        if tp.pointed_vertex == tp.constellation.root_vertex:
+        if tp.arborescence.root_vertex == tp.constellation.root_vertex:
             assert is_parenthesis_nebula(dual_opening(tp)).is_parenthesis
 
 

@@ -1,6 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
-from oracles import from_cycles
+from oracles import from_cycles, is_partition, partitions_of
 
 from constellation_lab.permutations import (
     Composition,
@@ -17,7 +17,6 @@ from constellation_lab.permutations import (
     inverse,
     long_cycle,
     orbits,
-    partitions_of,
 )
 
 perms5 = st.permutations(range(1, 6)).map(lambda xs: Permutation(tuple(xs)))
@@ -88,7 +87,7 @@ def test_cycle_type_sums_to_n(p):
     ct = cycle_type(p)
     assert ct.size == p.n
     assert ct.length == len(cycles(p))
-    assert ct.is_partition()
+    assert is_partition(ct)
 
 
 @given(perms5)
@@ -119,7 +118,7 @@ def test_partitions_of_counts_and_composition_filter():
     for n in range(1, 21):
         parts = [c.parts for c in partitions_of(n)]
         assert len(parts) == len(set(parts)) == numbers[n]
-        assert all(c.is_partition() and c.size == n for c in partitions_of(n))
+        assert all(is_partition(c) and c.size == n for c in partitions_of(n))
     for n in range(1, 11):
         first_seen = {}
         for comp in compositions_of(n):

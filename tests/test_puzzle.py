@@ -162,6 +162,21 @@ def test_subset_multisets_keep_the_cap_and_errors_of_m_tuples():
     assert list(_subset_multisets(2, 3, (3, 3, 0))) == []
 
 
+def test_subset_multisets_raise_at_the_call_before_any_multiset():
+    # tree_probability counts on this: a bad k, p or cap fails before it
+    # builds the successor rows of k
+    with pytest.raises(CapExceededError, match="exceeds cap 10"):
+        _subset_multisets(5, 4, (2, 2, 2, 2), 10)
+    for n, k, p, message in [
+        (3, 0, (), "need n >= 0 and k >= 1"),
+        (-1, 2, (0, 0), "need n >= 0 and k >= 1"),
+        (3, 2, (1, 2, 3), "bad type vector"),
+        (3, 2, (1, -1), "bad type vector"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _subset_multisets(n, k, p)
+
+
 def test_tree_probability_matches_the_tuple_walk_past_the_grid():
     cases = [(n, k, p) for n, k in [(5, 3), (4, 4)] for p in feasible_types(n, k)]
     assert len(cases) == 771

@@ -67,3 +67,8 @@ def test_cli_digest_prints_one_line_per_argv_and_format(monkeypatch):
     assert len(lines) == len(argvs) * len(cli_digest.FORMATS)
     for line, (argv, fmt) in zip(lines, itertools.product(argvs, cli_digest.FORMATS)):
         assert line.startswith(f"{fmt} exit=") and line.endswith("  " + " ".join(argv)), line
+    # a change of behaviour regenerates this file in the same commit:
+    #   PYTHONPATH=src python3 scripts/cli_digest.py > tests/data/cli_digest.txt
+    with open(os.path.join(ROOT, "tests", "data", "cli_digest.txt"), encoding="utf-8") as handle:
+        expected = handle.read().splitlines()
+    assert lines == expected

@@ -2,21 +2,16 @@ import itertools
 from collections import defaultdict
 
 import pytest
+from oracles import canonical_tree_rooted, color_compositions, transport_inverse
 
 from constellation_lab.counting import enumerate_colored_factorizations
 from constellation_lab.permutations import Composition
 from constellation_lab.symmetry import (
     swap_degree,
     transport,
-    transport_inverse,
     transport_schedule,
 )
-from constellation_lab.constellations import canonical_rooted
-from constellation_lab.tree_rooted import TreeRootedConstellation, enumerate_tree_rooted
-
-
-def canonical_tree_rooted(t_obj):
-    return TreeRootedConstellation(*canonical_rooted(t_obj.constellation, t_obj.arborescence))
+from constellation_lab.tree_rooted import enumerate_tree_rooted
 
 
 def tree_rooted_objects(n, k):
@@ -138,7 +133,7 @@ def test_colored_counts_symmetric_via_census():
         census = defaultdict(int)
         for p in itertools.product(range(1, n + 1), repeat=k):
             for cf in enumerate_colored_factorizations(n, k, p):
-                census[tuple(g.parts for g in cf.color_compositions())] += 1
+                census[tuple(g.parts for g in color_compositions(cf))] += 1
         by_profile = defaultdict(set)
         for key, cnt in census.items():
             by_profile[tuple(len(g) for g in key)].add(cnt)
