@@ -27,6 +27,7 @@ SWEEPS = [
     ["roundtrip", "--bijection", "phi", "--n", "3", "--k", "2"],
     ["roundtrip", "--bijection", "phi", "--n", "2", "--k", "3"],
     ["roundtrip", "--bijection", "swap", "--n", "3", "--k", "2"],
+    ["roundtrip", "--bijection", "swap", "--n", "4", "--k", "2"],
     ["roundtrip", "--bijection", "lambda", "--n", "3", "--k", "2"],
     ["roundtrip", "--bijection", "lambda", "--n", "2", "--k", "3"],
     ["roundtrip", "--bijection", "lambda", "--n", "3", "--k", "3"],

@@ -12,7 +12,6 @@ from .permutations import (
     compose,
     cycle_type,
     cycles,
-    identity,
     inverse,
     long_cycle,
 )
@@ -21,8 +20,6 @@ from .constellations import (
     Constellation,
     dual,
     from_permutations,
-    genus,
-    to_permutations,
     validate,
 )
 from .counting import (

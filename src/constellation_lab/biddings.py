@@ -11,11 +11,10 @@ onto the biddings whose last-exit graph is a tree (the validity test).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .counting import m_tuples, subset_type
+from .counting import m_tuples
 from .halfedges import BLACK, WHITE, HalfEdgeMap, _json_field, _json_int
 from .nebulas import Nebula
 from .permutations import Permutation, orbits
@@ -129,9 +128,6 @@ class Prebidding:
     def n(self) -> int:
         return len(self.subsets)
 
-    def p_vector(self) -> tuple[int, ...]:
-        return subset_type(self.k, self.subsets)
-
     def validate(self) -> Optional[str]:
         if self.n < 1:
             return "a prebidding needs n >= 1"
@@ -165,9 +161,6 @@ class Bidding:
     @property
     def n(self) -> int:
         return len(self.subsets)
-
-    def p_vector(self) -> tuple[int, ...]:
-        return subset_type(self.k, self.subsets)
 
     def validate(self) -> Optional[str]:
         if self.n < 1 or any(w.n != self.n for w in self.omegas):
@@ -409,32 +402,8 @@ def psi_inverse(b: Bidding) -> LabelledNebula:
 
 
 # ---------------------------------------------------------------------------
-# Labellings and enumeration
+# Enumeration
 # ---------------------------------------------------------------------------
-
-
-def labellings(nb: Nebula) -> Iterator[LabelledNebula]:
-    """All n! * prod(p_t!) labellings of a rooted nebula."""
-    m = nb.hmap
-    blacks = nb.black_vertices()
-    n = len(blacks)
-    white_by_type = m.buds_by_type(WHITE)
-    black_by_type = m.buds_by_type(BLACK)
-    for black_image in itertools.permutations(range(1, n + 1)):
-        lab = dict(zip(blacks, black_image))
-        pools = [[lab[m.vertex[x]] for x in buds] for buds in black_by_type]
-        for assignment in itertools.product(
-            *(itertools.permutations(pool) for pool in pools)
-        ):
-            wlab = {}
-            for buds, labs in zip(white_by_type, assignment):
-                for x, l in zip(buds, labs):
-                    wlab[x] = l
-            yield LabelledNebula(
-                nebula=nb,
-                black_labels=tuple(sorted(lab.items())),
-                white_bud_labels=tuple(sorted(wlab.items())),
-            )
 
 
 def enumerate_valid_prebiddings(

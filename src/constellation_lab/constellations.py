@@ -11,8 +11,7 @@ vertices, so the stored clockwise rotations are the reversed cycles.
 Edges are pairs (h, t): the type-t side of hyperedge h, joining its
 type-t vertex to its type-(t+1) vertex.  The white faces are the white
 vertices of the dual map, which :func:`dual` writes straight from the
-rotations; faces are traced only by :class:`HalfEdgeMap`, so genus is
-read off the dual.
+rotations; faces are traced only by :class:`HalfEdgeMap`.
 """
 from __future__ import annotations
 
@@ -224,17 +223,6 @@ def from_permutations(perms: Sequence[Permutation], root: Optional[int] = None) 
     return _from_rotations(k, n, verts, root)[0]
 
 
-def to_permutations(c: Constellation) -> tuple[Permutation, ...]:
-    """The representation map: counterclockwise hyperedge orders per type."""
-    images = [[0] * c.n for _ in range(c.k)]
-    for v in range(1, c.num_vertices + 1):
-        t = c.vertex_type[v - 1]
-        ccw = tuple(reversed(c.rotation[v - 1]))
-        for a, b in zip(ccw, ccw[1:] + ccw[:1]):
-            images[t - 1][a - 1] = b
-    return tuple(Permutation(tuple(img)) for img in images)
-
-
 def validate(c: Constellation) -> Optional[str]:
     """Return the first violated invariant (with location), or None."""
     if c.k < 2:
@@ -262,8 +250,8 @@ def validate(c: Constellation) -> Optional[str]:
             return f"rotation incomplete at vertex {v}"
         if not incident[v]:
             return f"vertex {v} is isolated"
-    # the orbits of to_permutations(c) are the classes of hyperedges joined
-    # by shared vertices, since each rotation lists its incident hyperedges
+    # the orbits of the permutations c represents are the classes of hyperedges
+    # joined by shared vertices, since each rotation lists its incident hyperedges
     if len(_hyperedge_order(c, 1)) != c.n:
         return "not transitive"
     if c.root is not None and not (1 <= c.root <= c.n):
@@ -329,13 +317,8 @@ def _validate_tree_pointed(c: Constellation, a: Arborescence) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# Faces, genus, duality
+# Duality
 # ---------------------------------------------------------------------------
-
-
-def genus(c: Constellation) -> int:
-    """Genus of the dual map, which is that of c (V - E + F = 2 - 2g)."""
-    return dual(c).genus()
 
 
 def _edge_index(c: Constellation, e: Edge) -> int:

@@ -77,28 +77,12 @@ class ColoredFactorization:
         return None
 
 
-def subset_type(k: int, subsets: Sequence[frozenset[int]]) -> tuple[int, ...]:
-    """The type of a tuple of subsets of [k]: entry t counts the subsets holding t."""
-    out = [0] * k
-    for s in subsets:
-        for t in s:
-            out[t - 1] += 1
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class MTuple:
     """An n-tuple of strict subsets of [k]."""
 
     k: int
     subsets: tuple[frozenset[int], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.subsets)
-
-    def counts(self) -> tuple[int, ...]:
-        return subset_type(self.k, self.subsets)
 
     def to_json(self) -> list[list[int]]:
         return [sorted(s) for s in self.subsets]
@@ -256,6 +240,8 @@ def count_by_color_compositions(
 
 def count_kappa(lams: Sequence[Composition], cap: Optional[int] = None) -> int:
     """kappa: factorizations with prescribed cycle types."""
+    if not lams:
+        raise ValueError("need at least 1 partition")
     n = lams[0].size
     if any(l.size != n for l in lams):
         raise ValueError("partitions must all have the same size")
@@ -417,9 +403,9 @@ def verify_mv_formula(
     gammas: Sequence[Composition], cap: Optional[int] = None
 ) -> CheckReport:
     """Refined count against the closed form with binomial denominators."""
+    lhs = Fraction(count_by_color_compositions(gammas, cap))
     n = gammas[0].size
     k = len(gammas)
-    lhs = Fraction(count_by_color_compositions(gammas, cap))
     num = factorial(n) ** (k - 1) * m_coefficient(
         n - 1, tuple(g.length - 1 for g in gammas)
     )

@@ -53,10 +53,6 @@ class HalfEdgeMap:
         return len(self.vertex_color)
 
     @property
-    def num_edges(self) -> int:
-        return sum(1 for t in self.twin if t is not None) // 2
-
-    @property
     def buds(self) -> tuple[int, ...]:
         return tuple(x for x in range(self.num_darts) if self.twin[x] is None)
 
@@ -91,13 +87,6 @@ class HalfEdgeMap:
     def tour(self, start: int) -> list[int]:
         """The clockwise tour from ``start``, up to its first repeated dart."""
         return orbits(self.tour_steps, (start,))[0]
-
-    def genus(self) -> int:
-        """Genus via Euler's relation (buds do not count as edges)."""
-        chi = self.num_vertices - self.num_edges + len(self.faces())
-        if chi % 2 != 0 or chi > 2:
-            raise ValueError(f"inconsistent Euler characteristic {chi}")
-        return (2 - chi) // 2
 
     def validate(self) -> Optional[str]:
         """Return the first violated structural invariant, or None if valid."""

@@ -48,19 +48,11 @@ class Nebula:
     hmap: HalfEdgeMap
 
     @property
-    def k(self) -> int:
-        return self.hmap.k
-
-    @property
     def size(self) -> int:
         return sum(1 for col in self.hmap.vertex_color if col == BLACK)
 
     def black_vertices(self) -> list[int]:
         return [v for v in range(self.hmap.num_vertices) if self.hmap.vertex_color[v] == BLACK]
-
-    def type_vector(self) -> tuple[int, ...]:
-        """Black buds per type."""
-        return tuple(len(buds) for buds in self.hmap.buds_by_type(BLACK))
 
     def validate(self) -> Optional[str]:
         return validate_nebula(self.hmap)

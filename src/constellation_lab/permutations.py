@@ -55,10 +55,6 @@ class Composition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
-
-
 def long_cycle(n: int) -> Permutation:
     """The permutation (1,2,...,n) mapping i to i+1 cyclically."""
     return Permutation(tuple(range(2, n + 1)) + (1,))

@@ -29,7 +29,7 @@ from .constellations import (
     enumerate_rooted_constellations,
 )
 from .counting import ColoredFactorization
-from .permutations import Composition, Permutation, compose_all, inverse, orbits
+from .permutations import Composition, Permutation, inverse
 
 Arc = tuple[int, int]  # (type, hyperedge label)
 DigraphVertex = tuple[int, int]  # (type, color)
@@ -92,17 +92,6 @@ class TreeRootedConstellation:
     constellation: Constellation
     arborescence: Arborescence
 
-    @property
-    def k(self) -> int:
-        return self.constellation.k
-
-    @property
-    def n(self) -> int:
-        return self.constellation.n
-
-    def type_vector(self) -> tuple[int, ...]:
-        return self.constellation.type_vector()
-
     def vertex_compositions(self) -> tuple[Composition, ...]:
         """Per type, the composition of hyperdegrees read off by label."""
         c = self.constellation
@@ -159,9 +148,12 @@ def xi(cf: ColoredFactorization) -> EulerianDigraphTour:
 def xi_inverse(tour: EulerianDigraphTour) -> ColoredFactorization:
     """Rebuild the colored factorization encoded by an Eulerian tour.
 
-    Consecutive tour arcs (t-1, b), (t, a) force pi_t(a) = b; the result
-    is relabelled so the product is (1,2,...,n) and the root hyperedge
-    (the first arc's label) becomes 1.
+    Consecutive tour arcs (t-1, b), (t, a) force pi_t(a) = b, so the
+    product pi_1...pi_k sends the label of each type-k arc to that of the
+    type-k arc k places earlier: it is one n-cycle.  The result is
+    relabelled so the product is (1,2,...,n): the first arc's label (the
+    root hyperedge) becomes 1, and the other type-k labels, read from the
+    last one back, become 2..n.
     Raises ValueError on invalid input.  The output is valid by construction
     and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
     """
@@ -170,35 +162,22 @@ def xi_inverse(tour: EulerianDigraphTour) -> ColoredFactorization:
         raise ValueError(problem)
     dg = tour.digraph
     k, n = dg.k, dg.n
-    images = [[0] * n for _ in range(k)]
     seq = tour.arcs
-    for m in range(len(seq)):
-        t, a = seq[m]
-        _, b = seq[m - 1]
-        images[t - 1][a - 1] = b
-    perms = tuple(Permutation(tuple(img)) for img in images)
-    product = compose_all(list(perms))
-    root = seq[0][1]
-    # relabel so that the product becomes the long cycle with root at 1
-    (cycle,) = orbits((0,) + product.image, (root,))
-    if len(cycle) < n:
-        raise ValueError("tour product is not a single n-cycle")
+    type_k = [a for _, a in seq[::k]]
     s = [0] * (n + 1)
-    for j, x in enumerate(cycle, start=1):
-        s[x] = j
-    new_perms = []
-    for p in perms:
-        img = [0] * n
-        for y in range(1, n + 1):
-            img[s[y] - 1] = s[p(y)]
-        new_perms.append(Permutation(tuple(img)))
+    for j, a in enumerate(type_k[:1] + type_k[:0:-1], start=1):
+        s[a] = j
+    images = [[0] * n for _ in range(k)]
+    for m, (t, a) in enumerate(seq):
+        images[t - 1][s[a] - 1] = s[seq[m - 1][1]]
     new_colorings = []
     for col in dg.colorings:
         out = [0] * n
         for i in range(1, n + 1):
             out[s[i] - 1] = col[i - 1]
         new_colorings.append(tuple(out))
-    return ColoredFactorization(perms=tuple(new_perms), colorings=tuple(new_colorings))
+    perms = tuple(Permutation(tuple(img)) for img in images)
+    return ColoredFactorization(perms=perms, colorings=tuple(new_colorings))
 
 
 # ---------------------------------------------------------------------------

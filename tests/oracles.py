@@ -20,18 +20,21 @@ from constellation_lab.constellations import (
     dual_black_dart,
     dual_white_dart,
     from_permutations,
-    to_permutations,
     transitive_tuples,
 )
-from constellation_lab.counting import m_tuples
+from constellation_lab.counting import ColoredFactorization, m_tuples
 from constellation_lab.halfedges import BLACK, WHITE, HalfEdgeMap
 from constellation_lab.nebulas import enumerate_tree_pointed
 from constellation_lab.permutations import (
     Composition,
     Permutation,
     all_permutations,
+    compose,
     compose_all,
     cycles,
+    inverse,
+    long_cycle,
+    orbits,
 )
 from constellation_lab.puzzle import UndefinedProbabilityError
 from constellation_lab.symmetry import swap_degree, transport_schedule
@@ -140,6 +143,68 @@ def bfs_hyperedge_relabelling_naive(c):
     return s
 
 
+def xi_inverse_by_product_orbit(tour):
+    """The colored factorization of a valid Eulerian tour, relabelled along
+    the orbit of the root under the composed product; oracle for
+    :func:`constellation_lab.tree_rooted.xi_inverse`, which reads the
+    relabelling off the tour's type-k arcs."""
+    k, n = tour.digraph.k, tour.digraph.n
+    seq = tour.arcs
+    images = [[0] * n for _ in range(k)]
+    for m in range(len(seq)):
+        t, a = seq[m]
+        images[t - 1][a - 1] = seq[m - 1][1]
+    perms = [Permutation(tuple(img)) for img in images]
+    product = compose_all(perms)
+    (cycle,) = orbits((0,) + product.image, (seq[0][1],))
+    if len(cycle) < n:
+        raise ValueError("tour product is not a single n-cycle")
+    s = [0] * (n + 1)
+    for j, x in enumerate(cycle, start=1):
+        s[x] = j
+    new_perms = []
+    for p in perms:
+        img = [0] * n
+        for y in range(1, n + 1):
+            img[s[y] - 1] = s[p(y)]
+        new_perms.append(Permutation(tuple(img)))
+    new_colorings = []
+    for col in tour.digraph.colorings:
+        out = [0] * n
+        for i in range(1, n + 1):
+            out[s[i] - 1] = col[i - 1]
+        new_colorings.append(tuple(out))
+    return ColoredFactorization(perms=tuple(new_perms), colorings=tuple(new_colorings))
+
+
+def random_permutation(rng, n):
+    return Permutation(tuple(rng.sample(range(1, n + 1), n)))
+
+
+def random_colored_factorization(rng, n, k):
+    """k factors with product (1,...,n), each with a random surjective
+    coloring of its cycles."""
+    rest = [random_permutation(rng, n) for _ in range(k - 1)]
+    perms = [compose(long_cycle(n), inverse(compose_all(rest)))] + rest
+    colorings = []
+    for perm in perms:
+        cycs = cycles(perm)
+        colors = list(range(1, rng.randint(1, len(cycs)) + 1))
+        colors += [rng.choice(colors) for _ in range(len(cycs) - len(colors))]
+        rng.shuffle(colors)
+        col = [0] * n
+        for cyc, color in zip(cycs, colors):
+            for x in cyc:
+                col[x - 1] = color
+        colorings.append(tuple(col))
+    return ColoredFactorization(perms=tuple(perms), colorings=tuple(colorings))
+
+
+def identity(n):
+    """The identity permutation of [n]."""
+    return Permutation(tuple(range(1, n + 1)))
+
+
 def from_cycles(n, cycs):
     """Build a permutation of [n] from cycles; omitted elements are fixed points."""
     image = list(range(1, n + 1))
@@ -148,6 +213,29 @@ def from_cycles(n, cycs):
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             image[a - 1] = b
     return Permutation(tuple(image))
+
+
+def to_permutations(c):
+    """The representation map: counterclockwise hyperedge orders per type;
+    inverse of :func:`constellation_lab.constellations.from_permutations`."""
+    images = [[0] * c.n for _ in range(c.k)]
+    for v in range(1, c.num_vertices + 1):
+        t = c.vertex_type[v - 1]
+        ccw = tuple(reversed(c.rotation[v - 1]))
+        for a, b in zip(ccw, ccw[1:] + ccw[:1]):
+            images[t - 1][a - 1] = b
+    return tuple(Permutation(tuple(img)) for img in images)
+
+
+def genus(c):
+    """Genus of a constellation: that of its dual map, by Euler's relation
+    V - E + F = 2 - 2g (buds do not count as edges)."""
+    m = dual(c)
+    edges = sum(1 for t in m.twin if t is not None) // 2
+    chi = m.num_vertices - edges + len(m.faces())
+    if chi % 2 != 0 or chi > 2:
+        raise ValueError(f"inconsistent Euler characteristic {chi}")
+    return (2 - chi) // 2
 
 
 def white_face_count(c):
@@ -206,6 +294,44 @@ def _match_fixpoint(m, word):
         remaining.remove(w)
         remaining.remove(b)
     return pairs
+
+
+def subset_type(k, subsets):
+    """The type of a tuple of subsets of [k]: entry t counts the subsets holding t."""
+    out = [0] * k
+    for s in subsets:
+        for t in s:
+            out[t - 1] += 1
+    return tuple(out)
+
+
+def nebula_type_vector(nb):
+    """Black buds of a nebula per type."""
+    return tuple(len(buds) for buds in nb.hmap.buds_by_type(BLACK))
+
+
+def labellings(nb):
+    """All n! * prod(p_t!) labellings of a rooted nebula."""
+    m = nb.hmap
+    blacks = nb.black_vertices()
+    n = len(blacks)
+    white_by_type = m.buds_by_type(WHITE)
+    black_by_type = m.buds_by_type(BLACK)
+    for black_image in itertools.permutations(range(1, n + 1)):
+        lab = dict(zip(blacks, black_image))
+        pools = [[lab[m.vertex[x]] for x in buds] for buds in black_by_type]
+        for assignment in itertools.product(
+            *(itertools.permutations(pool) for pool in pools)
+        ):
+            wlab = {}
+            for buds, labs in zip(white_by_type, assignment):
+                for x, l in zip(buds, labs):
+                    wlab[x] = l
+            yield LabelledNebula(
+                nebula=nb,
+                black_labels=tuple(sorted(lab.items())),
+                white_bud_labels=tuple(sorted(wlab.items())),
+            )
 
 
 def nebula_key(nb):

@@ -14,8 +14,11 @@ from oracles import (
     color_compositions,
     enumerate_valid_biddings,
     from_cycles,
+    genus,
     is_parenthesis_nebula,
     nebula_key,
+    nebula_type_vector,
+    to_permutations,
     white_face_count,
 )
 
@@ -31,8 +34,6 @@ from constellation_lab.biddings import (
 )
 from constellation_lab.constellations import (
     from_permutations,
-    genus,
-    to_permutations,
     transitive_tuples,
 )
 from constellation_lab.counting import (
@@ -248,7 +249,7 @@ def test_criterion_5_cardinality_chains():
         nebulas_by_type = defaultdict(set)
         for tp in enumerate_tree_pointed(n, k):
             nb = dual_opening(tp)
-            nebulas_by_type[nb.type_vector()].add(nebula_key(nb))
+            nebulas_by_type[nebula_type_vector(nb)].add(nebula_key(nb))
         for p, keys in nebulas_by_type.items():
             checked += 1
             union = 0

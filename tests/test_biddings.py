@@ -4,7 +4,14 @@ from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import canonical_labelling, enumerate_valid_biddings, nebula_key
+from oracles import (
+    canonical_labelling,
+    enumerate_valid_biddings,
+    labellings,
+    nebula_key,
+    nebula_type_vector,
+    subset_type,
+)
 
 from constellation_lab.biddings import (
     Bidding,
@@ -15,7 +22,6 @@ from constellation_lab.biddings import (
     alpha_graph,
     enumerate_valid_prebiddings,
     is_valid_bidding,
-    labellings,
     psi,
     psi_inverse,
     sigma,
@@ -158,13 +164,14 @@ def test_every_valid_prebidding_yields_valid_nebula():
         for pb in enumerate_valid_prebiddings(n, 2):
             ln = vartheta_inverse(pb)
             assert ln.validate() is None
-            assert ln.nebula.type_vector() == pb.p_vector()
+            assert nebula_type_vector(ln.nebula) == subset_type(pb.k, pb.subsets)
 
 
 def test_psi_preserves_type():
     for pb in enumerate_valid_prebiddings(2, 3):
         ln = vartheta_inverse(pb)
-        assert psi(ln).p_vector() == ln.nebula.type_vector()
+        b = psi(ln)
+        assert subset_type(b.k, b.subsets) == nebula_type_vector(ln.nebula)
 
 
 def test_valid_bidding_count_identity():
@@ -174,7 +181,7 @@ def test_valid_bidding_count_identity():
         nebulas_by_type = {}
         for tp in enumerate_tree_pointed(n, k):
             nb = dual_opening(tp)
-            nebulas_by_type.setdefault(nb.type_vector(), set()).add(nebula_key(nb))
+            nebulas_by_type.setdefault(nebula_type_vector(nb), set()).add(nebula_key(nb))
         for p, keys in nebulas_by_type.items():
             expect = len(keys) * factorial(n)
             for pt in p:
@@ -199,7 +206,7 @@ def test_order_components_count_by_subsets():
 def test_labellings_count():
     tp = next(iter(enumerate_tree_pointed(2, 2)))
     nb = dual_opening(tp)
-    p = nb.type_vector()
+    p = nebula_type_vector(nb)
     expect = factorial(2)
     for pt in p:
         expect *= factorial(pt)

@@ -3,7 +3,7 @@ from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import color_compositions, partitions_of
+from oracles import color_compositions, identity, partitions_of, subset_type
 
 from constellation_lab.counting import (
     DEFAULT_CAP,
@@ -18,7 +18,6 @@ from constellation_lab.counting import (
     m_coefficient,
     m_tuples,
     strict_subsets,
-    subset_type,
     surjection_count,
     verify_gf_identity,
     verify_jackson,
@@ -31,7 +30,6 @@ from constellation_lab.permutations import (
     compose_all,
     cycle_type,
     cycles,
-    identity,
     long_cycle,
 )
 
@@ -196,6 +194,15 @@ def test_kappa_examples():
         assert total == factorial(n) ** (k - 1)
 
 
+def test_refined_counts_reject_an_empty_list_before_indexing():
+    with pytest.raises(ValueError, match="need at least 1 partition"):
+        count_kappa([])
+    with pytest.raises(ValueError, match="need at least 2 compositions"):
+        verify_mv_formula([])
+    with pytest.raises(ValueError, match="need at least 2 compositions"):
+        count_by_color_compositions([])
+
+
 def test_surjection_count_against_enumeration():
     for m in range(0, 5):
         for p in range(0, 5):
@@ -280,7 +287,7 @@ def test_m_coefficient_beyond_enumeration():
 
 def test_m_tuples_stream_counts_and_types():
     for mt in m_tuples(2, 3, (1, 1, 1)):
-        assert mt.counts() == (1, 1, 1)
+        assert subset_type(3, mt.subsets) == (1, 1, 1)
     assert sum(1 for _ in m_tuples(2, 3)) == 7**2
     seen = set(mt.subsets for mt in m_tuples(3, 2))
     assert len(seen) == 27

@@ -1,6 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
-from oracles import from_cycles, is_partition, partitions_of
+from oracles import from_cycles, identity, is_partition, partitions_of
 
 from constellation_lab.permutations import (
     Composition,
@@ -13,7 +13,6 @@ from constellation_lab.permutations import (
     cycle_string,
     cycle_type,
     cycles,
-    identity,
     inverse,
     long_cycle,
     orbits,

@@ -68,8 +68,8 @@ def test_swap_preserves_size_type_and_root():
     for t_obj in tree_rooted_objects(3, 2):
         for t, i, j in eligible_moves(t_obj):
             moved = swap_degree(t_obj, t, i, j)
-            assert moved.n == t_obj.n
-            assert moved.type_vector() == t_obj.type_vector()
+            assert moved.constellation.n == t_obj.constellation.n
+            assert moved.constellation.type_vector() == t_obj.constellation.type_vector()
             assert moved.constellation.root == t_obj.constellation.root
             assert moved.arborescence.root_vertex == t_obj.arborescence.root_vertex
 

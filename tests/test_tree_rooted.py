@@ -1,9 +1,16 @@
 import itertools
+import random
 from math import factorial
 
 import pytest
-from oracles import color_compositions, digraph_arborescences
+from oracles import (
+    color_compositions,
+    digraph_arborescences,
+    random_colored_factorization,
+    xi_inverse_by_product_orbit,
+)
 
+from constellation_lab import tree_rooted
 from constellation_lab.constellations import canonical_rooted, transitive_tuples
 from constellation_lab.counting import (
     count_colored,
@@ -41,6 +48,34 @@ def test_xi_tour_length_and_roundtrip():
         tour = xi(cf)
         assert len(tour.arcs) == cf.k * cf.n
         assert xi_inverse(tour) == cf
+
+
+def test_xi_inverse_matches_the_product_orbit_relabelling(monkeypatch):
+    """On the criterion-4 phi domains and on random objects at n = 5..8,
+    every tour that phi_inverse replays, and xi of every input, decodes as
+    the oracle that composes the factors and walks the root's orbit does."""
+    replayed = []
+
+    def recording(tour):
+        replayed.append(tour)
+        return xi_inverse(tour)
+
+    monkeypatch.setattr(tree_rooted, "xi_inverse", recording)
+    rng = random.Random(22)
+    cfs = [cf for n, k in [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)] for cf in all_colored(n, k)]
+    cfs += [
+        random_colored_factorization(rng, n, k)
+        for n in range(5, 9)
+        for k in (2, 3)
+        for _ in range(20)
+    ]
+    for cf in cfs:
+        assert phi_inverse(phi(cf)) == cf
+        tour = xi(cf)
+        assert xi_inverse(tour) == xi_inverse_by_product_orbit(tour) == cf
+    assert len(replayed) == len(cfs)
+    for tour in replayed:
+        assert xi_inverse(tour) == xi_inverse_by_product_orbit(tour)
 
 
 def _plain_digraph(arc_list):
@@ -136,7 +171,7 @@ def test_phi_trivial_case():
     cf = next(enumerate_colored_factorizations(1, 2, (1, 1)))
     t = phi(cf)
     assert t.validate() is None
-    assert t.n == 1 and t.type_vector() == (1, 1)
+    assert t.constellation.n == 1 and t.constellation.type_vector() == (1, 1)
     assert len(t.arborescence.edges()) == 1
     assert phi_inverse(t) == cf
 
@@ -194,7 +229,7 @@ def test_tree_rooted_tour_is_reused_by_canonical_form():
         t = phi(cf)
         # phi output is already canonical
         assert canonical_rooted(t.constellation, t.arborescence) == (t.constellation, t.arborescence)
-        assert len(tree_rooted_tour(t)) == t.n * t.k
+        assert len(tree_rooted_tour(t)) == t.constellation.n * t.constellation.k
 
 
 def test_label_washing_one_to_n_minus_one_factorial():

@@ -9,6 +9,7 @@ import random
 from collections import Counter
 
 import pytest
+from oracles import random_colored_factorization, random_permutation
 
 from constellation_lab.biddings import (
     Bidding,
@@ -29,14 +30,6 @@ from constellation_lab.nebulas import (
     dual_closure,
     dual_opening,
 )
-from constellation_lab.permutations import (
-    Permutation,
-    compose,
-    compose_all,
-    cycles,
-    inverse,
-    long_cycle,
-)
 from constellation_lab.tree_rooted import (
     EulerianDigraphTour,
     TreeRootedConstellation,
@@ -45,29 +38,6 @@ from constellation_lab.tree_rooted import (
     xi,
     xi_inverse,
 )
-
-
-def random_permutation(rng, n):
-    return Permutation(tuple(rng.sample(range(1, n + 1), n)))
-
-
-def random_colored_factorization(rng, n, k):
-    """k factors with product (1,...,n), each with a random surjective
-    coloring of its cycles."""
-    rest = [random_permutation(rng, n) for _ in range(k - 1)]
-    perms = [compose(long_cycle(n), inverse(compose_all(rest)))] + rest
-    colorings = []
-    for perm in perms:
-        cycs = cycles(perm)
-        colors = list(range(1, rng.randint(1, len(cycs)) + 1))
-        colors += [rng.choice(colors) for _ in range(len(cycs) - len(colors))]
-        rng.shuffle(colors)
-        col = [0] * n
-        for cyc, color in zip(cycs, colors):
-            for x in cyc:
-                col[x - 1] = color
-        colorings.append(tuple(col))
-    return ColoredFactorization(perms=tuple(perms), colorings=tuple(colorings))
 
 
 def random_valid_bidding(rng, n, k):
