@@ -84,6 +84,7 @@ EXTRA = [
     ["render", "--kind", "constellation", "--input", "{dir}/disconnected.json"],
     ["psi", "--direction", "fwd", "--input", "{dir}/bad_labels.json"],
     ["psi", "--direction", "fwd", "--input", "{dir}/aliased_labels.json"],
+    ["puzzle", "--n", "2", "--k", "3", "--p", "2,2,2"],
 ]
 
 FORMATS = ("text", "json")

@@ -17,6 +17,8 @@ SWEEPS = [
     ["jackson-check", "--n", "3", "--k", "3", "--all-p"],
     ["jackson-check", "--n", "2", "--k", "4", "--all-p"],
     ["jackson-check", "--n", "4", "--k", "3", "--all-p"],
+    ["jackson-check", "--n", "5", "--k", "3", "--all-p"],
+    ["jackson-check", "--n", "4", "--k", "4", "--all-p"],
     ["gf-check", "--n", "3", "--k", "2", "--all-x"],
     ["gf-check", "--n", "3", "--k", "3", "--all-x"],
     ["mv-check", "--n", "4", "--k", "2"],

@@ -172,8 +172,9 @@ def cycle_type_census(
     """How many factorizations of (1,...,n) into k factors have each cycle type.
 
     A key holds, per factor, its cycle lengths in decreasing order.  Every
-    exhaustive count of this module is a sum over this census, which is the
-    only counting pass over :func:`enumerate_factorizations`.  It is memoized
+    exhaustive count of this module is a sum over this census.  It walks the
+    domain of :func:`enumerate_factorizations` in the same order, as bare
+    image tuples, and reads each type from a table over S_n.  It is memoized
     per (n, k, cap) for the life of the process, with ``cap=None`` read as
     ``DEFAULT_CAP`` and positional and keyword calls sharing one entry, so a
     sweep walks its domain once; the cap is checked when an entry is first
@@ -184,9 +185,25 @@ def cycle_type_census(
 
 @lru_cache(maxsize=None)
 def _census(n: int, k: int, cap: int) -> Mapping[tuple[tuple[int, ...], ...], int]:
+    if n < 1 or k < 2:
+        raise ValueError("need n >= 1 and k >= 2")
+    _check_cap(factorial(n) ** (k - 1), cap)
+    # S_n as 0-based image tuples in lexicographic order, each with its type
+    ctype = {tuple(x - 1 for x in g.image): cycle_type(g).parts for g in all_permutations(n)}
+    # first[q]: the type of pi_1 = (1,...,n) q^-1, which maps q(i) to i + 1
+    first = {}
+    for q in ctype:
+        pi1 = [0] * n
+        for i, y in enumerate(q):
+            pi1[y] = (i + 1) % n
+        first[q] = ctype[tuple(pi1)]
     census: dict[tuple[tuple[int, ...], ...], int] = {}
-    for perms in enumerate_factorizations(n, k, cap):
-        key = tuple(cycle_type(q).parts for q in perms)
+    # the walk of enumerate_factorizations: q = pi_2...pi_k, rightmost first
+    for rest in itertools.product(ctype, repeat=k - 1):
+        q = rest[-1]
+        for g in reversed(rest[:-1]):
+            q = tuple(map(g.__getitem__, q))
+        key = (first[q],) + tuple(map(ctype.__getitem__, rest))
         census[key] = census.get(key, 0) + 1
     return MappingProxyType(census)
 
@@ -202,9 +219,12 @@ def count_colored(n: int, p: Sequence[int], cap: Optional[int] = None) -> int:
         raise ValueError("color counts must be positive")
     if any(pt > n for pt in p):
         return 0
+    census = cycle_type_census(n, len(p), cap)
+    # rows[t][m]: surjections from the m cycles of factor t + 1 onto its colors
+    rows = [[surjection_count(m, pt) for m in range(n + 1)] for pt in p]
     return sum(
-        cnt * prod(surjection_count(len(lam), pt) for lam, pt in zip(lams, p))
-        for lams, cnt in cycle_type_census(n, len(p), cap).items()
+        cnt * prod(row[len(lam)] for row, lam in zip(rows, lams))
+        for lams, cnt in census.items()
     )
 
 

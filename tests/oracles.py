@@ -22,7 +22,7 @@ from constellation_lab.constellations import (
     from_permutations,
     transitive_tuples,
 )
-from constellation_lab.counting import ColoredFactorization, m_tuples
+from constellation_lab.counting import ColoredFactorization, enumerate_factorizations, m_tuples
 from constellation_lab.halfedges import BLACK, WHITE, HalfEdgeMap
 from constellation_lab.nebulas import enumerate_tree_pointed
 from constellation_lab.permutations import (
@@ -31,6 +31,7 @@ from constellation_lab.permutations import (
     all_permutations,
     compose,
     compose_all,
+    cycle_type,
     cycles,
     inverse,
     long_cycle,
@@ -119,6 +120,18 @@ def pointing_counts_naive(n, k, p, cap=None):
         bumped = p[:t] + (p[t] + 1,) + p[t + 1:]
         rhs += sum(1 for _ in enumerate_tree_rooted(n, k, bumped, cap))
     return lhs, rhs
+
+
+def cycle_type_census_by_stream(n, k):
+    """How many factorizations have each tuple of factor cycle types, keyed in
+    the order first met, by typing every tuple of the factorization stream;
+    oracle for :func:`constellation_lab.counting.cycle_type_census`, which
+    reads the types from tables over S_n."""
+    census = {}
+    for perms in enumerate_factorizations(n, k):
+        key = tuple(cycle_type(q).parts for q in perms)
+        census[key] = census.get(key, 0) + 1
+    return census
 
 
 def bfs_hyperedge_relabelling_naive(c):

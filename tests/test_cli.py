@@ -44,6 +44,15 @@ def test_puzzle_exact(capsys):
     assert "1/2" in out and "MISMATCH" not in out
 
 
+def test_puzzle_rejects_a_type_with_no_subset_tuples(capsys):
+    # a strict subset of [3] holds at most 2 types, so n=2 positions give at most 4
+    code = main(["puzzle", "--n", "2", "--k", "3", "--p", "2,2,2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: no subset tuples of type (2, 2, 2)\n"
+
+
 @pytest.mark.parametrize(
     "extra, name",
     [([], "n"), (["--sample", "10"], "n"), (["--sample", "0"], "trials"), (["--sample", "-4"], "trials")],
@@ -179,23 +188,20 @@ def test_cap_exceeded_exit_code(capsys):
 
 
 def test_sweeps_share_one_factorization_walk(capsys, monkeypatch):
-    walks = []
-    original = counting.enumerate_factorizations
+    def no_stream(*args, **kwargs):
+        raise AssertionError("the census walks its own tuples")
 
-    def counted(*args, **kwargs):
-        walks.append(args[:2])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(counting, "enumerate_factorizations", counted)
+    monkeypatch.setattr(counting, "enumerate_factorizations", no_stream)
     counting.cycle_type_census.cache_clear()
     try:
         assert main(["jackson-check", "--n", "3", "--k", "2", "--all-p"]) == 0
         assert main(["mv-check", "--n", "3", "--k", "2"]) == 0
         assert main(["gf-check", "--n", "3", "--k", "2", "--all-x"]) == 0
         assert main(["symmetry-check", "--n", "3", "--k", "2"]) == 0
+        info = counting.cycle_type_census.cache_info()
     finally:
         counting.cycle_type_census.cache_clear()
-    assert walks == [(3, 2)]
+    assert info.misses == 1 and info.hits >= 3
 
 
 def test_roundtrip_commands(capsys):

@@ -3,8 +3,15 @@ from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import color_compositions, identity, partitions_of, subset_type
+from oracles import (
+    color_compositions,
+    cycle_type_census_by_stream,
+    identity,
+    partitions_of,
+    subset_type,
+)
 
+from constellation_lab import counting
 from constellation_lab.counting import (
     DEFAULT_CAP,
     CapExceededError,
@@ -97,6 +104,30 @@ def test_cycle_type_census_is_memoized_and_read_only():
     with pytest.raises(CapExceededError):
         cycle_type_census(3, 2, 5)
     assert cycle_type_census(3, 2, 6) == census
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 5)] + [(n, 4) for n in range(1, 4)]
+    + [(5, 3), (4, 4)],
+)
+def test_cycle_type_census_matches_the_factorization_stream(n, k):
+    # same keys, counts and key order as typing every streamed factorization
+    got = cycle_type_census(n, k)
+    assert list(got.items()) == list(cycle_type_census_by_stream(n, k).items())
+    assert sum(got.values()) == factorial(n) ** (k - 1)
+
+
+def test_cycle_type_census_checks_arguments_and_cap_before_its_tables(monkeypatch):
+    def no_tables(n):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(counting, "all_permutations", no_tables)
+    for n, k in [(0, 2), (3, 1)]:
+        with pytest.raises(ValueError, match="need n >= 1 and k >= 2"):
+            cycle_type_census(n, k)
+    with pytest.raises(CapExceededError, match="enumeration of 576 tuples exceeds cap 575"):
+        cycle_type_census(4, 3, 575)
 
 
 def test_cycle_type_census_memo_key_is_normalised():
