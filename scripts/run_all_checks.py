@@ -34,6 +34,7 @@ SWEEPS = [
     ["roundtrip", "--bijection", "lambda", "--n", "2", "--k", "3"],
     ["roundtrip", "--bijection", "lambda", "--n", "3", "--k", "3"],
     ["roundtrip", "--bijection", "theta", "--n", "3", "--k", "2"],
+    ["roundtrip", "--bijection", "theta", "--n", "2", "--k", "3"],
     ["roundtrip", "--bijection", "sigma", "--n", "3", "--k", "2"],
     ["roundtrip", "--bijection", "psi", "--n", "2", "--k", "3"],
     ["roundtrip", "--bijection", "sigma", "--n", "2", "--k", "4"],

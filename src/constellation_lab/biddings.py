@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .counting import m_tuples
-from .halfedges import BLACK, WHITE, HalfEdgeMap, _json_field, _json_int
+from .halfedges import BLACK, WHITE, HalfEdgeMap, _json_field, _json_int, typed_map
 from .nebulas import Nebula
-from .permutations import Permutation, orbits
+from .permutations import Permutation
 from .tree_rooted import best_compose, enumerate_eulerian_tours
 
 Pair = tuple[int, int]  # (type, label)
@@ -286,7 +286,8 @@ def vartheta(ln: LabelledNebula) -> Prebidding:
 def vartheta_inverse(pb: Prebidding) -> LabelledNebula:
     """Rebuild the labelled rooted nebula whose corner reading is ``pb``.
 
-    Black vertices get one dart per type (clockwise increasing); the white
+    The map is :func:`~constellation_lab.halfedges.typed_map` with black
+    vertex i labelled i and slot (i, t) a bud pair for t in R_i.  The white
     rotations are chained run by run: consecutive corners inside a run are
     clockwise-consecutive darts, and each run hangs off the edge dart that
     entered the vertex, which is the white dart of (t+1, previous label).
@@ -298,62 +299,17 @@ def vartheta_inverse(pb: Prebidding) -> LabelledNebula:
         raise ValueError(problem)
     k, n = pb.k, pb.n
     R = pb.subsets
-
-    def bdart(t: int, i: int) -> int:
-        return (i - 1) * k + (t - 1)
-
-    def wdart(t: int, i: int) -> int:
-        return n * k + (i - 1) * k + (t - 1)
-
-    num = 2 * n * k
-    vertex = [0] * num
-    nxt = [0] * num
-    twin: list[Optional[int]] = [None] * num
-    dtype = [0] * num
-    for i in range(1, n + 1):
-        for t in range(1, k + 1):
-            b = bdart(t, i)
-            w = wdart(t, i)
-            vertex[b] = i - 1
-            dtype[b] = dtype[w] = t
-            nxt[b] = bdart(t % k + 1, i)
-            if t not in R[i - 1]:
-                twin[b] = w
-                twin[w] = b
-    m_len = len(pb.order)
-    for idx, (t, i) in enumerate(pb.order):
-        prev_t, prev_i = pb.order[(idx - 1) % m_len]
-        if prev_t in R[prev_i - 1]:
-            src = wdart(prev_t, prev_i)
-        else:
-            src = wdart(t % k + 1, prev_i)
-        nxt[src] = wdart(t, i)
-    # white vertices from the rotation cycles
-    whites = orbits(nxt, range(n * k, num))
-    for vid, orbit in enumerate(whites, start=n):
-        for x in orbit:
-            vertex[x] = vid
-    colors = tuple([BLACK] * n + [WHITE] * len(whites))
-    root_label = pb.order[-1][1]
-    hmap = HalfEdgeMap(
-        k=k,
-        vertex=tuple(vertex),
-        nxt=tuple(nxt),
-        twin=tuple(twin),
-        type=tuple(dtype),
-        vertex_color=colors,
-        root=root_label - 1,
-    )
+    white_next = {}
+    for (prev_t, prev_i), (t, i) in zip(pb.order[-1:] + pb.order[:-1], pb.order):
+        src = prev_t if prev_t in R[prev_i - 1] else t % k + 1
+        white_next[(prev_i, src)] = (i, t)
+    buds = [(i, t) for i in range(1, n + 1) for t in R[i - 1]]
+    hmap = typed_map(k, n, white_next, buds, pb.order[-1][1])
     return LabelledNebula(
         nebula=Nebula(hmap=hmap),
         black_labels=tuple((i - 1, i) for i in range(1, n + 1)),
-        white_bud_labels=tuple(
-            sorted(
-                (wdart(t, i), i)
-                for i in range(1, n + 1)
-                for t in R[i - 1]
-            )
-        ),
+        # the partner of white dart x is the black dart x - nk
+        white_bud_labels=tuple((x, hmap.vertex[x - n * k] + 1) for x in hmap.buds if x >= n * k),
     )
 
 

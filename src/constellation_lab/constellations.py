@@ -19,11 +19,11 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .counting import DEFAULT_CAP, _check_cap
-from .halfedges import BLACK, WHITE, HalfEdgeMap, _json_field, _json_int
-from .permutations import Permutation, all_permutations, cycles, orbits
+from .halfedges import BLACK, HalfEdgeMap, _json_field, _json_int, typed_map
+from .permutations import Permutation, all_permutations, cycles
 
 Edge = tuple[int, int]  # (hyperedge id, type)
 
@@ -321,57 +321,23 @@ def _validate_tree_pointed(c: Constellation, a: Arborescence) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-def _edge_index(c: Constellation, e: Edge) -> int:
-    h, t = e
-    return (h - 1) * c.k + (t - 1)
-
-
-def dual_black_dart(c: Constellation, e: Edge) -> int:
-    """Dart id at the black vertex of the dual edge crossing e."""
-    return 2 * _edge_index(c, e)
-
-
-def dual_white_dart(c: Constellation, e: Edge) -> int:
-    return 2 * _edge_index(c, e) + 1
-
-
-def dual(c: Constellation) -> HalfEdgeMap:
+def dual(c: Constellation, cut: Iterable[Edge]) -> HalfEdgeMap:
     """The dual map: black vertices are hyperedges, white vertices are white faces.
 
     Types increase clockwise around black vertices and decrease around
     white ones.  Where g comes just before h clockwise around a type-t
     vertex, the dual edge crossing (h, t) follows the one crossing
-    (g, t-1) clockwise around their white vertex.  Dart ids follow
-    :func:`dual_black_dart` / :func:`dual_white_dart`; black vertex ids
-    are h-1, and white vertex ids n, n+1, ... number the white rotations
-    in increasing order of their least dart.
+    (g, t-1) clockwise around their white vertex.  The dual edge crossing
+    (h, t) is slot (h, t) of :func:`~constellation_lab.halfedges.typed_map`,
+    and is cut into a bud pair when (h, t) is in ``cut``.
     """
     k = c.k
-    H = 2 * c.n * k
-    vertex = [-1] * H
-    nxt = [0] * H
-    twin: list[Optional[int]] = [0] * H
-    dtype = [0] * H
-    for h in range(1, c.n + 1):
-        for t in range(1, k + 1):
-            b = dual_black_dart(c, (h, t))
-            w = b + 1
-            vertex[b] = h - 1
-            dtype[b] = dtype[w] = t
-            twin[b] = w
-            twin[w] = b
-            nxt[b] = dual_black_dart(c, (h, t % k + 1))
+    white_next = {}
     for t, rot in zip(c.vertex_type, c.rotation):
         t_prev = (t - 2) % k + 1
         for g, h in zip(rot[-1:] + rot[:-1], rot):
-            nxt[dual_white_dart(c, (h, t))] = dual_white_dart(c, (g, t_prev))
-    whites = orbits(nxt, range(1, H, 2))
-    for wv, orbit in enumerate(whites, start=c.n):
-        for x in orbit:
-            vertex[x] = wv
-    colors = tuple([BLACK] * c.n + [WHITE] * len(whites))
-    root = None if c.root is None else c.root - 1
-    return HalfEdgeMap(k, tuple(vertex), tuple(nxt), tuple(twin), tuple(dtype), colors, root)
+            white_next[(h, t)] = (g, t_prev)
+    return typed_map(k, c.n, white_next, cut, c.root)
 
 
 def constellation_from_dual(m: HalfEdgeMap) -> tuple[Constellation, dict[int, int], dict[int, int]]:

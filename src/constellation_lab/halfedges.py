@@ -20,12 +20,14 @@ by :func:`~constellation_lab.permutations.orbits`: faces and tours of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Mapping, Optional
 
 from .permutations import orbits
 
 BLACK = "black"
 WHITE = "white"
+
+Slot = tuple[int, int]  # (black vertex i, type t), see typed_map
 
 
 @dataclass(frozen=True)
@@ -190,17 +192,49 @@ def _json_field(data: dict, key: str, convert=lambda value: value):
         raise ValueError(f"malformed key {key!r} ({type(exc).__name__}: {exc})") from None
 
 
-def with_twins_cut(m: HalfEdgeMap, darts: set[int]) -> HalfEdgeMap:
-    """Copy of m with the edges through the given darts cut into bud pairs."""
-    cut = set()
-    for x in darts:
-        t = m.twin[x]
-        if t is None:
-            raise ValueError(f"dart {x} is already a bud")
-        cut.add(x)
-        cut.add(t)
-    twin = tuple(None if x in cut else m.twin[x] for x in range(m.num_darts))
-    return HalfEdgeMap(m.k, m.vertex, m.nxt, twin, m.type, m.vertex_color, m.root)
+def typed_map(
+    k: int,
+    n: int,
+    white_next: Mapping[Slot, Slot],
+    buds: Iterable[Slot],
+    root: Optional[int],
+) -> HalfEdgeMap:
+    """The map of n black vertices of degree k and their white partners.
+
+    Slot (i, t), for i in 1..n and t in 1..k, holds two darts of type t:
+    the black dart (i-1)k + t-1 at black vertex i-1, clockwise in
+    increasing type, and its partner, the white dart nk more.  The two are
+    twins unless the slot is in ``buds``, where both are buds.  The white
+    dart of slot s is followed clockwise by that of ``white_next[s]``, and
+    the white vertices are numbered n, n+1, ... in increasing order of
+    their least dart.  ``root`` is a black vertex i, or None.
+    """
+    nk = n * k
+    slots = [(i, t) for i in range(1, n + 1) for t in range(1, k + 1)]
+    dart = {s: j for j, s in enumerate(slots)}  # black dart (i-1)k + t-1
+    nxt = [dart[(i, t % k + 1)] for i, t in slots] + [0] * nk
+    twin: list[Optional[int]] = [*range(nk, 2 * nk), *range(nk)]
+    try:
+        for s, s2 in white_next.items():
+            nxt[nk + dart[s]] = nk + dart[s2]
+        for s in buds:
+            twin[dart[s]] = twin[nk + dart[s]] = None
+    except KeyError as exc:
+        raise ValueError(f"slot {exc.args[0]} is not in [{n}] x [{k}]") from None
+    vertex = [i - 1 for i, _ in slots] + [0] * nk
+    whites = orbits(nxt, range(nk, 2 * nk))
+    for v, orbit in enumerate(whites, start=n):
+        for x in orbit:
+            vertex[x] = v
+    return HalfEdgeMap(
+        k=k,
+        vertex=tuple(vertex),
+        nxt=tuple(nxt),
+        twin=tuple(twin),
+        type=tuple(t for _, t in slots) * 2,
+        vertex_color=(BLACK,) * n + (WHITE,) * len(whites),
+        root=None if root is None else root - 1,
+    )
 
 
 def with_twins_joined(m: HalfEdgeMap, pairs: list[tuple[int, int]]) -> HalfEdgeMap:

@@ -23,11 +23,10 @@ from .constellations import (
     arborescences_toward,
     constellation_from_dual,
     dual,
-    dual_black_dart,
     enumerate_rooted_constellations,
 )
 from .counting import DEFAULT_CAP, CheckReport
-from .halfedges import BLACK, WHITE, HalfEdgeMap, with_twins_cut, with_twins_joined
+from .halfedges import BLACK, WHITE, HalfEdgeMap, with_twins_joined
 
 
 @dataclass(frozen=True)
@@ -110,10 +109,7 @@ def dual_opening(tp: TreePointedConstellation) -> Nebula:
     problem = tp.validate()
     if problem is not None:
         raise ValueError(problem)
-    c = tp.constellation
-    d = dual(c)
-    cut = {dual_black_dart(c, e) for e in tp.arborescence.edges()}
-    return Nebula(hmap=with_twins_cut(d, cut))
+    return Nebula(hmap=dual(tp.constellation, tp.arborescence.edges()))
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +137,10 @@ def _match_parenthesis(m: HalfEdgeMap, word: list[int]) -> list[tuple[int, int]]
             pairs.append((stack.pop(), x))
         else:
             early_black.append(x)
+    if len(stack) != len(early_black):
+        raise ValueError("unbalanced buds")
     for b in early_black:
         pairs.append((stack.pop(), b))
-    if stack:
-        raise ValueError("unbalanced buds")
     return pairs
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Hashable, Iterator, Mapping, Optional, Sequence
 from .constellations import (
     Arborescence,
     Constellation,
-    _norm_cycle,
+    _from_rotations,
     _validate_tree_pointed,
     arborescences_toward,
     canonical_rooted,
@@ -266,33 +266,13 @@ def phi(cf: ColoredFactorization) -> TreeRootedConstellation:
     dg = tour.digraph
     exits = best_decompose(tour)
     v0 = dg.tail(tour.arcs[0])
-    dverts = sorted(exits)
-    vid = {dv: idx + 1 for idx, dv in enumerate(dverts)}
-    rotation = []
-    labels = []
-    vertex_type = []
-    parent: list[Optional[tuple[int, int]]] = [None] * len(dverts)
-    for dv in dverts:
-        t, c = dv
-        vertex_type.append(t)
-        labels.append(c)
-        rotation.append(_norm_cycle([i for (_, i) in exits[dv]]))
-        if dv != v0:
-            parent[vid[dv] - 1] = (exits[dv][-1][1], t)
-    hyperedges = tuple(
-        tuple(vid[(t, cf.colorings[t - 1][h - 1])] for t in range(1, dg.k + 1))
-        for h in range(1, dg.n + 1)
-    )
-    c = Constellation(
-        k=dg.k,
-        n=dg.n,
-        hyperedges=hyperedges,
-        vertex_type=tuple(vertex_type),
-        rotation=tuple(rotation),
-        root=tour.arcs[0][1],
-        labels=tuple(labels),
-    )
-    arb = Arborescence(root_vertex=vid[v0], parent_edge=tuple(parent))
+    dverts = list(exits)
+    verts = [(t, [i for _, i in exits[(t, col)]]) for t, col in dverts]
+    c, order = _from_rotations(dg.k, dg.n, verts, tour.arcs[0][1])
+    # the parent edge of a vertex other than v0 is its last exit
+    parent = [None if dverts[j] == v0 else (exits[dverts[j]][-1][1], dverts[j][0]) for j in order]
+    c = replace(c, labels=tuple(dverts[j][1] for j in order))
+    arb = Arborescence(root_vertex=parent.index(None) + 1, parent_edge=tuple(parent))
     return TreeRootedConstellation(*canonical_rooted(c, arb))
 
 

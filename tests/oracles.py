@@ -17,8 +17,6 @@ from constellation_lab.biddings import (
 from constellation_lab.constellations import (
     canonical_rooted,
     dual,
-    dual_black_dart,
-    dual_white_dart,
     from_permutations,
     transitive_tuples,
 )
@@ -243,7 +241,7 @@ def to_permutations(c):
 def genus(c):
     """Genus of a constellation: that of its dual map, by Euler's relation
     V - E + F = 2 - 2g (buds do not count as edges)."""
-    m = dual(c)
+    m = dual(c, ())
     edges = sum(1 for t in m.twin if t is not None) // 2
     chi = m.num_vertices - edges + len(m.faces())
     if chi % 2 != 0 or chi > 2:
@@ -254,7 +252,7 @@ def genus(c):
 def white_face_count(c):
     """The number of white faces of a constellation: the white vertices of
     its dual map."""
-    return dual(c).num_vertices - c.n
+    return dual(c, ()).num_vertices - c.n
 
 
 def product_of(c):
@@ -370,6 +368,8 @@ def dual_by_face_orbits(c):
     rotation, (h, t, 0) then (h, t-1, 1); the tour step is
     d -> cw_next(twin(d)).  The side-0 orbits are the white faces, numbered
     by least dart; oracle for :func:`constellation_lab.constellations.dual`.
+    The dual edge crossing (h, t) has black dart (h-1)k + t-1 and white dart
+    nk more, as in :func:`constellation_lab.halfedges.typed_map`.
     """
     cw_next = {}
     for t, rot in zip(c.vertex_type, c.rotation):
@@ -386,19 +386,23 @@ def dual_by_face_orbits(c):
             d = cw_next[(d[0], d[1], 1 - d[2])]
         if orbit and d0[2] == 0:
             whites.append(orbit)
-    H = 2 * c.n * c.k
+    H, nk = 2 * c.n * c.k, c.n * c.k
+
+    def black(h, t):
+        return (h - 1) * c.k + t - 1
+
     vertex, nxt, twin, dtype = [0] * H, [0] * H, [0] * H, [0] * H
     for h in range(1, c.n + 1):
         for t in range(1, c.k + 1):
-            b = dual_black_dart(c, (h, t))
-            vertex[b], dtype[b], dtype[b + 1] = h - 1, t, t
-            twin[b], twin[b + 1] = b + 1, b
-            nxt[b] = dual_black_dart(c, (h, t % c.k + 1))
+            b = black(h, t)
+            vertex[b], dtype[b], dtype[b + nk] = h - 1, t, t
+            twin[b], twin[b + nk] = b + nk, b
+            nxt[b] = black(h, t % c.k + 1)
     for f, orbit in enumerate(whites):
         for d_prev, d in zip(orbit, orbit[1:] + orbit[:1]):
-            w = dual_white_dart(c, d[:2])
+            w = nk + black(*d[:2])
             vertex[w] = c.n + f
-            nxt[w] = dual_white_dart(c, d_prev[:2])
+            nxt[w] = nk + black(*d_prev[:2])
     colors = (BLACK,) * c.n + (WHITE,) * len(whites)
     root = None if c.root is None else c.root - 1
     return HalfEdgeMap(c.k, tuple(vertex), tuple(nxt), tuple(twin), tuple(dtype), colors, root)

@@ -147,6 +147,28 @@ def test_vartheta_roundtrip_on_openings():
                 assert vartheta(ln2) == pb
 
 
+def test_theta_chain_meets_the_lambda_chain():
+    # an opening labelled by its own numbering (black vertex v is v + 1, a white
+    # bud carries its partner's label) is the object vartheta_inverse builds
+    count = 0
+    for n, k in [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3), (2, 4)]:
+        for tp in enumerate_tree_pointed(n, k):
+            nb = dual_opening(tp)
+            m = nb.hmap
+            ln = LabelledNebula(
+                nebula=nb,
+                black_labels=tuple((v, v + 1) for v in nb.black_vertices()),
+                white_bud_labels=tuple(
+                    (x, m.vertex[x - n * k] + 1) for x in m.buds if x >= n * k
+                ),
+            )
+            got = vartheta_inverse(vartheta(ln))
+            for field in ("nebula", "black_labels", "white_bud_labels"):
+                assert getattr(got, field) == getattr(ln, field), field
+            count += 1
+    assert count == 2552
+
+
 def test_roundtrips_over_all_valid_prebiddings():
     for n, k in [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)]:
         count = 0

@@ -597,7 +597,7 @@ def test_render_validates_halfedge_and_nebula_input(tmp_path, capsys):
     # the dual of the one-hyperedge constellation is a valid half-edge map
     # with two faces, so it is not a nebula
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(dual(Constellation.from_json(ONE_EDGE)).to_json()))
+    path.write_text(json.dumps(dual(Constellation.from_json(ONE_EDGE), ()).to_json()))
     code, out = run(capsys, "render", "--kind", "halfedge", "--input", str(path))
     assert code == 0 and out.startswith("graph")
     assert main(["render", "--kind", "nebula", "--input", str(path)]) == 2

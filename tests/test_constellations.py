@@ -142,11 +142,18 @@ def test_euler_relation_shape():
 
 def test_dual_single_hyperedge_k3():
     c = from_permutations((identity(1),) * 3)
-    d = dual(c)
+    d = dual(c, ())
     assert d.validate() is None
     blacks = [v for v in range(d.num_vertices) if d.vertex_color[v] == "black"]
     assert len(blacks) == 1
     assert d.vertex.count(blacks[0]) == 3
+
+
+def test_dual_rejects_a_cut_edge_outside_the_constellation():
+    c = from_permutations((identity(1),) * 3)
+    for e in [(2, 1), (1, 0), (0, 3), (1, 4)]:
+        with pytest.raises(ValueError, match=r"slot .* is not in \[1\] x \[3\]"):
+            dual(c, [e])
 
 
 def test_dual_preserves_genus_and_inverts():
@@ -155,7 +162,7 @@ def test_dual_preserves_genus_and_inverts():
         for perms in transitive_tuples(n, k):
             rooted = from_permutations(perms, root=rng.randint(1, n))
             for c in (rooted, replace(rooted, root=None)):
-                d = dual(c)
+                d = dual(c, ())
                 assert d.validate() is None
                 # Euler's relation with the white faces read off the product
                 white = len(cycles(product_of(c)))
@@ -181,7 +188,7 @@ def test_dual_matches_the_face_orbit_construction():
                 cs.append(from_permutations(perms, root=rng.randint(1, n)))
                 drawn += 1
     for c in cs:
-        got, want = dual(c), dual_by_face_orbits(c)
+        got, want = dual(c, ()), dual_by_face_orbits(c)
         for field in ("vertex", "nxt", "twin", "type", "vertex_color", "root"):
             assert getattr(got, field) == getattr(want, field), field
 
@@ -443,7 +450,7 @@ def test_dot_output_is_stable():
     c = from_permutations(fig2_left(), root=1)
     assert constellation_to_dot(c) == constellation_to_dot(c)
     assert constellation_to_dot(c).startswith("graph constellation {")
-    assert halfedge_to_dot(dual(c)).startswith("graph halfedgemap {")
+    assert halfedge_to_dot(dual(c, ())).startswith("graph halfedgemap {")
 
 
 def test_vertex_colors_validated_and_serialized():

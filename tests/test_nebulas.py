@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from oracles import (
@@ -87,10 +88,20 @@ def test_buds_by_type_partitions_the_buds(n, k):
 def test_closure_of_budless_map_is_identity():
     from constellation_lab.constellations import dual
 
-    d = dual(from_permutations((identity(1),) * 3, root=1))
+    d = dual(from_permutations((identity(1),) * 3, root=1), ())
     closed, bud_edges = closure(Nebula(hmap=d))
     assert bud_edges == ()
     assert closed == d
+
+
+def test_closure_rejects_more_black_buds_than_white():
+    tp = next(iter(enumerate_tree_pointed(2, 2)))
+    m = dual_opening(tp).hmap
+    (x,) = [x for x in m.buds if m.vertex_color[m.vertex[x]] == WHITE]
+    colors = list(m.vertex_color)
+    colors[m.vertex[x]] = BLACK
+    with pytest.raises(ValueError, match="unbalanced buds"):
+        closure(Nebula(hmap=replace(m, vertex_color=tuple(colors))))
 
 
 def test_closure_strategies_agree_and_types_match():
@@ -154,7 +165,7 @@ def test_pointing_census_matches_the_naive_walk(n, k):
 def test_parenthesis_budless_is_true():
     from constellation_lab.constellations import dual
 
-    d = dual(from_permutations((identity(1),) * 2, root=1))
+    d = dual(from_permutations((identity(1),) * 2, root=1), ())
     rep = is_parenthesis_nebula(Nebula(hmap=d))
     assert rep.is_parenthesis
 
@@ -204,6 +215,6 @@ def test_nebula_validation_rejects_unrooted():
 def test_dual_closure_needs_buds():
     from constellation_lab.constellations import dual
 
-    d = dual(from_permutations((identity(1),) * 3, root=1))
+    d = dual(from_permutations((identity(1),) * 3, root=1), ())
     with pytest.raises(ValueError, match="no buds"):
         dual_closure(Nebula(hmap=d))
