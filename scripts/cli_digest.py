@@ -85,6 +85,9 @@ EXTRA = [
     ["psi", "--direction", "fwd", "--input", "{dir}/bad_labels.json"],
     ["psi", "--direction", "fwd", "--input", "{dir}/aliased_labels.json"],
     ["puzzle", "--n", "2", "--k", "3", "--p", "2,2,2"],
+    ["roundtrip", "--bijection", "phi", "--n", "2", "--k", "2", "--p", "0,2"],
+    ["roundtrip", "--bijection", "swap", "--n", "2", "--k", "2", "--p", "0,2"],
+    ["pointing-check", "--n", "2", "--k", "2", "--p=-1,3"],
 ]
 
 FORMATS = ("text", "json")

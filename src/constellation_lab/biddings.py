@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .counting import m_tuples
+from .counting import _require, m_tuples
 from .halfedges import BLACK, WHITE, HalfEdgeMap, _json_field, _json_int, typed_map
 from .nebulas import Nebula
 from .permutations import Permutation
@@ -272,9 +272,7 @@ def vartheta(ln: LabelledNebula) -> Prebidding:
     """Read a labelled rooted nebula as a valid prebidding.  Raises ValueError
     on invalid input.  The output is valid by construction and is checked
     only in tests (criterion 4, ``tests/test_validate_once.py``)."""
-    problem = ln.validate()
-    if problem is not None:
-        raise ValueError(problem)
+    _require(ln.validate())
     m = ln.nebula.hmap
     pairs = _corner_reading(ln)
     top = (m.k, dict(ln.black_labels)[m.root])
@@ -294,9 +292,7 @@ def vartheta_inverse(pb: Prebidding) -> LabelledNebula:
     Raises ValueError on invalid input.  The output is valid by construction
     and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
     """
-    problem = pb.validate()
-    if problem is not None:
-        raise ValueError(problem)
+    _require(pb.validate())
     k, n = pb.k, pb.n
     R = pb.subsets
     white_next = {}
@@ -322,9 +318,7 @@ def sigma(pb: Prebidding) -> Bidding:
     """Forget the order down to the per-type appearance permutations.  Raises
     ValueError on invalid input.  The output is valid by construction and is
     checked only in tests (criterion 4, ``tests/test_validate_once.py``)."""
-    problem = pb.validate()
-    if problem is not None:
-        raise ValueError(problem)
+    _require(pb.validate())
     omegas = []
     for t in range(1, pb.k + 1):
         omegas.append(Permutation(tuple(i for t2, i in pb.order if t2 == t)))
@@ -339,9 +333,7 @@ def sigma_inverse(b: Bidding) -> Prebidding:
     Raises ValueError on invalid input.  The output is valid by construction
     and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
     """
-    problem = b.validate()
-    if problem is not None:
-        raise ValueError(problem)
+    _require(b.validate())
     k, n = b.k, b.n
     exits = {t: tuple((t, w(m)) for m in range(1, n + 1)) for t, w in enumerate(b.omegas, start=1)}
     exits[k] = exits[k][-1:] + exits[k][:-1]

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import biddings, counting, nebulas, puzzle, symmetry, tree_rooted
 from .constellations import Constellation, constellation_to_dot, halfedge_to_dot
-from .counting import CapExceededError, CheckReport, DEFAULT_CAP
+from .counting import CapExceededError, CheckReport, DEFAULT_CAP, _require
 from .halfedges import HalfEdgeMap
 from .permutations import Composition, compositions_of
 from .puzzle import ratio
@@ -348,9 +348,7 @@ def cmd_render(args) -> int:
         dot = constellation_to_dot(Constellation.from_json(data))
     else:
         m = HalfEdgeMap.from_json(data)
-        problem = nebulas.validate_nebula(m) if args.kind == "nebula" else m.validate()
-        if problem is not None:
-            raise ValueError(problem)
+        _require(nebulas.validate_nebula(m) if args.kind == "nebula" else m.validate())
         dot = halfedge_to_dot(m)
     with _output(args) as out:
         out.write(dot)

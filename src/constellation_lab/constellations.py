@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .counting import DEFAULT_CAP, _check_cap
+from .counting import DEFAULT_CAP, _check_cap, _require
 from .halfedges import BLACK, HalfEdgeMap, _json_field, _json_int, typed_map
 from .permutations import Permutation, all_permutations, cycles
 
@@ -134,9 +134,7 @@ class Constellation:
             labels=labels,
             colors=colors,
         )
-        problem = validate(c)
-        if problem is not None:
-            raise ValueError(problem)
+        _require(validate(c))
         return c
 
 
@@ -343,49 +341,30 @@ def dual(c: Constellation, cut: Iterable[Edge]) -> HalfEdgeMap:
 def constellation_from_dual(m: HalfEdgeMap) -> tuple[Constellation, dict[int, int], dict[int, int]]:
     """Rebuild the constellation whose dual is ``m`` (no buds allowed).
 
-    Returns (constellation, hyperedge_of_black_vertex, vertex_of_dart):
-    the second maps black vertex ids of m to hyperedge ids, the third maps
-    every dart of m to the constellation vertex dual to its face.
+    ``m`` is taken to pass :func:`~constellation_lab.nebulas.validate_nebula`,
+    which :func:`~constellation_lab.nebulas.dual_closure` runs before
+    closing; its checks are not repeated here.  Returns (constellation,
+    hyperedge_of_black_vertex, vertex_of_dart): the second maps black vertex
+    ids of m to hyperedge ids, the third maps every dart of m to the
+    constellation vertex dual to its face.
     """
     if any(t is None for t in m.twin):
         raise ValueError("dual-constellation may not have buds")
     blacks = sorted(v for v in range(m.num_vertices) if m.vertex_color[v] == BLACK)
     hyperedge_of_black = {b: i + 1 for i, b in enumerate(blacks)}
-    n = len(blacks)
-    k = m.k
-    # type-t dart at each black vertex
-    black_dart: dict[tuple[int, int], int] = {}
-    for x in range(m.num_darts):
-        v = m.vertex[x]
-        if m.vertex_color[v] == BLACK:
-            key = (hyperedge_of_black[v], m.type[x])
-            if key in black_dart:
-                raise ValueError(f"black vertex {v} has two darts of type {m.type[x]}")
-            black_dart[key] = x
-    if len(black_dart) != n * k:
-        raise ValueError("black vertices do not have one dart per type")
-    # faces of the dual are the constellation vertices; black darts on one
-    # face all share a type and give the counterclockwise hyperedge cycle
+    # faces of the dual are the constellation vertices.  Twins share a type and
+    # types increase clockwise around black vertices, decrease around white
+    # ones, so a tour alternates type-t black and type-(t-1) white darts: the
+    # black darts of a face share a type and give its counterclockwise cycle
+    faces = m.faces()
     verts: list[tuple[int, tuple[int, ...]]] = []
-    face_darts: list[list[int]] = []
-    for orbit in m.faces():
-        hs = []
-        ts = set()
-        for x in orbit:
-            v = m.vertex[x]
-            if m.vertex_color[v] == BLACK:
-                hs.append(hyperedge_of_black[v])
-                ts.add(m.type[x])
-        if len(ts) != 1:
-            raise ValueError("dual face mixes dart types; not a dual-constellation")
-        verts.append((ts.pop(), tuple(reversed(hs))))
-        face_darts.append(orbit)
+    for orbit in faces:
+        black = [x for x in orbit if m.vertex_color[m.vertex[x]] == BLACK]
+        hs = tuple(hyperedge_of_black[m.vertex[x]] for x in reversed(black))
+        verts.append((m.type[black[0]], hs))
     root = None if m.root is None else hyperedge_of_black[m.root]
-    c, order = _from_rotations(k, n, verts, root)
-    vertex_of_dart = {x: j + 1 for j, i in enumerate(order) for x in face_darts[i]}
-    problem = validate(c)
-    if problem is not None:
-        raise ValueError(f"dual reconstruction invalid: {problem}")
+    c, order = _from_rotations(m.k, len(blacks), verts, root)
+    vertex_of_dart = {x: j + 1 for j, i in enumerate(order) for x in faces[i]}
     return c, hyperedge_of_black, vertex_of_dart
 
 
@@ -588,16 +567,12 @@ def halfedge_to_dot(m: HalfEdgeMap) -> str:
         lines.append(
             f'  v{v} [shape=circle style=filled fillcolor={fill} fontcolor={font}{mark} label="{v}"];'
         )
-    done = set()
     for x in range(m.num_darts):
         t = m.twin[x]
         if t is None:
             lines.append(f"  s{x} [shape=none label=\"\" width=0 height=0];")
             lines.append(f'  v{m.vertex[x]} -- s{x} [label="{m.type[x]}" style=dashed arrowhead=vee];')
         elif x < t:
-            key = (x, t)
-            if key not in done:
-                done.add(key)
-                lines.append(f'  v{m.vertex[x]} -- v{m.vertex[t]} [label="{m.type[x]}"];')
+            lines.append(f'  v{m.vertex[x]} -- v{m.vertex[t]} [label="{m.type[x]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -40,6 +40,12 @@ def _check_cap(size: int, cap: Optional[int]) -> None:
         raise CapExceededError(f"enumeration of {size} tuples exceeds cap {cap}")
 
 
+def _require(problem: Optional[str]) -> None:
+    """The input guard of every map: raise ValueError(problem) unless it is None."""
+    if problem is not None:
+        raise ValueError(problem)
+
+
 @dataclass(frozen=True)
 class ColoredFactorization:
     """A factorization of (1,2,...,n) with surjectively colored cycles.
@@ -143,6 +149,8 @@ def enumerate_colored_factorizations(
     p = tuple(p)
     if len(p) != k:
         raise ValueError("p must have length k")
+    if any(pt < 1 for pt in p):
+        raise ValueError("color counts must be positive")
     for perms in enumerate_factorizations(n, k, cap):
         cycs = [cycles(q) for q in perms]
         per_type = []

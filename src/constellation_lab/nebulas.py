@@ -25,7 +25,7 @@ from .constellations import (
     dual,
     enumerate_rooted_constellations,
 )
-from .counting import DEFAULT_CAP, CheckReport
+from .counting import DEFAULT_CAP, CheckReport, _require
 from .halfedges import BLACK, WHITE, HalfEdgeMap, with_twins_joined
 
 
@@ -106,9 +106,7 @@ def dual_opening(tp: TreePointedConstellation) -> Nebula:
     Raises ValueError on invalid input.  The output is valid by construction
     and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
     """
-    problem = tp.validate()
-    if problem is not None:
-        raise ValueError(problem)
+    _require(tp.validate())
     return Nebula(hmap=dual(tp.constellation, tp.arborescence.edges()))
 
 
@@ -166,9 +164,7 @@ def dual_closure(nb: Nebula) -> TreePointedConstellation:
     """
     if not nb.hmap.buds:
         raise ValueError("nebula has no buds: no pointed vertex to recover")
-    problem = nb.validate()
-    if problem is not None:
-        raise ValueError(problem)
+    _require(nb.validate())
     closed, bud_edges = closure(nb)
     c, hyperedge_of_black, vertex_of_dart = constellation_from_dual(closed)
     parent: list[Optional[tuple[int, int]]] = [None] * c.num_vertices
@@ -236,8 +232,10 @@ def verify_pointing(n: int, k: int, p: Sequence[int], cap: Optional[int] = None)
     """Pointing correspondence: tree-pointed objects of reduced type p times
     the product of p_t! against the labelled tree-rooted unions; ``cap``
     bounds the rooted-constellation domain both sides are counted on."""
-    pointed, rooted = _pointing_census(n, k, DEFAULT_CAP if cap is None else cap)
     p = tuple(p)
+    if len(p) != k or any(x < 0 for x in p):
+        raise ValueError("bad type vector")
+    pointed, rooted = _pointing_census(n, k, DEFAULT_CAP if cap is None else cap)
     lhs = pointed.get(p, 0) * _labellings(p)
     rhs = 0
     for t in range(1, k + 1):

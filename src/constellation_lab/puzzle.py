@@ -64,17 +64,11 @@ def _successor_rows(k: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _tree_maps(k: int) -> dict[tuple[int, ...], bool]:
+def _is_tree_map(k: int, f: tuple[int, ...]) -> bool:
     """Whether the successor map f (f[t-1] = successor of t) makes a tree;
-    filled as maps are met, kept for the life of the process."""
-    return {}
-
-
-def _new_tree_map(k: int, f: tuple[int, ...]) -> bool:
-    """Test a successor map missing from :func:`_tree_maps` and store it."""
+    memoized for the life of the process."""
     edges = sorted((min(t, a), max(t, a)) for t, a in enumerate(f, start=1))
-    tree = _tree_maps(k)[f] = TypedGraph(k=k, edges=tuple(edges)).is_tree()
-    return tree
+    return TypedGraph(k=k, edges=tuple(edges)).is_tree()
 
 
 def tree_probability(
@@ -96,7 +90,6 @@ def tree_probability(
     p = tuple(p)
     multisets = _subset_multisets(n, k, p, cap)  # its search checks k, p and the cap here
     successors = _successor_rows(k)
-    tree_maps = _tree_maps(k)
     hits = 0
     total_tuples = 0
     for counts, weight in multisets:
@@ -107,10 +100,7 @@ def tree_probability(
                 row[a] = row.get(a, 0) + c
         tree_hits = 0
         for f in itertools.product(*mult):
-            tree = tree_maps.get(f)
-            if tree is None:
-                tree = _new_tree_map(k, f)
-            if tree:
+            if _is_tree_map(k, f):
                 tree_hits += prod(row[a] for row, a in zip(mult, f))
         hits += weight * tree_hits
     if total_tuples == 0:
@@ -514,7 +504,6 @@ def sample_puzzle(
             f"the first entry's weights sum to {first.cum[-1]}, not M^{n}_{p} = {num}"
         )
     successors = _successor_rows(k)
-    tree_maps = _tree_maps(k)
     tree_hits = r1_hits = 0
     for _ in range(accepted):
         # positions 1, i_1, ..., i_{k-1} renumbered 1..b by first appearance
@@ -528,10 +517,7 @@ def sample_puzzle(
             mask = bisect_right(cum, randrange(cum[-1]))
             masks.append(mask)
         f = tuple(successors[masks[i - 1]][t] for t, i in enumerate(indices))
-        tree = tree_maps.get(f)
-        if tree is None:
-            tree = _new_tree_map(k, f)
-        if tree:
+        if _is_tree_map(k, f):
             tree_hits += 1
         if masks[0].bit_count() == k - 1:
             r1_hits += 1

@@ -28,7 +28,7 @@ from .constellations import (
     canonical_rooted,
     enumerate_rooted_constellations,
 )
-from .counting import ColoredFactorization
+from .counting import ColoredFactorization, _require
 from .permutations import Composition, Permutation, inverse
 
 Arc = tuple[int, int]  # (type, hyperedge label)
@@ -129,9 +129,7 @@ def xi(cf: ColoredFactorization) -> EulerianDigraphTour:
     Raises ValueError on invalid input.  The output is valid by construction
     and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
     """
-    problem = cf.validate()
-    if problem is not None:
-        raise ValueError(problem)
+    _require(cf.validate())
     k, n = cf.k, cf.n
     invs = [inverse(p) for p in cf.perms]
     arcs: list[Arc] = [(k, 1)]
@@ -157,9 +155,7 @@ def xi_inverse(tour: EulerianDigraphTour) -> ColoredFactorization:
     Raises ValueError on invalid input.  The output is valid by construction
     and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
     """
-    problem = tour.validate()
-    if problem is not None:
-        raise ValueError(problem)
+    _require(tour.validate())
     dg = tour.digraph
     k, n = dg.k, dg.n
     seq = tour.arcs
@@ -298,9 +294,7 @@ def tree_rooted_tour(t_rooted: TreeRootedConstellation) -> tuple[Arc, ...]:
 
 def phi_inverse(t_rooted: TreeRootedConstellation) -> ColoredFactorization:
     """Invert phi: replay the tour and rebuild the colored factorization."""
-    problem = t_rooted.validate()
-    if problem is not None:
-        raise ValueError(problem)
+    _require(t_rooted.validate())
     c = t_rooted.constellation
     seq = tree_rooted_tour(t_rooted)
     colorings = tuple(
@@ -318,6 +312,8 @@ def enumerate_tree_rooted(
 ) -> Iterator[TreeRootedConstellation]:
     """All vertex-labelled tree-rooted constellations of the given type;
     ``cap`` bounds the rooted-constellation domain they are built from."""
+    if any(pt < 1 for pt in p):
+        raise ValueError("color counts must be positive")
     for c in enumerate_rooted_constellations(n, k, tuple(p), cap):
         by_type = [c.vertices_of_type(t) for t in range(1, k + 1)]
         for arb in arborescences_toward(c, c.root_vertex):

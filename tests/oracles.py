@@ -116,7 +116,10 @@ def pointing_counts_naive(n, k, p, cap=None):
     rhs = 0
     for t in range(k):
         bumped = p[:t] + (p[t] + 1,) + p[t + 1:]
-        rhs += sum(1 for _ in enumerate_tree_rooted(n, k, bumped, cap))
+        # every type has a vertex, and enumerate_tree_rooted rejects a type
+        # vector with a zero entry
+        if min(bumped) >= 1:
+            rhs += sum(1 for _ in enumerate_tree_rooted(n, k, bumped, cap))
     return lhs, rhs
 
 

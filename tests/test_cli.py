@@ -486,6 +486,21 @@ def test_p_must_match_k(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["roundtrip", "--bijection", "phi", "--p", "0,2"], "color counts must be positive"),
+        (["roundtrip", "--bijection", "swap", "--p", "0,2"], "color counts must be positive"),
+        (["roundtrip", "--bijection", "swap", "--p=-1,2"], "color counts must be positive"),
+        (["pointing-check", "--p=-1,3"], "bad type vector"),
+    ],
+)
+def test_p_entries_out_of_range_are_usage_errors(capsys, argv, message):
+    # not a vacuous pass over an empty domain, nor a leaked factorial() message
+    assert main([*argv, "--n", "2", "--k", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("bijection", ["lambda", "theta", "sigma", "psi"])
 def test_roundtrip_over_all_types_rejects_p(capsys, bijection):
     argv = ["roundtrip", "--bijection", bijection, "--n", "2", "--k", "2", "--p", "1,1"]

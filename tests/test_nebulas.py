@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -136,6 +137,40 @@ def test_dual_closure_inverts_opening():
             back = dual_closure(nb)
             assert back == tp  # no canonical form: the closure keeps every label
             assert nebula_key(dual_opening(back)) == nebula_key(nb)
+
+
+def _renumbered(m, rng):
+    """m with its dart ids and its vertex ids shuffled."""
+    darts = list(range(m.num_darts))
+    verts = list(range(m.num_vertices))
+    rng.shuffle(darts)
+    rng.shuffle(verts)
+    old_dart = {y: x for x, y in enumerate(darts)}
+    old_vert = {w: v for v, w in enumerate(verts)}
+    olds = [old_dart[y] for y in range(m.num_darts)]
+    return HalfEdgeMap(
+        k=m.k,
+        vertex=tuple(verts[m.vertex[x]] for x in olds),
+        nxt=tuple(darts[m.nxt[x]] for x in olds),
+        twin=tuple(None if m.twin[x] is None else darts[m.twin[x]] for x in olds),
+        type=tuple(m.type[x] for x in olds),
+        vertex_color=tuple(m.vertex_color[old_vert[w]] for w in range(m.num_vertices)),
+        root=verts[m.root],
+    )
+
+
+def test_dual_closure_reads_any_dart_and_vertex_numbering():
+    # openings number their darts as halfedges.typed_map does; the closure
+    # must not lean on that numbering
+    rng = random.Random(4970)
+    grid = [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3), (2, 4)]
+    for n, k in grid:
+        for tp in enumerate_tree_pointed(n, k):
+            nb = Nebula(hmap=_renumbered(dual_opening(tp).hmap, rng))
+            assert nb.validate() is None
+            back = dual_closure(nb)
+            assert back.validate() is None
+            assert canonical_tree_pointed(back) == tp
 
 
 def test_dual_closure_size_one_inverts():

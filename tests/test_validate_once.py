@@ -11,6 +11,7 @@ from collections import Counter
 import pytest
 from oracles import random_colored_factorization, random_permutation
 
+from constellation_lab import constellations
 from constellation_lab.biddings import (
     Bidding,
     LabelledNebula,
@@ -119,9 +120,17 @@ def test_phi_roundtrip_validates_each_object_once(validity_calls):
     }
 
 
-def test_lambda_roundtrip_validates_each_object_once(validity_calls):
+def test_lambda_roundtrip_validates_each_object_once(validity_calls, monkeypatch):
     t = phi(random_colored_factorization(random.Random(5), 4, 3))
     tp = TreePointedConstellation(t.constellation, t.arborescence)
     calls = validity_calls(TreePointedConstellation, Nebula)
+
+    def counted(c, _original=constellations.validate):
+        calls["validate"] += 1
+        return _original(c)
+
+    monkeypatch.setattr(constellations, "validate", counted)
     dual_closure(dual_opening(tp))
-    assert calls == {"TreePointedConstellation": 1, "Nebula": 1}
+    # the constellation is checked once, by the opening's input guard; the
+    # closure rebuilds it without checking it again
+    assert calls == {"TreePointedConstellation": 1, "Nebula": 1, "validate": 1}
