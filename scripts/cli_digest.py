@@ -88,6 +88,10 @@ EXTRA = [
     ["roundtrip", "--bijection", "phi", "--n", "2", "--k", "2", "--p", "0,2"],
     ["roundtrip", "--bijection", "swap", "--n", "2", "--k", "2", "--p", "0,2"],
     ["pointing-check", "--n", "2", "--k", "2", "--p=-1,3"],
+    ["roundtrip", "--bijection", "sigma", "--n", "2", "--k", "1"],
+    ["pointing-check", "--n", "2", "--k", "1"],
+    ["mv-check", "--n", "2", "--k", "1"],
+    ["count", "--colored", "--n", "0", "--p", "1,1"],
 ]
 
 FORMATS = ("text", "json")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .counting import _require, m_tuples
+from .counting import _check_size, _require, m_tuples
 from .halfedges import BLACK, WHITE, HalfEdgeMap, _json_field, _json_int, typed_map
 from .nebulas import Nebula
 from .permutations import Permutation
@@ -359,6 +359,7 @@ def enumerate_valid_prebiddings(
 ) -> Iterator[Prebidding]:
     """All valid prebiddings, by Eulerian search over the successor digraph.
     The cap bounds the subset tuples searched, as in :func:`m_tuples`."""
+    _check_size(n, k, p, n_min=1, k_min=2, p_min=0)
     exits = {t: tuple((t, i) for i in range(1, n + 1)) for t in range(1, k + 1)}
     for mt in m_tuples(n, k, p, cap):
         for tour in enumerate_eulerian_tours(k, exits, _successor(k, mt.subsets)):

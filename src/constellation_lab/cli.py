@@ -1,7 +1,7 @@
 """Command-line front end: counting, verification sweeps, roundtrips, rendering.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error
-(also a sweep at n < 1 or k < 1, which would check nothing, and a sampled
+(also a sweep at n < 1 or k < 2, outside the bijection chain, and a sampled
 puzzle type that accepts none of its trials), 3 enumeration cap exceeded,
 4 an internal check of the library failed (a bug, not a mismatch).
 Reports are deterministic for a fixed configuration (including seed).
@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import biddings, counting, nebulas, puzzle, symmetry, tree_rooted
 from .constellations import Constellation, constellation_to_dot, halfedge_to_dot
-from .counting import CapExceededError, CheckReport, DEFAULT_CAP, _require
+from .counting import CapExceededError, CheckReport, DEFAULT_CAP, _check_size, _require
 from .halfedges import HalfEdgeMap
 from .permutations import Composition, compositions_of
 from .puzzle import ratio
@@ -113,6 +113,7 @@ def cmd_count(args) -> int:
     if args.what == "kappa" and not args.lam:
         raise ValueError("count --what kappa requires --lam (repeatable)")
     if args.what == "m":
+        _check_factors(args, "--p", args.p)
         value = counting.m_coefficient(args.n, args.p, k=args.k)
         label = f"M^{args.n}_{','.join(map(str, args.p))}"
     elif args.what == "colored":
@@ -136,14 +137,12 @@ def cmd_count(args) -> int:
 
 
 def _sweep(fn):
-    """A subcommand that checks every object of size n with k types; n < 1
-    would check none, and k < 1 has no objects."""
+    """A subcommand that checks every object of size n with k types, on the
+    bijection chain's domain n >= 1 and k >= 2; checked before any grid."""
 
     @functools.wraps(fn)
     def run(args) -> int:
-        for name, value in (("n", args.n), ("k", args.k)):
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        _check_size(args.n, args.k, n_min=1, k_min=2)
         return fn(args)
 
     return run

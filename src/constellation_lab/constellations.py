@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .counting import DEFAULT_CAP, _check_cap, _require
+from .counting import DEFAULT_CAP, _check_cap, _check_size, _require
 from .halfedges import BLACK, HalfEdgeMap, _json_field, _json_int, typed_map
 from .permutations import Permutation, all_permutations, cycles
 
@@ -486,6 +486,7 @@ def enumerate_rooted_constellations(
     (:class:`CapExceededError`).  Each call filters the domain by
     ``type_vector`` (vertices per type) into a new list.
     """
+    _check_size(n, k, type_vector, n_min=1, k_min=2, p_min=0)
     domain = _rooted_constellations(n, k, DEFAULT_CAP if cap is None else cap)
     if type_vector is None:
         return list(domain)

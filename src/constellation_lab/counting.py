@@ -46,6 +46,23 @@ def _require(problem: Optional[str]) -> None:
         raise ValueError(problem)
 
 
+def _check_size(
+    n: int, k: int, p: Optional[Sequence[int]] = None, *, n_min: int, k_min: int, p_min: int = 0
+) -> None:
+    """The size contract of every (n, k, p) entry point: raise ValueError
+    unless k >= k_min, n >= n_min and, when p is given, p has k entries,
+    each at least p_min.  One message per class, checked in that order."""
+    if k < k_min:
+        raise ValueError(f"k must be at least {k_min}, got {k}")
+    if n < n_min:
+        raise ValueError(f"n must be at least {n_min}, got {n}")
+    if p is not None:
+        if len(p) != k:
+            raise ValueError(f"p must have length {k}, got {len(p)}")
+        if any(x < p_min for x in p):
+            raise ValueError(f"entries of p must be at least {p_min}, got {tuple(p)}")
+
+
 @dataclass(frozen=True)
 class ColoredFactorization:
     """A factorization of (1,2,...,n) with surjectively colored cycles.
@@ -127,8 +144,7 @@ def enumerate_factorizations(
     The factors pi_2..pi_k range over S_n in lexicographic one-line order
     and pi_1 is solved from the product condition.
     """
-    if n < 1 or k < 2:
-        raise ValueError("need n >= 1 and k >= 2")
+    _check_size(n, k, n_min=1, k_min=2)
     _check_cap(factorial(n) ** (k - 1), cap)
     target = long_cycle(n)
     for rest in itertools.product(all_permutations(n), repeat=k - 1):
@@ -146,11 +162,7 @@ def enumerate_colored_factorizations(
     n: int, k: int, p: Sequence[int], cap: Optional[int] = None
 ) -> Iterator[ColoredFactorization]:
     """All (p_1,...,p_k)-colored factorizations of (1,2,...,n)."""
-    p = tuple(p)
-    if len(p) != k:
-        raise ValueError("p must have length k")
-    if any(pt < 1 for pt in p):
-        raise ValueError("color counts must be positive")
+    _check_size(n, k, p, n_min=1, k_min=2, p_min=1)
     for perms in enumerate_factorizations(n, k, cap):
         cycs = [cycles(q) for q in perms]
         per_type = []
@@ -193,8 +205,7 @@ def cycle_type_census(
 
 @lru_cache(maxsize=None)
 def _census(n: int, k: int, cap: int) -> Mapping[tuple[tuple[int, ...], ...], int]:
-    if n < 1 or k < 2:
-        raise ValueError("need n >= 1 and k >= 2")
+    _check_size(n, k, n_min=1, k_min=2)
     _check_cap(factorial(n) ** (k - 1), cap)
     # S_n as 0-based image tuples in lexicographic order, each with its type
     ctype = {tuple(x - 1 for x in g.image): cycle_type(g).parts for g in all_permutations(n)}
@@ -222,9 +233,7 @@ cycle_type_census.cache_clear = _census.cache_clear  # type: ignore[attr-defined
 
 def count_colored(n: int, p: Sequence[int], cap: Optional[int] = None) -> int:
     """C^n_p: colored factorizations, surjection products summed over the census."""
-    p = tuple(p)
-    if any(pt < 1 for pt in p):
-        raise ValueError("color counts must be positive")
+    _check_size(n, len(p), p, n_min=1, k_min=2, p_min=1)
     if any(pt > n for pt in p):
         return 0
     census = cycle_type_census(n, len(p), cap)
@@ -255,9 +264,7 @@ def count_by_color_compositions(
 ) -> int:
     """c(gamma^(1),...,gamma^(k)): colored factorizations with exact color sizes."""
     k = len(gammas)
-    if k < 2:
-        raise ValueError("need at least 2 compositions")
-    n = gammas[0].size
+    n = gammas[0].size if gammas else 0
     if any(g.size != n for g in gammas):
         raise ValueError("compositions must all have the same size")
     return sum(
@@ -268,9 +275,7 @@ def count_by_color_compositions(
 
 def count_kappa(lams: Sequence[Composition], cap: Optional[int] = None) -> int:
     """kappa: factorizations with prescribed cycle types."""
-    if not lams:
-        raise ValueError("need at least 1 partition")
-    n = lams[0].size
+    n = lams[0].size if lams else 0
     if any(l.size != n for l in lams):
         raise ValueError("partitions must all have the same size")
     key = tuple(tuple(sorted(l.parts, reverse=True)) for l in lams)
@@ -304,15 +309,12 @@ def _mask_tuples(
     bounds the (2^k - 1)^n tuples, are checked at the call, before the first
     tuple is asked for.  The search reuses the list it yields.
     """
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
+    _check_size(n, k, p, n_min=0, k_min=1, p_min=0)
     _check_cap((2**k - 1) ** n, cap)
     subsets = strict_subsets(k)
     if p is None:
         return itertools.product(range(len(subsets)), repeat=n)
     need = list(p)
-    if len(need) != k or any(x < 0 for x in need):
-        raise ValueError("bad type vector")
     acc: list[int] = []
 
     def rec(left: int, low: int) -> Iterator[list[int]]:
@@ -365,12 +367,10 @@ def m_coefficient(n: int, p: Sequence[int], k: Optional[int] = None) -> int:
     """
     p = tuple(p)
     k = len(p) if k is None else k
-    if len(p) != k:
-        raise ValueError("p must have length k")
+    # total in n and in the entries of p: only k and the length of p are checked
+    _check_size(0, k, (0,) * len(p), n_min=0, k_min=1)
     if n < 0 or any(x < 0 for x in p):
         return 0
-    if k < 1:
-        raise ValueError("need k >= 1")
     # math.comb rejects negative arguments, and every term past min(n, p) is 0
     return sum(
         (-1) ** j * comb(n, j) * prod(comb(n - j, x - j) for x in p)

@@ -25,7 +25,7 @@ from .constellations import (
     dual,
     enumerate_rooted_constellations,
 )
-from .counting import DEFAULT_CAP, CheckReport, _require
+from .counting import DEFAULT_CAP, CheckReport, _check_size, _require
 from .halfedges import BLACK, WHITE, HalfEdgeMap, with_twins_joined
 
 
@@ -232,9 +232,8 @@ def verify_pointing(n: int, k: int, p: Sequence[int], cap: Optional[int] = None)
     """Pointing correspondence: tree-pointed objects of reduced type p times
     the product of p_t! against the labelled tree-rooted unions; ``cap``
     bounds the rooted-constellation domain both sides are counted on."""
+    _check_size(n, k, p, n_min=1, k_min=2, p_min=0)
     p = tuple(p)
-    if len(p) != k or any(x < 0 for x in p):
-        raise ValueError("bad type vector")
     pointed, rooted = _pointing_census(n, k, DEFAULT_CAP if cap is None else cap)
     lhs = pointed.get(p, 0) * _labellings(p)
     rhs = 0

@@ -18,7 +18,7 @@ from math import comb, factorial, perm, prod
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .biddings import TypedGraph, alpha
-from .counting import CheckReport, _mask_tuples, m_coefficient, m_tuples, strict_subsets
+from .counting import CheckReport, _check_size, _mask_tuples, m_coefficient, m_tuples, strict_subsets
 
 
 class UndefinedProbabilityError(ValueError):
@@ -85,10 +85,9 @@ def tree_probability(
     successors that occur are tried, at most min(n, k)^(k-1) per multiset,
     and each is tested with :meth:`TypedGraph.is_tree` once per process.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_size(n, k, p, n_min=1, k_min=1, p_min=0)
     p = tuple(p)
-    multisets = _subset_multisets(n, k, p, cap)  # its search checks k, p and the cap here
+    multisets = _subset_multisets(n, k, p, cap)  # its search checks the cap here
     successors = _successor_rows(k)
     hits = 0
     total_tuples = 0
@@ -113,6 +112,7 @@ def r1_probability(n: int, k: int, p: Sequence[int]) -> Fraction:
 
     R_1 = [k] - {t} leaves n-1 subsets of type p - 1 + e_t.
     """
+    _check_size(n, k, p, n_min=1, k_min=1, p_min=0)
     p = tuple(p)
     total = m_coefficient(n, p, k)
     if total == 0:
@@ -212,8 +212,7 @@ def event_probability(
     weighted by the n(n-1)...(n-b+1) index tuples with that pattern of b
     distinct indices, rather than over all n^m index tuples.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_size(n, k, p, n_min=1, k_min=1, p_min=0)
     constraints = [frozenset(a) for a in constraints]
     m = len(constraints)
     if m > k - 1:
@@ -470,22 +469,17 @@ def sample_puzzle(
     read as 0, so results depend only on the arguments; since the indices
     are drawn first and fewer entries follow, a given seed gives other
     counts than a draw of all n entries would.
-    Raises ValueError before drawing anything when n, k or trials is below 1,
-    seed is negative (``Random`` would seed with its absolute value, so -3
-    would repeat the draws of 3) or p is not a type vector of length k, and
-    SamplingError, also a ValueError, when no trial is accepted.
+    Raises ValueError before drawing anything when k, n or trials is below 1,
+    p is not a type vector of length k, or seed is negative (``Random``
+    would seed with its absolute value, so -3 would repeat the draws of 3),
+    and SamplingError, also a ValueError, when no trial is accepted.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    _check_size(n, k, p, n_min=1, k_min=1, p_min=0)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if seed is not None and seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed}")
     p = tuple(p)
-    if len(p) != k or any(x < 0 for x in p):
-        raise ValueError("bad type vector")
     if seed is None:
         seed = 0
     rng = random.Random(random.Random(seed).getrandbits(64))

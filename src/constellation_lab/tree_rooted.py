@@ -28,7 +28,7 @@ from .constellations import (
     canonical_rooted,
     enumerate_rooted_constellations,
 )
-from .counting import ColoredFactorization, _require
+from .counting import ColoredFactorization, _check_size, _require
 from .permutations import Composition, Permutation, inverse
 
 Arc = tuple[int, int]  # (type, hyperedge label)
@@ -312,8 +312,7 @@ def enumerate_tree_rooted(
 ) -> Iterator[TreeRootedConstellation]:
     """All vertex-labelled tree-rooted constellations of the given type;
     ``cap`` bounds the rooted-constellation domain they are built from."""
-    if any(pt < 1 for pt in p):
-        raise ValueError("color counts must be positive")
+    _check_size(n, k, p, n_min=1, k_min=2, p_min=1)
     for c in enumerate_rooted_constellations(n, k, tuple(p), cap):
         by_type = [c.vertices_of_type(t) for t in range(1, k + 1)]
         for arb in arborescences_toward(c, c.root_vertex):

@@ -7,7 +7,7 @@ import pytest
 from oracles import color_compositions
 
 from constellation_lab.biddings import Bidding, psi_inverse
-from constellation_lab.constellations import Constellation, dual
+from constellation_lab.constellations import Constellation, dual, from_permutations
 from constellation_lab import cli, counting, nebulas, tree_rooted
 from constellation_lab.cli import main
 from constellation_lab.permutations import Permutation
@@ -356,6 +356,29 @@ def test_render_constellation(capsys, tmp_path):
     assert out.startswith("graph constellation {")
 
 
+@pytest.mark.parametrize(
+    "field, values, message",
+    [
+        # type 3 holds vertices 6, 7 and 8; every earlier type is decorated correctly
+        ("labels", (1, 2, 1, 2, 3, 1, 1, 3), "labels of type 3 are not a bijection onto [3]"),
+        ("colors", (1, 1, 1, 1, 1, 1, 3, 3), "colors of type 3 are not surjective"),
+    ],
+    ids=["labels", "colors"],
+)
+def test_render_constellation_checks_the_decorations_of_the_last_type(
+    capsys, tmp_path, field, values, message
+):
+    c = from_permutations(
+        (Permutation((2, 1, 4, 3)), Permutation((1, 3, 2, 4)), Permutation((4, 2, 3, 1))), root=2
+    )
+    assert c.vertex_type == (1, 1, 2, 2, 2, 3, 3, 3)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dataclasses.replace(c, **{field: values}).to_json()))
+    assert main(["render", "--kind", "constellation", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_psi_cli_roundtrip(tmp_path, capsys):
     b = Bidding(
         omegas=(Permutation((1, 4, 3, 2)), Permutation((3, 2, 1, 4)), Permutation((4, 1, 3, 2))),
@@ -419,12 +442,16 @@ def test_puzzle_sample_accepting_no_trial_is_usage_error(capsys):
         ["pointing-check", "--p", "0,0"],
     ],
 )
-@pytest.mark.parametrize("n, k, bad", [("0", "2", "n"), ("-1", "2", "n"), ("1", "0", "k")])
+@pytest.mark.parametrize(
+    "n, k, bad", [("0", "2", "n"), ("-1", "2", "n"), ("1", "0", "k"), ("2", "1", "k")]
+)
 def test_sweeps_reject_empty_size(capsys, argv, n, k, bad):
+    # every sweep runs on the bijection chain: n >= 1 and k >= 2
     code = main([*argv, "--n", n, "--k", k])
     assert code == 2
     err = capsys.readouterr().err
-    assert err == f"error: {bad} must be at least 1, got {n if bad == 'n' else k}\n"
+    least, got = (1, n) if bad == "n" else (2, k)
+    assert err == f"error: {bad} must be at least {least}, got {got}\n"
 
 
 @pytest.mark.parametrize(
@@ -489,11 +516,12 @@ def test_p_must_match_k(capsys, argv, message):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["roundtrip", "--bijection", "phi", "--p", "0,2"], "color counts must be positive"),
-        (["roundtrip", "--bijection", "swap", "--p", "0,2"], "color counts must be positive"),
-        (["roundtrip", "--bijection", "swap", "--p=-1,2"], "color counts must be positive"),
-        (["pointing-check", "--p=-1,3"], "bad type vector"),
+        (["roundtrip", "--bijection", "phi", "--p", "0,2"], "entries of p must be at least 1, got (0, 2)"),
+        (["roundtrip", "--bijection", "swap", "--p", "0,2"], "entries of p must be at least 1, got (0, 2)"),
+        (["roundtrip", "--bijection", "swap", "--p=-1,2"], "entries of p must be at least 1, got (-1, 2)"),
+        (["pointing-check", "--p=-1,3"], "entries of p must be at least 0, got (-1, 3)"),
     ],
+    ids=["phi-zero", "swap-zero", "swap-negative", "pointing-negative"],
 )
 def test_p_entries_out_of_range_are_usage_errors(capsys, argv, message):
     # not a vacuous pass over an empty domain, nor a leaked factorial() message
@@ -529,7 +557,7 @@ def test_puzzle_sample_rejects_bad_type_vector(capsys):
     code = main(["puzzle", "--n", "3", "--k", "2", "--p", "1,2,3", "--sample", "10"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err == "error: bad type vector\n"
+    assert err == "error: p must have length 2, got 3\n"
 
 
 def _labelled_nebula_json(darts=(), **fields):

@@ -320,6 +320,23 @@ def test_validate_arborescence_finds_parent_edge_cycles(parent, problem):
     assert validate_arborescence(c, a) == problem
 
 
+def test_validate_arborescence_names_the_vertex_own_type():
+    # one hyperedge: vertex 1 of type 1 is the only vertex of its type, so
+    # the type of any other vertex differs from its own
+    c, _ = _from_rotations(2, 1, [(1, (1,)), (2, (1,))], None)
+    assert validate_arborescence(c, Arborescence(2, ((1, 1), None))) is None
+    a = Arborescence(root_vertex=2, parent_edge=((1, 2), None))
+    assert validate_arborescence(c, a) == "parent edge of vertex 1 has type 2, vertex has type 1"
+
+
+def test_halfedge_map_root_is_one_of_its_vertices():
+    m = dual(from_permutations(fig2_left()), ())
+    last = m.num_vertices - 1
+    assert replace(m, root=last).validate() is None
+    for root in (last + 1, -1):
+        assert replace(m, root=root).validate() == "root is not a vertex"
+
+
 def test_is_transitive():
     assert is_transitive((long_cycle(4), identity(4)))
     assert not is_transitive((identity(3), identity(3)))

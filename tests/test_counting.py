@@ -123,8 +123,11 @@ def test_cycle_type_census_checks_arguments_and_cap_before_its_tables(monkeypatc
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(counting, "all_permutations", no_tables)
-    for n, k in [(0, 2), (3, 1)]:
-        with pytest.raises(ValueError, match="need n >= 1 and k >= 2"):
+    for n, k, message in [
+        (0, 2, "n must be at least 1, got 0"),
+        (3, 1, "k must be at least 2, got 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
             cycle_type_census(n, k)
     with pytest.raises(CapExceededError, match="enumeration of 576 tuples exceeds cap 575"):
         cycle_type_census(4, 3, 575)
@@ -226,11 +229,11 @@ def test_kappa_examples():
 
 
 def test_refined_counts_reject_an_empty_list_before_indexing():
-    with pytest.raises(ValueError, match="need at least 1 partition"):
+    with pytest.raises(ValueError, match="k must be at least 2, got 0"):
         count_kappa([])
-    with pytest.raises(ValueError, match="need at least 2 compositions"):
+    with pytest.raises(ValueError, match="k must be at least 2, got 0"):
         verify_mv_formula([])
-    with pytest.raises(ValueError, match="need at least 2 compositions"):
+    with pytest.raises(ValueError, match="k must be at least 2, got 0"):
         count_by_color_compositions([])
 
 
@@ -296,11 +299,14 @@ def test_m_coefficient_three_way_agreement():
 
 
 def test_m_coefficient_rejects_invalid_arguments():
-    with pytest.raises(ValueError):
+    # total in n and the entries of p, since Jackson's and Morales-Vassilieva's
+    # right sides read it at n-1 and p-1; only k and the length of p are checked
+    with pytest.raises(ValueError, match="p must have length 3, got 2"):
         m_coefficient(2, (1, 1), k=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k must be at least 1, got 0"):
         m_coefficient(2, ())
     assert m_coefficient(-1, (0, 0)) == 0
+    assert m_coefficient(2, (1, -1)) == 0
 
 
 def test_m_coefficient_beyond_enumeration():

@@ -168,10 +168,10 @@ def test_subset_multisets_raise_at_the_call_before_any_multiset():
     with pytest.raises(CapExceededError, match="exceeds cap 10"):
         _subset_multisets(5, 4, (2, 2, 2, 2), 10)
     for n, k, p, message in [
-        (3, 0, (), "need n >= 0 and k >= 1"),
-        (-1, 2, (0, 0), "need n >= 0 and k >= 1"),
-        (3, 2, (1, 2, 3), "bad type vector"),
-        (3, 2, (1, -1), "bad type vector"),
+        (3, 0, (), "k must be at least 1, got 0"),
+        (-1, 2, (0, 0), "n must be at least 0, got -1"),
+        (3, 2, (1, 2, 3), "p must have length 2, got 3"),
+        (3, 2, (1, -1), "entries of p must be at least 0, got (1, -1)"),
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):
             _subset_multisets(n, k, p)
@@ -282,8 +282,12 @@ def test_sampling_acceptance_floor():
 
 
 def test_sampling_rejects_bad_type_vector():
-    for p in [(1, 2, 3), (1,), (3, -1)]:
-        with pytest.raises(ValueError, match="bad type vector"):
+    for p, message in [
+        ((1, 2, 3), "p must have length 2, got 3"),
+        ((1,), "p must have length 2, got 1"),
+        ((3, -1), "entries of p must be at least 0, got (3, -1)"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
             sample_puzzle(3, 2, p, trials=10, seed=0)
     with pytest.raises(ValueError, match="k must be at least 1"):
         sample_puzzle(2, 0, (), trials=10, seed=0)
