@@ -1,0 +1,269 @@
+#!/usr/bin/env python3
+"""Per-object timings of the bijection chain and of the puzzle sampler.
+
+Usage:
+  PYTHONPATH=src python3 scripts/bench.py --out BENCH.json [--quick]
+  PYTHONPATH=src python3 scripts/bench.py --compare A.json B.json [--out FILE]
+
+A run times, in this process, one layer per line of the file:
+
+- ``<row>.<forward|inverse>.<domain>`` for every row of ``cli.ROUNDTRIPS``:
+  the row's forward map on each object of the domain, and its inverse on
+  each forward image.  The ``exhaustive`` domain is the row's own domain over
+  the benchmark's grid (n <= 3, k = 2, 3; theta, sigma and psi where
+  n + k <= 5); the ``random`` domain is 100 seeded objects at n = 6, 7, 8
+  and k = 3, built from the generators of ``perfbench/oracle.py``.
+- ``xi.<forward|inverse>.random``: the tour encoding inside phi, on the
+  random colored factorizations of the phi row.
+- ``sample_puzzle.<cold|warm>.<n>-<p>``: one ``sample_puzzle`` call on each
+  type of the ``puzzle-sample`` workload, first with every memo of the
+  library cleared (as a ``puzzle --sample`` process starts), then again.
+
+Each layer runs ``REPEATS`` times.  Every repeat is bracketed by the
+reference chunks of ``perfbench/speed.py``, imported read-only, and scaled by
+``speed.factor`` of those chunks, so a drift of machine speed cancels.  A
+layer reports the median and quartiles over its repeats of the normalised
+microseconds per object (per call for the sampler).  ``--quick`` keeps the
+schema and shrinks the work: 10 random objects, 2 repeats, one sampled type.
+
+``--compare A B`` prints, per layer in both files, the median of A, that of
+B and their ratio B / A; with ``--out`` it also writes both runs and the
+ratios to one file.  Keys are sorted, so two files diff cleanly.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import oracle  # noqa: E402
+import speed  # noqa: E402
+
+from constellation_lab import (  # noqa: E402
+    biddings,
+    cli,
+    constellations,
+    counting,
+    nebulas,
+    puzzle,
+    tree_rooted,
+)
+from constellation_lab.counting import ColoredFactorization  # noqa: E402
+from constellation_lab.permutations import Permutation  # noqa: E402
+
+SCHEMA = "constellation-lab-bench/1"
+SEED = 27
+REPEATS = 7
+QUICK_REPEATS = 2
+RANDOM_OBJECTS = 100
+QUICK_RANDOM_OBJECTS = 10
+# (n, k, p, trials) of the puzzle-sample workload
+SAMPLE_TYPES = ((6, 3, (2, 3, 4), 5000), (8, 3, (4, 5, 4), 5000), (6, 4, (4, 4, 4, 4), 30000))
+QUICK_SAMPLE_TYPES = SAMPLE_TYPES[:1]
+
+
+def _grid(row: str, n_max: int):
+    for k in (2, 3):
+        for n in range(1, n_max + 1):
+            if row in ("theta", "sigma", "psi") and n + k > 5:
+                continue
+            yield n, k
+
+
+def exhaustive_domain(row: str, n_max: int) -> list:
+    domain = cli.ROUNDTRIPS[row][0]
+    return [x for n, k in _grid(row, n_max) for x in domain(n, k, None, counting.DEFAULT_CAP)]
+
+
+def _colored_factorization(rng: random.Random, n: int) -> ColoredFactorization:
+    perms, colorings = oracle.random_colored_factorization(rng, n, 3)
+    return ColoredFactorization(perms=tuple(map(Permutation, perms)), colorings=colorings)
+
+
+def _bidding(rng: random.Random, n: int) -> biddings.Bidding:
+    omegas, subsets = oracle.random_valid_bidding(rng, n, 3)
+    return biddings.Bidding(omegas=tuple(map(Permutation, omegas)), subsets=subsets)
+
+
+def _swap_move(rng: random.Random, n: int):
+    """A tree-rooted image of phi with one move (t, i, j) of the swap domain."""
+    while True:
+        obj = tree_rooted.phi(_colored_factorization(rng, n))
+        c = obj.constellation
+        moves = [
+            (t, c.labels[v - 1], j)
+            for v, t in enumerate(c.vertex_type, start=1)
+            if c.hyperdegree(v) >= 2
+            for j in range(1, len(c.vertices_of_type(t)) + 1)
+            if j != c.labels[v - 1]
+        ]
+        if moves:
+            return (obj, *rng.choice(moves))
+
+
+def random_domain(row: str, count: int) -> list:
+    """``count`` seeded objects of the row's forward map, at n = 6, 7, 8, k = 3."""
+    rng = random.Random(f"{SEED}/{row}")
+    sizes = [6 + i % 3 for i in range(count)]
+    if row == "phi":
+        return [_colored_factorization(rng, n) for n in sizes]
+    if row == "swap":
+        return [_swap_move(rng, n) for n in sizes]
+    if row == "psi":
+        return [_bidding(rng, n) for n in sizes]
+    prebiddings = [biddings.sigma_inverse(_bidding(rng, n)) for n in sizes]
+    if row == "lambda":
+        return [nebulas.dual_closure(biddings.vartheta_inverse(pb).nebula) for pb in prebiddings]
+    return prebiddings  # theta and sigma start from a prebidding
+
+
+def time_per_object(fn, objects: list, repeats: int) -> dict:
+    """Median and quartiles of the normalised microseconds per object of
+    ``fn`` over ``objects``, one sample per repeat."""
+    samples = []
+    for _ in range(repeats):
+        refs = [speed.reference_chunk() for _ in range(3)]
+        start = time.perf_counter()
+        for x in objects:
+            fn(x)
+        elapsed = time.perf_counter() - start
+        refs += [speed.reference_chunk() for _ in range(3)]
+        samples.append(elapsed * speed.factor(refs) / len(objects) * 1e6)
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {
+        "median": median,
+        "q1": q1,
+        "q3": q3,
+        "objects": len(objects),
+        "repeats": repeats,
+        "unit": "us/object",
+    }
+
+
+def clear_memos() -> None:
+    """Empty every memo of the library, as in a fresh process."""
+    for module in (counting, constellations, tree_rooted, nebulas, biddings, puzzle):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+def sample_layers(types, repeats: int) -> dict:
+    layers = {}
+    for n, k, p, trials in types:
+        key = f"{n}-{','.join(map(str, p))}"
+
+        def call(_):
+            return puzzle.sample_puzzle(n, k, p, trials, 0)
+
+        def cold(_):
+            clear_memos()
+            return call(None)
+
+        layers[f"sample_puzzle.cold.{key}"] = time_per_object(cold, [None], repeats)
+        call(None)
+        layers[f"sample_puzzle.warm.{key}"] = time_per_object(call, [None], repeats)
+    for layer in layers.values():
+        layer["unit"] = "us/call"
+    return layers
+
+
+def run(quick: bool) -> dict:
+    repeats = QUICK_REPEATS if quick else REPEATS
+    n_max = 3
+    count = QUICK_RANDOM_OBJECTS if quick else RANDOM_OBJECTS
+    layers = {}
+    for row, (_, forward, inverse, _) in cli.ROUNDTRIPS.items():
+        for name, objects in (
+            ("exhaustive", exhaustive_domain(row, n_max)),
+            ("random", random_domain(row, count)),
+        ):
+            images = [forward(x) for x in objects]
+            if [inverse(y) for y in images] != objects:
+                raise AssertionError(f"{row} does not roundtrip on its {name} domain")
+            layers[f"{row}.forward.{name}"] = time_per_object(forward, objects, repeats)
+            layers[f"{row}.inverse.{name}"] = time_per_object(inverse, images, repeats)
+    cfs = random_domain("phi", count)
+    tours = [tree_rooted.xi(cf) for cf in cfs]
+    layers["xi.forward.random"] = time_per_object(tree_rooted.xi, cfs, repeats)
+    layers["xi.inverse.random"] = time_per_object(tree_rooted.xi_inverse, tours, repeats)
+    layers.update(sample_layers(QUICK_SAMPLE_TYPES if quick else SAMPLE_TYPES, repeats))
+    return {
+        "schema": SCHEMA,
+        "commit": _commit(),
+        "host": {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+        },
+        "quick": quick,
+        "seed": SEED,
+        "layers": layers,
+    }
+
+
+def _commit():
+    """The commit of the checkout that the library was imported from, marked
+    ``-dirty`` when its tree has changes, or None outside a git checkout."""
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    try:
+        done = subprocess.run(
+            ["git", "-C", src, "describe", "--always", "--dirty"],
+            capture_output=True, text=True, timeout=30,
+        )
+    except OSError:
+        return None
+    return (done.stdout.strip() or None) if done.returncode == 0 else None
+
+
+def compare(a: dict, b: dict) -> dict:
+    """Ratio of medians B / A per layer present in both runs."""
+    return {
+        name: b["layers"][name]["median"] / a["layers"][name]["median"]
+        for name in sorted(a["layers"])
+        if name in b["layers"]
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", help="write the run (or the comparison) here as JSON")
+    parser.add_argument("--quick", action="store_true", help="smaller domains, fewer repeats")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two runs")
+    args = parser.parse_args(argv)
+    if args.compare:
+        if args.quick:
+            parser.error("--compare takes no --quick")
+        runs = []
+        for path in args.compare:
+            with open(path, encoding="utf-8") as handle:
+                runs.append(json.load(handle))
+        a, b = runs
+        ratios = compare(a, b)
+        for name, r in ratios.items():
+            print(f"{name:40s} {a['layers'][name]['median']:12.2f} "
+                  f"{b['layers'][name]['median']:12.2f} {r:7.3f}")
+        result = {"a": a, "b": b, "ratios": ratios}
+    else:
+        if args.out is None:
+            parser.error("a run needs --out")
+        result = run(args.quick)
+        print(f"{len(result['layers'])} layers")
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            json.dump(result, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

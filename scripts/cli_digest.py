@@ -92,6 +92,10 @@ EXTRA = [
     ["pointing-check", "--n", "2", "--k", "1"],
     ["mv-check", "--n", "2", "--k", "1"],
     ["count", "--colored", "--n", "0", "--p", "1,1"],
+    ["gf-check", "--n", "2", "--k", "2", "--x", "1,1,1"],
+    ["puzzle", "--n", "3", "--k", "2", "--p", "1,2,3"],
+    ["puzzle", "--n", "3", "--k", "2", "--p", "1,2,3", "--sample", "10"],
+    ["enumerate", "--what", "mtuples", "--n", "2", "--k", "2", "--p", "1,1,1"],
 ]
 
 FORMATS = ("text", "json")

@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 
 from .counting import _check_size, _require, m_tuples
 from .halfedges import BLACK, WHITE, HalfEdgeMap, _json_field, _json_int, typed_map
-from .nebulas import Nebula
+from .nebulas import Nebula, _check_nebula
 from .permutations import Permutation
 from .tree_rooted import best_compose, enumerate_eulerian_tours
 
@@ -210,27 +210,25 @@ class LabelledNebula:
         m = self.nebula.hmap
         lab = dict(self.black_labels)
         out: list[set[int]] = [set() for _ in range(self.nebula.size)]
-        for t, buds in enumerate(m.buds_by_type(BLACK), start=1):
+        for t, buds in enumerate(m.buds_by_type()[BLACK], start=1):
             for x in buds:
                 out[lab[m.vertex[x]] - 1].add(t)
         return tuple(map(frozenset, out))
 
     def validate(self) -> Optional[str]:
-        problem = self.nebula.validate()
+        m = self.nebula.hmap
+        problem, buds = _check_nebula(m)
         if problem is not None:
             return problem
-        m = self.nebula.hmap
-        blacks = self.nebula.black_vertices()
         lab = dict(self.black_labels)
-        if sorted(lab) != blacks or sorted(lab.values()) != list(
-            range(1, len(blacks) + 1)
-        ):
+        blacks = self.nebula.black_vertices()
+        if sorted(lab) != blacks or sorted(lab.values()) != list(range(1, len(blacks) + 1)):
             return "black labels are not a bijection onto [n]"
         wlab = dict(self.white_bud_labels)
-        whites = m.buds_by_type(WHITE)
-        if set(wlab) != {x for buds in whites for x in buds}:
+        whites = buds[WHITE]
+        if set(wlab) != {x for row in whites for x in row}:
             return "white bud labels do not cover exactly the white buds"
-        for t, (wbuds, bbuds) in enumerate(zip(whites, m.buds_by_type(BLACK)), start=1):
+        for t, (wbuds, bbuds) in enumerate(zip(whites, buds[BLACK]), start=1):
             if {wlab[x] for x in wbuds} != {lab[m.vertex[x]] for x in bbuds}:
                 return f"white bud labels of type {t} are not the black-bud labels"
         return None
@@ -293,6 +291,12 @@ def vartheta_inverse(pb: Prebidding) -> LabelledNebula:
     and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
     """
     _require(pb.validate())
+    return _vartheta_inverse(pb)
+
+
+def _vartheta_inverse(pb: Prebidding) -> LabelledNebula:
+    """:func:`vartheta_inverse` without its input guard, for
+    :func:`psi_inverse`, whose prebidding comes valid from :func:`sigma_inverse`."""
     k, n = pb.k, pb.n
     R = pb.subsets
     white_next = {}
@@ -319,10 +323,16 @@ def sigma(pb: Prebidding) -> Bidding:
     ValueError on invalid input.  The output is valid by construction and is
     checked only in tests (criterion 4, ``tests/test_validate_once.py``)."""
     _require(pb.validate())
-    omegas = []
-    for t in range(1, pb.k + 1):
-        omegas.append(Permutation(tuple(i for t2, i in pb.order if t2 == t)))
-    return Bidding(omegas=tuple(omegas), subsets=pb.subsets)
+    return _sigma(pb)
+
+
+def _sigma(pb: Prebidding) -> Bidding:
+    """:func:`sigma` without its input guard, for :func:`psi`, whose
+    prebidding comes valid from :func:`vartheta`."""
+    appearances: list[list[int]] = [[] for _ in range(pb.k)]
+    for t, i in pb.order:
+        appearances[t - 1].append(i)
+    return Bidding(omegas=tuple(Permutation(tuple(a)) for a in appearances), subsets=pb.subsets)
 
 
 def sigma_inverse(b: Bidding) -> Prebidding:
@@ -342,11 +352,15 @@ def sigma_inverse(b: Bidding) -> Prebidding:
 
 
 def psi(ln: LabelledNebula) -> Bidding:
-    return sigma(vartheta(ln))
+    """The bidding of a labelled rooted nebula: :func:`sigma` of
+    :func:`vartheta`, with only the nebula checked."""
+    return _sigma(vartheta(ln))
 
 
 def psi_inverse(b: Bidding) -> LabelledNebula:
-    return vartheta_inverse(sigma_inverse(b))
+    """The labelled rooted nebula of a valid bidding: :func:`vartheta_inverse`
+    of :func:`sigma_inverse`, with only the bidding checked."""
+    return _vartheta_inverse(sigma_inverse(b))
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,8 @@ def cmd_gf_check(args) -> int:
         raise ValueError("gf-check takes --x or --all-x, not both")
     if not args.all_x and args.x is None:
         raise ValueError("gf-check requires --x or --all-x")
+    if not args.all_x:
+        _check_factors(args, "--x", args.x)
     xs_list = list(itertools.product((1, 2, 3), repeat=args.k)) if args.all_x else [args.x]
     reports = [counting.verify_gf_identity(args.n, args.k, xs, cap=args.cap) for xs in xs_list]
     return _check(args, "gf-check", reports)
@@ -299,6 +301,7 @@ def cmd_pointing_check(args) -> int:
 def cmd_puzzle(args) -> int:
     if args.seed is not None and args.sample is None:
         raise ValueError("puzzle takes --seed only with --sample")
+    _check_factors(args, "--p", args.p)
     if args.sample is not None:
         result = puzzle.sample_puzzle(args.n, args.k, args.p, args.sample, args.seed)
         return _finish(
@@ -329,6 +332,8 @@ def cmd_enumerate(args) -> int:
         stream = counting.enumerate_factorizations(args.n, args.k, cap=args.cap)
         lines = (json.dumps([list(q.image) for q in perms]) for perms in stream)
     else:
+        if args.p is not None:
+            _check_factors(args, "--p", args.p)
         stream = counting.m_tuples(args.n, args.k, args.p, cap=args.cap)
         lines = (json.dumps(mt.to_json()) for mt in stream)
     # the stream checks its arguments and the cap when asked for its first

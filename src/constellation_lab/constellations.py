@@ -16,7 +16,7 @@ rotations; faces are traced only by :class:`HalfEdgeMap`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
@@ -76,8 +76,8 @@ class Constellation:
     def vertex_by_label(self, t: int, i: int) -> int:
         if self.labels is None:
             raise ValueError("constellation is not vertex-labelled")
-        for v in self.vertices_of_type(t):
-            if self.labels[v - 1] == i:
+        for v, (t2, label) in enumerate(zip(self.vertex_type, self.labels), start=1):
+            if t2 == t and label == i:
                 return v
         raise ValueError(f"no vertex of type {t} labelled {i}")
 
@@ -178,13 +178,18 @@ def is_transitive(perms: Sequence[Permutation]) -> bool:
 
 
 def _from_rotations(
-    k: int, n: int, verts: Sequence[tuple[int, Sequence[int]]], root: Optional[int]
+    k: int,
+    n: int,
+    verts: Sequence[tuple[int, Sequence[int]]],
+    root: Optional[int],
+    labels: Optional[Sequence[int]] = None,
 ) -> tuple[Constellation, list[int]]:
     """Assemble a constellation from (type, clockwise rotation) vertices.
 
     The one place that numbers vertices: by (type, smallest incident
-    hyperedge).  Returns the constellation and ``order``, where vertex
-    ``j + 1`` is ``verts[order[j]]``.
+    hyperedge).  ``labels[i]``, when given, is the label of ``verts[i]``.
+    Returns the constellation and ``order``, where vertex ``j + 1`` is
+    ``verts[order[j]]``.
     """
     order = sorted(range(len(verts)), key=lambda i: (verts[i][0], min(verts[i][1])))
     slot = [[0] * n for _ in range(k)]  # slot[t-1][h-1]: type-t vertex of hyperedge h
@@ -199,6 +204,7 @@ def _from_rotations(
         vertex_type=tuple(verts[i][0] for i in order),
         rotation=tuple(_norm_cycle(verts[i][1]) for i in order),
         root=root,
+        labels=None if labels is None else tuple(labels[i] for i in order),
     )
     return c, order
 
@@ -230,39 +236,44 @@ def validate(c: Constellation) -> Optional[str]:
     if len(c.hyperedges) != c.n:
         return "wrong number of hyperedges"
     nv = c.num_vertices
-    incident: dict[int, set[int]] = {v: set() for v in range(1, nv + 1)}
-    for h, he in enumerate(c.hyperedges, start=1):
-        if len(he) != c.k:
-            return f"hyperedge {h} does not have one vertex per type"
-        for t, v in enumerate(he, start=1):
-            if not (1 <= v <= nv):
-                return f"hyperedge {h} references unknown vertex {v}"
-            if c.vertex_type[v - 1] != t:
-                return f"hyperedge {h} slot {t} holds a vertex of type {c.vertex_type[v - 1]}"
-            incident[v].add(h)
-    for v in range(1, nv + 1):
-        rot = c.rotation[v - 1]
-        if len(rot) != len(set(rot)):
-            return f"rotation at vertex {v} repeats a hyperedge"
-        if set(rot) != incident[v]:
-            return f"rotation incomplete at vertex {v}"
-        if not incident[v]:
-            return f"vertex {v} is isolated"
+    if not _incidence_fits(c):
+        incident: dict[int, set[int]] = {v: set() for v in range(1, nv + 1)}
+        for h, he in enumerate(c.hyperedges, start=1):
+            if len(he) != c.k:
+                return f"hyperedge {h} does not have one vertex per type"
+            for t, v in enumerate(he, start=1):
+                if not (1 <= v <= nv):
+                    return f"hyperedge {h} references unknown vertex {v}"
+                if c.vertex_type[v - 1] != t:
+                    return f"hyperedge {h} slot {t} holds a vertex of type {c.vertex_type[v - 1]}"
+                incident[v].add(h)
+        for v in range(1, nv + 1):
+            rot = c.rotation[v - 1]
+            if len(rot) != len(set(rot)):
+                return f"rotation at vertex {v} repeats a hyperedge"
+            if set(rot) != incident[v]:
+                return f"rotation incomplete at vertex {v}"
+            if not incident[v]:
+                return f"vertex {v} is isolated"
     # the orbits of the permutations c represents are the classes of hyperedges
     # joined by shared vertices, since each rotation lists its incident hyperedges
-    if len(_hyperedge_order(c, 1)) != c.n:
+    if len(_hyperedge_order(c.hyperedges, c.rotation, 1)) != c.n:
         return "not transitive"
     if c.root is not None and not (1 <= c.root <= c.n):
         return f"root hyperedge {c.root} out of range"
+    if c.labels is None and c.colors is None:
+        return None
+    # every vertex is incident to a hyperedge, so its type is in [k]
+    by_type: list[list[int]] = [[] for _ in range(c.k)]
+    for v, t in enumerate(c.vertex_type):
+        by_type[t - 1].append(v)
     if c.labels is not None:
-        for t in range(1, c.k + 1):
-            vs = c.vertices_of_type(t)
-            got = sorted(c.labels[v - 1] for v in vs)
-            if got != list(range(1, len(vs) + 1)):
+        for t, vs in enumerate(by_type, start=1):
+            if sorted(c.labels[v] for v in vs) != list(range(1, len(vs) + 1)):
                 return f"labels of type {t} are not a bijection onto [{len(vs)}]"
     if c.colors is not None:
-        for t in range(1, c.k + 1):
-            got = {c.colors[v - 1] for v in c.vertices_of_type(t)}
+        for t, vs in enumerate(by_type, start=1):
+            got = {c.colors[v] for v in vs}
             # onto [max(got)] exactly when got is [len(got)], which never
             # sizes a set by an input value
             if got != set(range(1, len(got) + 1)):
@@ -270,15 +281,43 @@ def validate(c: Constellation) -> Optional[str]:
     return None
 
 
+def _incidence_fits(c: Constellation) -> bool:
+    """Whether the hyperedges and rotations of c pass the slot and rotation
+    checks of :func:`validate`, read table by table: each hyperedge holds a
+    vertex of each type in type order, and the rotation entries, read as
+    slots (h, type of v), cover every slot once and find v in it, so each
+    vertex lists its incident hyperedges once and has one."""
+    k, nv, vertex_type, rotation = c.k, c.num_vertices, c.vertex_type, c.rotation
+    slots = [v for he in c.hyperedges for v in he]  # slot (h, t) is entry (h-1)k + t-1
+    if not (
+        all(len(he) == k for he in c.hyperedges)
+        and 1 <= min(slots)
+        and max(slots) <= nv
+        and [vertex_type[v - 1] for v in slots] == list(range(1, k + 1)) * c.n
+        and len(rotation) == nv
+        and all(rotation)
+    ):
+        return False
+    read = [(h - 1) * k + t - 1 for t, rot in zip(vertex_type, rotation) for h in rot]
+    return sorted(read) == list(range(k * c.n)) and [slots[i] for i in read] == [
+        v for v, rot in enumerate(rotation, start=1) for _ in rot
+    ]
+
+
 def validate_arborescence(c: Constellation, a: Arborescence) -> Optional[str]:
     """Check that ``a`` is a v0-arborescence of ``c``."""
-    if len(a.parent_edge) != c.num_vertices:
+    nv = c.num_vertices
+    parent_edge = a.parent_edge
+    if len(parent_edge) != nv:
         return "parent_edge has wrong length"
-    if not (1 <= a.root_vertex <= c.num_vertices):
+    root = a.root_vertex
+    if not (1 <= root <= nv):
         return "root vertex out of range"
-    for v in range(1, c.num_vertices + 1):
-        e = a.parent_edge[v - 1]
-        if v == a.root_vertex:
+    hyperedges, k = c.hyperedges, c.k
+    # head[v]: the vertex v's parent edge leads to
+    head = [0] * (nv + 1)
+    for v, e in enumerate(parent_edge, start=1):
+        if v == root:
             if e is not None:
                 return "root vertex has a parent edge"
             continue
@@ -287,17 +326,19 @@ def validate_arborescence(c: Constellation, a: Arborescence) -> Optional[str]:
         h, t = e
         if t != c.vertex_type[v - 1]:
             return f"parent edge of vertex {v} has type {t}, vertex has type {c.vertex_type[v - 1]}"
-        if c.edge_endpoints(e)[0] != v:
+        he = hyperedges[h - 1]
+        if he[t - 1] != v:
             return f"parent edge of vertex {v} is not incident to it"
+        head[v] = he[t % k]
     # every vertex must reach the root by following parents; mark[u] is the
     # first vertex whose walk passed u, and every earlier walk reached the root
-    mark = [0] * (c.num_vertices + 1)
-    mark[a.root_vertex] = -1
-    for v in range(1, c.num_vertices + 1):
+    mark = [0] * (nv + 1)
+    mark[root] = -1
+    for v in range(1, nv + 1):
         u = v
         while mark[u] == 0:
             mark[u] = v
-            u = c.edge_endpoints(a.parent_edge[u - 1])[1]
+            u = head[u]
         if mark[u] == v:
             return f"parent edges cycle at vertex {v}"
     return None
@@ -350,7 +391,8 @@ def constellation_from_dual(m: HalfEdgeMap) -> tuple[Constellation, dict[int, in
     """
     if any(t is None for t in m.twin):
         raise ValueError("dual-constellation may not have buds")
-    blacks = sorted(v for v in range(m.num_vertices) if m.vertex_color[v] == BLACK)
+    vertex = m.vertex
+    blacks = [v for v, color in enumerate(m.vertex_color) if color == BLACK]
     hyperedge_of_black = {b: i + 1 for i, b in enumerate(blacks)}
     # faces of the dual are the constellation vertices.  Twins share a type and
     # types increase clockwise around black vertices, decrease around white
@@ -359,8 +401,8 @@ def constellation_from_dual(m: HalfEdgeMap) -> tuple[Constellation, dict[int, in
     faces = m.faces()
     verts: list[tuple[int, tuple[int, ...]]] = []
     for orbit in faces:
-        black = [x for x in orbit if m.vertex_color[m.vertex[x]] == BLACK]
-        hs = tuple(hyperedge_of_black[m.vertex[x]] for x in reversed(black))
+        black = [x for x in orbit if vertex[x] in hyperedge_of_black]
+        hs = tuple(hyperedge_of_black[vertex[x]] for x in reversed(black))
         verts.append((m.type[black[0]], hs))
     root = None if m.root is None else hyperedge_of_black[m.root]
     c, order = _from_rotations(m.k, len(blacks), verts, root)
@@ -369,92 +411,39 @@ def constellation_from_dual(m: HalfEdgeMap) -> tuple[Constellation, dict[int, in
 
 
 # ---------------------------------------------------------------------------
-# Relabelling and canonical forms
+# Root-first hyperedge order
 # ---------------------------------------------------------------------------
 
 
-def relabel_hyperedges(
-    c: Constellation, s: dict[int, int]
-) -> tuple[Constellation, dict[int, int]]:
-    """Rename hyperedges by the bijection s and renumber vertices canonically.
-
-    Returns (new constellation, vertex map old id -> new id).  The new
-    vertex ids follow the (type, smallest incident hyperedge) order of
-    :func:`_from_rotations`; labels and colors move with their vertices.
-    """
-    if sorted(s.get(h, 0) for h in range(1, c.n + 1)) != list(range(1, c.n + 1)):
-        raise ValueError(f"hyperedge relabelling is not a bijection of [{c.n}]")
-    verts = [(t, [s[h] for h in rot]) for t, rot in zip(c.vertex_type, c.rotation)]
-    new_c, order = _from_rotations(c.k, c.n, verts, None if c.root is None else s[c.root])
-
-    def moved(values: Optional[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
-        return None if values is None else tuple(values[i] for i in order)
-
-    new_c = replace(new_c, labels=moved(c.labels), colors=moved(c.colors))
-    return new_c, {i + 1: j + 1 for j, i in enumerate(order)}
-
-
-def relabel_arborescence(a: Arborescence, s: dict[int, int], vmap: dict[int, int]) -> Arborescence:
-    """Carry an arborescence through :func:`relabel_hyperedges` (its s and vmap)."""
-    parent: list[Optional[Edge]] = [None] * len(a.parent_edge)
-    for v, e in enumerate(a.parent_edge, start=1):
-        if e is not None:
-            parent[vmap[v] - 1] = (s[e[0]], e[1])
-    return Arborescence(root_vertex=vmap[a.root_vertex], parent_edge=tuple(parent))
-
-
-def _hyperedge_order(c: Constellation, start: int) -> list[int]:
+def _hyperedge_order(
+    hyperedges: Sequence[Sequence[int]], rotation: Sequence[Sequence[int]], start: int
+) -> list[int]:
     """The hyperedges reached from ``start``, root-first.
 
-    Each reached hyperedge scans its vertices in type order, and a vertex
-    not scanned before lists its rotation clockwise from just after that
-    hyperedge.  A vertex is scanned once: its whole rotation is then reached.
+    ``hyperedges[h-1][t-1]`` is the type-t vertex of hyperedge h and
+    ``rotation[v-1]`` the clockwise hyperedge order around vertex v, as in
+    :class:`Constellation`.  Each reached hyperedge scans its vertices in
+    type order, and a vertex not scanned before lists its rotation clockwise
+    from just after that hyperedge.  A vertex is scanned once: its whole
+    rotation is then reached.  Renaming hyperedges by their place in this
+    order is the one canonical labelling of rooted objects.
     """
     order = [start]
-    reached = [False] * (c.n + 1)
+    reached = [False] * (len(hyperedges) + 1)
     reached[start] = True
-    scanned = [False] * (c.num_vertices + 1)
+    scanned = [False] * (len(rotation) + 1)
     for h in order:  # grows while it is read
-        for v in c.hyperedges[h - 1]:
+        for v in hyperedges[h - 1]:
             if scanned[v]:
                 continue
             scanned[v] = True
-            rot = c.rotation[v - 1]
+            rot = rotation[v - 1]
             i = rot.index(h)
             for g in rot[i + 1 :] + rot[:i]:
                 if not reached[g]:
                     reached[g] = True
                     order.append(g)
     return order
-
-
-def bfs_hyperedge_relabelling(c: Constellation) -> dict[int, int]:
-    """Deterministic root-first hyperedge labelling of a rooted constellation.
-
-    Hyperedge h is renamed by its place in :func:`_hyperedge_order` from the
-    root, so the root becomes 1.  Independent of the existing labels.
-    """
-    if c.root is None:
-        raise ValueError("constellation is not rooted")
-    order = _hyperedge_order(c, c.root)
-    if len(order) != c.n:
-        raise ValueError("not transitive")
-    return {h: place for place, h in enumerate(order, start=1)}
-
-
-def canonical_rooted(
-    c: Constellation, a: Optional[Arborescence] = None
-) -> tuple[Constellation, Optional[Arborescence]]:
-    """Canonical form of a rooted constellation (root hyperedge becomes 1).
-
-    The one canonical labelling of rooted, tree-rooted and tree-pointed
-    objects: hyperedges are renamed by :func:`bfs_hyperedge_relabelling`,
-    which reads neither labels, colors nor ``a``.  Returns the canonical
-    constellation and ``a`` carried along (None when no ``a`` is given).
-    """
-    s = bfs_hyperedge_relabelling(c)
-    canon, vmap = relabel_hyperedges(c, s)
-    return canon, None if a is None else relabel_arborescence(a, s, vmap)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +490,7 @@ def _rooted_constellations(n: int, k: int, cap: int) -> tuple[Constellation, ...
     out = []
     for perms in transitive_tuples(n, k):
         c = from_permutations(perms, root=1)
-        if _hyperedge_order(c, 1) == first_n:
+        if _hyperedge_order(c.hyperedges, c.rotation, 1) == first_n:
             out.append(c)
     return tuple(sorted(out, key=lambda c: (c.hyperedges, c.rotation)))
 

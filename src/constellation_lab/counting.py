@@ -84,16 +84,25 @@ class ColoredFactorization:
         return self.perms[0].n
 
     def validate(self) -> Optional[str]:
-        if any(p.n != self.n for p in self.perms):
+        n = self.n
+        if any(p.n != n for p in self.perms):
             return "size mismatch"
-        if compose_all(list(self.perms)) != long_cycle(self.n):
-            return "product is not the long cycle"
-        for t, (p, col) in enumerate(zip(self.perms, self.colorings), start=1):
-            if len(col) != self.n:
+        images = [p.image for p in self.perms]
+        # the product applies the last factor first; x must go to x + 1
+        for x in range(1, n + 1):
+            y = x
+            for img in reversed(images):
+                y = img[y - 1]
+            if y != x % n + 1:
+                return "product is not the long cycle"
+        for t, (img, col) in enumerate(zip(images, self.colorings), start=1):
+            if len(col) != n:
                 return f"coloring {t} has wrong length"
-            for cyc in cycles(p):
-                if len({col[x - 1] for x in cyc}) != 1:
-                    return f"coloring {t} not constant on cycle {cyc}"
+            # constant on every cycle of the factor exactly when constant along it
+            if any(col[x] != col[y - 1] for x, y in enumerate(img)):
+                for cyc in cycles(self.perms[t - 1]):
+                    if len({col[x - 1] for x in cyc}) != 1:
+                        return f"coloring {t} not constant on cycle {cyc}"
             used = set(col)
             if used != set(range(1, len(used) + 1)):
                 return f"coloring {t} is not surjective"

@@ -13,9 +13,10 @@ On darts it is the permutation ``tour_steps``:
 
 The tour reaches every dart exactly once per face, and the corner crossed
 just before reaching dart x is the corner preceding x in clockwise order
-around its vertex.  Faces, tours and vertex rotations are all orbits, read
-by :func:`~constellation_lab.permutations.orbits`: faces and tours of
-``tour_steps``, rotations of ``next``.
+around its vertex.  Faces, tours and vertex rotations are all orbits:
+faces of ``tour_steps`` and rotations of ``next``, read by
+:func:`~constellation_lab.permutations.orbits`, and the tour of one dart,
+which :meth:`HalfEdgeMap.tour` steps without building the table.
 """
 from __future__ import annotations
 
@@ -61,12 +62,14 @@ class HalfEdgeMap:
     def is_bud(self, x: int) -> bool:
         return self.twin[x] is None
 
-    def buds_by_type(self, color: str) -> list[list[int]]:
-        """The buds at ``color`` vertices, one list per type 1..k, in dart order."""
-        out: list[list[int]] = [[] for _ in range(self.k)]
+    def buds_by_type(self) -> dict[str, list[list[int]]]:
+        """The buds at the vertices of each color, one list per type 1..k,
+        in dart order, from one pass over the darts."""
+        out = {color: [[] for _ in range(self.k)] for color in (BLACK, WHITE)}
+        vertex, vertex_color, type_ = self.vertex, self.vertex_color, self.type
         for x, t in enumerate(self.twin):
-            if t is None and self.vertex_color[self.vertex[x]] == color:
-                out[self.type[x] - 1].append(x)
+            if t is None and (rows := out.get(vertex_color[vertex[x]])) is not None:
+                rows[type_[x] - 1].append(x)
         return out
 
     @property
@@ -87,40 +90,77 @@ class HalfEdgeMap:
         return [tuple(cyc) for cyc in orbits(self.tour_steps, range(self.num_darts))]
 
     def tour(self, start: int) -> list[int]:
-        """The clockwise tour from ``start``, up to its first repeated dart."""
-        return orbits(self.tour_steps, (start,))[0]
+        """The clockwise tour from ``start``, up to its first repeated dart:
+        the orbit of ``start`` under ``tour_steps``, stepped without the table."""
+        nxt, twin = self.nxt, self.twin
+        seen = [False] * len(nxt)
+        out = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            out.append(x)
+            t = twin[x]
+            x = nxt[x if t is None else t]
+        return out
 
     def validate(self) -> Optional[str]:
-        """Return the first violated structural invariant, or None if valid."""
+        """Return the first violated structural invariant, or None if valid.
+
+        The dart-by-dart checks run only when :meth:`_darts_fit`, which
+        reads each table whole, finds a fault: they word the first one."""
         H = self.num_darts
         V = self.num_vertices
         if H and (min(self.vertex) < 0 or max(self.vertex) >= V):
             return "a dart's vertex is out of range"
         if self.root is not None and not 0 <= self.root < V:
             return "root is not a vertex"
-        for x in range(H):
-            if not (0 <= self.nxt[x] < H):
-                return f"next[{x}] out of range"
-            if self.vertex[self.nxt[x]] != self.vertex[x]:
-                return f"next[{x}] leaves vertex {self.vertex[x]}"
-            if not (1 <= self.type[x] <= self.k):
-                return f"type[{x}] not in [k]"
-            t = self.twin[x]
-            if t is not None:
-                if not 0 <= t < H:
-                    return f"twin[{x}] is not a dart"
-                if self.twin[t] != x:
-                    return f"twin not an involution at {x}"
-                if t == x:
-                    return f"dart {x} is its own twin"
-                if self.type[t] != self.type[x]:
-                    return f"twin pair {x},{t} types differ"
+        if not self._darts_fit():
+            for x in range(H):
+                if not (0 <= self.nxt[x] < H):
+                    return f"next[{x}] out of range"
+                if self.vertex[self.nxt[x]] != self.vertex[x]:
+                    return f"next[{x}] leaves vertex {self.vertex[x]}"
+                if not (1 <= self.type[x] <= self.k):
+                    return f"type[{x}] not in [k]"
+                t = self.twin[x]
+                if t is not None:
+                    if not 0 <= t < H:
+                        return f"twin[{x}] is not a dart"
+                    if self.twin[t] != x:
+                        return f"twin not an involution at {x}"
+                    if t == x:
+                        return f"dart {x} is its own twin"
+                    if self.type[t] != self.type[x]:
+                        return f"twin pair {x},{t} types differ"
         if sorted(self.nxt) != list(range(H)):
             return "next is not a permutation of the darts"
         for v in range(self.num_vertices):
             if self.vertex_color[v] not in (BLACK, WHITE):
                 return f"vertex {v} has invalid color"
         return None
+
+    def _darts_fit(self) -> bool:
+        """Whether every dart passes the dart-by-dart checks of
+        :meth:`validate`: next and twin in range, next at the same vertex,
+        types in [k], twins an involution without fixed points that keeps
+        types."""
+        H, vertex, nxt, type_ = self.num_darts, self.vertex, self.nxt, self.type
+        if not H:
+            return True
+        paired = [x for x, t in enumerate(self.twin) if t is not None]
+        partner = [t for t in self.twin if t is not None]
+        return (
+            len(nxt) == len(type_) == len(self.twin) == H
+            and 0 <= min(nxt)
+            and max(nxt) < H
+            and [vertex[y] for y in nxt] == [*vertex]
+            and 1 <= min(type_)
+            and max(type_) <= self.k
+            and (not partner or (0 <= min(partner) and max(partner) < H))
+            and [self.twin[t] for t in partner] == paired
+            and all(map(int.__ne__, paired, partner))
+            and [type_[t] for t in partner] == [type_[x] for x in paired]
+        )
 
     def to_json(self) -> dict:
         data = {
@@ -210,9 +250,8 @@ def typed_map(
     their least dart.  ``root`` is a black vertex i, or None.
     """
     nk = n * k
-    slots = [(i, t) for i in range(1, n + 1) for t in range(1, k + 1)]
-    dart = {s: j for j, s in enumerate(slots)}  # black dart (i-1)k + t-1
-    nxt = [dart[(i, t % k + 1)] for i, t in slots] + [0] * nk
+    dart = {(i, t): (i - 1) * k + t - 1 for i in range(1, n + 1) for t in range(1, k + 1)}
+    nxt = [j + (t + 1) % k for j in range(0, nk, k) for t in range(k)] + [0] * nk
     twin: list[Optional[int]] = [*range(nk, 2 * nk), *range(nk)]
     try:
         for s, s2 in white_next.items():
@@ -221,7 +260,7 @@ def typed_map(
             twin[dart[s]] = twin[nk + dart[s]] = None
     except KeyError as exc:
         raise ValueError(f"slot {exc.args[0]} is not in [{n}] x [{k}]") from None
-    vertex = [i - 1 for i, _ in slots] + [0] * nk
+    vertex = [i for i in range(n) for _ in range(k)] + [0] * nk
     whites = orbits(nxt, range(nk, 2 * nk))
     for v, orbit in enumerate(whites, start=n):
         for x in orbit:
@@ -231,7 +270,7 @@ def typed_map(
         vertex=tuple(vertex),
         nxt=tuple(nxt),
         twin=tuple(twin),
-        type=tuple(t for _, t in slots) * 2,
+        type=tuple(range(1, k + 1)) * (2 * n),
         vertex_color=(BLACK,) * n + (WHITE,) * len(whites),
         root=None if root is None else root - 1,
     )

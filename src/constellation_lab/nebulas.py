@@ -59,40 +59,73 @@ class Nebula:
 
 def validate_nebula(m: HalfEdgeMap) -> Optional[str]:
     """First violated nebula condition, or None."""
+    return _check_nebula(m)[0]
+
+
+def _check_nebula(m: HalfEdgeMap) -> tuple[Optional[str], Optional[dict[str, list[list[int]]]]]:
+    """The verdict of :func:`validate_nebula` and, once the bud pass is
+    reached, the buds by color and type that it read."""
     problem = m.validate()
     if problem is not None:
-        return problem
-    rotations = m.rotations()
-    for v in range(m.num_vertices):
-        rot = rotations[v]
-        types = [m.type[x] for x in rot]
-        if m.vertex_color[v] == BLACK:
-            if len(rot) != m.k:
-                return f"black vertex {v} has degree {len(rot)}"
-            if sorted(types) != list(range(1, m.k + 1)):
-                return f"black vertex {v} misses a type"
-            for a, b in zip(types, types[1:] + types[:1]):
-                if b != a % m.k + 1:
-                    return f"types do not increase clockwise at black vertex {v}"
-        else:
-            for a, b in zip(types, types[1:] + types[:1]):
-                if b != (a - 2) % m.k + 1:
-                    return f"types do not decrease clockwise at white vertex {v}"
-        for x in rot:
-            t = m.twin[x]
-            if t is not None and m.vertex_color[m.vertex[t]] == m.vertex_color[v]:
-                return f"edge at dart {x} joins two {m.vertex_color[v]} vertices"
-    black_buds = [len(buds) for buds in m.buds_by_type(BLACK)]
-    white_buds = [len(buds) for buds in m.buds_by_type(WHITE)]
+        return problem, None
+    if not _rotations_fit(m):
+        problem = _rotation_problem(m)
+        if problem is not None:
+            return problem, None
+    buds = m.buds_by_type()
+    black_buds = [len(row) for row in buds[BLACK]]
+    white_buds = [len(row) for row in buds[WHITE]]
     if black_buds != white_buds:
-        return f"bud counts differ per type: black {black_buds}, white {white_buds}"
-    num_faces = len(m.faces())
-    if num_faces != 1:
-        return f"nebula must have a single face, found {num_faces}"
+        return f"bud counts differ per type: black {black_buds}, white {white_buds}", buds
+    # one face exactly when the tour from dart 0 meets every dart; the faces
+    # are counted only to word the failure
+    if not m.num_darts or len(m.tour(0)) != m.num_darts:
+        return f"nebula must have a single face, found {len(m.faces())}", buds
     if m.root is None:
-        return "nebula is not rooted"
+        return "nebula is not rooted", buds
     if m.vertex_color[m.root] != BLACK:
-        return "root vertex is not black"
+        return "root vertex is not black", buds
+    return None, buds
+
+
+def _rotations_fit(m: HalfEdgeMap) -> bool:
+    """Whether the rotations of a structurally valid map meet the conditions
+    of :func:`_rotation_problem`, read dart by dart: types increase
+    clockwise around black vertices and decrease around white ones, every
+    edge joins a black and a white vertex, and each black vertex has one
+    dart of type 1, so that its degree is k.  True implies no problem."""
+    k, vertex, type_, twin = m.k, m.vertex, m.type, m.twin
+    black = [color == BLACK for color in m.vertex_color]
+    on_black = [black[v] for v in vertex]
+    follows = [t % k + 1 if b else (t - 2) % k + 1 for t, b in zip(type_, on_black)]
+    return (
+        [type_[y] for y in m.nxt] == follows
+        and [on_black[t] for t in twin if t is not None]
+        == [not b for b, t in zip(on_black, twin) if t is not None]
+        and sorted(v for v, t, b in zip(vertex, type_, on_black) if b and t == 1)
+        == [v for v, b in enumerate(black) if b]
+    )
+
+
+def _rotation_problem(m: HalfEdgeMap) -> Optional[str]:
+    """The first vertex whose rotation breaks a nebula condition, worded."""
+    k, vertex, twin, type_, color = m.k, m.vertex, m.twin, m.type, m.vertex_color
+    for v, rot in m.rotations().items():
+        types = [type_[x] for x in rot]
+        cyclic = list(zip(types, types[1:] + types[:1]))
+        if color[v] == BLACK:
+            if len(rot) != k:
+                return f"black vertex {v} has degree {len(rot)}"
+            if sorted(types) != list(range(1, k + 1)):
+                return f"black vertex {v} misses a type"
+            if any(b != a % k + 1 for a, b in cyclic):
+                return f"types do not increase clockwise at black vertex {v}"
+        elif any(b != (a - 2) % k + 1 for a, b in cyclic):
+            return f"types do not decrease clockwise at white vertex {v}"
+        for x in rot:
+            t = twin[x]
+            if t is not None and color[vertex[t]] == color[v]:
+                return f"edge at dart {x} joins two {color[v]} vertices"
     return None
 
 
@@ -116,11 +149,13 @@ def dual_opening(tp: TreePointedConstellation) -> Nebula:
 
 
 def _bud_word(m: HalfEdgeMap) -> list[int]:
-    """The buds in clockwise-tour order around the (single) face."""
-    if not m.buds:
+    """The buds in clockwise-tour order around the (single) face, from the
+    first bud."""
+    twin = m.twin
+    start = next((x for x, t in enumerate(twin) if t is None), None)
+    if start is None:
         return []
-    start = m.buds[0]
-    return [x for x in m.tour(start) if m.is_bud(x)]
+    return [x for x in m.tour(start) if twin[x] is None]
 
 
 def _match_parenthesis(m: HalfEdgeMap, word: list[int]) -> list[tuple[int, int]]:
@@ -162,7 +197,7 @@ def dual_closure(nb: Nebula) -> TreePointedConstellation:
     construction and is checked only in tests (criterion 4,
     ``tests/test_validate_once.py``).
     """
-    if not nb.hmap.buds:
+    if None not in nb.hmap.twin:
         raise ValueError("nebula has no buds: no pointed vertex to recover")
     _require(nb.validate())
     closed, bud_edges = closure(nb)

@@ -23,13 +23,13 @@ from .constellations import (
     Arborescence,
     Constellation,
     _from_rotations,
+    _hyperedge_order,
     _validate_tree_pointed,
     arborescences_toward,
-    canonical_rooted,
     enumerate_rooted_constellations,
 )
 from .counting import ColoredFactorization, _check_size, _require
-from .permutations import Composition, Permutation, inverse
+from .permutations import Composition, Permutation
 
 Arc = tuple[int, int]  # (type, hyperedge label)
 DigraphVertex = tuple[int, int]  # (type, color)
@@ -131,12 +131,18 @@ def xi(cf: ColoredFactorization) -> EulerianDigraphTour:
     """
     _require(cf.validate())
     k, n = cf.k, cf.n
-    invs = [inverse(p) for p in cf.perms]
+    # invs[t-1][g]: the preimage of g under pi_t
+    invs = []
+    for p in cf.perms:
+        inv = [0] * (n + 1)
+        for x, y in enumerate(p.image, start=1):
+            inv[y] = x
+        invs.append(inv)
     arcs: list[Arc] = [(k, 1)]
     g = 1
     for m in range(1, k * n):
         t = (m - 1) % k + 1
-        g = invs[t - 1](g)
+        g = invs[t - 1][g]
         arcs.append((t, g))
     return EulerianDigraphTour(
         digraph=ColoredDigraph(k=k, n=n, colorings=cf.colorings), arcs=tuple(arcs)
@@ -156,6 +162,12 @@ def xi_inverse(tour: EulerianDigraphTour) -> ColoredFactorization:
     and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
     """
     _require(tour.validate())
+    return _xi_inverse(tour)
+
+
+def _xi_inverse(tour: EulerianDigraphTour) -> ColoredFactorization:
+    """The decoding of :func:`xi_inverse` without its input guard, for
+    :func:`phi_inverse`, whose own guard makes the tour it replays valid."""
     dg = tour.digraph
     k, n = dg.k, dg.n
     seq = tour.arcs
@@ -188,8 +200,9 @@ def best_decompose(tour: EulerianDigraphTour) -> dict[DigraphVertex, tuple[Arc, 
     last-exit arc; these arcs form an arborescence toward the start vertex.
     """
     exits: dict[DigraphVertex, list[Arc]] = {}
-    for arc in tour.arcs:
-        exits.setdefault(tour.digraph.tail(arc), []).append(arc)
+    colorings = tour.digraph.colorings
+    for t, i in tour.arcs:  # the arc (t, i) leaves (t, colorings[t-1][i-1])
+        exits.setdefault((t, colorings[t - 1][i - 1]), []).append((t, i))
     return {v: tuple(used) for v, used in exits.items()}
 
 
@@ -251,25 +264,35 @@ def phi(cf: ColoredFactorization) -> TreeRootedConstellation:
     """Map a colored factorization to a vertex-labelled tree-rooted constellation.
 
     Composition of the tour encoding, the last-exit decomposition, and the
-    reassembly of exit orders as clockwise rotations; hyperedge labels are
-    then canonicalized away by :func:`canonical_rooted` (root-first BFS),
-    so the images are exactly the objects :func:`enumerate_tree_rooted`
-    yields.
+    reassembly of exit orders as clockwise rotations.  The exit orders fix
+    the root-first order of :func:`~constellation_lab.constellations._hyperedge_order`
+    from the root hyperedge, so each hyperedge is numbered by its place in it
+    before the one build: the images are exactly the objects
+    :func:`enumerate_tree_rooted` yields.
     Raises ValueError on invalid input.  The output is valid by construction
     and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
     """
     tour = xi(cf)
     dg = tour.digraph
     exits = best_decompose(tour)
-    v0 = dg.tail(tour.arcs[0])
     dverts = list(exits)
-    verts = [(t, [i for _, i in exits[(t, col)]]) for t, col in dverts]
-    c, order = _from_rotations(dg.k, dg.n, verts, tour.arcs[0][1])
+    rotation = [[i for _, i in exits[dv]] for dv in dverts]
+    # the type-t vertex of hyperedge h is the class (t, colorings[t-1][h-1]),
+    # numbered here by its place in dverts, from 1
+    vid = {dv: j for j, dv in enumerate(dverts, start=1)}
+    hyperedges = [
+        [vid[t, col[h]] for t, col in enumerate(dg.colorings, start=1)] for h in range(dg.n)
+    ]
+    s = [0] * (dg.n + 1)
+    for place, h in enumerate(_hyperedge_order(hyperedges, rotation, tour.arcs[0][1]), start=1):
+        s[h] = place
+    verts = [(t, [s[h] for h in rot]) for (t, _), rot in zip(dverts, rotation)]
+    c, order = _from_rotations(dg.k, dg.n, verts, 1, [col for _, col in dverts])
     # the parent edge of a vertex other than v0 is its last exit
-    parent = [None if dverts[j] == v0 else (exits[dverts[j]][-1][1], dverts[j][0]) for j in order]
-    c = replace(c, labels=tuple(dverts[j][1] for j in order))
+    v0 = dg.tail(tour.arcs[0])
+    parent = [None if dverts[j] == v0 else (verts[j][1][-1], dverts[j][0]) for j in order]
     arb = Arborescence(root_vertex=parent.index(None) + 1, parent_edge=tuple(parent))
-    return TreeRootedConstellation(*canonical_rooted(c, arb))
+    return TreeRootedConstellation(c, arb)
 
 
 def tree_rooted_tour(t_rooted: TreeRootedConstellation) -> tuple[Arc, ...]:
@@ -293,7 +316,11 @@ def tree_rooted_tour(t_rooted: TreeRootedConstellation) -> tuple[Arc, ...]:
 
 
 def phi_inverse(t_rooted: TreeRootedConstellation) -> ColoredFactorization:
-    """Invert phi: replay the tour and rebuild the colored factorization."""
+    """Invert phi: replay the tour and rebuild the colored factorization.
+
+    Raises ValueError on invalid input.  A valid input replays a valid tour,
+    so the tour is decoded by :func:`_xi_inverse` and not checked again.
+    """
     _require(t_rooted.validate())
     c = t_rooted.constellation
     seq = tree_rooted_tour(t_rooted)
@@ -304,7 +331,7 @@ def phi_inverse(t_rooted: TreeRootedConstellation) -> ColoredFactorization:
     tour = EulerianDigraphTour(
         digraph=ColoredDigraph(k=c.k, n=c.n, colorings=colorings), arcs=seq
     )
-    return xi_inverse(tour)
+    return _xi_inverse(tour)
 
 
 def enumerate_tree_rooted(

@@ -2,7 +2,7 @@
 space that a library function counts by a faster route, and the helpers the
 tests read objects with."""
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial, prod
 
@@ -15,7 +15,9 @@ from constellation_lab.biddings import (
     vartheta,
 )
 from constellation_lab.constellations import (
-    canonical_rooted,
+    Arborescence,
+    _from_rotations,
+    _hyperedge_order,
     dual,
     from_permutations,
     transitive_tuples,
@@ -37,7 +39,12 @@ from constellation_lab.permutations import (
 )
 from constellation_lab.puzzle import UndefinedProbabilityError
 from constellation_lab.symmetry import swap_degree, transport_schedule
-from constellation_lab.tree_rooted import TreeRootedConstellation, enumerate_tree_rooted
+from constellation_lab.tree_rooted import (
+    TreeRootedConstellation,
+    best_decompose,
+    enumerate_tree_rooted,
+    xi,
+)
 
 
 def tree_probability_by_tuples(n, k, p, cap=None):
@@ -138,7 +145,8 @@ def cycle_type_census_by_stream(n, k):
 def bfs_hyperedge_relabelling_naive(c):
     """Root-first hyperedge labelling that rescans every vertex of each
     reached hyperedge; oracle for
-    :func:`constellation_lab.constellations.bfs_hyperedge_relabelling`."""
+    :func:`bfs_hyperedge_relabelling`, which reads the order of
+    :func:`constellation_lab.constellations._hyperedge_order`."""
     s = {c.root: 1}
     order = [c.root]
     qi = 0
@@ -155,6 +163,79 @@ def bfs_hyperedge_relabelling_naive(c):
                     s[g] = len(s) + 1
                     order.append(g)
     return s
+
+
+def relabel_hyperedges(c, s):
+    """Rename hyperedges by the bijection s and renumber vertices canonically.
+
+    Returns (new constellation, vertex map old id -> new id).  The new
+    vertex ids follow the (type, smallest incident hyperedge) order of
+    :func:`constellation_lab.constellations._from_rotations`; labels and
+    colors move with their vertices.
+    """
+    if sorted(s.get(h, 0) for h in range(1, c.n + 1)) != list(range(1, c.n + 1)):
+        raise ValueError(f"hyperedge relabelling is not a bijection of [{c.n}]")
+    verts = [(t, [s[h] for h in rot]) for t, rot in zip(c.vertex_type, c.rotation)]
+    new_c, order = _from_rotations(c.k, c.n, verts, None if c.root is None else s[c.root])
+
+    def moved(values):
+        return None if values is None else tuple(values[i] for i in order)
+
+    new_c = replace(new_c, labels=moved(c.labels), colors=moved(c.colors))
+    return new_c, {i + 1: j + 1 for j, i in enumerate(order)}
+
+
+def relabel_arborescence(a, s, vmap):
+    """Carry an arborescence through :func:`relabel_hyperedges` (its s and vmap)."""
+    parent = [None] * len(a.parent_edge)
+    for v, e in enumerate(a.parent_edge, start=1):
+        if e is not None:
+            parent[vmap[v] - 1] = (s[e[0]], e[1])
+    return Arborescence(root_vertex=vmap[a.root_vertex], parent_edge=tuple(parent))
+
+
+def bfs_hyperedge_relabelling(c):
+    """Hyperedge h of a rooted constellation renamed by its place in the
+    root-first order of
+    :func:`constellation_lab.constellations._hyperedge_order`, so the root
+    becomes 1.  Independent of the existing labels."""
+    if c.root is None:
+        raise ValueError("constellation is not rooted")
+    order = _hyperedge_order(c.hyperedges, c.rotation, c.root)
+    if len(order) != c.n:
+        raise ValueError("not transitive")
+    return {h: place for place, h in enumerate(order, start=1)}
+
+
+def canonical_rooted(c, a=None):
+    """Canonical form of a rooted constellation (root hyperedge becomes 1),
+    by renaming the hyperedges of a built object and building it again.
+
+    Hyperedges are renamed by :func:`bfs_hyperedge_relabelling`, which reads
+    neither labels, colors nor ``a``.  Returns the canonical constellation
+    and ``a`` carried along (None when no ``a`` is given).
+    """
+    s = bfs_hyperedge_relabelling(c)
+    canon, vmap = relabel_hyperedges(c, s)
+    return canon, None if a is None else relabel_arborescence(a, s, vmap)
+
+
+def phi_by_canonical_form(cf):
+    """phi by building the constellation under the tour's hyperedge labels
+    and then taking its canonical form; oracle for
+    :func:`constellation_lab.tree_rooted.phi`, which numbers hyperedges
+    root-first before its one build."""
+    tour = xi(cf)
+    dg = tour.digraph
+    exits = best_decompose(tour)
+    v0 = dg.tail(tour.arcs[0])
+    dverts = list(exits)
+    verts = [(t, [i for _, i in exits[(t, col)]]) for t, col in dverts]
+    c, order = _from_rotations(dg.k, dg.n, verts, tour.arcs[0][1])
+    parent = [None if dverts[j] == v0 else (exits[dverts[j]][-1][1], dverts[j][0]) for j in order]
+    c = replace(c, labels=tuple(dverts[j][1] for j in order))
+    arb = Arborescence(root_vertex=parent.index(None) + 1, parent_edge=tuple(parent))
+    return TreeRootedConstellation(*canonical_rooted(c, arb))
 
 
 def xi_inverse_by_product_orbit(tour):
@@ -321,7 +402,7 @@ def subset_type(k, subsets):
 
 def nebula_type_vector(nb):
     """Black buds of a nebula per type."""
-    return tuple(len(buds) for buds in nb.hmap.buds_by_type(BLACK))
+    return tuple(len(buds) for buds in nb.hmap.buds_by_type()[BLACK])
 
 
 def labellings(nb):
@@ -329,8 +410,8 @@ def labellings(nb):
     m = nb.hmap
     blacks = nb.black_vertices()
     n = len(blacks)
-    white_by_type = m.buds_by_type(WHITE)
-    black_by_type = m.buds_by_type(BLACK)
+    white_by_type = m.buds_by_type()[WHITE]
+    black_by_type = m.buds_by_type()[BLACK]
     for black_image in itertools.permutations(range(1, n + 1)):
         lab = dict(zip(blacks, black_image))
         pools = [[lab[m.vertex[x]] for x in buds] for buds in black_by_type]
@@ -494,7 +575,7 @@ def canonical_labelling(nb):
             black_labels[v] = len(black_labels) + 1
         if m.is_bud(x) and m.vertex_color[v] == WHITE:
             white_buds_in_order.setdefault(m.type[x], []).append(x)
-    eligible = [sorted(black_labels[m.vertex[x]] for x in buds) for buds in m.buds_by_type(BLACK)]
+    eligible = [sorted(black_labels[m.vertex[x]] for x in buds) for buds in m.buds_by_type()[BLACK]]
     wlab = {}
     for t, darts in white_buds_in_order.items():
         for x, lab in zip(darts, eligible[t - 1]):

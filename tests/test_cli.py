@@ -506,6 +506,16 @@ def test_count_factor_data_must_match_n_and_k(capsys, argv, message):
             ["roundtrip", "--bijection", "phi", "--n", "2", "--k", "3", "--p", "1,1"],
             "--p gives 2 factors but --k is 3",
         ),
+        (["gf-check", "--n", "2", "--k", "2", "--x", "1,1,1"], "--x gives 3 factors but --k is 2"),
+        (["puzzle", "--n", "3", "--k", "2", "--p", "1,2,3"], "--p gives 3 factors but --k is 2"),
+        (
+            ["puzzle", "--n", "3", "--k", "2", "--p", "1,2,3", "--sample", "10"],
+            "--p gives 3 factors but --k is 2",
+        ),
+        (
+            ["enumerate", "--what", "mtuples", "--n", "2", "--k", "2", "--p", "1,1,1"],
+            "--p gives 3 factors but --k is 2",
+        ),
     ],
 )
 def test_p_must_match_k(capsys, argv, message):
@@ -557,7 +567,7 @@ def test_puzzle_sample_rejects_bad_type_vector(capsys):
     code = main(["puzzle", "--n", "3", "--k", "2", "--p", "1,2,3", "--sample", "10"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err == "error: p must have length 2, got 3\n"
+    assert err == "error: --p gives 3 factors but --k is 2\n"
 
 
 def _labelled_nebula_json(darts=(), **fields):

@@ -4,12 +4,16 @@ from dataclasses import replace
 
 import pytest
 from oracles import (
+    bfs_hyperedge_relabelling,
     bfs_hyperedge_relabelling_naive,
+    canonical_rooted,
     dual_by_face_orbits,
     from_cycles,
     genus,
     identity,
     product_of,
+    relabel_arborescence,
+    relabel_hyperedges,
     rooted_constellations_naive,
     to_permutations,
     white_face_count,
@@ -23,8 +27,6 @@ from constellation_lab.constellations import (
     Constellation,
     _from_rotations,
     arborescences_toward,
-    bfs_hyperedge_relabelling,
-    canonical_rooted,
     constellation_from_dual,
     constellation_to_dot,
     dual,
@@ -32,8 +34,6 @@ from constellation_lab.constellations import (
     from_permutations,
     halfedge_to_dot,
     is_transitive,
-    relabel_arborescence,
-    relabel_hyperedges,
     transitive_tuples,
     validate,
     validate_arborescence,

@@ -1,5 +1,6 @@
 """The scripts under ``scripts/`` run against the current CLI and library."""
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -72,3 +73,31 @@ def test_cli_digest_prints_one_line_per_argv_and_format(monkeypatch):
     with open(os.path.join(ROOT, "tests", "data", "cli_digest.txt"), encoding="utf-8") as handle:
         expected = handle.read().splitlines()
     assert lines == expected
+
+
+def test_bench_quick_run_and_compare_keep_their_schema(tmp_path):
+    out = tmp_path / "bench.json"
+    done = run_script("bench.py", "--quick", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    run = json.loads(out.read_text())
+    assert set(run) == {"commit", "host", "layers", "quick", "schema", "seed"}
+    assert run["schema"] == "constellation-lab-bench/1" and run["quick"] is True
+    assert set(run["host"]) == {"cpus", "machine", "python"}
+    rows = ("phi", "swap", "lambda", "theta", "sigma", "psi")
+    expected = {f"{row}.{way}.{domain}" for row in rows for way in ("forward", "inverse")
+                for domain in ("exhaustive", "random")}
+    expected |= {"xi.forward.random", "xi.inverse.random"}
+    expected |= {f"sample_puzzle.{when}.6-2,3,4" for when in ("cold", "warm")}
+    assert set(run["layers"]) == expected
+    for layer in run["layers"].values():
+        assert set(layer) == {"median", "q1", "q3", "objects", "repeats", "unit"}
+        assert layer["q1"] <= layer["median"] <= layer["q3"]
+        assert layer["objects"] >= 1 and layer["repeats"] == 2
+
+    both = tmp_path / "compare.json"
+    done = run_script("bench.py", "--compare", str(out), str(out), "--out", str(both))
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == len(expected)
+    comparison = json.loads(both.read_text())
+    assert comparison["a"] == comparison["b"] == run
+    assert comparison["ratios"] == dict.fromkeys(sorted(expected), 1.0)

@@ -4,14 +4,16 @@ from math import factorial
 
 import pytest
 from oracles import (
+    canonical_rooted,
     color_compositions,
     digraph_arborescences,
+    phi_by_canonical_form,
     random_colored_factorization,
     xi_inverse_by_product_orbit,
 )
 
 from constellation_lab import tree_rooted
-from constellation_lab.constellations import canonical_rooted, transitive_tuples
+from constellation_lab.constellations import transitive_tuples
 from constellation_lab.counting import (
     count_colored,
     enumerate_colored_factorizations,
@@ -52,15 +54,17 @@ def test_xi_tour_length_and_roundtrip():
 
 def test_xi_inverse_matches_the_product_orbit_relabelling(monkeypatch):
     """On the criterion-4 phi domains and on random objects at n = 5..8,
-    every tour that phi_inverse replays, and xi of every input, decodes as
-    the oracle that composes the factors and walks the root's orbit does."""
+    every tour that phi_inverse replays into the decoding core, and xi of
+    every input, decodes as the oracle that composes the factors and walks
+    the root's orbit does."""
     replayed = []
+    core = tree_rooted._xi_inverse
 
     def recording(tour):
         replayed.append(tour)
-        return xi_inverse(tour)
+        return core(tour)
 
-    monkeypatch.setattr(tree_rooted, "xi_inverse", recording)
+    monkeypatch.setattr(tree_rooted, "_xi_inverse", recording)
     rng = random.Random(22)
     cfs = [cf for n, k in [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)] for cf in all_colored(n, k)]
     cfs += [
@@ -69,13 +73,16 @@ def test_xi_inverse_matches_the_product_orbit_relabelling(monkeypatch):
         for k in (2, 3)
         for _ in range(20)
     ]
+    assert len(cfs) == 250
     for cf in cfs:
         assert phi_inverse(phi(cf)) == cf
-        tour = xi(cf)
-        assert xi_inverse(tour) == xi_inverse_by_product_orbit(tour) == cf
     assert len(replayed) == len(cfs)
     for tour in replayed:
-        assert xi_inverse(tour) == xi_inverse_by_product_orbit(tour)
+        assert tour.validate() is None
+        assert core(tour) == xi_inverse_by_product_orbit(tour)
+    for cf in cfs:
+        tour = xi(cf)
+        assert core(tour) == xi_inverse(tour) == xi_inverse_by_product_orbit(tour) == cf
 
 
 def _plain_digraph(arc_list):
@@ -188,6 +195,23 @@ def test_phi_bijective_small():
                 images.add(t)
             assert len(images) == len(cfs)
             assert images == set(enumerate_tree_rooted(n, k, p))
+
+
+def test_phi_builds_its_canonical_image_once():
+    """phi numbers hyperedges root-first from the exit rotations before its
+    one build; its image is the one the route that builds under the tour's
+    labels and then takes the canonical form gives, on every criterion-4
+    phi domain and on 160 seeded random objects at n = 5..8, k = 2, 3."""
+    rng = random.Random(27)
+    cfs = [cf for n, k in [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)] for cf in all_colored(n, k)]
+    cfs += [
+        random_colored_factorization(rng, n, k)
+        for n in range(5, 9)
+        for k in (2, 3)
+        for _ in range(20)
+    ]
+    for cf in cfs:
+        assert phi(cf) == phi_by_canonical_form(cf)
 
 
 def test_phi_root_vertex_has_type_k():

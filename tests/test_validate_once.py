@@ -2,16 +2,21 @@
 
 The maps do not re-check what they produce, so these tests do: every output
 validates on seeded random objects past the exhaustive range (n = 5..7,
-k = 3), and one roundtrip per bijection makes exactly one validity call per
-object it passes through.
+k = 3), and one roundtrip per bijection validates each object it enters
+with once.  A composite map validates only at its boundary: phi_inverse,
+psi and psi_inverse call the guard-free cores of xi_inverse, sigma and
+vartheta_inverse, so the intermediates they build are not checked again,
+while the public maps keep their guards.
 """
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from oracles import random_colored_factorization, random_permutation
 
 from constellation_lab import constellations
+from constellation_lab import biddings, tree_rooted
 from constellation_lab.biddings import (
     Bidding,
     LabelledNebula,
@@ -105,19 +110,38 @@ def test_psi_roundtrip_validates_each_object_once(validity_calls):
     b = random_valid_bidding(random.Random(3), 4, 3)
     calls = validity_calls(Bidding, Prebidding, LabelledNebula)
     assert psi(psi_inverse(b)) == b
-    # b, then the prebidding into vartheta_inverse and into sigma, the nebula
-    assert calls == {"Bidding": 1, "Prebidding": 2, "LabelledNebula": 1}
+    # b and the nebula; the prebiddings inside psi_inverse and psi are not checked
+    assert calls == Counter({"Bidding": 1, "Prebidding": 0, "LabelledNebula": 1})
 
 
 def test_phi_roundtrip_validates_each_object_once(validity_calls):
     cf = random_colored_factorization(random.Random(4), 4, 3)
     calls = validity_calls(ColoredFactorization, EulerianDigraphTour, TreeRootedConstellation)
     assert phi_inverse(phi(cf)) == cf
-    assert calls == {
-        "ColoredFactorization": 1,
-        "EulerianDigraphTour": 1,
-        "TreeRootedConstellation": 1,
-    }
+    # cf and the tree-rooted image; the tour phi_inverse replays is not checked
+    assert calls == Counter(
+        {"ColoredFactorization": 1, "EulerianDigraphTour": 0, "TreeRootedConstellation": 1}
+    )
+
+
+def test_public_maps_keep_their_input_guards():
+    """xi_inverse, sigma and vartheta_inverse reject a bad input with its
+    validity message; their cores, which composites call, do not check."""
+    tour = xi(random_colored_factorization(random.Random(6), 4, 3))
+    bad_tour = replace(tour, arcs=tour.arcs[1:] + tour.arcs[:1])
+    assert bad_tour.validate() == "tour does not start at a vertex of type k"
+    with pytest.raises(ValueError, match="^tour does not start at a vertex of type k$"):
+        xi_inverse(bad_tour)
+    assert tree_rooted._xi_inverse(tour) == xi_inverse(tour)
+
+    pb = sigma_inverse(random_valid_bidding(random.Random(7), 4, 3))
+    bad_pb = replace(pb, subsets=(frozenset({1, 2, 3}),) + pb.subsets[1:])
+    assert bad_pb.validate() == "subsets must be strict subsets of [k]"
+    for guarded in (sigma, vartheta_inverse):
+        with pytest.raises(ValueError, match=r"^subsets must be strict subsets of \[k\]$"):
+            guarded(bad_pb)
+    assert biddings._sigma(pb) == sigma(pb)
+    assert biddings._vartheta_inverse(pb) == vartheta_inverse(pb)
 
 
 def test_lambda_roundtrip_validates_each_object_once(validity_calls, monkeypatch):
