@@ -236,25 +236,24 @@ def validate(c: Constellation) -> Optional[str]:
     if len(c.hyperedges) != c.n:
         return "wrong number of hyperedges"
     nv = c.num_vertices
-    if not _incidence_fits(c):
-        incident: dict[int, set[int]] = {v: set() for v in range(1, nv + 1)}
-        for h, he in enumerate(c.hyperedges, start=1):
-            if len(he) != c.k:
-                return f"hyperedge {h} does not have one vertex per type"
-            for t, v in enumerate(he, start=1):
-                if not (1 <= v <= nv):
-                    return f"hyperedge {h} references unknown vertex {v}"
-                if c.vertex_type[v - 1] != t:
-                    return f"hyperedge {h} slot {t} holds a vertex of type {c.vertex_type[v - 1]}"
-                incident[v].add(h)
-        for v in range(1, nv + 1):
-            rot = c.rotation[v - 1]
-            if len(rot) != len(set(rot)):
-                return f"rotation at vertex {v} repeats a hyperedge"
-            if set(rot) != incident[v]:
-                return f"rotation incomplete at vertex {v}"
-            if not incident[v]:
-                return f"vertex {v} is isolated"
+    incident: dict[int, set[int]] = {v: set() for v in range(1, nv + 1)}
+    for h, he in enumerate(c.hyperedges, start=1):
+        if len(he) != c.k:
+            return f"hyperedge {h} does not have one vertex per type"
+        for t, v in enumerate(he, start=1):
+            if not (1 <= v <= nv):
+                return f"hyperedge {h} references unknown vertex {v}"
+            if c.vertex_type[v - 1] != t:
+                return f"hyperedge {h} slot {t} holds a vertex of type {c.vertex_type[v - 1]}"
+            incident[v].add(h)
+    for v in range(1, nv + 1):
+        rot = c.rotation[v - 1]
+        if len(rot) != len(set(rot)):
+            return f"rotation at vertex {v} repeats a hyperedge"
+        if set(rot) != incident[v]:
+            return f"rotation incomplete at vertex {v}"
+        if not incident[v]:
+            return f"vertex {v} is isolated"
     # the orbits of the permutations c represents are the classes of hyperedges
     # joined by shared vertices, since each rotation lists its incident hyperedges
     if len(_hyperedge_order(c.hyperedges, c.rotation, 1)) != c.n:
@@ -279,29 +278,6 @@ def validate(c: Constellation) -> Optional[str]:
             if got != set(range(1, len(got) + 1)):
                 return f"colors of type {t} are not surjective"
     return None
-
-
-def _incidence_fits(c: Constellation) -> bool:
-    """Whether the hyperedges and rotations of c pass the slot and rotation
-    checks of :func:`validate`, read table by table: each hyperedge holds a
-    vertex of each type in type order, and the rotation entries, read as
-    slots (h, type of v), cover every slot once and find v in it, so each
-    vertex lists its incident hyperedges once and has one."""
-    k, nv, vertex_type, rotation = c.k, c.num_vertices, c.vertex_type, c.rotation
-    slots = [v for he in c.hyperedges for v in he]  # slot (h, t) is entry (h-1)k + t-1
-    if not (
-        all(len(he) == k for he in c.hyperedges)
-        and 1 <= min(slots)
-        and max(slots) <= nv
-        and [vertex_type[v - 1] for v in slots] == list(range(1, k + 1)) * c.n
-        and len(rotation) == nv
-        and all(rotation)
-    ):
-        return False
-    read = [(h - 1) * k + t - 1 for t, rot in zip(vertex_type, rotation) for h in rot]
-    return sorted(read) == list(range(k * c.n)) and [slots[i] for i in read] == [
-        v for v, rot in enumerate(rotation, start=1) for _ in rot
-    ]
 
 
 def validate_arborescence(c: Constellation, a: Arborescence) -> Optional[str]:

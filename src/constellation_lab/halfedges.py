@@ -104,63 +104,36 @@ class HalfEdgeMap:
         return out
 
     def validate(self) -> Optional[str]:
-        """Return the first violated structural invariant, or None if valid.
-
-        The dart-by-dart checks run only when :meth:`_darts_fit`, which
-        reads each table whole, finds a fault: they word the first one."""
+        """Return the first violated structural invariant, or None if valid."""
         H = self.num_darts
         V = self.num_vertices
         if H and (min(self.vertex) < 0 or max(self.vertex) >= V):
             return "a dart's vertex is out of range"
         if self.root is not None and not 0 <= self.root < V:
             return "root is not a vertex"
-        if not self._darts_fit():
-            for x in range(H):
-                if not (0 <= self.nxt[x] < H):
-                    return f"next[{x}] out of range"
-                if self.vertex[self.nxt[x]] != self.vertex[x]:
-                    return f"next[{x}] leaves vertex {self.vertex[x]}"
-                if not (1 <= self.type[x] <= self.k):
-                    return f"type[{x}] not in [k]"
-                t = self.twin[x]
-                if t is not None:
-                    if not 0 <= t < H:
-                        return f"twin[{x}] is not a dart"
-                    if self.twin[t] != x:
-                        return f"twin not an involution at {x}"
-                    if t == x:
-                        return f"dart {x} is its own twin"
-                    if self.type[t] != self.type[x]:
-                        return f"twin pair {x},{t} types differ"
+        for x in range(H):
+            if not (0 <= self.nxt[x] < H):
+                return f"next[{x}] out of range"
+            if self.vertex[self.nxt[x]] != self.vertex[x]:
+                return f"next[{x}] leaves vertex {self.vertex[x]}"
+            if not (1 <= self.type[x] <= self.k):
+                return f"type[{x}] not in [k]"
+            t = self.twin[x]
+            if t is not None:
+                if not 0 <= t < H:
+                    return f"twin[{x}] is not a dart"
+                if self.twin[t] != x:
+                    return f"twin not an involution at {x}"
+                if t == x:
+                    return f"dart {x} is its own twin"
+                if self.type[t] != self.type[x]:
+                    return f"twin pair {x},{t} types differ"
         if sorted(self.nxt) != list(range(H)):
             return "next is not a permutation of the darts"
         for v in range(self.num_vertices):
             if self.vertex_color[v] not in (BLACK, WHITE):
                 return f"vertex {v} has invalid color"
         return None
-
-    def _darts_fit(self) -> bool:
-        """Whether every dart passes the dart-by-dart checks of
-        :meth:`validate`: next and twin in range, next at the same vertex,
-        types in [k], twins an involution without fixed points that keeps
-        types."""
-        H, vertex, nxt, type_ = self.num_darts, self.vertex, self.nxt, self.type
-        if not H:
-            return True
-        paired = [x for x, t in enumerate(self.twin) if t is not None]
-        partner = [t for t in self.twin if t is not None]
-        return (
-            len(nxt) == len(type_) == len(self.twin) == H
-            and 0 <= min(nxt)
-            and max(nxt) < H
-            and [vertex[y] for y in nxt] == [*vertex]
-            and 1 <= min(type_)
-            and max(type_) <= self.k
-            and (not partner or (0 <= min(partner) and max(partner) < H))
-            and [self.twin[t] for t in partner] == paired
-            and all(map(int.__ne__, paired, partner))
-            and [type_[t] for t in partner] == [type_[x] for x in paired]
-        )
 
     def to_json(self) -> dict:
         data = {

@@ -68,10 +68,9 @@ def _check_nebula(m: HalfEdgeMap) -> tuple[Optional[str], Optional[dict[str, lis
     problem = m.validate()
     if problem is not None:
         return problem, None
-    if not _rotations_fit(m):
-        problem = _rotation_problem(m)
-        if problem is not None:
-            return problem, None
+    problem = _rotation_problem(m)
+    if problem is not None:
+        return problem, None
     buds = m.buds_by_type()
     black_buds = [len(row) for row in buds[BLACK]]
     white_buds = [len(row) for row in buds[WHITE]]
@@ -88,40 +87,25 @@ def _check_nebula(m: HalfEdgeMap) -> tuple[Optional[str], Optional[dict[str, lis
     return None, buds
 
 
-def _rotations_fit(m: HalfEdgeMap) -> bool:
-    """Whether the rotations of a structurally valid map meet the conditions
-    of :func:`_rotation_problem`, read dart by dart: types increase
-    clockwise around black vertices and decrease around white ones, every
-    edge joins a black and a white vertex, and each black vertex has one
-    dart of type 1, so that its degree is k.  True implies no problem."""
-    k, vertex, type_, twin = m.k, m.vertex, m.type, m.twin
-    black = [color == BLACK for color in m.vertex_color]
-    on_black = [black[v] for v in vertex]
-    follows = [t % k + 1 if b else (t - 2) % k + 1 for t, b in zip(type_, on_black)]
-    return (
-        [type_[y] for y in m.nxt] == follows
-        and [on_black[t] for t in twin if t is not None]
-        == [not b for b, t in zip(on_black, twin) if t is not None]
-        and sorted(v for v, t, b in zip(vertex, type_, on_black) if b and t == 1)
-        == [v for v, b in enumerate(black) if b]
-    )
-
-
 def _rotation_problem(m: HalfEdgeMap) -> Optional[str]:
     """The first vertex whose rotation breaks a nebula condition, worded."""
     k, vertex, twin, type_, color = m.k, m.vertex, m.twin, m.type, m.vertex_color
-    for v, rot in m.rotations().items():
+    rotations = m.rotations()
+    for v in range(m.num_vertices):
+        rot = rotations[v]
         types = [type_[x] for x in rot]
-        cyclic = list(zip(types, types[1:] + types[:1]))
         if color[v] == BLACK:
             if len(rot) != k:
                 return f"black vertex {v} has degree {len(rot)}"
             if sorted(types) != list(range(1, k + 1)):
                 return f"black vertex {v} misses a type"
-            if any(b != a % k + 1 for a, b in cyclic):
-                return f"types do not increase clockwise at black vertex {v}"
-        elif any(b != (a - 2) % k + 1 for a, b in cyclic):
-            return f"types do not decrease clockwise at white vertex {v}"
+            for a, b in zip(types, types[1:] + types[:1]):
+                if b != a % k + 1:
+                    return f"types do not increase clockwise at black vertex {v}"
+        else:
+            for a, b in zip(types, types[1:] + types[:1]):
+                if b != (a - 2) % k + 1:
+                    return f"types do not decrease clockwise at white vertex {v}"
         for x in rot:
             t = twin[x]
             if t is not None and color[vertex[t]] == color[v]:

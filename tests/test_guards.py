@@ -1,11 +1,14 @@
-"""Every message of the guards that read each table once, pinned word for word.
+"""Every message of the guards on the bijection chain, pinned word for word.
 
 ``ColoredFactorization.validate``, ``constellations.validate``,
 ``validate_arborescence``, ``HalfEdgeMap.validate``, ``validate_nebula`` and
-``LabelledNebula.validate`` check a valid object in one pass over its tables
-and go back to a slower walk only to word a failure.  Each table below holds
-one input per message, and one input with two defects: the message of the
-defect the guard meets first, in its reporting order, is the one it must give.
+``LabelledNebula.validate`` each read an object's tables once.  Two of them
+test a condition in one pass and walk further only to word a failure:
+``ColoredFactorization.validate`` walks cycles only to name one that a
+coloring is not constant on, and ``validate_nebula`` counts the faces only
+when the tour from dart 0 misses a dart.  Each table below holds one input
+per message, and one input with two defects: the message of the defect the
+guard meets first, in its reporting order, is the one it must give.
 """
 from dataclasses import replace
 
@@ -139,12 +142,6 @@ TWO_COMPONENTS = Constellation(
 )
 def test_constellation_messages(c, message):
     assert validate(c) == message
-
-
-def test_the_slow_walk_decides_when_the_table_read_fails():
-    # the table read wants one rotation per vertex; the walk reads the
-    # rotations of vertices 1..V and passes one left over, as it always has
-    assert validate(replace(FIG2, rotation=FIG2.rotation + ((1,),))) is None
 
 
 # k = 2, n = 2: one type-1 vertex on both hyperedges, one type-2 vertex each
