@@ -13,8 +13,6 @@ A run times, in this process, one layer per line of the file:
   the benchmark's grid (n <= 3, k = 2, 3; theta, sigma and psi where
   n + k <= 5); the ``random`` domain is 100 seeded objects at n = 6, 7, 8
   and k = 3, built from the generators of ``perfbench/oracle.py``.
-- ``xi.<forward|inverse>.random``: the tour encoding inside phi, on the
-  random colored factorizations of the phi row.
 - ``sample_puzzle.<cold|warm>.<n>-<p>``: one ``sample_puzzle`` call on each
   type of the ``puzzle-sample`` workload, first with every memo of the
   library cleared (as a ``puzzle --sample`` process starts), then again.
@@ -192,10 +190,6 @@ def run(quick: bool) -> dict:
                 raise AssertionError(f"{row} does not roundtrip on its {name} domain")
             layers[f"{row}.forward.{name}"] = time_per_object(forward, objects, repeats)
             layers[f"{row}.inverse.{name}"] = time_per_object(inverse, images, repeats)
-    cfs = random_domain("phi", count)
-    tours = [tree_rooted.xi(cf) for cf in cfs]
-    layers["xi.forward.random"] = time_per_object(tree_rooted.xi, cfs, repeats)
-    layers["xi.inverse.random"] = time_per_object(tree_rooted.xi_inverse, tours, repeats)
     layers.update(sample_layers(QUICK_SAMPLE_TYPES if quick else SAMPLE_TYPES, repeats))
     return {
         "schema": SCHEMA,

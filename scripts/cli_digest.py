@@ -7,7 +7,8 @@ error paths), runs once with ``--format text`` and once with ``--format json``
 through ``constellation_lab.cli.main``, in process.  One line per run gives the
 format, the exit code, and the sha256 of stdout, of stderr and of the
 ``--out`` file ("-" when none was written).  An argparse error is pinned by
-the code of its ``SystemExit``.
+the code of its ``SystemExit``, and its usage text is wrapped at 80 columns
+whatever the terminal.
 
 Two source trees behave the same on these command lines when their digests
 are equal:
@@ -159,6 +160,9 @@ def digest(argv: list[str], fmt: str, folder: str) -> str:
 
 
 def main_digest() -> int:
+    # argparse wraps usage text to the terminal width, which it reads from
+    # COLUMNS; a fixed width keeps the digest independent of the terminal
+    os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as folder:
         write_inputs(folder)
         for argv in [*SWEEPS, *EXTRA]:

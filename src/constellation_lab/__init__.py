@@ -39,14 +39,12 @@ from .counting import (
     verify_mv_formula,
 )
 from .tree_rooted import (
-    EulerianDigraphTour,
     TreeRootedConstellation,
     best_compose,
     best_decompose,
     phi,
     phi_inverse,
     xi,
-    xi_inverse,
 )
 from .symmetry import swap_degree, transport
 from .nebulas import (

@@ -114,7 +114,7 @@ def cmd_count(args) -> int:
         raise ValueError("count --what kappa requires --lam (repeatable)")
     if args.what == "m":
         _check_factors(args, "--p", args.p)
-        value = counting.m_coefficient(args.n, args.p, k=args.k)
+        value = counting.m_coefficient(args.n, args.p)
         label = f"M^{args.n}_{','.join(map(str, args.p))}"
     elif args.what == "colored":
         _check_factors(args, "--p", args.p)

@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .counting import DEFAULT_CAP, _check_cap, _check_size, _require
+from .counting import _check_cap, _check_size, _require
 from .halfedges import BLACK, HalfEdgeMap, _json_field, _json_int, typed_map
 from .permutations import Permutation, all_permutations, cycles
 
@@ -445,23 +445,28 @@ def enumerate_rooted_constellations(
     Rooted objects are hyperedge-labelled objects modulo relabelling, so
     of the transitive tuples rooted at hyperedge 1 the walk keeps the one
     per class that is already canonical: the tuple whose root-first BFS
-    labelling is the identity.  The domain is walked once per (n, k, cap)
-    for the life of the process, with ``None`` read as ``DEFAULT_CAP``; the
-    n!^k tuples of the walk are checked against the cap before it starts
-    (:class:`CapExceededError`).  Each call filters the domain by
-    ``type_vector`` (vertices per type) into a new list.
+    labelling is the identity.  The domain is walked once per (n, k) for the
+    life of the process; every call checks the size and the n!^k tuples of
+    the walk against the cap (:class:`CapExceededError`) before the memo.
+    Each call filters the domain by ``type_vector`` (vertices per type) into
+    a new list.
     """
     _check_size(n, k, type_vector, n_min=1, k_min=2, p_min=0)
-    domain = _rooted_constellations(n, k, DEFAULT_CAP if cap is None else cap)
+    _check_rooted_cap(n, k, cap)
+    domain = _rooted_constellations(n, k)
     if type_vector is None:
         return list(domain)
     target = tuple(type_vector)
     return [c for c in domain if c.type_vector() == target]
 
 
-@lru_cache(maxsize=None)
-def _rooted_constellations(n: int, k: int, cap: int) -> tuple[Constellation, ...]:
+def _check_rooted_cap(n: int, k: int, cap: Optional[int]) -> None:
+    """The cap check of the rooted-constellation walk: its n!^k tuples."""
     _check_cap(factorial(n) ** k, cap)
+
+
+@lru_cache(maxsize=None)
+def _rooted_constellations(n: int, k: int) -> tuple[Constellation, ...]:
     first_n = list(range(1, n + 1))
     out = []
     for perms in transitive_tuples(n, k):
@@ -469,10 +474,6 @@ def _rooted_constellations(n: int, k: int, cap: int) -> tuple[Constellation, ...
         if _hyperedge_order(c.hyperedges, c.rotation, 1) == first_n:
             out.append(c)
     return tuple(sorted(out, key=lambda c: (c.hyperedges, c.rotation)))
-
-
-enumerate_rooted_constellations.cache_info = _rooted_constellations.cache_info  # type: ignore[attr-defined]
-enumerate_rooted_constellations.cache_clear = _rooted_constellations.cache_clear  # type: ignore[attr-defined]
 
 
 def arborescences_toward(c: Constellation, v0: int) -> Iterator[Arborescence]:

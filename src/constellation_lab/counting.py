@@ -204,18 +204,17 @@ def cycle_type_census(
     exhaustive count of this module is a sum over this census.  It walks the
     domain of :func:`enumerate_factorizations` in the same order, as bare
     image tuples, and reads each type from a table over S_n.  It is memoized
-    per (n, k, cap) for the life of the process, with ``cap=None`` read as
-    ``DEFAULT_CAP`` and positional and keyword calls sharing one entry, so a
-    sweep walks its domain once; the cap is checked when an entry is first
-    built, and the mapping is read-only because it is shared.
+    per (n, k) for the life of the process, so a sweep walks its domain once;
+    the size and the cap are checked on every call, before the memo, and the
+    mapping is read-only because it is shared.
     """
-    return _census(n, k, DEFAULT_CAP if cap is None else cap)
+    _check_size(n, k, n_min=1, k_min=2)
+    _check_cap(factorial(n) ** (k - 1), cap)
+    return _census(n, k)
 
 
 @lru_cache(maxsize=None)
-def _census(n: int, k: int, cap: int) -> Mapping[tuple[tuple[int, ...], ...], int]:
-    _check_size(n, k, n_min=1, k_min=2)
-    _check_cap(factorial(n) ** (k - 1), cap)
+def _census(n: int, k: int) -> Mapping[tuple[tuple[int, ...], ...], int]:
     # S_n as 0-based image tuples in lexicographic order, each with its type
     ctype = {tuple(x - 1 for x in g.image): cycle_type(g).parts for g in all_permutations(n)}
     # first[q]: the type of pi_1 = (1,...,n) q^-1, which maps q(i) to i + 1
@@ -234,10 +233,6 @@ def _census(n: int, k: int, cap: int) -> Mapping[tuple[tuple[int, ...], ...], in
         key = (first[q],) + tuple(map(ctype.__getitem__, rest))
         census[key] = census.get(key, 0) + 1
     return MappingProxyType(census)
-
-
-cycle_type_census.cache_info = _census.cache_info  # type: ignore[attr-defined]
-cycle_type_census.cache_clear = _census.cache_clear  # type: ignore[attr-defined]
 
 
 def count_colored(n: int, p: Sequence[int], cap: Optional[int] = None) -> int:
@@ -365,19 +360,18 @@ def m_tuples(
         yield MTuple(k=k, subsets=tuple([subsets[mask] for mask in masks]))
 
 
-def m_coefficient(n: int, p: Sequence[int], k: Optional[int] = None) -> int:
+def m_coefficient(n: int, p: Sequence[int]) -> int:
     """M^n_p = [x^p] (prod_t (1 + x_t) - prod_t x_t)^n, by its closed form.
 
-    M^n_p counts the n-tuples of strict subsets of [k] of type p (see
-    :func:`m_tuples`).  Expanding the n-th power binomially gives
+    M^n_p counts the n-tuples of strict subsets of [k], k = len(p), of type
+    p (see :func:`m_tuples`).  Expanding the n-th power binomially gives
     ``sum_j (-1)^j C(n, j) prod_t C(n - j, p_t - j)``, O(nk) integer
     operations.  Tuple enumeration and polynomial expansion are oracles for
     it in the tests.
     """
     p = tuple(p)
-    k = len(p) if k is None else k
-    # total in n and in the entries of p: only k and the length of p are checked
-    _check_size(0, k, (0,) * len(p), n_min=0, k_min=1)
+    # total in n and in the entries of p: only k = len(p) is checked
+    _check_size(0, len(p), n_min=0, k_min=1)
     if n < 0 or any(x < 0 for x in p):
         return 0
     # math.comb rejects negative arguments, and every term past min(n, p) is 0

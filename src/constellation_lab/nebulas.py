@@ -10,6 +10,7 @@ of the one face no glued pair closed off.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
@@ -19,13 +20,15 @@ from typing import Iterator, Mapping, Optional, Sequence
 from .constellations import (
     Arborescence,
     Constellation,
+    _check_rooted_cap,
+    _rooted_constellations,
     _validate_tree_pointed,
     arborescences_toward,
     constellation_from_dual,
     dual,
     enumerate_rooted_constellations,
 )
-from .counting import DEFAULT_CAP, CheckReport, _check_size, _require
+from .counting import CheckReport, _check_size, _require
 from .halfedges import BLACK, WHITE, HalfEdgeMap, with_twins_joined
 
 
@@ -110,6 +113,12 @@ def _rotation_problem(m: HalfEdgeMap) -> Optional[str]:
             t = twin[x]
             if t is not None and color[vertex[t]] == color[v]:
                 return f"edge at dart {x} joins two {color[v]} vertices"
+    # rotations() keeps one next-cycle per vertex, so it covers every dart
+    # exactly when no vertex has two
+    if sum(map(len, rotations.values())) != m.num_darts:
+        degree = Counter(vertex)
+        v = next(v for v, rot in rotations.items() if len(rot) != degree[v])
+        return f"the darts at vertex {v} form more than one rotation cycle"
     return None
 
 
@@ -220,18 +229,18 @@ def enumerate_tree_pointed(
 
 
 @lru_cache(maxsize=None)
-def _pointing_census(n: int, k: int, cap: int) -> tuple[Mapping[tuple[int, ...], int], ...]:
+def _pointing_census(n: int, k: int) -> tuple[Mapping[tuple[int, ...], int], ...]:
     """Both sides of the pointing correspondence, from one pass per size.
 
     Returns ``(pointed, rooted)``: tree-pointed objects counted by reduced
     type, and unlabelled tree-rooted objects (arborescences toward the
     root vertex) counted by type.  Labels are free within each type, so a
     type p has ``rooted[p] * prod p_t!`` labelled tree-rooted objects.
-    Memoized per (n, k, cap); callers read ``None`` as ``DEFAULT_CAP``.
+    Memoized per (n, k); callers check the size and the cap first.
     """
     pointed: dict[tuple[int, ...], int] = {}
     rooted: dict[tuple[int, ...], int] = {}
-    for c in enumerate_rooted_constellations(n, k, cap=cap):
+    for c in _rooted_constellations(n, k):
         p = c.type_vector()
         for v0 in range(1, c.num_vertices + 1):
             count = sum(1 for _ in arborescences_toward(c, v0))
@@ -253,7 +262,8 @@ def verify_pointing(n: int, k: int, p: Sequence[int], cap: Optional[int] = None)
     bounds the rooted-constellation domain both sides are counted on."""
     _check_size(n, k, p, n_min=1, k_min=2, p_min=0)
     p = tuple(p)
-    pointed, rooted = _pointing_census(n, k, DEFAULT_CAP if cap is None else cap)
+    _check_rooted_cap(n, k, cap)
+    pointed, rooted = _pointing_census(n, k)
     lhs = pointed.get(p, 0) * _labellings(p)
     rhs = 0
     for t in range(1, k + 1):

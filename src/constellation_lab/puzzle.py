@@ -114,7 +114,7 @@ def r1_probability(n: int, k: int, p: Sequence[int]) -> Fraction:
     """
     _check_size(n, k, p, n_min=1, k_min=1, p_min=0)
     p = tuple(p)
-    total = m_coefficient(n, p, k)
+    total = m_coefficient(n, p)
     if total == 0:
         raise UndefinedProbabilityError(f"no subset tuples of type {p}")
     hits = sum(
@@ -218,7 +218,7 @@ def event_probability(
     if m > k - 1:
         raise ValueError("at most k-1 index slots")
     p = tuple(p)
-    total = m_coefficient(n, p, k)
+    total = m_coefficient(n, p)
     if total == 0:
         raise UndefinedProbabilityError(f"no subset tuples of type {p}")
     hits = 0

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Sequence
 
-from .constellations import _norm_cycle
+from .constellations import _norm_cycle, validate_arborescence
+from .counting import _require
 from .permutations import Composition
 from .tree_rooted import TreeRootedConstellation
 
@@ -50,11 +51,14 @@ def swap_degree(
     """Move one unit of hyperdegree from the type-t vertex labelled i to label j.
 
     Requires i != j and hyperdegree at least 2 at (t, i).  The move is an
-    involution together with ``swap_degree(result, t, j, i)``.
+    involution together with ``swap_degree(result, t, j, i)``.  Raises
+    ValueError unless the arborescence is one of the constellation, the
+    condition for the walk to the root vertex to end.
     """
     if i == j:
         raise ValueError("labels i and j must differ")
     c = t_rooted.constellation
+    _require(validate_arborescence(c, t_rooted.arborescence))
     u_i = c.vertex_by_label(t, i)
     u_j = c.vertex_by_label(t, j)
     if c.hyperdegree(u_i) < 2:

@@ -36,56 +36,6 @@ DigraphVertex = tuple[int, int]  # (type, color)
 
 
 @dataclass(frozen=True)
-class ColoredDigraph:
-    """Typed digraph on (type, color) classes with one arc per (type, label).
-
-    The arc (t, i) runs from (t, colorings[t-1][i-1]) to the class of i in
-    type t+1; in/out degrees balance at every vertex by construction.
-    """
-
-    k: int
-    n: int
-    colorings: tuple[tuple[int, ...], ...]
-
-    def tail(self, arc: Arc) -> DigraphVertex:
-        t, i = arc
-        return (t, self.colorings[t - 1][i - 1])
-
-    def head(self, arc: Arc) -> DigraphVertex:
-        t, i = arc
-        t2 = t % self.k + 1
-        return (t2, self.colorings[t2 - 1][i - 1])
-
-    def arcs(self) -> list[Arc]:
-        return [(t, i) for t in range(1, self.k + 1) for i in range(1, self.n + 1)]
-
-
-@dataclass(frozen=True)
-class EulerianDigraphTour:
-    """An Eulerian arc sequence starting and ending at a type-k vertex."""
-
-    digraph: ColoredDigraph
-    arcs: tuple[Arc, ...]
-
-    def validate(self) -> Optional[str]:
-        dg = self.digraph
-        if len(dg.colorings) != dg.k or any(len(col) != dg.n for col in dg.colorings):
-            return f"colorings are not {dg.k} maps on [{dg.n}]"
-        for t, col in enumerate(dg.colorings, start=1):
-            used = set(col)
-            if used != set(range(1, len(used) + 1)):
-                return f"coloring {t} is not surjective"
-        if sorted(self.arcs) != sorted(dg.arcs()):
-            return "tour does not use each arc exactly once"
-        if dg.tail(self.arcs[0])[0] != dg.k:
-            return "tour does not start at a vertex of type k"
-        for a, b in zip(self.arcs, self.arcs[1:] + self.arcs[:1]):
-            if dg.head(a) != dg.tail(b):
-                return f"arcs {a} and {b} are not consecutive"
-        return None
-
-
-@dataclass(frozen=True)
 class TreeRootedConstellation:
     """A rooted vertex-labelled constellation with a root-vertex arborescence."""
 
@@ -121,11 +71,13 @@ class TreeRootedConstellation:
 # ---------------------------------------------------------------------------
 
 
-def xi(cf: ColoredFactorization) -> EulerianDigraphTour:
+def xi(cf: ColoredFactorization) -> tuple[Arc, ...]:
     """Encode a colored factorization as an Eulerian tour of its class digraph.
 
-    The tour is the clockwise white-face reading of the cactus from the
-    root corner of hyperedge 1; its arc labels are the hyperedge labels.
+    The digraph has an arc (t, i) per type t and hyperedge label i, from
+    (t, colorings[t-1][i-1]) to the class of i in type t+1 (1 after k).  The
+    tour, returned as its arcs, is the clockwise white-face reading of the
+    cactus from the root corner of hyperedge 1, so it starts with (k, 1).
     Raises ValueError on invalid input.  The output is valid by construction
     and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
     """
@@ -144,13 +96,12 @@ def xi(cf: ColoredFactorization) -> EulerianDigraphTour:
         t = (m - 1) % k + 1
         g = invs[t - 1][g]
         arcs.append((t, g))
-    return EulerianDigraphTour(
-        digraph=ColoredDigraph(k=k, n=n, colorings=cf.colorings), arcs=tuple(arcs)
-    )
+    return tuple(arcs)
 
 
-def xi_inverse(tour: EulerianDigraphTour) -> ColoredFactorization:
-    """Rebuild the colored factorization encoded by an Eulerian tour.
+def _xi_inverse(arcs: Sequence[Arc], colorings: Sequence[Sequence[int]]) -> ColoredFactorization:
+    """The colored factorization whose tour (see :func:`xi`) is ``arcs``,
+    for :func:`phi_inverse`, whose guard makes the tour it replays valid.
 
     Consecutive tour arcs (t-1, b), (t, a) force pi_t(a) = b, so the
     product pi_1...pi_k sends the label of each type-k arc to that of the
@@ -158,28 +109,17 @@ def xi_inverse(tour: EulerianDigraphTour) -> ColoredFactorization:
     relabelled so the product is (1,2,...,n): the first arc's label (the
     root hyperedge) becomes 1, and the other type-k labels, read from the
     last one back, become 2..n.
-    Raises ValueError on invalid input.  The output is valid by construction
-    and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
     """
-    _require(tour.validate())
-    return _xi_inverse(tour)
-
-
-def _xi_inverse(tour: EulerianDigraphTour) -> ColoredFactorization:
-    """The decoding of :func:`xi_inverse` without its input guard, for
-    :func:`phi_inverse`, whose own guard makes the tour it replays valid."""
-    dg = tour.digraph
-    k, n = dg.k, dg.n
-    seq = tour.arcs
-    type_k = [a for _, a in seq[::k]]
+    k, n = len(colorings), len(colorings[0])
+    type_k = [a for _, a in arcs[::k]]
     s = [0] * (n + 1)
     for j, a in enumerate(type_k[:1] + type_k[:0:-1], start=1):
         s[a] = j
     images = [[0] * n for _ in range(k)]
-    for m, (t, a) in enumerate(seq):
-        images[t - 1][s[a] - 1] = s[seq[m - 1][1]]
+    for m, (t, a) in enumerate(arcs):
+        images[t - 1][s[a] - 1] = s[arcs[m - 1][1]]
     new_colorings = []
-    for col in dg.colorings:
+    for col in colorings:
         out = [0] * n
         for i in range(1, n + 1):
             out[s[i] - 1] = col[i - 1]
@@ -193,15 +133,17 @@ def _xi_inverse(tour: EulerianDigraphTour) -> ColoredFactorization:
 # ---------------------------------------------------------------------------
 
 
-def best_decompose(tour: EulerianDigraphTour) -> dict[DigraphVertex, tuple[Arc, ...]]:
-    """Each vertex's exits in tour order.
+def best_decompose(
+    arcs: Sequence[Arc], colorings: Sequence[Sequence[int]]
+) -> dict[DigraphVertex, tuple[Arc, ...]]:
+    """Each vertex's exits in tour order, for a tour of the class digraph
+    of ``colorings`` (see :func:`xi`).
 
     The last exit of every vertex other than the start vertex is its
     last-exit arc; these arcs form an arborescence toward the start vertex.
     """
     exits: dict[DigraphVertex, list[Arc]] = {}
-    colorings = tour.digraph.colorings
-    for t, i in tour.arcs:  # the arc (t, i) leaves (t, colorings[t-1][i-1])
+    for t, i in arcs:  # the arc (t, i) leaves (t, colorings[t-1][i-1])
         exits.setdefault((t, colorings[t - 1][i - 1]), []).append((t, i))
     return {v: tuple(used) for v, used in exits.items()}
 
@@ -272,24 +214,23 @@ def phi(cf: ColoredFactorization) -> TreeRootedConstellation:
     Raises ValueError on invalid input.  The output is valid by construction
     and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
     """
-    tour = xi(cf)
-    dg = tour.digraph
-    exits = best_decompose(tour)
+    arcs = xi(cf)
+    k, n, colorings = cf.k, cf.n, cf.colorings
+    exits = best_decompose(arcs, colorings)
     dverts = list(exits)
     rotation = [[i for _, i in exits[dv]] for dv in dverts]
     # the type-t vertex of hyperedge h is the class (t, colorings[t-1][h-1]),
     # numbered here by its place in dverts, from 1
     vid = {dv: j for j, dv in enumerate(dverts, start=1)}
-    hyperedges = [
-        [vid[t, col[h]] for t, col in enumerate(dg.colorings, start=1)] for h in range(dg.n)
-    ]
-    s = [0] * (dg.n + 1)
-    for place, h in enumerate(_hyperedge_order(hyperedges, rotation, tour.arcs[0][1]), start=1):
+    hyperedges = [[vid[t, col[h]] for t, col in enumerate(colorings, start=1)] for h in range(n)]
+    s = [0] * (n + 1)
+    # the tour starts with the arc (k, 1): hyperedge 1 is the root
+    for place, h in enumerate(_hyperedge_order(hyperedges, rotation, 1), start=1):
         s[h] = place
     verts = [(t, [s[h] for h in rot]) for (t, _), rot in zip(dverts, rotation)]
-    c, order = _from_rotations(dg.k, dg.n, verts, 1, [col for _, col in dverts])
-    # the parent edge of a vertex other than v0 is its last exit
-    v0 = dg.tail(tour.arcs[0])
+    c, order = _from_rotations(k, n, verts, 1, [col for _, col in dverts])
+    # the parent edge of a vertex other than v0, the tail of (k, 1), is its last exit
+    v0 = (k, colorings[k - 1][0])
     parent = [None if dverts[j] == v0 else (verts[j][1][-1], dverts[j][0]) for j in order]
     arb = Arborescence(root_vertex=parent.index(None) + 1, parent_edge=tuple(parent))
     return TreeRootedConstellation(c, arb)
@@ -323,15 +264,11 @@ def phi_inverse(t_rooted: TreeRootedConstellation) -> ColoredFactorization:
     """
     _require(t_rooted.validate())
     c = t_rooted.constellation
-    seq = tree_rooted_tour(t_rooted)
     colorings = tuple(
         tuple(c.labels[c.hyperedges[h - 1][t - 1] - 1] for h in range(1, c.n + 1))
         for t in range(1, c.k + 1)
     )
-    tour = EulerianDigraphTour(
-        digraph=ColoredDigraph(k=c.k, n=c.n, colorings=colorings), arcs=seq
-    )
-    return _xi_inverse(tour)
+    return _xi_inverse(tree_rooted_tour(t_rooted), colorings)
 
 
 def enumerate_tree_rooted(

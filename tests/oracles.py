@@ -225,26 +225,55 @@ def phi_by_canonical_form(cf):
     and then taking its canonical form; oracle for
     :func:`constellation_lab.tree_rooted.phi`, which numbers hyperedges
     root-first before its one build."""
-    tour = xi(cf)
-    dg = tour.digraph
-    exits = best_decompose(tour)
-    v0 = dg.tail(tour.arcs[0])
+    arcs = xi(cf)
+    exits = best_decompose(arcs, cf.colorings)
+    v0 = (cf.k, cf.colorings[cf.k - 1][0])
     dverts = list(exits)
     verts = [(t, [i for _, i in exits[(t, col)]]) for t, col in dverts]
-    c, order = _from_rotations(dg.k, dg.n, verts, tour.arcs[0][1])
+    c, order = _from_rotations(cf.k, cf.n, verts, arcs[0][1])
     parent = [None if dverts[j] == v0 else (exits[dverts[j]][-1][1], dverts[j][0]) for j in order]
     c = replace(c, labels=tuple(dverts[j][1] for j in order))
     arb = Arborescence(root_vertex=parent.index(None) + 1, parent_edge=tuple(parent))
     return TreeRootedConstellation(*canonical_rooted(c, arb))
 
 
-def xi_inverse_by_product_orbit(tour):
+def tour_head(colorings, arc):
+    """The vertex the arc (t, i) of the class digraph of ``colorings`` leads
+    to: the class of i in type t + 1 (type 1 after type k)."""
+    t, i = arc
+    t2 = t % len(colorings) + 1
+    return (t2, colorings[t2 - 1][i - 1])
+
+
+def eulerian_tour_problem(k, n, colorings, arcs):
+    """Why ``arcs`` is not an Eulerian tour of the class digraph of k
+    colorings of [n] starting at a type-k vertex, or None; the tour
+    condition that :func:`constellation_lab.tree_rooted.xi` meets by
+    construction."""
+    if len(colorings) != k or any(len(col) != n for col in colorings):
+        return f"colorings are not {k} maps on [{n}]"
+    for t, col in enumerate(colorings, start=1):
+        used = set(col)
+        if used != set(range(1, len(used) + 1)):
+            return f"coloring {t} is not surjective"
+    arcs = tuple(arcs)
+    if sorted(arcs) != [(t, i) for t in range(1, k + 1) for i in range(1, n + 1)]:
+        return "tour does not use each arc exactly once"
+    if arcs[0][0] != k:
+        return "tour does not start at a vertex of type k"
+    for a, b in zip(arcs, arcs[1:] + arcs[:1]):
+        if tour_head(colorings, a) != (b[0], colorings[b[0] - 1][b[1] - 1]):
+            return f"arcs {a} and {b} are not consecutive"
+    return None
+
+
+def xi_inverse_by_product_orbit(arcs, colorings):
     """The colored factorization of a valid Eulerian tour, relabelled along
     the orbit of the root under the composed product; oracle for
-    :func:`constellation_lab.tree_rooted.xi_inverse`, which reads the
+    :func:`constellation_lab.tree_rooted._xi_inverse`, which reads the
     relabelling off the tour's type-k arcs."""
-    k, n = tour.digraph.k, tour.digraph.n
-    seq = tour.arcs
+    k, n = len(colorings), len(colorings[0])
+    seq = arcs
     images = [[0] * n for _ in range(k)]
     for m in range(len(seq)):
         t, a = seq[m]
@@ -264,7 +293,7 @@ def xi_inverse_by_product_orbit(tour):
             img[s[y] - 1] = s[p(y)]
         new_perms.append(Permutation(tuple(img)))
     new_colorings = []
-    for col in tour.digraph.colorings:
+    for col in colorings:
         out = [0] * n
         for i in range(1, n + 1):
             out[s[i] - 1] = col[i - 1]

@@ -13,6 +13,7 @@ from oracles import (
     canonical_tree_rooted,
     color_compositions,
     enumerate_valid_biddings,
+    eulerian_tour_problem,
     from_cycles,
     genus,
     is_parenthesis_nebula,
@@ -169,7 +170,8 @@ def test_criterion_4_bijection_roundtrips():
             for cf in cfs:
                 checked += 1
                 t = phi(cf)
-                if t.validate() is not None or xi(cf).validate() is not None:
+                tour_problem = eulerian_tour_problem(k, n, cf.colorings, xi(cf))
+                if t.validate() is not None or tour_problem is not None:
                     failures += 1
                 if phi_inverse(t) != cf:
                     failures += 1

@@ -192,15 +192,15 @@ def test_sweeps_share_one_factorization_walk(capsys, monkeypatch):
         raise AssertionError("the census walks its own tuples")
 
     monkeypatch.setattr(counting, "enumerate_factorizations", no_stream)
-    counting.cycle_type_census.cache_clear()
+    counting._census.cache_clear()
     try:
         assert main(["jackson-check", "--n", "3", "--k", "2", "--all-p"]) == 0
         assert main(["mv-check", "--n", "3", "--k", "2"]) == 0
         assert main(["gf-check", "--n", "3", "--k", "2", "--all-x"]) == 0
         assert main(["symmetry-check", "--n", "3", "--k", "2"]) == 0
-        info = counting.cycle_type_census.cache_info()
+        info = counting._census.cache_info()
     finally:
-        counting.cycle_type_census.cache_clear()
+        counting._census.cache_clear()
     assert info.misses == 1 and info.hits >= 3
 
 

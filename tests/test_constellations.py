@@ -26,6 +26,7 @@ from constellation_lab.constellations import (
     Arborescence,
     Constellation,
     _from_rotations,
+    _rooted_constellations,
     arborescences_toward,
     constellation_from_dual,
     constellation_to_dot,
@@ -431,15 +432,19 @@ def test_rooted_constellations_match_a_fresh_walk_per_type(n, k):
 
 
 def test_rooted_constellations_are_walked_once_per_size(capsys):
-    enumerate_rooted_constellations.cache_clear()
+    _rooted_constellations.cache_clear()
     _pointing_census.cache_clear()
     try:
         assert main(["pointing-check", "--n", "3", "--k", "2"]) == 0
-        info = enumerate_rooted_constellations.cache_info()
+        info = _rooted_constellations.cache_info()
         # one walk of the domain, then one pointing census read for every type
         assert info.misses == 1 and _pointing_census.cache_info().hits > 0
+        # the memos are keyed by (n, k); a smaller cap is still refused
+        assert main(["--cap", "35", "pointing-check", "--n", "3", "--k", "2"]) == 3
+        assert "exceeds cap 35" in capsys.readouterr().err
+        assert _rooted_constellations.cache_info().currsize == 1
     finally:
-        enumerate_rooted_constellations.cache_clear()
+        _rooted_constellations.cache_clear()
         _pointing_census.cache_clear()
 
 

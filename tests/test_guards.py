@@ -6,7 +6,8 @@
 test a condition in one pass and walk further only to word a failure:
 ``ColoredFactorization.validate`` walks cycles only to name one that a
 coloring is not constant on, and ``validate_nebula`` counts the faces only
-when the tour from dart 0 misses a dart.  Each table below holds one input
+when the tour from dart 0 misses a dart, and the darts per vertex only when
+the rotations it reads miss one.  Each table below holds one input
 per message, and one input with two defects: the message of the defect the
 guard meets first, in its reporting order, is the one it must give.
 """
@@ -26,7 +27,13 @@ from constellation_lab.constellations import (
 )
 from constellation_lab.counting import ColoredFactorization
 from constellation_lab.halfedges import BLACK, WHITE, HalfEdgeMap
-from constellation_lab.nebulas import validate_nebula
+from constellation_lab.nebulas import (
+    Nebula,
+    dual_closure,
+    dual_opening,
+    enumerate_tree_pointed,
+    validate_nebula,
+)
 from constellation_lab.permutations import Permutation, compose, inverse, long_cycle
 
 
@@ -264,6 +271,21 @@ def test_halfedge_map_messages(m, message):
 def test_nebula_messages(m, message):
     assert validate_nebula(NEBULA) is None
     assert validate_nebula(m) == message
+
+
+def test_nebula_rejects_a_vertex_with_two_rotation_cycles():
+    # the first opened size-2 nebula with 4 vertices, its two white vertices
+    # merged: darts 4..7 sit at white vertex 2 in the cycles (4, 7), (5, 6)
+    opened = (dual_opening(tp).hmap for tp in enumerate_tree_pointed(2, 2))
+    m = next(m for m in opened if m.num_vertices == 4)
+    assert m.vertex_color == (BLACK, BLACK, WHITE, WHITE)
+    merged = replace(m, vertex=m.vertex[:4] + (2,) * 4, vertex_color=m.vertex_color[:3])
+    assert merged.nxt[4:] == (7, 6, 5, 4) and merged.rotations()[2] == (5, 6)
+    message = "the darts at vertex 2 form more than one rotation cycle"
+    assert validate_nebula(m) is None
+    assert validate_nebula(merged) == message
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dual_closure(Nebula(merged))
 
 
 LABELLED = psi_inverse(

@@ -1,9 +1,11 @@
 import itertools
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 from oracles import canonical_tree_rooted, color_compositions, transport_inverse
 
+from constellation_lab.constellations import Arborescence, validate, validate_arborescence
 from constellation_lab.counting import enumerate_colored_factorizations
 from constellation_lab.permutations import Composition
 from constellation_lab.symmetry import (
@@ -11,7 +13,7 @@ from constellation_lab.symmetry import (
     transport,
     transport_schedule,
 )
-from constellation_lab.tree_rooted import enumerate_tree_rooted
+from constellation_lab.tree_rooted import enumerate_tree_rooted, phi
 
 
 def tree_rooted_objects(n, k):
@@ -39,6 +41,19 @@ def test_swap_requires_distinct_labels():
     t_obj = next(enumerate_tree_rooted(2, 2, (1, 1)))
     with pytest.raises(ValueError):
         swap_degree(t_obj, 1, 1, 1)
+
+
+def test_swap_rejects_an_arborescence_with_a_parent_cycle():
+    # a phi image at (3, 2, (2, 2)) whose vertices 1 and 4 point at each
+    # other through hyperedge 2; the walk to the root vertex never ends
+    t_obj = phi(next(enumerate_colored_factorizations(3, 2, (2, 2))))
+    c = t_obj.constellation
+    assert c.hyperedges == ((1, 3), (1, 4), (2, 4)) and validate(c) is None
+    bad = replace(t_obj, arborescence=Arborescence(3, ((2, 1), (3, 1), None, (2, 2))))
+    message = "parent edges cycle at vertex 1"
+    assert validate_arborescence(c, bad.arborescence) == message
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        swap_degree(bad, 1, 1, 2)
 
 
 def test_swap_involution_and_validity():

@@ -7,8 +7,10 @@ from oracles import (
     canonical_rooted,
     color_compositions,
     digraph_arborescences,
+    eulerian_tour_problem,
     phi_by_canonical_form,
     random_colored_factorization,
+    tour_head,
     xi_inverse_by_product_orbit,
 )
 
@@ -28,7 +30,6 @@ from constellation_lab.tree_rooted import (
     phi_inverse,
     tree_rooted_tour,
     xi,
-    xi_inverse,
 )
 
 
@@ -39,17 +40,17 @@ def all_colored(n, k):
 
 def test_xi_trivial_case():
     cf = next(enumerate_colored_factorizations(1, 2, (1, 1)))
-    tour = xi(cf)
-    assert len(best_decompose(tour)) == 2
-    assert len(tour.arcs) == 2
-    assert tour.validate() is None
+    arcs = xi(cf)
+    assert len(best_decompose(arcs, cf.colorings)) == 2
+    assert arcs == ((2, 1), (1, 1))
+    assert eulerian_tour_problem(cf.k, cf.n, cf.colorings, arcs) is None
 
 
 def test_xi_tour_length_and_roundtrip():
     for cf in all_colored(3, 2):
-        tour = xi(cf)
-        assert len(tour.arcs) == cf.k * cf.n
-        assert xi_inverse(tour) == cf
+        arcs = xi(cf)
+        assert len(arcs) == cf.k * cf.n
+        assert tree_rooted._xi_inverse(arcs, cf.colorings) == cf
 
 
 def test_xi_inverse_matches_the_product_orbit_relabelling(monkeypatch):
@@ -60,9 +61,9 @@ def test_xi_inverse_matches_the_product_orbit_relabelling(monkeypatch):
     replayed = []
     core = tree_rooted._xi_inverse
 
-    def recording(tour):
-        replayed.append(tour)
-        return core(tour)
+    def recording(arcs, colorings):
+        replayed.append((arcs, colorings))
+        return core(arcs, colorings)
 
     monkeypatch.setattr(tree_rooted, "_xi_inverse", recording)
     rng = random.Random(22)
@@ -77,12 +78,12 @@ def test_xi_inverse_matches_the_product_orbit_relabelling(monkeypatch):
     for cf in cfs:
         assert phi_inverse(phi(cf)) == cf
     assert len(replayed) == len(cfs)
-    for tour in replayed:
-        assert tour.validate() is None
-        assert core(tour) == xi_inverse_by_product_orbit(tour)
+    for (arcs, colorings), cf in zip(replayed, cfs):
+        assert eulerian_tour_problem(cf.k, cf.n, colorings, arcs) is None
+        assert core(arcs, colorings) == xi_inverse_by_product_orbit(arcs, colorings)
     for cf in cfs:
-        tour = xi(cf)
-        assert core(tour) == xi_inverse(tour) == xi_inverse_by_product_orbit(tour) == cf
+        arcs = xi(cf)
+        assert core(arcs, cf.colorings) == xi_inverse_by_product_orbit(arcs, cf.colorings) == cf
 
 
 def _plain_digraph(arc_list):
@@ -136,10 +137,10 @@ def test_best_tour_count_equals_arborescence_order_pairs():
 
 def test_best_decompose_compose_roundtrip():
     for cf in all_colored(3, 2):
-        tour = xi(cf)
-        dg = tour.digraph
-        v0 = dg.tail(tour.arcs[0])
-        assert best_compose(v0, best_decompose(tour), lambda v, arc: dg.head(arc)) == tour.arcs
+        arcs = xi(cf)
+        v0 = (cf.k, cf.colorings[cf.k - 1][0])
+        exits = best_decompose(arcs, cf.colorings)
+        assert best_compose(v0, exits, lambda v, arc: tour_head(cf.colorings, arc)) == arcs
 
 
 def test_best_compose_replays_every_tour_from_its_exits():
@@ -274,15 +275,28 @@ def test_tree_rooted_counts_match_colored_counts():
             assert sum(1 for _ in enumerate_tree_rooted(n, k, p)) == count_colored(n, p)
 
 
-def test_xi_inverse_rejects_non_surjective_coloring():
-    from dataclasses import replace
-
-    tour = xi(next(enumerate_colored_factorizations(2, 2, (1, 1))))
-    first = tuple(3 if c == 1 else c for c in tour.digraph.colorings[0])
-    colorings = (first,) + tour.digraph.colorings[1:]
-    bad = replace(tour, digraph=replace(tour.digraph, colorings=colorings))
-    with pytest.raises(ValueError, match="coloring 1 is not surjective"):
-        xi_inverse(bad)
+def test_tour_oracle_words_each_condition():
+    """The tour condition xi meets by construction, as the tests check it."""
+    cf = next(enumerate_colored_factorizations(2, 2, (1, 1)))
+    arcs, colorings = xi(cf), cf.colorings
+    assert eulerian_tour_problem(2, 2, colorings, arcs) is None
+    non_surjective = (tuple(3 if c == 1 else c for c in colorings[0]),) + colorings[1:]
+    for args, message in [
+        ((3, 2, colorings, arcs), "colorings are not 3 maps on [2]"),
+        ((2, 2, non_surjective, arcs), "coloring 1 is not surjective"),
+        ((2, 2, colorings, arcs[:-1] + arcs[:1]), "tour does not use each arc exactly once"),
+        ((2, 2, colorings, arcs[1:] + arcs[:1]), "tour does not start at a vertex of type k"),
+        ((2, 2, colorings, arcs[2:] + arcs[:2]), None),
+    ]:
+        assert eulerian_tour_problem(*args) == message, args
+    # type 1 has two classes, so swapping two type-2 arcs breaks the walk
+    cf = next(enumerate_colored_factorizations(3, 2, (2, 1)))
+    arcs = xi(cf)
+    assert arcs == ((2, 1), (1, 2), (2, 3), (1, 3), (2, 2), (1, 1))
+    swapped = arcs[:2] + (arcs[4], arcs[3], arcs[2]) + arcs[5:]
+    assert eulerian_tour_problem(2, 3, cf.colorings, swapped) == (
+        "arcs (2, 2) and (1, 3) are not consecutive"
+    )
 
 
 def test_phi_rejects_a_huge_color_without_sizing_a_set_by_it():

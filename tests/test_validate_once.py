@@ -3,17 +3,18 @@
 The maps do not re-check what they produce, so these tests do: every output
 validates on seeded random objects past the exhaustive range (n = 5..7,
 k = 3), and one roundtrip per bijection validates each object it enters
-with once.  A composite map validates only at its boundary: phi_inverse,
-psi and psi_inverse call the guard-free cores of xi_inverse, sigma and
-vartheta_inverse, so the intermediates they build are not checked again,
-while the public maps keep their guards.
+with once.  A composite map validates only at its boundary: psi and
+psi_inverse call the guard-free cores of sigma and vartheta_inverse, and
+phi_inverse decodes the tour it replays with the private _xi_inverse, so
+the intermediates they build are not checked again, while the public maps
+keep their guards.
 """
 import random
 from collections import Counter
 from dataclasses import replace
 
 import pytest
-from oracles import random_colored_factorization, random_permutation
+from oracles import eulerian_tour_problem, random_colored_factorization, random_permutation
 
 from constellation_lab import constellations
 from constellation_lab import biddings, tree_rooted
@@ -36,14 +37,7 @@ from constellation_lab.nebulas import (
     dual_closure,
     dual_opening,
 )
-from constellation_lab.tree_rooted import (
-    EulerianDigraphTour,
-    TreeRootedConstellation,
-    phi,
-    phi_inverse,
-    xi,
-    xi_inverse,
-)
+from constellation_lab.tree_rooted import TreeRootedConstellation, phi, phi_inverse, xi
 
 
 def random_valid_bidding(rng, n, k):
@@ -65,9 +59,9 @@ def test_map_outputs_validate_past_exhaustive_range():
         for _ in range(6):
             cf = random_colored_factorization(rng, n, 3)
             assert cf.validate() is None
-            tour = xi(cf)
-            assert tour.validate() is None
-            assert xi_inverse(tour) == cf
+            arcs = xi(cf)
+            assert eulerian_tour_problem(cf.k, cf.n, cf.colorings, arcs) is None
+            assert tree_rooted._xi_inverse(arcs, cf.colorings) == cf
             t = phi(cf)
             assert t.validate() is None
             assert phi_inverse(t) == cf
@@ -116,24 +110,16 @@ def test_psi_roundtrip_validates_each_object_once(validity_calls):
 
 def test_phi_roundtrip_validates_each_object_once(validity_calls):
     cf = random_colored_factorization(random.Random(4), 4, 3)
-    calls = validity_calls(ColoredFactorization, EulerianDigraphTour, TreeRootedConstellation)
+    calls = validity_calls(ColoredFactorization, TreeRootedConstellation)
     assert phi_inverse(phi(cf)) == cf
-    # cf and the tree-rooted image; the tour phi_inverse replays is not checked
-    assert calls == Counter(
-        {"ColoredFactorization": 1, "EulerianDigraphTour": 0, "TreeRootedConstellation": 1}
-    )
+    # cf and the tree-rooted image; the tour phi_inverse replays is plain
+    # arcs, which nothing checks
+    assert calls == Counter({"ColoredFactorization": 1, "TreeRootedConstellation": 1})
 
 
 def test_public_maps_keep_their_input_guards():
-    """xi_inverse, sigma and vartheta_inverse reject a bad input with its
-    validity message; their cores, which composites call, do not check."""
-    tour = xi(random_colored_factorization(random.Random(6), 4, 3))
-    bad_tour = replace(tour, arcs=tour.arcs[1:] + tour.arcs[:1])
-    assert bad_tour.validate() == "tour does not start at a vertex of type k"
-    with pytest.raises(ValueError, match="^tour does not start at a vertex of type k$"):
-        xi_inverse(bad_tour)
-    assert tree_rooted._xi_inverse(tour) == xi_inverse(tour)
-
+    """sigma and vartheta_inverse reject a bad input with its validity
+    message; their cores, which composites call, do not check."""
     pb = sigma_inverse(random_valid_bidding(random.Random(7), 4, 3))
     bad_pb = replace(pb, subsets=(frozenset({1, 2, 3}),) + pb.subsets[1:])
     assert bad_pb.validate() == "subsets must be strict subsets of [k]"
