@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-object timings of the bijection chain and of the puzzle sampler.
+"""Per-object timings of the bijection chain, the census-side counts and the puzzle sampler.
 
 Usage:
   PYTHONPATH=src python3 scripts/bench.py --out BENCH.json [--quick]
@@ -13,6 +13,16 @@ A run times, in this process, one layer per line of the file:
   the benchmark's grid (n <= 3, k = 2, 3; theta, sigma and psi where
   n + k <= 5); the ``random`` domain is 100 seeded objects at n = 6, 7, 8
   and k = 3, built from the generators of ``perfbench/oracle.py``.
+- ``census.<count>.<size>``: the sums that the counting sweeps make over the
+  memoized cycle-type census.  ``count_colored.jackson-grid`` calls
+  ``count_colored`` on every (n, p) of the ``jackson-check`` grid of the
+  ``identity-sweep`` workload (k = 2, 3, 4 up to n = 6, 4, 3);
+  ``symmetry-check.<n>-<k>`` runs that command through ``cli.main`` at
+  (5, 2), (3, 3) and (3, 4), with its JSON report sent to the null device;
+  ``count_by_color_compositions.4-3`` counts the one tuple ``MV_GAMMAS``.
+  Before each repeat, outside the timer, every memo of the library is
+  cleared and the censuses that the layer reads are walked again, so a
+  repeat times the sums and the memos they fill, not the census walk.
 - ``sample_puzzle.<cold|warm>.<n>-<p>``: one ``sample_puzzle`` call on each
   type of the ``puzzle-sample`` workload, first with every memo of the
   library cleared (as a ``puzzle --sample`` process starts), then again.
@@ -21,8 +31,9 @@ Each layer runs ``REPEATS`` times.  Every repeat is bracketed by the
 reference chunks of ``perfbench/speed.py``, imported read-only, and scaled by
 ``speed.factor`` of those chunks, so a drift of machine speed cancels.  A
 layer reports the median and quartiles over its repeats of the normalised
-microseconds per object (per call for the sampler).  ``--quick`` keeps the
-schema and shrinks the work: 10 random objects, 2 repeats, one sampled type.
+microseconds per object (per call for the census and the sampler).
+``--quick`` keeps the schema and shrinks the work: 10 random objects, 2
+repeats, one sampled type.
 
 ``--compare A B`` prints, per layer in both files, the median of A, that of
 B and their ratio B / A; with ``--out`` it also writes both runs and the
@@ -31,6 +42,7 @@ ratios to one file.  Keys are sorted, so two files diff cleanly.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -56,7 +68,7 @@ from constellation_lab import (  # noqa: E402
     tree_rooted,
 )
 from constellation_lab.counting import ColoredFactorization  # noqa: E402
-from constellation_lab.permutations import Permutation  # noqa: E402
+from constellation_lab.permutations import Composition, Permutation  # noqa: E402
 
 SCHEMA = "constellation-lab-bench/1"
 SEED = 27
@@ -67,6 +79,12 @@ QUICK_RANDOM_OBJECTS = 10
 # (n, k, p, trials) of the puzzle-sample workload
 SAMPLE_TYPES = ((6, 3, (2, 3, 4), 5000), (8, 3, (4, 5, 4), 5000), (6, 4, (4, 4, 4, 4), 30000))
 QUICK_SAMPLE_TYPES = SAMPLE_TYPES[:1]
+# (k, largest n) of the jackson-check grid of the identity-sweep workload
+JACKSON_GRID = ((2, 6), (3, 4), (4, 3))
+# the largest symmetry-check sizes of the identity-sweep workload, as (n, k)
+SYMMETRY_SIZES = ((5, 2), (3, 3), (3, 4))
+# one mv-check tuple at n = 4, k = 3
+MV_GAMMAS = ((1, 2, 1), (3, 1), (2, 2))
 
 
 def _grid(row: str, n_max: int):
@@ -124,11 +142,14 @@ def random_domain(row: str, count: int) -> list:
     return prebiddings  # theta and sigma start from a prebidding
 
 
-def time_per_object(fn, objects: list, repeats: int) -> dict:
+def time_per_object(fn, objects: list, repeats: int, setup=None) -> dict:
     """Median and quartiles of the normalised microseconds per object of
-    ``fn`` over ``objects``, one sample per repeat."""
+    ``fn`` over ``objects``, one sample per repeat; ``setup``, when given,
+    runs before each repeat, outside the timer."""
     samples = []
     for _ in range(repeats):
+        if setup is not None:
+            setup()
         refs = [speed.reference_chunk() for _ in range(3)]
         start = time.perf_counter()
         for x in objects:
@@ -153,6 +174,42 @@ def clear_memos() -> None:
         for value in vars(module).values():
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
+
+
+def census_layers(repeats: int) -> dict:
+    grid = [(n, p) for k, n_max in JACKSON_GRID for n in range(1, n_max + 1)
+            for p in itertools.product(range(1, n + 1), repeat=k)]
+    gammas = [Composition(g) for g in MV_GAMMAS]
+
+    def fresh(sizes):
+        def setup():
+            clear_memos()
+            for n, k in sizes:
+                counting.cycle_type_census(n, k)
+        return setup
+
+    def symmetry_check(n, k):
+        argv = ["--format", "json", "--out", os.devnull,
+                "symmetry-check", "--n", str(n), "--k", str(k)]
+
+        def call(_):
+            if cli.main(argv) != 0:
+                raise AssertionError(f"symmetry-check fails at n={n} k={k}")
+        return call
+
+    layers = {
+        "census.count_colored.jackson-grid": time_per_object(
+            lambda x: counting.count_colored(*x), grid, repeats,
+            fresh({(n, len(p)) for n, p in grid})),
+    }
+    for n, k in SYMMETRY_SIZES:
+        layers[f"census.symmetry-check.{n}-{k}"] = time_per_object(
+            symmetry_check(n, k), [None], repeats, fresh([(n, k)]))
+    layers["census.count_by_color_compositions.4-3"] = time_per_object(
+        counting.count_by_color_compositions, [gammas], repeats, fresh([(4, 3)]))
+    for layer in layers.values():
+        layer["unit"] = "us/call"
+    return layers
 
 
 def sample_layers(types, repeats: int) -> dict:
@@ -190,6 +247,7 @@ def run(quick: bool) -> dict:
                 raise AssertionError(f"{row} does not roundtrip on its {name} domain")
             layers[f"{row}.forward.{name}"] = time_per_object(forward, objects, repeats)
             layers[f"{row}.inverse.{name}"] = time_per_object(inverse, images, repeats)
+    layers.update(census_layers(repeats))
     layers.update(sample_layers(QUICK_SAMPLE_TYPES if quick else SAMPLE_TYPES, repeats))
     return {
         "schema": SCHEMA,

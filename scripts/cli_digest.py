@@ -97,6 +97,8 @@ EXTRA = [
     ["puzzle", "--n", "3", "--k", "2", "--p", "1,2,3"],
     ["puzzle", "--n", "3", "--k", "2", "--p", "1,2,3", "--sample", "10"],
     ["enumerate", "--what", "mtuples", "--n", "2", "--k", "2", "--p", "1,1,1"],
+    ["symmetry-check", "--n", "5", "--k", "2"],
+    ["symmetry-check", "--n", "3", "--k", "3"],
 ]
 
 FORMATS = ("text", "json")

@@ -55,6 +55,11 @@ def _output(args):
             yield out
 
 
+def _write_json(out, payload) -> None:
+    """One JSON report: indented, keys sorted, ending in a newline."""
+    out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _finish(args, command: str, results: list[dict], ok: bool, text_lines: list[str]) -> int:
     """Write the report of ``command`` in --format and return its exit code."""
     with _output(args) as out:
@@ -66,8 +71,7 @@ def _finish(args, command: str, results: list[dict], ok: bool, text_lines: list[
                 "cap": args.cap,
                 "results": results,
             }
-            json.dump(payload, out, indent=2, sort_keys=True)
-            out.write("\n")
+            _write_json(out, payload)
         else:
             for line in text_lines:
                 out.write(line + "\n")
@@ -189,11 +193,10 @@ def cmd_mv_check(args) -> int:
 @_sweep
 def cmd_symmetry_check(args) -> int:
     # the nonzero c(gamma) of each profile of composition lengths must agree
+    comps = list(compositions_of(args.n))
     by_profile: dict[tuple[int, ...], list[int]] = {}
-    for gammas in itertools.product(compositions_of(args.n), repeat=args.k):
-        count = counting.count_by_color_compositions(gammas, cap=args.cap)
-        if count:
-            by_profile.setdefault(tuple(g.length for g in gammas), []).append(count)
+    for key, count in counting.color_composition_counts([comps] * args.k, cap=args.cap).items():
+        by_profile.setdefault(tuple(map(len, key)), []).append(count)
     results = []
     ok = True
     for profile in sorted(by_profile):
@@ -369,7 +372,7 @@ def cmd_psi(args) -> int:
         b = biddings.Bidding.from_json(data)
         result = biddings.psi_inverse(b).to_json()
     with _output(args) as out:
-        out.write(json.dumps(result, indent=2, sort_keys=True) + "\n")
+        _write_json(out, result)
     return EXIT_OK
 
 

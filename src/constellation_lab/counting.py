@@ -235,17 +235,36 @@ def _census(n: int, k: int) -> Mapping[tuple[tuple[int, ...], ...], int]:
     return MappingProxyType(census)
 
 
+@lru_cache(maxsize=None)
+def _cycle_count_census(n: int, k: int) -> Mapping[tuple[int, ...], int]:
+    """The census summed by how many cycles each factor has: the view that
+    every count reading only cycle numbers sums over.  Memoized per (n, k)
+    behind :func:`cycle_type_census`, which its callers ask first."""
+    view: dict[tuple[int, ...], int] = {}
+    for lams, cnt in _census(n, k).items():
+        key = tuple(map(len, lams))
+        view[key] = view.get(key, 0) + cnt
+    return MappingProxyType(view)
+
+
+@lru_cache(maxsize=None)
+def _surjection_row(n: int, p: int) -> tuple[int, ...]:
+    """surjection_count(m, p) for m = 0..n."""
+    return tuple(surjection_count(m, p) for m in range(n + 1))
+
+
 def count_colored(n: int, p: Sequence[int], cap: Optional[int] = None) -> int:
-    """C^n_p: colored factorizations, surjection products summed over the census."""
+    """C^n_p: colored factorizations, surjection products summed over the
+    census by the cycle number of each factor."""
     _check_size(n, len(p), p, n_min=1, k_min=2, p_min=1)
     if any(pt > n for pt in p):
         return 0
-    census = cycle_type_census(n, len(p), cap)
+    cycle_type_census(n, len(p), cap)
     # rows[t][m]: surjections from the m cycles of factor t + 1 onto its colors
-    rows = [[surjection_count(m, pt) for m in range(n + 1)] for pt in p]
+    rows = [_surjection_row(n, pt) for pt in p]
     return sum(
-        cnt * prod(row[len(lam)] for row, lam in zip(rows, lams))
-        for lams, cnt in census.items()
+        cnt * prod(map(tuple.__getitem__, rows, ms))
+        for ms, cnt in _cycle_count_census(n, len(p)).items()
     )
 
 
@@ -263,18 +282,46 @@ def _composition_assignments(sizes: tuple[int, ...], quotas: tuple[int, ...]) ->
     return total
 
 
+def color_composition_counts(
+    axes: Sequence[Sequence[Composition]], cap: Optional[int] = None
+) -> Mapping[tuple[tuple[int, ...], ...], int]:
+    """c(gamma^(1),...,gamma^(k)) for every tuple with gamma^(t) in axes[t - 1],
+    keyed by the tuple of their parts; a tuple whose count is 0 is absent.
+
+    The census is contracted one factor at a time: axis by axis, each key's
+    cycle type of that factor is replaced by every composition of the axis,
+    weighted by the ways to color its cycles with those color sizes, and
+    equal keys are merged.  So every tuple is counted from one pass per axis.
+    """
+    sizes = {g.size for axis in axes for g in axis}
+    if len(sizes) > 1:
+        raise ValueError("compositions must all have the same size")
+    counts = cycle_type_census(sizes.pop() if sizes else 0, len(axes), cap)
+    # a key holds the cycle types of the factors still to contract, then the
+    # compositions of those contracted, so each step turns it by one place
+    for axis in axes:
+        weights: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+        contracted: dict[tuple[tuple[int, ...], ...], int] = {}
+        for key, cnt in counts.items():
+            lam = key[0]
+            if lam not in weights:
+                weights[lam] = [
+                    (g.parts, w) for g in axis if (w := _composition_assignments(lam, g.parts))
+                ]
+            rest = key[1:]
+            for parts, w in weights[lam]:
+                new = rest + (parts,)
+                contracted[new] = contracted.get(new, 0) + cnt * w
+        counts = contracted
+    return counts
+
+
 def count_by_color_compositions(
     gammas: Sequence[Composition], cap: Optional[int] = None
 ) -> int:
     """c(gamma^(1),...,gamma^(k)): colored factorizations with exact color sizes."""
-    k = len(gammas)
-    n = gammas[0].size if gammas else 0
-    if any(g.size != n for g in gammas):
-        raise ValueError("compositions must all have the same size")
-    return sum(
-        cnt * prod(_composition_assignments(lam, g.parts) for lam, g in zip(lams, gammas))
-        for lams, cnt in cycle_type_census(n, k, cap).items()
-    )
+    counts = color_composition_counts([[g] for g in gammas], cap)
+    return counts.get(tuple(g.parts for g in gammas), 0)
 
 
 def count_kappa(lams: Sequence[Composition], cap: Optional[int] = None) -> int:
@@ -406,16 +453,14 @@ def verify_gf_identity(
 ) -> CheckReport:
     """Exact evaluation of the cycle-count generating identity at integers.
 
-    Left side sums x_t^(cycles of factor t) over the cycle-type census; right
+    Left side sums x_t^(cycles of factor t) over the census by cycle numbers; right
     side sums binomials times n!^(k-1) M^(n-1) over color-count vectors.
     """
     xs = tuple(xs)
     if len(xs) != k or any(x < 0 for x in xs):
         raise ValueError("need k nonnegative integers")
-    lhs = sum(
-        cnt * prod(x ** len(lam) for x, lam in zip(xs, lams))
-        for lams, cnt in cycle_type_census(n, k, cap).items()
-    )
+    cycle_type_census(n, k, cap)
+    lhs = sum(cnt * prod(map(pow, xs, ms)) for ms, cnt in _cycle_count_census(n, k).items())
     rhs = 0
     for p in itertools.product(range(1, n + 1), repeat=k):
         term = factorial(n) ** (k - 1) * m_coefficient(n - 1, tuple(x - 1 for x in p))

@@ -419,9 +419,9 @@ def _count_below(rng: random.Random, trials: int, num: int, den: int) -> int:
     """
     b = den.bit_length()
     width = 8 * (b // 8 + 1)  # b bits and a zero guard bit, padded to whole bytes
-    # a 1 at the bottom of each of _BLOCK fields; shifted right by width * j
-    # these constants serve a block of _BLOCK - j fields
-    ones = ((1 << (width * _BLOCK)) - 1) // ((1 << width) - 1)
+    # a 1 at the bottom of each of _BLOCK fields, one whole-byte field at a
+    # time; shifted right by width * j these constants serve _BLOCK - j fields
+    ones = int.from_bytes((b"\x01" + bytes(width // 8 - 1)) * _BLOCK, "little")
     mask, guard = ones * ((1 << b) - 1), ones << b
     num_rep, den_rep = num * ones, den * ones
     below = 0

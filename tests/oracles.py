@@ -22,7 +22,14 @@ from constellation_lab.constellations import (
     from_permutations,
     transitive_tuples,
 )
-from constellation_lab.counting import ColoredFactorization, enumerate_factorizations, m_tuples
+from constellation_lab.counting import (
+    ColoredFactorization,
+    _composition_assignments,
+    cycle_type_census,
+    enumerate_factorizations,
+    m_tuples,
+    surjection_count,
+)
 from constellation_lab.halfedges import BLACK, WHITE, HalfEdgeMap
 from constellation_lab.nebulas import enumerate_tree_pointed
 from constellation_lab.permutations import (
@@ -140,6 +147,40 @@ def cycle_type_census_by_stream(n, k):
         key = tuple(cycle_type(q).parts for q in perms)
         census[key] = census.get(key, 0) + 1
     return census
+
+
+def color_composition_count_by_census(gammas, cap=None):
+    """c(gamma^(1),...,gamma^(k)) as one sum over every census key, weighted
+    per factor by the colorings of its cycles with the color sizes of
+    gamma^(t); oracle for
+    :func:`constellation_lab.counting.color_composition_counts`, which
+    contracts the census one factor at a time."""
+    n = gammas[0].size
+    return sum(
+        cnt * prod(_composition_assignments(lam, g.parts) for lam, g in zip(lams, gammas))
+        for lams, cnt in cycle_type_census(n, len(gammas), cap).items()
+    )
+
+
+def colored_count_by_census(n, p, cap=None):
+    """C^n_p as one sum over every census key of the surjections from each
+    factor's cycles onto its colors; oracle for
+    :func:`constellation_lab.counting.count_colored`, which sums over the
+    census by cycle numbers."""
+    return sum(
+        cnt * prod(surjection_count(len(lam), pt) for lam, pt in zip(lams, p))
+        for lams, cnt in cycle_type_census(n, len(p), cap).items()
+    )
+
+
+def gf_left_side_by_census(n, xs, cap=None):
+    """The left side of the cycle-count generating identity, prod_t
+    x_t^(cycles of factor t) summed over every census key; oracle for the
+    left side of :func:`constellation_lab.counting.verify_gf_identity`."""
+    return sum(
+        cnt * prod(x ** len(lam) for x, lam in zip(xs, lams))
+        for lams, cnt in cycle_type_census(n, len(xs), cap).items()
+    )
 
 
 def bfs_hyperedge_relabelling_naive(c):

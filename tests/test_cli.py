@@ -1,7 +1,7 @@
 import dataclasses
 import itertools
 import json
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 from oracles import color_compositions
@@ -202,6 +202,23 @@ def test_sweeps_share_one_factorization_walk(capsys, monkeypatch):
     finally:
         counting._census.cache_clear()
     assert info.misses == 1 and info.hits >= 3
+
+
+@pytest.mark.parametrize("n, k, cap", [(3, 2, 5), (4, 2, 23), (3, 3, 35), (3, 4, 215), (5, 2, 1)])
+def test_symmetry_check_cap_below_the_census_adds_no_census_entry(capsys, n, k, cap):
+    for memo in (counting._census, counting._cycle_count_census):
+        memo.cache_clear()
+    try:
+        code = main(["--cap", str(cap), "symmetry-check", "--n", str(n), "--k", str(k)])
+        captured = capsys.readouterr()
+        entries = counting._census.cache_info().currsize
+    finally:
+        counting._census.cache_clear()
+    assert code == 3
+    assert captured.out == ""
+    size = factorial(n) ** (k - 1)
+    assert captured.err == f"error: enumeration of {size} tuples exceeds cap {cap}\n"
+    assert entries == 0
 
 
 def test_roundtrip_commands(capsys):

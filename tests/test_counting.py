@@ -4,8 +4,11 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
+    color_composition_count_by_census,
     color_compositions,
+    colored_count_by_census,
     cycle_type_census_by_stream,
+    gf_left_side_by_census,
     identity,
     partitions_of,
     subset_type,
@@ -16,6 +19,7 @@ from constellation_lab.counting import (
     DEFAULT_CAP,
     CapExceededError,
     ColoredFactorization,
+    color_composition_counts,
     count_by_color_compositions,
     count_colored,
     count_kappa,
@@ -35,6 +39,7 @@ from constellation_lab.permutations import (
     Permutation,
     all_permutations,
     compose_all,
+    compositions_of,
     cycle_type,
     cycles,
     long_cycle,
@@ -42,6 +47,8 @@ from constellation_lab.permutations import (
 
 # the exhaustive grid of acceptance criterion 3
 CRITERION_3_GRID = [(n, 2) for n in range(1, 5)] + [(n, 3) for n in range(1, 4)]
+# the grids of the census-side sweeps: k=2 n<=5, k=3 n<=4, k=4 n<=3
+CENSUS_GRID = [(n, k) for k, n_max in ((2, 5), (3, 4), (4, 3)) for n in range(1, n_max + 1)]
 
 
 def test_factorizations_n2_k2():
@@ -204,6 +211,47 @@ def test_composition_counts_depend_only_on_length_profile():
         for gammas in itertools.product(list(compositions_of(n)), repeat=k):
             key = tuple(g.parts for g in gammas)
             assert count_by_color_compositions(gammas) == census.get(key, 0)
+
+
+@pytest.mark.parametrize("n, k", CENSUS_GRID)
+def test_color_composition_counts_match_the_per_tuple_census_sum(n, k):
+    comps = list(compositions_of(n))
+    counts = color_composition_counts([comps] * k)
+    assert 0 not in counts.values()
+    for gammas in itertools.product(comps, repeat=k):
+        expected = color_composition_count_by_census(gammas)
+        key = tuple(g.parts for g in gammas)
+        assert counts.get(key, 0) == expected
+        assert count_by_color_compositions(gammas) == expected
+    # one composition per axis, and a subset of them per axis, read the same counts
+    halves = [comps[t % 2 :: 2] or comps for t in range(k)]
+    for key, count in color_composition_counts(halves).items():
+        assert counts[key] == count
+    assert sum(counts.values()) == sum(
+        count_colored(n, p) for p in itertools.product(range(1, n + 1), repeat=k)
+    )
+
+
+@pytest.mark.parametrize("n, k", CENSUS_GRID)
+def test_cycle_number_sums_match_the_sums_over_cycle_types(n, k):
+    for p in itertools.product(range(1, n + 1), repeat=k):
+        assert count_colored(n, p) == colored_count_by_census(n, p)
+    for xs in itertools.product(range(4), repeat=k):
+        assert verify_gf_identity(n, k, xs).lhs == gf_left_side_by_census(n, xs)
+
+
+def test_color_composition_counts_check_size_then_arguments_then_cap():
+    one, two = Composition((1,)), Composition((1, 1))
+    with pytest.raises(ValueError, match="^compositions must all have the same size$"):
+        color_composition_counts([[one, two]])
+    with pytest.raises(ValueError, match="^k must be at least 2, got 0$"):
+        color_composition_counts([])
+    with pytest.raises(ValueError, match="^k must be at least 2, got 1$"):
+        color_composition_counts([[two]])
+    with pytest.raises(CapExceededError, match="^enumeration of 6 tuples exceeds cap 5$"):
+        color_composition_counts([list(compositions_of(3))] * 2, cap=5)
+    # an empty axis leaves no tuple to count
+    assert color_composition_counts([[two], []]) == {}
 
 
 def test_kappa_examples():
