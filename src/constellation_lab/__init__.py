@@ -27,7 +27,6 @@ from .counting import (
     CheckReport,
     ColoredFactorization,
     MTuple,
-    color_composition_counts,
     count_by_color_compositions,
     count_colored,
     count_kappa,

@@ -223,10 +223,11 @@ def test_color_composition_counts_match_the_per_tuple_census_sum(n, k):
         key = tuple(g.parts for g in gammas)
         assert counts.get(key, 0) == expected
         assert count_by_color_compositions(gammas) == expected
-    # one composition per axis, and a subset of them per axis, read the same counts
+    # a subset of the compositions on each axis reads the same counts
     halves = [comps[t % 2 :: 2] or comps for t in range(k)]
     for key, count in color_composition_counts(halves).items():
         assert counts[key] == count
+    # each colored factorization has one tuple of color compositions
     assert sum(counts.values()) == sum(
         count_colored(n, p) for p in itertools.product(range(1, n + 1), repeat=k)
     )
