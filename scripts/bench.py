@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-object timings of the bijection chain, the census-side counts and the puzzle sampler.
+"""Per-object timings of the bijection chain, the census-side counts, the exact puzzle and its sampler.
 
 Usage:
   PYTHONPATH=src python3 scripts/bench.py --out BENCH.json [--quick]
@@ -23,6 +23,15 @@ A run times, in this process, one layer per line of the file:
   Before each repeat, outside the timer, every memo of the library is
   cleared and the censuses that the layer reads are walked again, so a
   repeat times the sums and the memos they fill, not the census walk.
+- ``puzzle.<function>.<grid>`` and ``counting.m_coefficient.grid``: the
+  exact puzzle side of the ``puzzle-exact`` workload.
+  ``tree_probability.exact-grid`` runs on its grid types (every feasible
+  type at k = 2, 3, 4 up to n = 6, 4, 3, and 4 seeded n = 5, k = 4 types
+  with 100 <= M^5_p <= 160); ``k3-inclusion-exclusion.grid`` on every
+  feasible k = 3 type at n <= 4 and ``exchange-lemma.grid`` on each of those
+  with all six labellings; ``m_coefficient.grid`` on every p in
+  [0..n]^k of the same (k, n) grid, from n = 0.  Every memo of the library is
+  cleared before each repeat, outside the timer.
 - ``sample_puzzle.<cold|warm>.<n>-<p>``: one ``sample_puzzle`` call on each
   type of the ``puzzle-sample`` workload, first with every memo of the
   library cleared (as a ``puzzle --sample`` process starts), then again.
@@ -31,7 +40,7 @@ Each layer runs ``REPEATS`` times.  Every repeat is bracketed by the
 reference chunks of ``perfbench/speed.py``, imported read-only, and scaled by
 ``speed.factor`` of those chunks, so a drift of machine speed cancels.  A
 layer reports the median and quartiles over its repeats of the normalised
-microseconds per object (per call for the census and the sampler).
+microseconds per object (per call for the census, the puzzle and the sampler).
 ``--quick`` keeps the schema and shrinks the work: 10 random objects, 2
 repeats, one sampled type.
 
@@ -79,8 +88,11 @@ QUICK_RANDOM_OBJECTS = 10
 # (n, k, p, trials) of the puzzle-sample workload
 SAMPLE_TYPES = ((6, 3, (2, 3, 4), 5000), (8, 3, (4, 5, 4), 5000), (6, 4, (4, 4, 4, 4), 30000))
 QUICK_SAMPLE_TYPES = SAMPLE_TYPES[:1]
-# (k, largest n) of the jackson-check grid of the identity-sweep workload
-JACKSON_GRID = ((2, 6), (3, 4), (4, 3))
+# (k, largest n) of the jackson-check grid of the identity-sweep workload and
+# of the exact tree-puzzle grid of the puzzle-exact workload
+GRID = ((2, 6), (3, 4), (4, 3))
+# puzzle-exact also draws 4 types at n = 5, k = 4 with 100 <= M^5_p <= 160
+BAND = (5, 4, 100, 160, 4)
 # the largest symmetry-check sizes of the identity-sweep workload, as (n, k)
 SYMMETRY_SIZES = ((5, 2), (3, 3), (3, 4))
 # one mv-check tuple at n = 4, k = 3
@@ -177,7 +189,7 @@ def clear_memos() -> None:
 
 
 def census_layers(repeats: int) -> dict:
-    grid = [(n, p) for k, n_max in JACKSON_GRID for n in range(1, n_max + 1)
+    grid = [(n, p) for k, n_max in GRID for n in range(1, n_max + 1)
             for p in itertools.product(range(1, n + 1), repeat=k)]
     gammas = [Composition(g) for g in MV_GAMMAS]
 
@@ -207,6 +219,43 @@ def census_layers(repeats: int) -> dict:
             symmetry_check(n, k), [None], repeats, fresh([(n, k)]))
     layers["census.count_by_color_compositions.4-3"] = time_per_object(
         counting.count_by_color_compositions, [gammas], repeats, fresh([(4, 3)]))
+    for layer in layers.values():
+        layer["unit"] = "us/call"
+    return layers
+
+
+def feasible_types(n: int, k: int) -> list[tuple[int, ...]]:
+    return [p for p in itertools.product(range(n + 1), repeat=k) if counting.m_coefficient(n, p)]
+
+
+def puzzle_layers(repeats: int) -> dict:
+    """The exact puzzle side of the puzzle-exact workload, each repeat with
+    every memo cleared outside the timer, as a fresh process starts."""
+    n, k, low, high, count = BAND
+    band = [p for p in feasible_types(n, k) if low <= counting.m_coefficient(n, p) <= high]
+    exact = [(n, k, p) for k, n_max in GRID for n in range(1, n_max + 1)
+             for p in feasible_types(n, k)]
+    exact += [(n, k, p) for p in random.Random(SEED).sample(band, count)]
+    k3 = [(n, p) for n in range(1, 5) for p in feasible_types(n, 3)]
+    labelled = [(n, p, *abc) for n, p in k3 for abc in itertools.permutations((1, 2, 3))]
+    m_grid = [(n, p) for k, n_max in GRID for n in range(n_max + 1)
+              for p in itertools.product(range(n + 1), repeat=k)]
+    for args in k3:
+        if not puzzle.verify_k3_inclusion_exclusion(*args).equal:
+            raise AssertionError(f"k3 inclusion-exclusion fails at {args}")
+    for args in labelled:
+        if not puzzle.verify_exchange_lemma(*args).equal:
+            raise AssertionError(f"exchange lemma fails at {args}")
+    layers = {
+        "puzzle.tree_probability.exact-grid": time_per_object(
+            lambda x: puzzle.tree_probability(*x), exact, repeats, clear_memos),
+        "puzzle.k3-inclusion-exclusion.grid": time_per_object(
+            lambda x: puzzle.verify_k3_inclusion_exclusion(*x), k3, repeats, clear_memos),
+        "puzzle.exchange-lemma.grid": time_per_object(
+            lambda x: puzzle.verify_exchange_lemma(*x), labelled, repeats, clear_memos),
+        "counting.m_coefficient.grid": time_per_object(
+            lambda x: counting.m_coefficient(*x), m_grid, repeats, clear_memos),
+    }
     for layer in layers.values():
         layer["unit"] = "us/call"
     return layers
@@ -248,6 +297,7 @@ def run(quick: bool) -> dict:
             layers[f"{row}.forward.{name}"] = time_per_object(forward, objects, repeats)
             layers[f"{row}.inverse.{name}"] = time_per_object(inverse, images, repeats)
     layers.update(census_layers(repeats))
+    layers.update(puzzle_layers(repeats))
     layers.update(sample_layers(QUICK_SAMPLE_TYPES if quick else SAMPLE_TYPES, repeats))
     return {
         "schema": SCHEMA,

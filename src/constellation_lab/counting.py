@@ -338,12 +338,13 @@ def count_kappa(lams: Sequence[Composition], cap: Optional[int] = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def strict_subsets(k: int) -> list[frozenset[int]]:
-    """The 2^k - 1 strict subsets of [k], ordered by bitmask."""
-    out = []
-    for mask in range(2**k - 1):
-        out.append(frozenset(t for t in range(1, k + 1) if mask & (1 << (t - 1))))
-    return out
+@lru_cache(maxsize=None)
+def strict_subsets(k: int) -> tuple[frozenset[int], ...]:
+    """The 2^k - 1 strict subsets of [k], ordered by bitmask; built once per
+    k for the life of the process."""
+    return tuple(
+        frozenset(t for t in range(1, k + 1) if mask & (1 << (t - 1))) for mask in range(2**k - 1)
+    )
 
 
 def _mask_tuples(
@@ -433,12 +434,29 @@ def m_coefficient(n: int, p: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _jackson_rhs(n: int, p: Sequence[int]) -> int:
+    """The right side of Jackson's formula, n!^(k-1) M^(n-1)_(p-1), k = len(p)."""
+    return factorial(n) ** (len(p) - 1) * m_coefficient(n - 1, tuple(x - 1 for x in p))
+
+
+@lru_cache(maxsize=None)
+def _jackson_terms(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every p in [n]^k whose :func:`_jackson_rhs` is nonzero, with that
+    value, in lexicographic order; memoized per (n, k) behind the size
+    checks of its callers."""
+    return tuple(
+        (p, term)
+        for p in itertools.product(range(1, n + 1), repeat=k)
+        if (term := _jackson_rhs(n, p))
+    )
+
+
 def verify_jackson(n: int, p: Sequence[int], cap: Optional[int] = None) -> CheckReport:
     """Colored-factorization count against n!^(k-1) * M^(n-1)_(p-1)."""
     p = tuple(p)
     k = len(p)
     lhs = count_colored(n, p, cap)
-    rhs = factorial(n) ** (k - 1) * m_coefficient(n - 1, tuple(x - 1 for x in p))
+    rhs = _jackson_rhs(n, p)
     return CheckReport(
         name="jackson",
         lhs=lhs,
@@ -454,18 +472,15 @@ def verify_gf_identity(
     """Exact evaluation of the cycle-count generating identity at integers.
 
     Left side sums x_t^(cycles of factor t) over the census by cycle numbers; right
-    side sums binomials times n!^(k-1) M^(n-1) over color-count vectors.
+    side sums binomials times n!^(k-1) M^(n-1) over color-count vectors, whose
+    nonzero terms do not depend on x and are read from :func:`_jackson_terms`.
     """
     xs = tuple(xs)
     if len(xs) != k or any(x < 0 for x in xs):
         raise ValueError("need k nonnegative integers")
     cycle_type_census(n, k, cap)
     lhs = sum(cnt * prod(map(pow, xs, ms)) for ms, cnt in _cycle_count_census(n, k).items())
-    rhs = 0
-    for p in itertools.product(range(1, n + 1), repeat=k):
-        term = factorial(n) ** (k - 1) * m_coefficient(n - 1, tuple(x - 1 for x in p))
-        if term:
-            rhs += term * prod(comb(x, pt) for x, pt in zip(xs, p))
+    rhs = sum(term * prod(map(comb, xs, p)) for p, term in _jackson_terms(n, k))
     return CheckReport(
         name="gf-identity",
         lhs=lhs,
@@ -482,9 +497,7 @@ def verify_mv_formula(
     lhs = Fraction(count_by_color_compositions(gammas, cap))
     n = gammas[0].size
     k = len(gammas)
-    num = factorial(n) ** (k - 1) * m_coefficient(
-        n - 1, tuple(g.length - 1 for g in gammas)
-    )
+    num = _jackson_rhs(n, [g.length for g in gammas])
     den = prod(comb(n - 1, g.length - 1) for g in gammas)
     rhs = Fraction(num, den)
     return CheckReport(

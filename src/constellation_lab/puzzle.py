@@ -18,7 +18,7 @@ from math import comb, factorial, perm, prod
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .biddings import TypedGraph, alpha
-from .counting import CheckReport, _check_size, _mask_tuples, m_coefficient, m_tuples, strict_subsets
+from .counting import CheckReport, _check_size, _mask_tuples, m_coefficient, strict_subsets
 
 
 class UndefinedProbabilityError(ValueError):
@@ -107,6 +107,15 @@ def tree_probability(
     return Fraction(hits, n ** (k - 1) * total_tuples)
 
 
+def _type_total(n: int, p: tuple[int, ...]) -> int:
+    """M^n_p, the number of subset tuples of type p, as the denominator of a
+    probability: UndefinedProbabilityError when it is 0."""
+    total = m_coefficient(n, p)
+    if total == 0:
+        raise UndefinedProbabilityError(f"no subset tuples of type {p}")
+    return total
+
+
 def r1_probability(n: int, k: int, p: Sequence[int]) -> Fraction:
     """P(|R_1| = k-1) = sum_t M^(n-1)_(p - 1 + e_t) / M^n_p, exactly.
 
@@ -114,9 +123,7 @@ def r1_probability(n: int, k: int, p: Sequence[int]) -> Fraction:
     """
     _check_size(n, k, p, n_min=1, k_min=1, p_min=0)
     p = tuple(p)
-    total = m_coefficient(n, p)
-    if total == 0:
-        raise UndefinedProbabilityError(f"no subset tuples of type {p}")
+    total = _type_total(n, p)
     hits = sum(
         m_coefficient(n - 1, tuple(x - 1 + (s == t) for s, x in enumerate(p, start=1)))
         for t in range(1, k + 1)
@@ -199,30 +206,19 @@ def _set_partitions(items: Sequence[int]):
             yield [*rest[:i], [first, *block], *rest[i + 1:]]
 
 
-def event_probability(
-    constraints: Sequence[frozenset[int] | set[int]],
-    n: int,
-    k: int,
-    p: Sequence[int],
-) -> Fraction:
-    """P(A_s is contained in R_{i_s} for all s) with i.i.d. uniform indices.
+def _event_hits(
+    constraints: Sequence[frozenset[int]], n: int, k: int, p: tuple[int, ...]
+) -> int:
+    """The pairs (index tuple in [n]^m, subset tuple of type p) with A_s
+    contained in R_{i_s} for all s, m = len(constraints).
 
     The count for an index tuple depends only on which slots share an
     index, so it is summed over the set partitions of the slots, each
     weighted by the n(n-1)...(n-b+1) index tuples with that pattern of b
     distinct indices, rather than over all n^m index tuples.
     """
-    _check_size(n, k, p, n_min=1, k_min=1, p_min=0)
-    constraints = [frozenset(a) for a in constraints]
-    m = len(constraints)
-    if m > k - 1:
-        raise ValueError("at most k-1 index slots")
-    p = tuple(p)
-    total = m_coefficient(n, p)
-    if total == 0:
-        raise UndefinedProbabilityError(f"no subset tuples of type {p}")
     hits = 0
-    for blocks in _set_partitions(range(m)):
+    for blocks in _set_partitions(range(len(constraints))):
         unions = tuple(
             sorted(
                 (frozenset().union(*(constraints[s] for s in block)) for block in blocks),
@@ -230,29 +226,56 @@ def event_probability(
             )
         )
         hits += perm(n, len(blocks)) * _count_with_supersets(n, k, p, unions)
-    return Fraction(hits, n**m * total)
+    return hits
+
+
+def event_probability(
+    constraints: Sequence[frozenset[int] | set[int]],
+    n: int,
+    k: int,
+    p: Sequence[int],
+) -> Fraction:
+    """P(A_s is contained in R_{i_s} for all s) with i.i.d. uniform indices:
+    :func:`_event_hits` over the n^m M^n_p equally likely pairs."""
+    _check_size(n, k, p, n_min=1, k_min=1, p_min=0)
+    constraints = [frozenset(a) for a in constraints]
+    m = len(constraints)
+    if m > k - 1:
+        raise ValueError("at most k-1 index slots")
+    p = tuple(p)
+    total = _type_total(n, p)
+    return Fraction(_event_hits(constraints, n, k, p), n**m * total)
+
+
+# the nine signed events P(A in R_i, B in R_j) of the k=3 inclusion-exclusion
+_K3_TERMS = tuple(
+    (sign, (frozenset(a), frozenset(b)))
+    for sign, a, b in (
+        (1, {1}, {2}),
+        (1, {1}, {3}),
+        (1, {2}, {3}),
+        (-1, {1}, {2, 3}),
+        (-1, {2}, {1, 3}),
+        (-1, {3}, {1, 2}),
+        (1, {1, 2}, {1, 3}),
+        (1, {1, 2}, {2, 3}),
+        (1, {1, 3}, {2, 3}),
+    )
+)
 
 
 def verify_k3_inclusion_exclusion(n: int, p: Sequence[int]) -> CheckReport:
-    """Nine-term alternating sum for k=3 against the direct tree probability."""
+    """Nine-term alternating sum for k=3 against the direct tree probability.
+
+    The nine events share the n^2 M^n_p equally likely pairs, so their
+    signed hit counts are summed as integers and divided once.
+    """
     k = 3
+    _check_size(n, k, p, n_min=1, k_min=1, p_min=0)
     p = tuple(p)
-
-    def P(a: set[int], b: set[int]) -> Fraction:
-        return event_probability([a, b], n, k, p)
-
-    terms = [
-        (1, P({1}, {2})),
-        (1, P({1}, {3})),
-        (1, P({2}, {3})),
-        (-1, P({1}, {2, 3})),
-        (-1, P({2}, {1, 3})),
-        (-1, P({3}, {1, 2})),
-        (1, P({1, 2}, {1, 3})),
-        (1, P({1, 2}, {2, 3})),
-        (1, P({1, 3}, {2, 3})),
-    ]
-    rhs = sum(sign * prob for sign, prob in terms)
+    total = _type_total(n, p)
+    hits = sum(sign * _event_hits(pair, n, k, p) for sign, pair in _K3_TERMS)
+    rhs = Fraction(hits, n**2 * total)
     lhs = tree_probability(n, k, p)
     return CheckReport(
         name="k3-inclusion-exclusion",
@@ -268,26 +291,33 @@ def verify_exchange_lemma(
 ) -> CheckReport:
     """Four-term exchange identity for k=3, plus the underlying event counts.
 
-    Also checks |E1| = |E2| directly, where E1 requires a in R_i, c not in
-    R_i, b in R_j, and E2 requires a,b in R_i, c not in R_i, R_j != {a,c}.
+    The three right-side events are counted as integers over the left
+    side's n^2 M^n_p pairs.  Also checks |E1| = |E2| directly, where E1
+    requires a in R_i, c not in R_i, b in R_j, and E2 requires a,b in R_i,
+    c not in R_i, R_j != {a,c}.  The conditions on i and on j are
+    independent, so each subset tuple adds the product of its two position
+    counts.
     """
     if {a, b, c} != {1, 2, 3}:
         raise ValueError("(a, b, c) must be a labelling of {1, 2, 3}")
     k = 3
     p = tuple(p)
     lhs = event_probability([{a, b}, set()], n, k, p)
-    t1 = event_probability([{a}, {b}], n, k, p)
-    t2 = event_probability([{a, c}, {b}], n, k, p)
-    t3 = event_probability([{a, b}, {a, c}], n, k, p)
-    rhs = t1 - t2 + t3
+    h1 = _event_hits((frozenset({a}), frozenset({b})), n, k, p)
+    h2 = _event_hits((frozenset({a, c}), frozenset({b})), n, k, p)
+    h3 = _event_hits((frozenset({a, b}), frozenset({a, c})), n, k, p)
+    rhs = Fraction(h1 - h2 + h3, n**2 * m_coefficient(n, p))
+    # per mask of R: whether R can be R_i of E1, R_j of E1, R_i of E2, R_j of E2
+    bit_a, bit_b, bit_c = (1 << (x - 1) for x in (a, b, c))
+    masks = range(2**k - 1)
+    i1 = [bool(m & bit_a and not m & bit_c) for m in masks]
+    j1 = [bool(m & bit_b) for m in masks]
+    i2 = [bool(m & bit_a and m & bit_b and not m & bit_c) for m in masks]
+    j2 = [m != bit_a | bit_c for m in masks]
     e1 = e2 = 0
-    for mt in m_tuples(n, k, p):
-        for i, j in itertools.product(range(1, n + 1), repeat=2):
-            ri, rj = mt.subsets[i - 1], mt.subsets[j - 1]
-            if a in ri and c not in ri and b in rj:
-                e1 += 1
-            if a in ri and b in ri and c not in ri and rj != frozenset({a, c}):
-                e2 += 1
+    for tup in _mask_tuples(n, k, p, None):
+        e1 += sum(map(i1.__getitem__, tup)) * sum(map(j1.__getitem__, tup))
+        e2 += sum(map(i2.__getitem__, tup)) * sum(map(j2.__getitem__, tup))
     return CheckReport(
         name="exchange-lemma",
         lhs=ratio(lhs),

@@ -44,7 +44,7 @@ from constellation_lab.permutations import (
     long_cycle,
     orbits,
 )
-from constellation_lab.puzzle import UndefinedProbabilityError
+from constellation_lab.puzzle import UndefinedProbabilityError, event_probability
 from constellation_lab.symmetry import swap_degree, transport_schedule
 from constellation_lab.tree_rooted import (
     TreeRootedConstellation,
@@ -104,6 +104,38 @@ def event_probability_naive(constraints, n, k, p):
     if total == 0:
         raise UndefinedProbabilityError(f"no subset tuples of type {p}")
     return Fraction(hits, n**m * total)
+
+
+def k3_sum_by_fractions(n, p):
+    """The nine-term alternating sum of the k=3 inclusion-exclusion as nine
+    public ``event_probability`` values; oracle for the right side of
+    :func:`constellation_lab.puzzle.verify_k3_inclusion_exclusion`."""
+
+    def P(a, b):
+        return event_probability([a, b], n, 3, p)
+
+    return (
+        P({1}, {2}) + P({1}, {3}) + P({2}, {3})
+        - P({1}, {2, 3}) - P({2}, {1, 3}) - P({3}, {1, 2})
+        + P({1, 2}, {1, 3}) + P({1, 2}, {2, 3}) + P({1, 3}, {2, 3})
+    )
+
+
+def exchange_counts_by_pairs(n, p, a, b, c):
+    """(|E1|, |E2|) of the k=3 exchange lemma by a loop over every subset
+    tuple of type p and every index pair (i, j); oracle for the position
+    counts of :func:`constellation_lab.puzzle.verify_exchange_lemma`.  E1
+    requires a in R_i, c not in R_i, b in R_j; E2 requires a, b in R_i, c not
+    in R_i, R_j != {a, c}."""
+    e1 = e2 = 0
+    for mt in m_tuples(n, 3, p):
+        for i, j in itertools.product(range(1, n + 1), repeat=2):
+            ri, rj = mt.subsets[i - 1], mt.subsets[j - 1]
+            if a in ri and c not in ri and b in rj:
+                e1 += 1
+            if a in ri and b in ri and c not in ri and rj != frozenset({a, c}):
+                e2 += 1
+    return e1, e2
 
 
 def rooted_constellations_naive(n, k, type_vector=None):

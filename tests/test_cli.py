@@ -221,6 +221,27 @@ def test_symmetry_check_cap_below_the_census_adds_no_census_entry(capsys, n, k, 
     assert entries == 0
 
 
+def test_gf_check_all_x_reads_each_closed_form_once(capsys, monkeypatch):
+    # the right side's closed forms n!^(k-1) M^(n-1)_(p-1) do not depend on
+    # x: at most one m_coefficient call per p in [n]^k for all 3^k points
+    n, k = 3, 3
+    calls = []
+    m_coefficient = counting.m_coefficient
+
+    def counted(*args):
+        calls.append(args)
+        return m_coefficient(*args)
+
+    monkeypatch.setattr(counting, "m_coefficient", counted)
+    counting._jackson_terms.cache_clear()
+    code, out = run(capsys, "--format", "json", "gf-check", "--n", str(n), "--k", str(k), "--all-x")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert len(results) == 3**k
+    assert all(r["equal"] is True and r["lhs"] == r["rhs"] for r in results)
+    assert 0 < len(calls) <= n**k
+
+
 def test_roundtrip_commands(capsys):
     for bijection in ("phi", "swap", "lambda", "theta", "sigma", "psi"):
         code, out = run(capsys, "roundtrip", "--bijection", bijection, "--n", "2", "--k", "2")

@@ -380,6 +380,15 @@ def test_m_tuples_stream_counts_and_types():
     assert len(seen) == 27
 
 
+@pytest.mark.parametrize("k", range(1, 6))
+def test_strict_subsets_are_one_tuple_per_k_in_bitmask_order(k):
+    subsets = strict_subsets(k)
+    assert subsets is strict_subsets(k)
+    assert type(subsets) is tuple
+    assert [sum(1 << (t - 1) for t in s) for s in subsets] == list(range(2**k - 1))
+    assert all(type(s) is frozenset and s <= set(range(1, k + 1)) for s in subsets)
+
+
 def test_m_tuples_matches_filtered_product_in_order():
     # the pruned search yields exactly the filtered full product, in order
     checked = 0

@@ -7,7 +7,12 @@ from math import prod
 from types import SimpleNamespace
 
 import pytest
-from oracles import event_probability_naive, tree_probability_by_tuples
+from oracles import (
+    event_probability_naive,
+    exchange_counts_by_pairs,
+    k3_sum_by_fractions,
+    tree_probability_by_tuples,
+)
 
 from constellation_lab.biddings import alpha_graph
 from constellation_lab.cli import main
@@ -258,6 +263,81 @@ def test_exchange_lemma_all_labelings():
 def test_exchange_lemma_rejects_bad_labels():
     with pytest.raises(ValueError):
         verify_exchange_lemma(2, (1, 1, 1), 1, 2, 2)
+
+
+def test_k3_verifiers_match_their_oracles_field_by_field():
+    # every feasible k=3 type at n <= 4 and every labelling: both sides and
+    # the verdict against the sums of public event probabilities, the tree
+    # side against the tuple walk, and E1/E2 against the loop over pairs
+    checked = 0
+    for n in range(1, 5):
+        for p in feasible_types(n, 3):
+            r = verify_k3_inclusion_exclusion(n, p)
+            tree = tree_probability_by_tuples(n, 3, p)
+            rhs = k3_sum_by_fractions(n, p)
+            assert tree == rhs, (n, p)
+            assert (r.name, r.lhs, r.rhs, r.equal) == (
+                "k3-inclusion-exclusion", ratio(tree), ratio(rhs), True
+            ), (n, p)
+            assert r.params == (("n", n), ("p", p))
+            for a, b, c in itertools.permutations((1, 2, 3)):
+                r = verify_exchange_lemma(n, p, a, b, c)
+                lhs = event_probability_naive([{a, b}, set()], n, 3, p)
+                rhs = (
+                    event_probability([{a}, {b}], n, 3, p)
+                    - event_probability([{a, c}, {b}], n, 3, p)
+                    + event_probability([{a, b}, {a, c}], n, 3, p)
+                )
+                e1, e2 = exchange_counts_by_pairs(n, p, a, b, c)
+                assert lhs == rhs and e1 == e2, (n, p, (a, b, c))
+                assert (r.name, r.lhs, r.rhs, r.equal) == (
+                    "exchange-lemma", ratio(lhs), ratio(rhs), True
+                ), (n, p, (a, b, c))
+                assert r.params == (
+                    ("n", n), ("p", p), ("abc", (a, b, c)), ("E1", e1), ("E2", e2)
+                ), (n, p, (a, b, c))
+                checked += 1
+    assert checked == 6 * sum(len(list(feasible_types(n, 3))) for n in range(1, 5))
+
+
+# the exception of each bad call, and its message, as the verifiers raised
+# them when each of the nine events was a reduced Fraction of its own; a call
+# with several faults reports the first one checked
+K3_ERRORS = [
+    ((0, (0, 0, 0)), ValueError, "n must be at least 1, got 0"),
+    ((-1, (0, 0, 0)), ValueError, "n must be at least 1, got -1"),
+    ((0, (1, 1)), ValueError, "n must be at least 1, got 0"),
+    ((2, (1, 1)), ValueError, "p must have length 3, got 2"),
+    ((2, (1, 1, 1, 1)), ValueError, "p must have length 3, got 4"),
+    ((2, (1, -1)), ValueError, "p must have length 3, got 2"),
+    ((2, (1, -1, 1)), ValueError, "entries of p must be at least 0, got (1, -1, 1)"),
+    ((2, [1, -1, 1]), ValueError, "entries of p must be at least 0, got (1, -1, 1)"),
+    ((2, (3, 1, 1)), UndefinedProbabilityError, "no subset tuples of type (3, 1, 1)"),
+    ((1, [1, 1, 1]), UndefinedProbabilityError, "no subset tuples of type (1, 1, 1)"),
+]
+LABELLING = "(a, b, c) must be a labelling of {1, 2, 3}"
+EXCHANGE_ERRORS = [((*args, 1, 2, 3), exc, message) for args, exc, message in K3_ERRORS] + [
+    ((2, (1, 1, 1), 1, 1, 3), ValueError, LABELLING),
+    ((2, (1, 1, 1), 0, 1, 2), ValueError, LABELLING),
+    ((0, (1, 1, 1), 1, 2, 4), ValueError, LABELLING),
+    ((2, (1, -1, 1), 1, 2, 2), ValueError, LABELLING),
+    ((2, (1, 1), 3, 2, 3), ValueError, LABELLING),
+    ((2, (3, 1, 1), 0, 1, 2), ValueError, LABELLING),
+]
+
+
+@pytest.mark.parametrize("args, exc, message", K3_ERRORS)
+def test_k3_inclusion_exclusion_error_contract(args, exc, message):
+    with pytest.raises(ValueError) as info:
+        verify_k3_inclusion_exclusion(*args)
+    assert type(info.value) is exc and str(info.value) == message
+
+
+@pytest.mark.parametrize("args, exc, message", EXCHANGE_ERRORS)
+def test_exchange_lemma_error_contract(args, exc, message):
+    with pytest.raises(ValueError) as info:
+        verify_exchange_lemma(*args)
+    assert type(info.value) is exc and str(info.value) == message
 
 
 def test_sampling_is_deterministic():

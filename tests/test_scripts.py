@@ -90,6 +90,8 @@ def test_bench_quick_run_and_compare_keep_their_schema(tmp_path):
     expected |= {f"sample_puzzle.{when}.6-2,3,4" for when in ("cold", "warm")}
     expected |= {"census.count_colored.jackson-grid", "census.count_by_color_compositions.4-3"}
     expected |= {f"census.symmetry-check.{size}" for size in ("5-2", "3-3", "3-4")}
+    expected |= {"puzzle.tree_probability.exact-grid", "puzzle.k3-inclusion-exclusion.grid",
+                 "puzzle.exchange-lemma.grid", "counting.m_coefficient.grid"}
     assert set(run["layers"]) == expected
     for layer in run["layers"].values():
         assert set(layer) == {"median", "q1", "q3", "objects", "repeats", "unit"}
