@@ -297,12 +297,11 @@ def test_k3_verifiers_match_their_oracles_field_by_field():
                     ("n", n), ("p", p), ("abc", (a, b, c)), ("E1", e1), ("E2", e2)
                 ), (n, p, (a, b, c))
                 checked += 1
-    assert checked == 6 * sum(len(list(feasible_types(n, 3))) for n in range(1, 5))
+    assert checked == 6 * 189
 
 
-# the exception of each bad call, and its message, as the verifiers raised
-# them when each of the nine events was a reduced Fraction of its own; a call
-# with several faults reports the first one checked
+# the exception type and message of each bad call; a call with several
+# faults reports the first one checked
 K3_ERRORS = [
     ((0, (0, 0, 0)), ValueError, "n must be at least 1, got 0"),
     ((-1, (0, 0, 0)), ValueError, "n must be at least 1, got -1"),
