@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-object timings of the bijection chain, the census-side counts, the exact puzzle and its sampler.
+"""Per-object timings of the bijection chain and its guards, the census-side counts, the exact puzzle and its sampler.
 
 Usage:
   PYTHONPATH=src python3 scripts/bench.py --out BENCH.json [--quick]
@@ -13,6 +13,13 @@ A run times, in this process, one layer per line of the file:
   the benchmark's grid (n <= 3, k = 2, 3; theta, sigma and psi where
   n + k <= 5); the ``random`` domain is 100 seeded objects at n = 6, 7, 8
   and k = 3, built from the generators of ``perfbench/oracle.py``.
+- ``guard.<class>.exhaustive`` for the classes ``ColoredFactorization``,
+  ``TreeRootedConstellation``, ``TreePointedConstellation``, ``Nebula``,
+  ``LabelledNebula``, ``Prebidding`` and ``Bidding``: the class's
+  ``validate`` on each object of its row's exhaustive domain (phi's inputs
+  and images, lambda's inputs and images, theta's images and inputs, and
+  psi's inputs).  Nebulas are copied before each repeat, outside the timer,
+  so each repeat computes the views that the guard leaves on a map.
 - ``census.<count>.<size>``: the sums that the counting sweeps make over the
   memoized cycle-type census.  ``count_colored.jackson-grid`` calls
   ``count_colored`` on every (n, p) of the ``jackson-check`` grid of the
@@ -51,6 +58,7 @@ ratios to one file.  Keys are sorted, so two files diff cleanly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -188,6 +196,47 @@ def clear_memos() -> None:
                 value.cache_clear()
 
 
+def _fresh_nebula(nb: nebulas.Nebula) -> nebulas.Nebula:
+    """A copy of nb whose map holds none of the views a guard computes."""
+    return nebulas.Nebula(hmap=dataclasses.replace(nb.hmap))
+
+
+def _fresh_labelled(ln: biddings.LabelledNebula) -> biddings.LabelledNebula:
+    return dataclasses.replace(ln, nebula=_fresh_nebula(ln.nebula))
+
+
+def guard_layers(n_max: int, repeats: int) -> dict:
+    """``guard.<class>.exhaustive``: one public guard on its row's exhaustive
+    domain.  Nebulas are copied before each repeat, outside the timer, so
+    that no repeat reads the views an earlier one left on a map."""
+    colored = exhaustive_domain("phi", n_max)
+    pointed = exhaustive_domain("lambda", n_max)
+    prebiddings = exhaustive_domain("theta", n_max)
+    opened = [nebulas.dual_opening(tp) for tp in pointed]
+    read = [biddings.vartheta_inverse(pb) for pb in prebiddings]
+    domains = {
+        "ColoredFactorization": (colored, None),
+        "TreeRootedConstellation": ([tree_rooted.phi(cf) for cf in colored], None),
+        "TreePointedConstellation": (pointed, None),
+        "Nebula": (opened, _fresh_nebula),
+        "LabelledNebula": (read, _fresh_labelled),
+        "Prebidding": (prebiddings, None),
+        "Bidding": (exhaustive_domain("psi", n_max), None),
+    }
+    layers = {}
+    for name, (objects, fresh) in domains.items():
+        if any(x.validate() is not None for x in objects):
+            raise AssertionError(f"a {name} of the exhaustive domain fails its guard")
+        timed = list(objects)
+
+        def setup(timed=timed, objects=objects, fresh=fresh):
+            timed[:] = [fresh(x) for x in objects]
+
+        layers[f"guard.{name}.exhaustive"] = time_per_object(
+            lambda x: x.validate(), timed, repeats, setup if fresh else None)
+    return layers
+
+
 def census_layers(repeats: int) -> dict:
     grid = [(n, p) for k, n_max in GRID for n in range(1, n_max + 1)
             for p in itertools.product(range(1, n + 1), repeat=k)]
@@ -296,6 +345,7 @@ def run(quick: bool) -> dict:
                 raise AssertionError(f"{row} does not roundtrip on its {name} domain")
             layers[f"{row}.forward.{name}"] = time_per_object(forward, objects, repeats)
             layers[f"{row}.inverse.{name}"] = time_per_object(inverse, images, repeats)
+    layers.update(guard_layers(n_max, repeats))
     layers.update(census_layers(repeats))
     layers.update(puzzle_layers(repeats))
     layers.update(sample_layers(QUICK_SAMPLE_TYPES if quick else SAMPLE_TYPES, repeats))

@@ -129,19 +129,18 @@ class Prebidding:
         return len(self.subsets)
 
     def validate(self) -> Optional[str]:
-        if self.n < 1:
+        k, n, order, subsets = self.k, self.n, self.order, self.subsets
+        if n < 1:
             return "a prebidding needs n >= 1"
-        if sorted(self.order) != sorted(
-            (t, i) for t in range(1, self.k + 1) for i in range(1, self.n + 1)
-        ):
+        if sorted(order) != [(t, i) for t in range(1, k + 1) for i in range(1, n + 1)]:
             return "order is not a linear order on [k] x [n]"
-        if not _are_strict_subsets(self.k, self.subsets):
+        if not _are_strict_subsets(k, subsets):
             return "subsets must be strict subsets of [k]"
-        t_top, _ = self.order[-1]
-        if t_top != self.k:
-            return f"greatest element has type {t_top}, expected {self.k}"
-        for (t, i), (t2, _) in zip(self.order, self.order[1:] + self.order[:1]):
-            expected = alpha(t, self.subsets[i - 1], self.k)
+        t_top, _ = order[-1]
+        if t_top != k:
+            return f"greatest element has type {t_top}, expected {k}"
+        for (t, i), (t2, _) in zip(order, order[1:] + order[:1]):
+            expected = alpha(t, subsets[i - 1], k)
             if t2 != expected:
                 return f"after ({t},{i}) expected type {expected}, found {t2}"
         return None
@@ -206,18 +205,20 @@ class LabelledNebula:
     white_bud_labels: tuple[tuple[int, int], ...]  # (dart, label), sorted by dart
 
     def label_sets(self) -> tuple[frozenset[int], ...]:
-        """R_i: the bud types at the black vertex labelled i."""
+        """R_i: the bud types at the black vertex labelled i, read off the
+        map's ``buds_by_type`` view."""
         m = self.nebula.hmap
+        vertex = m.vertex
         lab = dict(self.black_labels)
         out: list[set[int]] = [set() for _ in range(self.nebula.size)]
-        for t, buds in enumerate(m.buds_by_type()[BLACK], start=1):
+        for t, buds in enumerate(m.buds_by_type[BLACK], start=1):
             for x in buds:
-                out[lab[m.vertex[x]] - 1].add(t)
+                out[lab[vertex[x]] - 1].add(t)
         return tuple(map(frozenset, out))
 
     def validate(self) -> Optional[str]:
         m = self.nebula.hmap
-        problem, buds = _check_nebula(m)
+        problem = _check_nebula(m)
         if problem is not None:
             return problem
         lab = dict(self.black_labels)
@@ -225,11 +226,13 @@ class LabelledNebula:
         if sorted(lab) != blacks or sorted(lab.values()) != list(range(1, len(blacks) + 1)):
             return "black labels are not a bijection onto [n]"
         wlab = dict(self.white_bud_labels)
+        buds = m.buds_by_type
         whites = buds[WHITE]
         if set(wlab) != {x for row in whites for x in row}:
             return "white bud labels do not cover exactly the white buds"
+        vertex = m.vertex
         for t, (wbuds, bbuds) in enumerate(zip(whites, buds[BLACK]), start=1):
-            if {wlab[x] for x in wbuds} != {lab[m.vertex[x]] for x in bbuds}:
+            if {wlab[x] for x in wbuds} != {lab[vertex[x]] for x in bbuds}:
                 return f"white bud labels of type {t} are not the black-bud labels"
         return None
 
@@ -250,26 +253,26 @@ class LabelledNebula:
 
 
 def _corner_reading(ln: LabelledNebula) -> list[Pair]:
-    """(type, label) pairs of the white corners in clockwise-tour order."""
+    """(type, label) pairs of the white corners in clockwise-tour order, read
+    off the one-face tour that the nebula guard checked (``m.face_tour``)."""
     m = ln.nebula.hmap
+    vertex, twin, type_, color = m.vertex, m.twin, m.type, m.vertex_color
     lab = dict(ln.black_labels)
     wlab = dict(ln.white_bud_labels)
-    pairs: list[Pair] = []
-    for x in m.tour(0):
-        v = m.vertex[x]
-        if m.vertex_color[v] != WHITE:
-            continue
-        if m.is_bud(x):
-            pairs.append((m.type[x], wlab[x]))
-        else:
-            pairs.append((m.type[x], lab[m.vertex[m.twin[x]]]))
-    return pairs
+    return [
+        (type_[x], wlab[x] if (y := twin[x]) is None else lab[vertex[y]])
+        for x in m.face_tour
+        if color[vertex[x]] == WHITE
+    ]
 
 
 def vartheta(ln: LabelledNebula) -> Prebidding:
     """Read a labelled rooted nebula as a valid prebidding.  Raises ValueError
     on invalid input.  The output is valid by construction and is checked
-    only in tests (criterion 4, ``tests/test_validate_once.py``)."""
+    only in tests (criterion 4, ``tests/test_validate_once.py``).
+
+    The corner reading and the subsets R_i read the tour and the bud table
+    that the guard ``ln.validate()`` computed and the map holds."""
     _require(ln.validate())
     m = ln.nebula.hmap
     pairs = _corner_reading(ln)

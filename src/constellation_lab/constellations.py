@@ -29,9 +29,10 @@ Edge = tuple[int, int]  # (hyperedge id, type)
 
 
 def _norm_cycle(seq: Sequence[int]) -> tuple[int, ...]:
-    """Rotate a cyclic sequence so its minimum comes first."""
+    """Rotate a cyclic sequence so its minimum comes first, as a tuple."""
+    seq = tuple(seq)
     i = seq.index(min(seq))
-    return tuple(seq[i:]) + tuple(seq[:i])
+    return seq[i:] + seq[:i] if i else seq
 
 
 @dataclass(frozen=True)
@@ -191,20 +192,23 @@ def _from_rotations(
     Returns the constellation and ``order``, where vertex ``j + 1`` is
     ``verts[order[j]]``.
     """
-    order = sorted(range(len(verts)), key=lambda i: (verts[i][0], min(verts[i][1])))
+    # each rotation turned to start at its least hyperedge, which also keys
+    # the sort: no two vertices share a type and a hyperedge
+    ranked = sorted((t, _norm_cycle(rot), i) for i, (t, rot) in enumerate(verts))
+    order = [i for _, _, i in ranked]
     slot = [[0] * n for _ in range(k)]  # slot[t-1][h-1]: type-t vertex of hyperedge h
-    for v, i in enumerate(order, start=1):
-        t, rot = verts[i]
+    for v, (t, rot, _) in enumerate(ranked, start=1):
+        row = slot[t - 1]
         for h in rot:
-            slot[t - 1][h - 1] = v
+            row[h - 1] = v
     c = Constellation(
         k=k,
         n=n,
         hyperedges=tuple(zip(*slot)),
-        vertex_type=tuple(verts[i][0] for i in order),
-        rotation=tuple(_norm_cycle(verts[i][1]) for i in order),
+        vertex_type=tuple([t for t, _, _ in ranked]),
+        rotation=tuple([rot for _, rot, _ in ranked]),
         root=root,
-        labels=None if labels is None else tuple(labels[i] for i in order),
+        labels=None if labels is None else tuple([labels[i] for i in order]),
     )
     return c, order
 
@@ -235,44 +239,52 @@ def validate(c: Constellation) -> Optional[str]:
         return "n must be at least 1"
     if len(c.hyperedges) != c.n:
         return "wrong number of hyperedges"
-    nv = c.num_vertices
-    incident: dict[int, set[int]] = {v: set() for v in range(1, nv + 1)}
+    k, nv, vertex_type, rotation = c.k, c.num_vertices, c.vertex_type, c.rotation
+    # incident[v]: the hyperedges at v, increasing, since a vertex has one
+    # slot per hyperedge it is in
+    incident: list[list[int]] = [[] for _ in range(nv + 1)]
     for h, he in enumerate(c.hyperedges, start=1):
-        if len(he) != c.k:
+        if len(he) != k:
             return f"hyperedge {h} does not have one vertex per type"
         for t, v in enumerate(he, start=1):
             if not (1 <= v <= nv):
                 return f"hyperedge {h} references unknown vertex {v}"
-            if c.vertex_type[v - 1] != t:
-                return f"hyperedge {h} slot {t} holds a vertex of type {c.vertex_type[v - 1]}"
-            incident[v].add(h)
+            if vertex_type[v - 1] != t:
+                return f"hyperedge {h} slot {t} holds a vertex of type {vertex_type[v - 1]}"
+            incident[v].append(h)
     for v in range(1, nv + 1):
-        rot = c.rotation[v - 1]
-        if len(rot) != len(set(rot)):
-            return f"rotation at vertex {v} repeats a hyperedge"
-        if set(rot) != incident[v]:
+        rot = rotation[v - 1]
+        if sorted(rot) != incident[v]:
+            # incident[v] has no repeat, so a rotation that repeats a
+            # hyperedge lands here; the set only words which failure it is
+            if len(rot) != len(set(rot)):
+                return f"rotation at vertex {v} repeats a hyperedge"
             return f"rotation incomplete at vertex {v}"
-        if not incident[v]:
+        if not rot:
             return f"vertex {v} is isolated"
     # the orbits of the permutations c represents are the classes of hyperedges
     # joined by shared vertices, since each rotation lists its incident hyperedges
-    if len(_hyperedge_order(c.hyperedges, c.rotation, 1)) != c.n:
+    if len(_hyperedge_order(c.hyperedges, rotation, 1)) != c.n:
         return "not transitive"
     if c.root is not None and not (1 <= c.root <= c.n):
         return f"root hyperedge {c.root} out of range"
-    if c.labels is None and c.colors is None:
+    labels, colors = c.labels, c.colors
+    if labels is None and colors is None:
         return None
     # every vertex is incident to a hyperedge, so its type is in [k]
-    by_type: list[list[int]] = [[] for _ in range(c.k)]
-    for v, t in enumerate(c.vertex_type):
-        by_type[t - 1].append(v)
-    if c.labels is not None:
-        for t, vs in enumerate(by_type, start=1):
-            if sorted(c.labels[v] for v in vs) != list(range(1, len(vs) + 1)):
-                return f"labels of type {t} are not a bijection onto [{len(vs)}]"
-    if c.colors is not None:
-        for t, vs in enumerate(by_type, start=1):
-            got = {c.colors[v] for v in vs}
+    if labels is not None:
+        labels_of_type: list[list[int]] = [[] for _ in range(k)]
+        for v, t in enumerate(vertex_type):
+            labels_of_type[t - 1].append(labels[v])
+        for t, got in enumerate(labels_of_type, start=1):
+            got.sort()
+            if got != list(range(1, len(got) + 1)):
+                return f"labels of type {t} are not a bijection onto [{len(got)}]"
+    if colors is not None:
+        colors_of_type: list[set[int]] = [set() for _ in range(k)]
+        for v, t in enumerate(vertex_type):
+            colors_of_type[t - 1].add(colors[v])
+        for t, got in enumerate(colors_of_type, start=1):
             # onto [max(got)] exactly when got is [len(got)], which never
             # sizes a set by an input value
             if got != set(range(1, len(got) + 1)):
@@ -355,35 +367,47 @@ def dual(c: Constellation, cut: Iterable[Edge]) -> HalfEdgeMap:
     return typed_map(k, c.n, white_next, cut, c.root)
 
 
-def constellation_from_dual(m: HalfEdgeMap) -> tuple[Constellation, dict[int, int], dict[int, int]]:
+def constellation_from_dual(m: HalfEdgeMap) -> tuple[Constellation, dict[int, int], list[int]]:
     """Rebuild the constellation whose dual is ``m`` (no buds allowed).
 
     ``m`` is taken to pass :func:`~constellation_lab.nebulas.validate_nebula`,
     which :func:`~constellation_lab.nebulas.dual_closure` runs before
     closing; its checks are not repeated here.  Returns (constellation,
     hyperedge_of_black_vertex, vertex_of_dart): the second maps black vertex
-    ids of m to hyperedge ids, the third maps every dart of m to the
-    constellation vertex dual to its face.
+    ids of m to hyperedge ids, the third lists, for every black dart of m,
+    the constellation vertex dual to its face (0 at white darts).
     """
-    if any(t is None for t in m.twin):
+    if None in m.twin:
         raise ValueError("dual-constellation may not have buds")
-    vertex = m.vertex
+    vertex, nxt, twin, type_ = m.vertex, m.nxt, m.twin, m.type
     blacks = [v for v, color in enumerate(m.vertex_color) if color == BLACK]
     hyperedge_of_black = {b: i + 1 for i, b in enumerate(blacks)}
     # faces of the dual are the constellation vertices.  Twins share a type and
     # types increase clockwise around black vertices, decrease around white
     # ones, so a tour alternates type-t black and type-(t-1) white darts: the
-    # black darts of a face share a type and give its counterclockwise cycle
-    faces = m.faces()
+    # black darts of a face share a type and give its counterclockwise cycle.
+    # One walk per face, two tour steps at a time, visits its black darts.
+    face_of = [-1] * len(vertex)  # the index in verts of the face of each black dart
     verts: list[tuple[int, tuple[int, ...]]] = []
-    for orbit in faces:
-        black = [x for x in orbit if vertex[x] in hyperedge_of_black]
-        hs = tuple(hyperedge_of_black[vertex[x]] for x in reversed(black))
-        verts.append((m.type[black[0]], hs))
+    for start, v in enumerate(vertex):
+        if face_of[start] >= 0 or v not in hyperedge_of_black:
+            continue
+        f = len(verts)
+        hs = []
+        x = start
+        while face_of[x] < 0:
+            face_of[x] = f
+            hs.append(hyperedge_of_black[vertex[x]])
+            x = nxt[twin[nxt[twin[x]]]]
+        hs.reverse()
+        verts.append((type_[start], tuple(hs)))
     root = None if m.root is None else hyperedge_of_black[m.root]
     c, order = _from_rotations(m.k, len(blacks), verts, root)
-    vertex_of_dart = {x: j + 1 for j, i in enumerate(order) for x in faces[i]}
-    return c, hyperedge_of_black, vertex_of_dart
+    # place[f]: the vertex id of face f; white darts, at face -1, read the 0 at the end
+    place = [0] * (len(order) + 1)
+    for j, i in enumerate(order, start=1):
+        place[i] = j
+    return c, hyperedge_of_black, [place[f] for f in face_of]
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,19 @@ around its vertex.  Faces, tours and vertex rotations are all orbits:
 faces of ``tour_steps`` and rotations of ``next``, read by
 :func:`~constellation_lab.permutations.orbits`, and the tour of one dart,
 which :meth:`HalfEdgeMap.tour` steps without building the table.
+
+A map is immutable, so the views that several readers share are held on
+it, computed on first use: :attr:`HalfEdgeMap.face_tour`, the tour from
+dart 0 (the whole face of a one-face map), and
+:attr:`HalfEdgeMap.buds_by_type`.  The nebula guard computes both, and the
+closure and the corner reading of the map it passed read them again
+without walking the map.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .permutations import orbits
@@ -57,20 +66,20 @@ class HalfEdgeMap:
 
     @property
     def buds(self) -> tuple[int, ...]:
-        return tuple(x for x in range(self.num_darts) if self.twin[x] is None)
+        return tuple([x for x, t in enumerate(self.twin) if t is None])
 
-    def is_bud(self, x: int) -> bool:
-        return self.twin[x] is None
-
-    def buds_by_type(self) -> dict[str, list[list[int]]]:
-        """The buds at the vertices of each color, one list per type 1..k,
-        in dart order, from one pass over the darts."""
-        out = {color: [[] for _ in range(self.k)] for color in (BLACK, WHITE)}
+    @cached_property
+    def buds_by_type(self) -> Mapping[str, tuple[tuple[int, ...], ...]]:
+        """The buds at the vertices of each color, one tuple per type 1..k,
+        in dart order, from one pass over the darts; held on the map."""
+        black: list[list[int]] = [[] for _ in range(self.k)]
+        white: list[list[int]] = [[] for _ in range(self.k)]
+        rows_of = {BLACK: black, WHITE: white}
         vertex, vertex_color, type_ = self.vertex, self.vertex_color, self.type
-        for x, t in enumerate(self.twin):
-            if t is None and (rows := out.get(vertex_color[vertex[x]])) is not None:
+        for x in [x for x, t in enumerate(self.twin) if t is None]:
+            if (rows := rows_of.get(vertex_color[vertex[x]])) is not None:
                 rows[type_[x] - 1].append(x)
-        return out
+        return MappingProxyType({BLACK: tuple(map(tuple, black)), WHITE: tuple(map(tuple, white))})
 
     @property
     def tour_steps(self) -> list[int]:
@@ -78,12 +87,16 @@ class HalfEdgeMap:
         nxt = self.nxt
         return [nxt[x if t is None else t] for x, t in enumerate(self.twin)]
 
-    def rotations(self) -> dict[int, tuple[int, ...]]:
-        """Clockwise dart cycle around each vertex, min dart first."""
-        out: dict[int, tuple[int, ...]] = {v: () for v in range(self.num_vertices)}
+    def rotations(self) -> tuple[tuple[int, ...], ...]:
+        """Clockwise dart cycle around each vertex, min dart first, indexed by
+        vertex.  A vertex whose darts form several cycles gets the one with
+        the greatest least dart, so the cycles cover every dart exactly when
+        no vertex has two."""
+        out: list[tuple[int, ...]] = [()] * self.num_vertices
+        vertex = self.vertex
         for cyc in orbits(self.nxt, range(self.num_darts)):
-            out[self.vertex[cyc[0]]] = tuple(cyc)
-        return out
+            out[vertex[cyc[0]]] = tuple(cyc)
+        return tuple(out)
 
     def faces(self) -> list[tuple[int, ...]]:
         """Orbits of the tour step, i.e. the faces, each as a dart cycle."""
@@ -103,35 +116,44 @@ class HalfEdgeMap:
             x = nxt[x if t is None else t]
         return out
 
+    @cached_property
+    def face_tour(self) -> tuple[int, ...]:
+        """The clockwise tour from dart 0, held on the map: the one face of a
+        one-face map, whole.  Empty when the map has no darts."""
+        return tuple(self.tour(0)) if self.vertex else ()
+
     def validate(self) -> Optional[str]:
         """Return the first violated structural invariant, or None if valid."""
-        H = self.num_darts
-        V = self.num_vertices
-        if H and (min(self.vertex) < 0 or max(self.vertex) >= V):
+        vertex, nxt, twin, type_, k = self.vertex, self.nxt, self.twin, self.type, self.k
+        H = len(vertex)
+        V = len(self.vertex_color)
+        if H and (min(vertex) < 0 or max(vertex) >= V):
             return "a dart's vertex is out of range"
         if self.root is not None and not 0 <= self.root < V:
             return "root is not a vertex"
         for x in range(H):
-            if not (0 <= self.nxt[x] < H):
+            y = nxt[x]
+            if not 0 <= y < H:
                 return f"next[{x}] out of range"
-            if self.vertex[self.nxt[x]] != self.vertex[x]:
-                return f"next[{x}] leaves vertex {self.vertex[x]}"
-            if not (1 <= self.type[x] <= self.k):
+            if vertex[y] != vertex[x]:
+                return f"next[{x}] leaves vertex {vertex[x]}"
+            tx = type_[x]
+            if not 1 <= tx <= k:
                 return f"type[{x}] not in [k]"
-            t = self.twin[x]
+            t = twin[x]
             if t is not None:
                 if not 0 <= t < H:
                     return f"twin[{x}] is not a dart"
-                if self.twin[t] != x:
+                if twin[t] != x:
                     return f"twin not an involution at {x}"
                 if t == x:
                     return f"dart {x} is its own twin"
-                if self.type[t] != self.type[x]:
+                if type_[t] != tx:
                     return f"twin pair {x},{t} types differ"
-        if sorted(self.nxt) != list(range(H)):
+        if sorted(nxt) != list(range(H)):
             return "next is not a permutation of the darts"
-        for v in range(self.num_vertices):
-            if self.vertex_color[v] not in (BLACK, WHITE):
+        for v, color in enumerate(self.vertex_color):
+            if color not in (BLACK, WHITE):
                 return f"vertex {v} has invalid color"
         return None
 
@@ -223,17 +245,22 @@ def typed_map(
     their least dart.  ``root`` is a black vertex i, or None.
     """
     nk = n * k
-    dart = {(i, t): (i - 1) * k + t - 1 for i in range(1, n + 1) for t in range(1, k + 1)}
     nxt = [j + (t + 1) % k for j in range(0, nk, k) for t in range(k)] + [0] * nk
     twin: list[Optional[int]] = [*range(nk, 2 * nk), *range(nk)]
-    try:
-        for s, s2 in white_next.items():
-            nxt[nk + dart[s]] = nk + dart[s2]
-        for s in buds:
-            twin[dart[s]] = twin[nk + dart[s]] = None
-    except KeyError as exc:
-        raise ValueError(f"slot {exc.args[0]} is not in [{n}] x [{k}]") from None
-    vertex = [i for i in range(n) for _ in range(k)] + [0] * nk
+    # the dart of slot (i, t) is (i - 1) k + t - 1, i.e. i k + t - (k + 1)
+    base = k + 1
+    for s, s2 in white_next.items():
+        (i, t), (i2, t2) = s, s2
+        if not (0 < i <= n and 0 < t <= k and 0 < i2 <= n and 0 < t2 <= k):
+            _slot_error(n, k, s, s2)
+        nxt[nk + i * k + t - base] = nk + i2 * k + t2 - base
+    for s in buds:
+        i, t = s
+        if not (0 < i <= n and 0 < t <= k):
+            _slot_error(n, k, s)
+        x = i * k + t - base
+        twin[x] = twin[nk + x] = None
+    vertex = [x // k for x in range(nk)] + [0] * nk
     whites = orbits(nxt, range(nk, 2 * nk))
     for v, orbit in enumerate(whites, start=n):
         for x in orbit:
@@ -247,6 +274,12 @@ def typed_map(
         vertex_color=(BLACK,) * n + (WHITE,) * len(whites),
         root=None if root is None else root - 1,
     )
+
+
+def _slot_error(n: int, k: int, *slots: Slot) -> None:
+    """Raise the ValueError that names the first of ``slots`` outside [n] x [k]."""
+    bad = next(s for s in slots if not (0 < s[0] <= n and 0 < s[1] <= k))
+    raise ValueError(f"slot {bad} is not in [{n}] x [{k}]")
 
 
 def with_twins_joined(m: HalfEdgeMap, pairs: list[tuple[int, int]]) -> HalfEdgeMap:

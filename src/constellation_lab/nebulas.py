@@ -51,10 +51,10 @@ class Nebula:
 
     @property
     def size(self) -> int:
-        return sum(1 for col in self.hmap.vertex_color if col == BLACK)
+        return self.hmap.vertex_color.count(BLACK)
 
     def black_vertices(self) -> list[int]:
-        return [v for v in range(self.hmap.num_vertices) if self.hmap.vertex_color[v] == BLACK]
+        return [v for v, color in enumerate(self.hmap.vertex_color) if color == BLACK]
 
     def validate(self) -> Optional[str]:
         return validate_nebula(self.hmap)
@@ -62,62 +62,77 @@ class Nebula:
 
 def validate_nebula(m: HalfEdgeMap) -> Optional[str]:
     """First violated nebula condition, or None."""
-    return _check_nebula(m)[0]
+    return _check_nebula(m)
 
 
-def _check_nebula(m: HalfEdgeMap) -> tuple[Optional[str], Optional[dict[str, list[list[int]]]]]:
-    """The verdict of :func:`validate_nebula` and, once the bud pass is
-    reached, the buds by color and type that it read."""
+def _check_nebula(m: HalfEdgeMap) -> Optional[str]:
+    """The verdict of :func:`validate_nebula`.  Its bud pass and its face
+    test read the views that the map holds, ``m.buds_by_type`` and
+    ``m.face_tour``, so :func:`closure`, the corner reading of
+    :func:`~constellation_lab.biddings.vartheta` and
+    :meth:`~constellation_lab.biddings.LabelledNebula.label_sets` read the
+    tables this guard computed instead of walking the map again."""
     problem = m.validate()
     if problem is not None:
-        return problem, None
+        return problem
     problem = _rotation_problem(m)
     if problem is not None:
-        return problem, None
-    buds = m.buds_by_type()
+        return problem
+    buds = m.buds_by_type
     black_buds = [len(row) for row in buds[BLACK]]
     white_buds = [len(row) for row in buds[WHITE]]
     if black_buds != white_buds:
-        return f"bud counts differ per type: black {black_buds}, white {white_buds}", buds
+        return f"bud counts differ per type: black {black_buds}, white {white_buds}"
     # one face exactly when the tour from dart 0 meets every dart; the faces
     # are counted only to word the failure
-    if not m.num_darts or len(m.tour(0)) != m.num_darts:
-        return f"nebula must have a single face, found {len(m.faces())}", buds
+    if not m.num_darts or len(m.face_tour) != m.num_darts:
+        return f"nebula must have a single face, found {len(m.faces())}"
     if m.root is None:
-        return "nebula is not rooted", buds
+        return "nebula is not rooted"
     if m.vertex_color[m.root] != BLACK:
-        return "root vertex is not black", buds
-    return None, buds
+        return "root vertex is not black"
+    return None
 
 
 def _rotation_problem(m: HalfEdgeMap) -> Optional[str]:
-    """The first vertex whose rotation breaks a nebula condition, worded."""
+    """The first vertex whose rotation breaks a nebula condition, worded.
+
+    One walk of the ``next`` cycles (:meth:`HalfEdgeMap.rotations`); each
+    vertex's types are tested by their cyclic step, up by one around a
+    black vertex and down by one around a white one, and a black vertex's
+    types are sorted only to word a failure.  Types in [k] that step by one
+    are the run from their first type: at a black vertex of degree k it is
+    1..k in cyclic order, so a missing type fails the step too, and around
+    a white vertex the step closes up exactly when the degree is a multiple
+    of k.
+    """
     k, vertex, twin, type_, color = m.k, m.vertex, m.twin, m.type, m.vertex_color
     rotations = m.rotations()
-    for v in range(m.num_vertices):
-        rot = rotations[v]
+    # up[a - 1:a - 1 + d] and down[k - a:k - a + d]: the d types from type a
+    # stepping up, or down, by one
+    up = [*range(1, k + 1)] * 2
+    down = [*range(k, 0, -1)] * (len(vertex) // k + 2)
+    for v, rot in enumerate(rotations):
         types = [type_[x] for x in rot]
         if color[v] == BLACK:
             if len(rot) != k:
                 return f"black vertex {v} has degree {len(rot)}"
-            if sorted(types) != list(range(1, k + 1)):
-                return f"black vertex {v} misses a type"
-            for a, b in zip(types, types[1:] + types[:1]):
-                if b != a % k + 1:
-                    return f"types do not increase clockwise at black vertex {v}"
-        else:
-            for a, b in zip(types, types[1:] + types[:1]):
-                if b != (a - 2) % k + 1:
-                    return f"types do not decrease clockwise at white vertex {v}"
+            a = types[0]
+            if types != up[a - 1 : a - 1 + k]:
+                if sorted(types) != up[:k]:
+                    return f"black vertex {v} misses a type"
+                return f"types do not increase clockwise at black vertex {v}"
+        elif rot and (len(rot) % k or types != down[k - types[0] : k - types[0] + len(rot)]):
+            return f"types do not decrease clockwise at white vertex {v}"
         for x in rot:
             t = twin[x]
             if t is not None and color[vertex[t]] == color[v]:
                 return f"edge at dart {x} joins two {color[v]} vertices"
     # rotations() keeps one next-cycle per vertex, so it covers every dart
     # exactly when no vertex has two
-    if sum(map(len, rotations.values())) != m.num_darts:
+    if sum(map(len, rotations)) != m.num_darts:
         degree = Counter(vertex)
-        v = next(v for v, rot in rotations.items() if len(rot) != degree[v])
+        v = next(v for v, rot in enumerate(rotations) if len(rot) != degree[v])
         return f"the darts at vertex {v} form more than one rotation cycle"
     return None
 
@@ -143,21 +158,23 @@ def dual_opening(tp: TreePointedConstellation) -> Nebula:
 
 def _bud_word(m: HalfEdgeMap) -> list[int]:
     """The buds in clockwise-tour order around the (single) face, from the
-    first bud."""
+    first bud: the buds of ``m.face_tour``, turned to start at the least."""
     twin = m.twin
-    start = next((x for x, t in enumerate(twin) if t is None), None)
-    if start is None:
+    word = [x for x in m.face_tour if twin[x] is None]
+    if not word:
         return []
-    return [x for x in m.tour(start) if twin[x] is None]
+    i = word.index(min(word))
+    return word[i:] + word[:i]
 
 
 def _match_parenthesis(m: HalfEdgeMap, word: list[int]) -> list[tuple[int, int]]:
     """Match white buds (open) to black buds (close) on the cyclic word."""
+    vertex, vertex_color = m.vertex, m.vertex_color
     stack: list[int] = []
     early_black: list[int] = []
     pairs: list[tuple[int, int]] = []
     for x in word:
-        if m.vertex_color[m.vertex[x]] == WHITE:
+        if vertex_color[vertex[x]] == WHITE:
             stack.append(x)
         elif stack:
             pairs.append((stack.pop(), x))
@@ -172,7 +189,11 @@ def _match_parenthesis(m: HalfEdgeMap, word: list[int]) -> list[tuple[int, int]]
 
 def closure(nb: Nebula) -> tuple[HalfEdgeMap, tuple[tuple[int, int], ...]]:
     """Glue matching buds recursively; returns the dual-constellation and the
-    bud-edges as (white dart, black dart) pairs, oriented white to black."""
+    bud-edges as (white dart, black dart) pairs, oriented white to black.
+
+    The bud word is read off the one-face tour that the nebula guard
+    checked and that the map holds (``m.face_tour``); the map is not walked
+    again."""
     m = nb.hmap
     pairs = _match_parenthesis(m, _bud_word(m))
     closed = with_twins_joined(m, pairs)

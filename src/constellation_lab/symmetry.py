@@ -10,10 +10,9 @@ with the same lengths.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
-from .constellations import _norm_cycle, validate_arborescence
+from .constellations import Constellation, _norm_cycle, validate_arborescence
 from .counting import _require
 from .permutations import Composition
 from .tree_rooted import TreeRootedConstellation
@@ -71,13 +70,20 @@ def swap_degree(
     t_prev = (t - 2) % c.k + 1
     e_i = (h_i_prime, t_prev)
 
-    hyperedges = [list(he) for he in c.hyperedges]
+    # the rows of the hyperedges whose type-t vertex moves are rebuilt, the
+    # others shared
+    hyperedges = list(c.hyperedges)
+
+    def move(h: int, u: int) -> None:
+        he = hyperedges[h - 1]
+        hyperedges[h - 1] = he[: t - 1] + (u,) + he[t:]
+
     rotation = list(c.rotation)
 
     if e_i not in _tree_path_edges(t_rooted, u_j):
         # single-hyperedge reglue: h_i' moves from u_i to u_j, landing in
         # the corner just before h_j clockwise
-        hyperedges[h_i_prime - 1][t - 1] = u_j
+        move(h_i_prime, u_j)
         rotation[u_i - 1] = _norm_cycle([h for h in rot_i if h != h_i_prime])
         rot_j = _anchored(c.rotation[u_j - 1], h_j)
         rotation[u_j - 1] = _norm_cycle(rot_j[1:] + (h_i_prime, h_j))
@@ -90,20 +96,24 @@ def swap_degree(
         rot_j = _anchored(c.rotation[u_j - 1], h_j)
         rest_j = list(rot_j[1:])
         for h in rest_j:
-            hyperedges[h - 1][t - 1] = u_i
+            move(h, u_i)
         for h in rest_i:
-            hyperedges[h - 1][t - 1] = u_j
+            move(h, u_j)
         rotation[u_i - 1] = _norm_cycle([h_i] + rest_j + [h_i_prime])
         rotation[u_j - 1] = _norm_cycle([h_j] + rest_i)
         labels = list(c.labels)
         labels[u_i - 1], labels[u_j - 1] = labels[u_j - 1], labels[u_i - 1]
         labels = tuple(labels)
 
-    new_c = replace(
-        c,
-        hyperedges=tuple(tuple(he) for he in hyperedges),
+    new_c = Constellation(
+        k=c.k,
+        n=c.n,
+        hyperedges=tuple(hyperedges),
+        vertex_type=c.vertex_type,
         rotation=tuple(rotation),
+        root=c.root,
         labels=labels,
+        colors=c.colors,
     )
     return TreeRootedConstellation(constellation=new_c, arborescence=t_rooted.arborescence)
 

@@ -16,7 +16,7 @@ edge of hyperedge g; the tour of the canonical input (product equal to
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Mapping, Optional, Sequence
 
 from .constellations import (
@@ -245,15 +245,12 @@ def tree_rooted_tour(t_rooted: TreeRootedConstellation) -> tuple[Arc, ...]:
     """
     c = t_rooted.constellation
     v0 = c.root_vertex
-    exits: dict[int, tuple[Arc, ...]] = {}
-    for v, rot in enumerate(c.rotation, start=1):
-        if v == v0:
-            i = rot.index(c.root)
-        else:
-            i = rot.index(t_rooted.arborescence.parent_edge[v - 1][0]) + 1
-        t = c.vertex_type[v - 1]
-        exits[v] = tuple((t, h) for h in rot[i:] + rot[:i])
-    return best_compose(v0, exits, lambda v, arc: c.hyperedges[arc[1] - 1][arc[0] % c.k])
+    hyperedges, k, parent_edge = c.hyperedges, c.k, t_rooted.arborescence.parent_edge
+    exits: dict[int, list[Arc]] = {}
+    for v, (t, rot) in enumerate(zip(c.vertex_type, c.rotation), start=1):
+        i = rot.index(c.root) if v == v0 else rot.index(parent_edge[v - 1][0]) + 1
+        exits[v] = [(t, h) for h in rot[i:] + rot[:i]]
+    return best_compose(v0, exits, lambda v, arc: hyperedges[arc[1] - 1][arc[0] % k])
 
 
 def phi_inverse(t_rooted: TreeRootedConstellation) -> ColoredFactorization:
@@ -263,10 +260,10 @@ def phi_inverse(t_rooted: TreeRootedConstellation) -> ColoredFactorization:
     so the tour is decoded by :func:`_xi_inverse` and not checked again.
     """
     _require(t_rooted.validate())
-    c = t_rooted.constellation
+    labels = t_rooted.constellation.labels
+    # column t-1 of the hyperedges holds the type-t vertex of each hyperedge
     colorings = tuple(
-        tuple(c.labels[c.hyperedges[h - 1][t - 1] - 1] for h in range(1, c.n + 1))
-        for t in range(1, c.k + 1)
+        tuple([labels[v - 1] for v in column]) for column in zip(*t_rooted.constellation.hyperedges)
     )
     return _xi_inverse(tree_rooted_tour(t_rooted), colorings)
 
@@ -287,6 +284,14 @@ def enumerate_tree_rooted(
                 for vs, perm in zip(by_type, label_choice):
                     for v, lab in zip(vs, perm):
                         labels[v - 1] = lab
-                yield TreeRootedConstellation(
-                    constellation=replace(c, labels=tuple(labels)), arborescence=arb
+                labelled = Constellation(
+                    k=k,
+                    n=n,
+                    hyperedges=c.hyperedges,
+                    vertex_type=c.vertex_type,
+                    rotation=c.rotation,
+                    root=c.root,
+                    labels=tuple(labels),
+                    colors=c.colors,
                 )
+                yield TreeRootedConstellation(constellation=labelled, arborescence=arb)

@@ -2,6 +2,7 @@
 space that a library function counts by a faster route, and the helpers the
 tests read objects with."""
 import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial, prod
@@ -504,7 +505,7 @@ def subset_type(k, subsets):
 
 def nebula_type_vector(nb):
     """Black buds of a nebula per type."""
-    return tuple(len(buds) for buds in nb.hmap.buds_by_type()[BLACK])
+    return tuple(len(buds) for buds in nb.hmap.buds_by_type[BLACK])
 
 
 def labellings(nb):
@@ -512,8 +513,8 @@ def labellings(nb):
     m = nb.hmap
     blacks = nb.black_vertices()
     n = len(blacks)
-    white_by_type = m.buds_by_type()[WHITE]
-    black_by_type = m.buds_by_type()[BLACK]
+    white_by_type = m.buds_by_type[WHITE]
+    black_by_type = m.buds_by_type[BLACK]
     for black_image in itertools.permutations(range(1, n + 1)):
         lab = dict(zip(blacks, black_image))
         pools = [[lab[m.vertex[x]] for x in buds] for buds in black_by_type]
@@ -675,9 +676,9 @@ def canonical_labelling(nb):
         v = m.vertex[x]
         if m.vertex_color[v] == BLACK and v not in black_labels:
             black_labels[v] = len(black_labels) + 1
-        if m.is_bud(x) and m.vertex_color[v] == WHITE:
+        if m.twin[x] is None and m.vertex_color[v] == WHITE:
             white_buds_in_order.setdefault(m.type[x], []).append(x)
-    eligible = [sorted(black_labels[m.vertex[x]] for x in buds) for buds in m.buds_by_type()[BLACK]]
+    eligible = [sorted(black_labels[m.vertex[x]] for x in buds) for buds in m.buds_by_type[BLACK]]
     wlab = {}
     for t, darts in white_buds_in_order.items():
         for x, lab in zip(darts, eligible[t - 1]):
@@ -714,7 +715,7 @@ def is_parenthesis_nebula(nb):
     whites = blacks = 0
     ok = True
     for x in m.tour(start):
-        if not m.is_bud(x):
+        if m.twin[x] is not None:
             continue
         if m.vertex_color[m.vertex[x]] == WHITE:
             whites += 1
@@ -722,4 +723,127 @@ def is_parenthesis_nebula(nb):
             blacks += 1
             if blacks > whites:
                 ok = False
-    return ParenthesisReport(is_parenthesis=ok, started_at_bud=m.is_bud(start))
+    return ParenthesisReport(is_parenthesis=ok, started_at_bud=m.twin[start] is None)
+
+
+# ---------------------------------------------------------------------------
+# Plain forms of three guards, each condition tested as it is stated:
+# rotations kept in a dict, a black vertex's types sorted before their
+# step is tested, rotations compared with the incident hyperedges as sets.
+# Oracles for HalfEdgeMap.validate, nebulas._rotation_problem and
+# constellations.validate, whose verdicts must match them on every input.
+# ---------------------------------------------------------------------------
+
+
+def halfedge_map_problem_by_entries(m):
+    """First violated structural invariant of a half-edge map, or None."""
+    H = m.num_darts
+    V = m.num_vertices
+    if H and (min(m.vertex) < 0 or max(m.vertex) >= V):
+        return "a dart's vertex is out of range"
+    if m.root is not None and not 0 <= m.root < V:
+        return "root is not a vertex"
+    for x in range(H):
+        if not (0 <= m.nxt[x] < H):
+            return f"next[{x}] out of range"
+        if m.vertex[m.nxt[x]] != m.vertex[x]:
+            return f"next[{x}] leaves vertex {m.vertex[x]}"
+        if not (1 <= m.type[x] <= m.k):
+            return f"type[{x}] not in [k]"
+        t = m.twin[x]
+        if t is not None:
+            if not 0 <= t < H:
+                return f"twin[{x}] is not a dart"
+            if m.twin[t] != x:
+                return f"twin not an involution at {x}"
+            if t == x:
+                return f"dart {x} is its own twin"
+            if m.type[t] != m.type[x]:
+                return f"twin pair {x},{t} types differ"
+    if sorted(m.nxt) != list(range(H)):
+        return "next is not a permutation of the darts"
+    for v in range(m.num_vertices):
+        if m.vertex_color[v] not in (BLACK, WHITE):
+            return f"vertex {v} has invalid color"
+    return None
+
+
+def rotation_problem_by_sorting(m):
+    """First vertex whose rotation breaks a nebula condition, worded; m is
+    taken to pass its structural check."""
+    k, vertex, twin, type_, color = m.k, m.vertex, m.twin, m.type, m.vertex_color
+    rotations = {v: () for v in range(m.num_vertices)}
+    for cyc in orbits(m.nxt, range(m.num_darts)):
+        rotations[vertex[cyc[0]]] = tuple(cyc)
+    for v in range(m.num_vertices):
+        rot = rotations[v]
+        types = [type_[x] for x in rot]
+        if color[v] == BLACK:
+            if len(rot) != k:
+                return f"black vertex {v} has degree {len(rot)}"
+            if sorted(types) != list(range(1, k + 1)):
+                return f"black vertex {v} misses a type"
+            for a, b in zip(types, types[1:] + types[:1]):
+                if b != a % k + 1:
+                    return f"types do not increase clockwise at black vertex {v}"
+        else:
+            for a, b in zip(types, types[1:] + types[:1]):
+                if b != (a - 2) % k + 1:
+                    return f"types do not decrease clockwise at white vertex {v}"
+        for x in rot:
+            t = twin[x]
+            if t is not None and color[vertex[t]] == color[v]:
+                return f"edge at dart {x} joins two {color[v]} vertices"
+    if sum(map(len, rotations.values())) != m.num_darts:
+        degree = Counter(vertex)
+        v = next(v for v, rot in rotations.items() if len(rot) != degree[v])
+        return f"the darts at vertex {v} form more than one rotation cycle"
+    return None
+
+
+def constellation_problem_by_sets(c):
+    """First violated invariant of a constellation (with location), or None."""
+    if c.k < 2:
+        return "k must be at least 2"
+    if c.n < 1:
+        return "n must be at least 1"
+    if len(c.hyperedges) != c.n:
+        return "wrong number of hyperedges"
+    nv = c.num_vertices
+    incident = {v: set() for v in range(1, nv + 1)}
+    for h, he in enumerate(c.hyperedges, start=1):
+        if len(he) != c.k:
+            return f"hyperedge {h} does not have one vertex per type"
+        for t, v in enumerate(he, start=1):
+            if not (1 <= v <= nv):
+                return f"hyperedge {h} references unknown vertex {v}"
+            if c.vertex_type[v - 1] != t:
+                return f"hyperedge {h} slot {t} holds a vertex of type {c.vertex_type[v - 1]}"
+            incident[v].add(h)
+    for v in range(1, nv + 1):
+        rot = c.rotation[v - 1]
+        if len(rot) != len(set(rot)):
+            return f"rotation at vertex {v} repeats a hyperedge"
+        if set(rot) != incident[v]:
+            return f"rotation incomplete at vertex {v}"
+        if not incident[v]:
+            return f"vertex {v} is isolated"
+    if len(_hyperedge_order(c.hyperedges, c.rotation, 1)) != c.n:
+        return "not transitive"
+    if c.root is not None and not (1 <= c.root <= c.n):
+        return f"root hyperedge {c.root} out of range"
+    if c.labels is None and c.colors is None:
+        return None
+    by_type = [[] for _ in range(c.k)]
+    for v, t in enumerate(c.vertex_type):
+        by_type[t - 1].append(v)
+    if c.labels is not None:
+        for t, vs in enumerate(by_type, start=1):
+            if sorted(c.labels[v] for v in vs) != list(range(1, len(vs) + 1)):
+                return f"labels of type {t} are not a bijection onto [{len(vs)}]"
+    if c.colors is not None:
+        for t, vs in enumerate(by_type, start=1):
+            got = {c.colors[v] for v in vs}
+            if got != set(range(1, len(got) + 1)):
+                return f"colors of type {t} are not surjective"
+    return None

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ from oracles import (
 )
 
 from constellation_lab.constellations import Arborescence, from_permutations
-from constellation_lab.halfedges import BLACK, WHITE, HalfEdgeMap
+from constellation_lab.halfedges import BLACK, WHITE, HalfEdgeMap, typed_map
 from constellation_lab.nebulas import (
     Nebula,
     TreePointedConstellation,
@@ -72,16 +73,34 @@ def test_dual_opening_bud_types_match_tree_edge_types():
 def test_buds_by_type_partitions_the_buds(n, k):
     for tp in enumerate_tree_pointed(n, k):
         m = dual_opening(tp).hmap
-        census = m.buds_by_type()
+        census = m.buds_by_type
         assert set(census) == {BLACK, WHITE}
         for color, by_type in census.items():
             assert len(by_type) == k
             for t, buds in enumerate(by_type, start=1):
-                assert buds == sorted(buds)
-                assert all(m.is_bud(x) and m.type[x] == t for x in buds)
+                assert list(buds) == sorted(buds)
+                assert all(m.twin[x] is None and m.type[x] == t for x in buds)
                 assert all(m.vertex_color[m.vertex[x]] == color for x in buds)
         every = sorted(x for by_type in census.values() for buds in by_type for x in buds)
         assert every == list(m.buds)
+
+
+@pytest.mark.parametrize(
+    "white_next, buds, slot",
+    [
+        ({(0, 1): (1, 1)}, (), "(0, 1)"),
+        ({(1, 1): (2, 4)}, (), "(2, 4)"),
+        ({(1, 1): (3, 1)}, (), "(3, 1)"),
+        ({(1, 1): (2, 2), (2, 2): (1, 0)}, (), "(1, 0)"),
+        ({(1, 1): (2, 2)}, [(2, 2), (-1, 2)], "(-1, 2)"),
+        ({(1, 1): (2, 2)}, [(2, 4)], "(2, 4)"),
+    ],
+)
+def test_typed_map_names_the_first_slot_outside_the_grid(white_next, buds, slot):
+    """Slots are read in order, each source before its successor, and the
+    first one outside [n] x [k] is named, whatever follows it."""
+    with pytest.raises(ValueError, match=re.escape(f"slot {slot} is not in [2] x [3]") + "$"):
+        typed_map(3, 2, white_next, buds, None)
 
 
 def test_closure_of_budless_map_is_identity():

@@ -92,6 +92,9 @@ def test_bench_quick_run_and_compare_keep_their_schema(tmp_path):
     expected |= {f"census.symmetry-check.{size}" for size in ("5-2", "3-3", "3-4")}
     expected |= {"puzzle.tree_probability.exact-grid", "puzzle.k3-inclusion-exclusion.grid",
                  "puzzle.exchange-lemma.grid", "counting.m_coefficient.grid"}
+    expected |= {f"guard.{cls}.exhaustive" for cls in (
+        "ColoredFactorization", "TreeRootedConstellation", "TreePointedConstellation",
+        "Nebula", "LabelledNebula", "Prebidding", "Bidding")}
     assert set(run["layers"]) == expected
     for layer in run["layers"].values():
         assert set(layer) == {"median", "q1", "q3", "objects", "repeats", "unit"}
@@ -105,3 +108,27 @@ def test_bench_quick_run_and_compare_keep_their_schema(tmp_path):
     comparison = json.loads(both.read_text())
     assert comparison["a"] == comparison["b"] == run
     assert comparison["ratios"] == dict.fromkeys(sorted(expected), 1.0)
+
+
+def test_mutation_scan_tells_a_killed_site_from_an_equivalent_one(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
+    import mutation_scan
+
+    def site(module, function, change, line=None):
+        (found,) = [s for s in mutation_scan.sites(module) if s.function == function
+                    and s.change == change and line in (None, s.line)]
+        return found
+
+    # a dart that is its own twin would pass the structural check
+    own_twin = site("halfedges", "HalfEdgeMap.validate", "t == x -> t != x")
+    assert mutation_scan.run_mutant(own_twin, tmp_path, ["tests/test_guards.py"], timeout=120) == "killed"
+    # the run of types stepping down around a white vertex only needs to be
+    # long enough, so one more copy of it changes nothing
+    down = site("nebulas", "_rotation_problem", "len(vertex) // k + 2 -> len(vertex) // k - 2")
+    longer_run = site("nebulas", "_rotation_problem", "2 -> 3", down.line)
+    tests = ["tests/test_guards.py", "tests/test_single_pass_guards.py", "-k", "not 3-3"]
+    assert mutation_scan.run_mutant(longer_run, tmp_path, tests, timeout=120) == "survived"
+    assert list(tmp_path.iterdir()) == []
+
+    done = run_script("mutation_scan.py", "--seed", "1", "--count", "0")
+    assert done.returncode == 2 and "--count must be at least 1" in done.stderr
