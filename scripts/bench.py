@@ -9,7 +9,9 @@ A run times, in this process, one layer per line of the file:
 
 - ``<row>.<forward|inverse>.<domain>`` for every row of ``cli.ROUNDTRIPS``:
   the row's forward map on each object of the domain, and its inverse on
-  each forward image.  The ``exhaustive`` domain is the row's own domain over
+  each forward image.  Nebulas are copied before each repeat, outside the
+  timer, so that no repeat reads the views that the nebula guard of an
+  earlier one left on a map.  The ``exhaustive`` domain is the row's own domain over
   the benchmark's grid (n <= 3, k = 2, 3; theta, sigma and psi where
   n + k <= 5); the ``random`` domain is 100 seeded objects at n = 6, 7, 8
   and k = 3, built from the generators of ``perfbench/oracle.py``.
@@ -18,8 +20,7 @@ A run times, in this process, one layer per line of the file:
   ``LabelledNebula``, ``Prebidding`` and ``Bidding``: the class's
   ``validate`` on each object of its row's exhaustive domain (phi's inputs
   and images, lambda's inputs and images, theta's images and inputs, and
-  psi's inputs).  Nebulas are copied before each repeat, outside the timer,
-  so each repeat computes the views that the guard leaves on a map.
+  psi's inputs).
 - ``census.<count>.<size>``: the sums that the counting sweeps make over the
   memoized cycle-type census.  ``count_colored.jackson-grid`` calls
   ``count_colored`` on every (n, p) of the ``jackson-check`` grid of the
@@ -196,44 +197,49 @@ def clear_memos() -> None:
                 value.cache_clear()
 
 
-def _fresh_nebula(nb: nebulas.Nebula) -> nebulas.Nebula:
-    """A copy of nb whose map holds none of the views a guard computes."""
-    return nebulas.Nebula(hmap=dataclasses.replace(nb.hmap))
+def _fresh(x):
+    """x, or, for a nebula, a copy of it whose map holds none of the views
+    that a guard leaves on a map."""
+    if isinstance(x, nebulas.Nebula):
+        return nebulas.Nebula(hmap=dataclasses.replace(x.hmap))
+    if isinstance(x, biddings.LabelledNebula):
+        return dataclasses.replace(x, nebula=_fresh(x.nebula))
+    return x
 
 
-def _fresh_labelled(ln: biddings.LabelledNebula) -> biddings.LabelledNebula:
-    return dataclasses.replace(ln, nebula=_fresh_nebula(ln.nebula))
+def time_on_fresh_copies(fn, objects: list, repeats: int) -> dict:
+    """:func:`time_per_object` on copies of ``objects`` made before each
+    repeat, outside the timer, so no repeat reads what an earlier one left
+    on a map."""
+    timed = list(objects)
+
+    def setup():
+        timed[:] = [_fresh(x) for x in objects]
+
+    return time_per_object(fn, timed, repeats, setup)
 
 
 def guard_layers(n_max: int, repeats: int) -> dict:
     """``guard.<class>.exhaustive``: one public guard on its row's exhaustive
-    domain.  Nebulas are copied before each repeat, outside the timer, so
-    that no repeat reads the views an earlier one left on a map."""
+    domain."""
     colored = exhaustive_domain("phi", n_max)
     pointed = exhaustive_domain("lambda", n_max)
     prebiddings = exhaustive_domain("theta", n_max)
-    opened = [nebulas.dual_opening(tp) for tp in pointed]
-    read = [biddings.vartheta_inverse(pb) for pb in prebiddings]
     domains = {
-        "ColoredFactorization": (colored, None),
-        "TreeRootedConstellation": ([tree_rooted.phi(cf) for cf in colored], None),
-        "TreePointedConstellation": (pointed, None),
-        "Nebula": (opened, _fresh_nebula),
-        "LabelledNebula": (read, _fresh_labelled),
-        "Prebidding": (prebiddings, None),
-        "Bidding": (exhaustive_domain("psi", n_max), None),
+        "ColoredFactorization": colored,
+        "TreeRootedConstellation": [tree_rooted.phi(cf) for cf in colored],
+        "TreePointedConstellation": pointed,
+        "Nebula": [nebulas.dual_opening(tp) for tp in pointed],
+        "LabelledNebula": [biddings.vartheta_inverse(pb) for pb in prebiddings],
+        "Prebidding": prebiddings,
+        "Bidding": exhaustive_domain("psi", n_max),
     }
     layers = {}
-    for name, (objects, fresh) in domains.items():
+    for name, objects in domains.items():
         if any(x.validate() is not None for x in objects):
             raise AssertionError(f"a {name} of the exhaustive domain fails its guard")
-        timed = list(objects)
-
-        def setup(timed=timed, objects=objects, fresh=fresh):
-            timed[:] = [fresh(x) for x in objects]
-
-        layers[f"guard.{name}.exhaustive"] = time_per_object(
-            lambda x: x.validate(), timed, repeats, setup if fresh else None)
+        layers[f"guard.{name}.exhaustive"] = time_on_fresh_copies(
+            lambda x: x.validate(), objects, repeats)
     return layers
 
 
@@ -343,8 +349,8 @@ def run(quick: bool) -> dict:
             images = [forward(x) for x in objects]
             if [inverse(y) for y in images] != objects:
                 raise AssertionError(f"{row} does not roundtrip on its {name} domain")
-            layers[f"{row}.forward.{name}"] = time_per_object(forward, objects, repeats)
-            layers[f"{row}.inverse.{name}"] = time_per_object(inverse, images, repeats)
+            layers[f"{row}.forward.{name}"] = time_on_fresh_copies(forward, objects, repeats)
+            layers[f"{row}.inverse.{name}"] = time_on_fresh_copies(inverse, images, repeats)
     layers.update(guard_layers(n_max, repeats))
     layers.update(census_layers(repeats))
     layers.update(puzzle_layers(repeats))
