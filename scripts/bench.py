@@ -9,12 +9,13 @@ A run times, in this process, one layer per line of the file:
 
 - ``<row>.<forward|inverse>.<domain>`` for every row of ``cli.ROUNDTRIPS``:
   the row's forward map on each object of the domain, and its inverse on
-  each forward image.  Nebulas are copied before each repeat, outside the
-  timer, so that no repeat reads the views that the nebula guard of an
-  earlier one left on a map.  The ``exhaustive`` domain is the row's own domain over
-  the benchmark's grid (n <= 3, k = 2, 3; theta, sigma and psi where
+  each forward image.  The ``exhaustive`` domain is the row's own domain
+  over the benchmark's grid (n <= 3, k = 2, 3; theta, sigma and psi where
   n + k <= 5); the ``random`` domain is 100 seeded objects at n = 6, 7, 8
   and k = 3, built from the generators of ``perfbench/oracle.py``.
+  Nebulas are copied before each repeat, outside the timer, so that no
+  repeat reads the views that the nebula guard of an earlier one left on a
+  map.
 - ``guard.<class>.exhaustive`` for the classes ``ColoredFactorization``,
   ``TreeRootedConstellation``, ``TreePointedConstellation``, ``Nebula``,
   ``LabelledNebula``, ``Prebidding`` and ``Bidding``: the class's
