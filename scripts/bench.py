@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-object timings of the bijection chain and its guards, the census-side counts, the exact puzzle and its sampler.
+"""Per-object timings of the bijection chain and its guards, its domains, the census-side counts, the exact puzzle and its sampler.
 
 Usage:
   PYTHONPATH=src python3 scripts/bench.py --out BENCH.json [--quick]
@@ -22,6 +22,15 @@ A run times, in this process, one layer per line of the file:
   ``validate`` on each object of its row's exhaustive domain (phi's inputs
   and images, lambda's inputs and images, theta's images and inputs, and
   psi's inputs).
+- ``domain.rooted.<n>-<k>``: one build of the rooted-constellation domain
+  (``constellations._rooted_constellations``) at (5, 2), (4, 3) and
+  (3, 4), with every memo of the library cleared before each repeat,
+  outside the timer.  ``domain.arborescences.<n>-<k>``: every
+  arborescence that ``arborescences_toward`` yields, per pair (c, v0) of
+  the domain at (3, 3) and (4, 3).  ``pointing-check.4-3``: that command
+  through ``cli.main``, with its JSON report sent to the null device and
+  every memo cleared before each repeat, so that it builds the domain and
+  the pointing census.
 - ``census.<count>.<size>``: the sums that the counting sweeps make over the
   memoized cycle-type census.  ``count_colored.jackson-grid`` calls
   ``count_colored`` on every (n, p) of the ``jackson-check`` grid of the
@@ -107,6 +116,9 @@ BAND = (5, 4, 100, 160, 4)
 SYMMETRY_SIZES = ((5, 2), (3, 3), (3, 4))
 # one mv-check tuple at n = 4, k = 3
 MV_GAMMAS = ((1, 2, 1), (3, 1), (2, 2))
+# (n, k) of the rooted-domain builds and of the arborescence walks
+ROOTED_SIZES = ((5, 2), (4, 3), (3, 4))
+ARBORESCENCE_SIZES = ((3, 3), (4, 3))
 
 
 def _grid(row: str, n_max: int):
@@ -244,6 +256,36 @@ def guard_layers(n_max: int, repeats: int) -> dict:
     return layers
 
 
+def _json_command(*argv: str):
+    """A layer call running one CLI command, its JSON report sent to the
+    null device, that fails unless the command exits 0."""
+    full = ["--format", "json", "--out", os.devnull, *argv]
+
+    def call(_):
+        if cli.main(full) != 0:
+            raise AssertionError(f"{' '.join(argv)} fails")
+    return call
+
+
+def domain_layers(repeats: int) -> dict:
+    """The rooted domain built from empty memos, the arborescence walk over
+    it, and one pointing-check that builds both."""
+    layers = {}
+    for n, k in ROOTED_SIZES:
+        layers[f"domain.rooted.{n}-{k}"] = time_per_object(
+            lambda x: constellations._rooted_constellations(*x), [(n, k)], repeats, clear_memos)
+    for n, k in ARBORESCENCE_SIZES:
+        pairs = [(c, v0) for c in constellations._rooted_constellations(n, k)
+                 for v0 in range(1, c.num_vertices + 1)]
+        layers[f"domain.arborescences.{n}-{k}"] = time_per_object(
+            lambda x: sum(1 for _ in constellations.arborescences_toward(*x)), pairs, repeats)
+    layers["pointing-check.4-3"] = time_per_object(
+        _json_command("pointing-check", "--n", "4", "--k", "3"), [None], repeats, clear_memos)
+    for layer in layers.values():
+        layer["unit"] = "us/call"
+    return layers
+
+
 def census_layers(repeats: int) -> dict:
     grid = [(n, p) for k, n_max in GRID for n in range(1, n_max + 1)
             for p in itertools.product(range(1, n + 1), repeat=k)]
@@ -256,15 +298,6 @@ def census_layers(repeats: int) -> dict:
                 counting.cycle_type_census(n, k)
         return setup
 
-    def symmetry_check(n, k):
-        argv = ["--format", "json", "--out", os.devnull,
-                "symmetry-check", "--n", str(n), "--k", str(k)]
-
-        def call(_):
-            if cli.main(argv) != 0:
-                raise AssertionError(f"symmetry-check fails at n={n} k={k}")
-        return call
-
     layers = {
         "census.count_colored.jackson-grid": time_per_object(
             lambda x: counting.count_colored(*x), grid, repeats,
@@ -272,7 +305,8 @@ def census_layers(repeats: int) -> dict:
     }
     for n, k in SYMMETRY_SIZES:
         layers[f"census.symmetry-check.{n}-{k}"] = time_per_object(
-            symmetry_check(n, k), [None], repeats, fresh([(n, k)]))
+            _json_command("symmetry-check", "--n", str(n), "--k", str(k)), [None], repeats,
+            fresh([(n, k)]))
     layers["census.count_by_color_compositions.4-3"] = time_per_object(
         counting.count_by_color_compositions, [gammas], repeats, fresh([(4, 3)]))
     for layer in layers.values():
@@ -353,6 +387,7 @@ def run(quick: bool) -> dict:
             layers[f"{row}.forward.{name}"] = time_on_fresh_copies(forward, objects, repeats)
             layers[f"{row}.inverse.{name}"] = time_on_fresh_copies(inverse, images, repeats)
     layers.update(guard_layers(n_max, repeats))
+    layers.update(domain_layers(repeats))
     layers.update(census_layers(repeats))
     layers.update(puzzle_layers(repeats))
     layers.update(sample_layers(QUICK_SAMPLE_TYPES if quick else SAMPLE_TYPES, repeats))

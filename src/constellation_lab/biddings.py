@@ -379,6 +379,11 @@ def enumerate_valid_prebiddings(
     _check_size(n, k, p, n_min=1, k_min=2, p_min=0)
     exits = {t: tuple((t, i) for i in range(1, n + 1)) for t in range(1, k + 1)}
     for mt in m_tuples(n, k, p, cap):
-        for tour in enumerate_eulerian_tours(k, exits, _successor(k, mt.subsets)):
+        # the search revisits arcs as it backtracks, so each head is read off
+        # a table built once per subset tuple
+        heads = {
+            (t, i): alpha(t, s, k) for t in exits for i, s in enumerate(mt.subsets, start=1)
+        }
+        for tour in enumerate_eulerian_tours(k, exits, lambda _, arc: heads[arc]):
             yield Prebidding(k=k, order=tour[1:] + tour[:1], subsets=mt.subsets)
 

@@ -19,7 +19,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .counting import _check_cap, _check_size, _require
 from .halfedges import BLACK, HalfEdgeMap, _json_field, _json_int, typed_map
@@ -466,55 +467,153 @@ def enumerate_rooted_constellations(
 ) -> list[Constellation]:
     """All rooted k-constellations of size n, in canonical form.
 
-    Rooted objects are hyperedge-labelled objects modulo relabelling, so
-    of the transitive tuples rooted at hyperedge 1 the walk keeps the one
-    per class that is already canonical: the tuple whose root-first BFS
-    labelling is the identity.  The domain is walked once per (n, k) for the
-    life of the process; every call checks the size and the n!^k tuples of
-    the walk against the cap (:class:`CapExceededError`) before the memo.
-    Each call filters the domain by ``type_vector`` (vertices per type) into
-    a new list.
+    The domain is generated once per (n, k) for the life of the process
+    (:func:`_rooted_walk`) and grouped once by type vector (vertices per
+    type); every call checks the size and the n!^k tuples that bound the
+    domain against the cap (:class:`CapExceededError`) before the memo, and
+    returns a new list.
     """
     _check_size(n, k, type_vector, n_min=1, k_min=2, p_min=0)
     _check_rooted_cap(n, k, cap)
-    domain = _rooted_constellations(n, k)
     if type_vector is None:
-        return list(domain)
-    target = tuple(type_vector)
-    return [c for c in domain if c.type_vector() == target]
+        return list(_rooted_constellations(n, k))
+    return list(_rooted_by_type(n, k).get(tuple(type_vector), ()))
 
 
 def _check_rooted_cap(n: int, k: int, cap: Optional[int]) -> None:
-    """The cap check of the rooted-constellation walk: its n!^k tuples."""
+    """The cap check of the rooted-constellation domain: the n!^k tuples
+    of permutations it is a quotient of."""
     _check_cap(factorial(n) ** k, cap)
+
+
+def _rooted_walk(n: int, k: int) -> list[Constellation]:
+    """Every rooted k-constellation of size n once, already canonical.
+
+    Canonical augmentation along :func:`_hyperedge_order`: the clockwise
+    successors ``tau_t = sigma_t^-1`` are chosen lazily in the order in which
+    that walk scans them, so each type-t vertex is opened at the first
+    hyperedge h that reaches it and its rotation is chosen from h on.  A
+    successor is h itself (closing the rotation), a reached hyperedge with no
+    type-t predecessor yet, or the next unused label.  So the root-first
+    order of every object built is the identity, and the tuples are exactly
+    the transitive ones whose root-first labelling is the identity, each
+    once.  Rooted maps have no automorphisms, so no isomorphism test is
+    needed.  The order of the list is that of the search.
+    """
+    tau = [[0] * (n + 1) for _ in range(k)]  # tau[t-1][h]: 0 until chosen
+    pred = [[0] * (n + 1) for _ in range(k)]  # its inverse, as far as chosen
+    out: list[Constellation] = []
+
+    def build() -> Constellation:
+        verts = []
+        for t, row in enumerate(tau, start=1):
+            seen = [False] * (n + 1)
+            for h in range(1, n + 1):
+                if not seen[h]:
+                    rot = [h]
+                    seen[h] = True
+                    g = row[h]
+                    while g != h:
+                        rot.append(g)
+                        seen[g] = True
+                        g = row[g]
+                    verts.append((t, rot))
+        return _from_rotations(k, n, verts, 1)[0]
+
+    def open_next(h: int, t: int, reached: int) -> None:
+        # the next vertex the root-first order scans: (hyperedge h, type t + 1)
+        while True:
+            if t == k:
+                h, t = h + 1, 0
+                if h > reached:  # the order has ended: transitive iff all n reached
+                    if reached == n:
+                        out.append(build())
+                    return
+            if not tau[t][h]:
+                return extend(h, t, h, reached)
+            t += 1
+
+    def extend(h: int, t: int, last: int, reached: int) -> None:
+        # choose tau_t(last) for the rotation of (h, t + 1) opened at h
+        row, back = tau[t], pred[t]
+        for g in range(1, reached + 1 + (reached < n)):
+            if back[g]:
+                continue
+            row[last] = g
+            back[g] = last
+            if g == h:
+                open_next(h, t + 1, reached)
+            else:
+                extend(h, t, g, max(reached, g))
+            back[g] = 0
+        row[last] = 0
+
+    open_next(1, 0, 1)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _rooted_constellations(n: int, k: int) -> tuple[Constellation, ...]:
-    first_n = list(range(1, n + 1))
-    out = []
-    for perms in transitive_tuples(n, k):
-        c = from_permutations(perms, root=1)
-        if _hyperedge_order(c.hyperedges, c.rotation, 1) == first_n:
-            out.append(c)
-    return tuple(sorted(out, key=lambda c: (c.hyperedges, c.rotation)))
+    """The rooted domain, sorted by hyperedges and rotations."""
+    return tuple(sorted(_rooted_walk(n, k), key=lambda c: (c.hyperedges, c.rotation)))
+
+
+@lru_cache(maxsize=None)
+def _rooted_by_type(n: int, k: int) -> Mapping[tuple[int, ...], tuple[Constellation, ...]]:
+    """The rooted domain grouped by type vector, each group in sorted order."""
+    groups: dict[tuple[int, ...], list[Constellation]] = {}
+    for c in _rooted_constellations(n, k):
+        groups.setdefault(c.type_vector(), []).append(c)
+    return MappingProxyType({p: tuple(cs) for p, cs in groups.items()})
 
 
 def arborescences_toward(c: Constellation, v0: int) -> Iterator[Arborescence]:
-    """All v0-arborescences of c (brute force over parent-edge choices)."""
-    nv = c.num_vertices
+    """All v0-arborescences of c, in the order of the product of the parent
+    edge choices (vertices increasing, each vertex's edges in rotation order).
+
+    A depth-first search takes the vertices other than v0 in increasing
+    order and keeps a parent edge only when the parent walk from its head
+    does not come back to the vertex.  The walk stops at v0 or at a vertex
+    not yet given a parent, so the edges kept never close a cycle, and when
+    every vertex has one they form an arborescence toward v0.
+    """
+    nv, k, hyperedges = c.num_vertices, c.k, c.hyperedges
     others = [v for v in range(1, nv + 1) if v != v0]
+    # choices[d]: (parent edge, head) of the vertex others[d]
     choices = []
     for v in others:
         t = c.vertex_type[v - 1]
-        choices.append([(h, t) for h in c.rotation[v - 1]])
-    for combo in itertools.product(*choices):
-        parent: list[Optional[Edge]] = [None] * nv
-        for v, e in zip(others, combo):
-            parent[v - 1] = e
-        a = Arborescence(root_vertex=v0, parent_edge=tuple(parent))
-        if validate_arborescence(c, a) is None:
-            yield a
+        choices.append([((h, t), hyperedges[h - 1][t % k]) for h in c.rotation[v - 1]])
+    parent: list[Optional[Edge]] = [None] * nv
+    head = [0] * (nv + 1)  # head[v]: where v's parent edge leads, 0 while v has none
+    # every type has a vertex, so others is not empty
+    last = len(others) - 1
+    tried = [0] * len(others)  # the choices of each depth already tried
+    d = 0
+    while d >= 0:
+        v = others[d]
+        head[v] = 0
+        options = choices[d]
+        j = tried[d]
+        while j < len(options):
+            e, to = options[j]
+            j += 1
+            u = to
+            while head[u]:
+                u = head[u]
+            if u != v:
+                break
+        else:
+            tried[d] = 0
+            d -= 1
+            continue
+        tried[d] = j
+        head[v] = to
+        parent[v - 1] = e
+        if d == last:
+            yield Arborescence(root_vertex=v0, parent_edge=tuple(parent))
+        else:
+            d += 1
 
 
 # ---------------------------------------------------------------------------

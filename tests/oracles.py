@@ -22,6 +22,7 @@ from constellation_lab.constellations import (
     dual,
     from_permutations,
     transitive_tuples,
+    validate_arborescence,
 )
 from constellation_lab.counting import (
     ColoredFactorization,
@@ -150,6 +151,36 @@ def rooted_constellations_naive(n, k, type_vector=None):
         canon, _ = canonical_rooted(from_permutations(perms, root=1))
         out[canon.hyperedges + canon.rotation + (canon.root,)] = canon
     return sorted(out.values(), key=lambda c: (c.hyperedges, c.rotation))
+
+
+def rooted_constellations_by_filter(n, k):
+    """The walk over all n!^k tuples that keeps, of the transitive ones rooted
+    at hyperedge 1, those whose root-first order is already the identity,
+    sorted as the library sorts them; oracle for
+    :func:`constellation_lab.constellations._rooted_walk`."""
+    first_n = list(range(1, n + 1))
+    out = []
+    for perms in transitive_tuples(n, k):
+        c = from_permutations(perms, root=1)
+        if _hyperedge_order(c.hyperedges, c.rotation, 1) == first_n:
+            out.append(c)
+    return sorted(out, key=lambda c: (c.hyperedges, c.rotation))
+
+
+def arborescences_by_product(c, v0):
+    """Every parent-edge choice of the vertices other than v0, in product
+    order, kept when :func:`validate_arborescence` passes it; oracle for
+    :func:`constellation_lab.constellations.arborescences_toward`."""
+    nv = c.num_vertices
+    others = [v for v in range(1, nv + 1) if v != v0]
+    choices = [[(h, c.vertex_type[v - 1]) for h in c.rotation[v - 1]] for v in others]
+    for combo in itertools.product(*choices):
+        parent = [None] * nv
+        for v, e in zip(others, combo):
+            parent[v - 1] = e
+        a = Arborescence(root_vertex=v0, parent_edge=tuple(parent))
+        if validate_arborescence(c, a) is None:
+            yield a
 
 
 def pointing_counts_naive(n, k, p, cap=None):

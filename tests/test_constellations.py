@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 from oracles import (
+    arborescences_by_product,
     bfs_hyperedge_relabelling,
     bfs_hyperedge_relabelling_naive,
     canonical_rooted,
@@ -14,6 +15,7 @@ from oracles import (
     product_of,
     relabel_arborescence,
     relabel_hyperedges,
+    rooted_constellations_by_filter,
     rooted_constellations_naive,
     to_permutations,
     white_face_count,
@@ -26,6 +28,7 @@ from constellation_lab.constellations import (
     Arborescence,
     Constellation,
     _from_rotations,
+    _rooted_by_type,
     _rooted_constellations,
     arborescences_toward,
     constellation_from_dual,
@@ -418,14 +421,21 @@ def test_rooted_constellation_count_matches_quotient():
         assert rooted * math.factorial(n - 1) == labelled
 
 
-MEMO_GRID = [(n, 2) for n in (1, 2, 3)] + [(n, 3) for n in (1, 2, 3)] + [(1, 4), (2, 4)]
+# the criterion grid of the rooted domain: k = 2 to n = 5, k = 3 to n = 4, k = 4 to n = 3
+ROOTED_GRID = [(n, 2) for n in range(1, 6)] + [(n, 3) for n in range(1, 5)] + [
+    (n, 4) for n in range(1, 4)
+]
 
 
-@pytest.mark.parametrize("n, k", MEMO_GRID)
+@pytest.mark.parametrize("n, k", ROOTED_GRID)
 def test_rooted_constellations_match_a_fresh_walk_per_type(n, k):
-    assert enumerate_rooted_constellations(n, k) == rooted_constellations_naive(n, k)
-    for tv in itertools.product(range(1, n + 1), repeat=k):
-        expected = rooted_constellations_naive(n, k, tv)
+    # the generated domain is both walks over all n!^k tuples, object for
+    # object and in order, and so is each of its type groups
+    naive = rooted_constellations_naive(n, k)
+    assert enumerate_rooted_constellations(n, k) == naive == rooted_constellations_by_filter(n, k)
+    assert sorted(_rooted_by_type(n, k)) == sorted({c.type_vector() for c in naive})
+    for tv in itertools.product(range(n + 2), repeat=k):
+        expected = [c for c in naive if c.type_vector() == tv]
         assert enumerate_rooted_constellations(n, k, tv) == expected, tv
         # a list type vector filters like the tuple (it once matched nothing)
         assert enumerate_rooted_constellations(n, k, list(tv)) == expected, tv
@@ -452,9 +462,27 @@ def test_rooted_constellations_check_the_cap_before_the_walk(monkeypatch):
     def no_walk(n, k):
         raise AssertionError("the walk started")
 
-    monkeypatch.setattr("constellation_lab.constellations.transitive_tuples", no_walk)
-    with pytest.raises(CapExceededError, match="enumeration of 36 tuples exceeds cap 35"):
-        enumerate_rooted_constellations(3, 2, cap=35)
+    monkeypatch.setattr("constellation_lab.constellations._rooted_walk", no_walk)
+    _rooted_constellations.cache_clear()
+    _rooted_by_type.cache_clear()
+    try:
+        for p in (None, (2, 2)):
+            with pytest.raises(CapExceededError, match="enumeration of 36 tuples exceeds cap 35"):
+                enumerate_rooted_constellations(3, 2, p, cap=35)
+            # within the cap the patched walk is reached, so the check above
+            # is what stopped it
+            with pytest.raises(AssertionError, match="the walk started"):
+                enumerate_rooted_constellations(3, 2, p, cap=36)
+    finally:
+        _rooted_constellations.cache_clear()
+        _rooted_by_type.cache_clear()
+
+
+@pytest.mark.parametrize("n, k", ROOTED_GRID)
+def test_arborescences_equal_the_product_filter_in_order(n, k):
+    for c in _rooted_constellations(n, k):
+        for v0 in range(1, c.num_vertices + 1):
+            assert list(arborescences_toward(c, v0)) == list(arborescences_by_product(c, v0))
 
 
 def test_rooted_constellations_returns_a_fresh_list():
@@ -473,6 +501,17 @@ def test_dot_output_is_stable():
     assert constellation_to_dot(c) == constellation_to_dot(c)
     assert constellation_to_dot(c).startswith("graph constellation {")
     assert halfedge_to_dot(dual(c, ())).startswith("graph halfedgemap {")
+    # each vertex line names its own label and fill color: labels count down
+    # within a type, and each vertex is colored by its label
+    labels = tuple(
+        c.vertices_of_type(t)[::-1].index(v) + 1 for v, t in enumerate(c.vertex_type, start=1)
+    )
+    decorated = replace(c, labels=labels, colors=labels)
+    assert validate(decorated) is None
+    lines = constellation_to_dot(decorated).splitlines()
+    for v, (t, lab) in enumerate(zip(c.vertex_type, labels), start=1):
+        (line,) = [x for x in lines if x.startswith(f"  v{v} [")]
+        assert f'label="t{t} #{lab}"' in line and line.endswith(f" fillcolor={lab}];"), line
 
 
 def test_vertex_colors_validated_and_serialized():

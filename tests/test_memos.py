@@ -38,6 +38,7 @@ SAMPLES = {
     "counting.strict_subsets": lambda m: m.strict_subsets(3),
     "counting._jackson_terms": lambda m: m._jackson_terms(3, 2),
     "constellations._rooted_constellations": lambda m: m._rooted_constellations(2, 3),
+    "constellations._rooted_by_type": lambda m: m._rooted_by_type(2, 3),
     "nebulas._pointing_census": lambda m: m._pointing_census(2, 3),
     "puzzle._successor_rows": lambda m: m._successor_rows(3),
     "puzzle._is_tree_map": lambda m: m._is_tree_map(3, (2, 3, 1)),

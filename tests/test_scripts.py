@@ -1,11 +1,16 @@
 """The scripts under ``scripts/`` run against the current CLI and library."""
+import importlib
 import itertools
 import json
 import os
+import pkgutil
+import random
 import subprocess
 import sys
 
 import pytest
+
+import constellation_lab
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -76,6 +81,31 @@ def test_cli_digest_prints_one_line_per_argv_and_format(monkeypatch):
     assert lines == expected
 
 
+def test_cli_digest_lines_do_not_depend_on_the_order_of_runs(monkeypatch, tmp_path):
+    # every memo of the library starts empty and is filled in a shuffled
+    # order of the digest runs, in this one process; each line must still be
+    # the committed one, so no answer depends on what ran before it
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
+    monkeypatch.setenv("COLUMNS", "80")
+    import cli_digest
+
+    with open(os.path.join(ROOT, "tests", "data", "cli_digest.txt"), encoding="utf-8") as handle:
+        expected = handle.read().splitlines()
+    runs = list(itertools.product([*cli_digest.SWEEPS, *cli_digest.EXTRA], cli_digest.FORMATS))
+    assert len(runs) == len(expected)
+    order = list(range(len(runs)))
+    random.Random(32).shuffle(order)
+    for info in pkgutil.iter_modules(constellation_lab.__path__):
+        module = importlib.import_module(f"constellation_lab.{info.name}")
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+    cli_digest.write_inputs(str(tmp_path))
+    for i in order:
+        argv, fmt = runs[i]
+        assert cli_digest.digest(argv, fmt, str(tmp_path)) == expected[i]
+
+
 def test_bench_quick_run_and_compare_keep_their_schema(tmp_path):
     out = tmp_path / "bench.json"
     done = run_script("bench.py", "--quick", "--out", str(out))
@@ -92,6 +122,9 @@ def test_bench_quick_run_and_compare_keep_their_schema(tmp_path):
     expected |= {f"census.symmetry-check.{size}" for size in ("5-2", "3-3", "3-4")}
     expected |= {"puzzle.tree_probability.exact-grid", "puzzle.k3-inclusion-exclusion.grid",
                  "puzzle.exchange-lemma.grid", "counting.m_coefficient.grid"}
+    expected |= {f"domain.rooted.{size}" for size in ("5-2", "4-3", "3-4")}
+    expected |= {f"domain.arborescences.{size}" for size in ("3-3", "4-3")}
+    expected |= {"pointing-check.4-3"}
     expected |= {f"guard.{cls}.exhaustive" for cls in (
         "ColoredFactorization", "TreeRootedConstellation", "TreePointedConstellation",
         "Nebula", "LabelledNebula", "Prebidding", "Bidding")}
