@@ -229,10 +229,14 @@ def _swap_domain(n: int, k: int, p: Optional[tuple[int, ...]], cap: int):
     for pv in [p] if p else _p_grid(n, k):
         for obj in tree_rooted.enumerate_tree_rooted(n, k, pv, cap):
             c = obj.constellation
-            degree = {(t, i): len(rot) for t, i, rot in zip(c.vertex_type, c.labels, c.rotation)}
-            for t in range(1, k + 1):
-                for i, j in itertools.permutations(range(1, pv[t - 1] + 1), 2):
-                    if degree[t, i] >= 2:
+            # each vertex's hyperdegree is read once; (t, i) in label order
+            # and then j increasing is the order of permutations(labels, 2)
+            movable = sorted(
+                (t, i) for t, i, rot in zip(c.vertex_type, c.labels, c.rotation) if len(rot) >= 2
+            )
+            for t, i in movable:
+                for j in range(1, pv[t - 1] + 1):
+                    if j != i:
                         yield obj, t, i, j
 
 

@@ -276,15 +276,18 @@ def enumerate_tree_rooted(
     _check_size(n, k, p, n_min=1, k_min=2, p_min=1)
     for c in enumerate_rooted_constellations(n, k, tuple(p), cap):
         by_type = [c.vertices_of_type(t) for t in range(1, k + 1)]
-        for arb in arborescences_toward(c, c.root_vertex):
-            for label_choice in itertools.product(
-                *(itertools.permutations(range(1, len(vs) + 1)) for vs in by_type)
-            ):
-                labels = [0] * c.num_vertices
-                for vs, perm in zip(by_type, label_choice):
-                    for v, lab in zip(vs, perm):
-                        labels[v - 1] = lab
-                labelled = Constellation(
+        # the labellings do not depend on the arborescence, so each labelled
+        # copy of c is built once and shared by every arborescence
+        labelled = []
+        for label_choice in itertools.product(
+            *(itertools.permutations(range(1, len(vs) + 1)) for vs in by_type)
+        ):
+            labels = [0] * c.num_vertices
+            for vs, perm in zip(by_type, label_choice):
+                for v, lab in zip(vs, perm):
+                    labels[v - 1] = lab
+            labelled.append(
+                Constellation(
                     k=k,
                     n=n,
                     hyperedges=c.hyperedges,
@@ -294,4 +297,7 @@ def enumerate_tree_rooted(
                     labels=tuple(labels),
                     colors=c.colors,
                 )
-                yield TreeRootedConstellation(constellation=labelled, arborescence=arb)
+            )
+        for arb in arborescences_toward(c, c.root_vertex):
+            for copy in labelled:
+                yield TreeRootedConstellation(constellation=copy, arborescence=arb)

@@ -5,7 +5,9 @@ from dataclasses import replace
 import pytest
 from oracles import canonical_tree_rooted, color_compositions, transport_inverse
 
+from constellation_lab.cli import _swap_domain
 from constellation_lab.constellations import Arborescence, validate, validate_arborescence
+from constellation_lab.counting import DEFAULT_CAP
 from constellation_lab.counting import enumerate_colored_factorizations
 from constellation_lab.permutations import Composition
 from constellation_lab.symmetry import (
@@ -28,6 +30,20 @@ def eligible_moves(t_obj):
         for i, j in itertools.permutations(labels, 2):
             if c.hyperdegree(c.vertex_by_label(t, i)) >= 2:
                 yield t, i, j
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+def test_swap_domain_is_every_eligible_move_in_order(n, k):
+    # the roundtrip's domain reads each hyperdegree once; it must list the
+    # moves of the label scan, object by object, over every type and per type
+    expected = [
+        (t_obj, *move) for t_obj in tree_rooted_objects(n, k) for move in eligible_moves(t_obj)
+    ]
+    assert list(_swap_domain(n, k, None, DEFAULT_CAP)) == expected
+    for p in itertools.product(range(1, n + 1), repeat=k):
+        expected = [(t_obj, *move) for t_obj in enumerate_tree_rooted(n, k, p)
+                    for move in eligible_moves(t_obj)]
+        assert list(_swap_domain(n, k, p, DEFAULT_CAP)) == expected, p
 
 
 def test_swap_requires_degree_two():
