@@ -53,6 +53,9 @@ A run times, in this process, one layer per line of the file:
 - ``sample_puzzle.<cold|warm>.<n>-<p>``: one ``sample_puzzle`` call on each
   type of the ``puzzle-sample`` workload, first with every memo of the
   library cleared (as a ``puzzle --sample`` process starts), then again.
+  ``sample_puzzle.accept.<trials>``: the sampler's count of accepted trials
+  (``puzzle._count_below``) alone, at 10^6 trials of the type n = 60,
+  p = (26, 26, 26) that ``scripts/puzzle_scan.py`` samples.
 
 Each layer runs ``REPEATS`` times.  Every repeat is bracketed by the
 reference chunks of ``perfbench/speed.py``, imported read-only, and scaled by
@@ -107,6 +110,8 @@ QUICK_RANDOM_OBJECTS = 10
 # (n, k, p, trials) of the puzzle-sample workload
 SAMPLE_TYPES = ((6, 3, (2, 3, 4), 5000), (8, 3, (4, 5, 4), 5000), (6, 4, (4, 4, 4, 4), 30000))
 QUICK_SAMPLE_TYPES = SAMPLE_TYPES[:1]
+# (n, k, p, trials) of the accepted-trial count timed alone
+ACCEPT_COUNT = (60, 3, (26, 26, 26), 10**6)
 # (k, largest n) of the jackson-check grid of the identity-sweep workload and
 # of the exact tree-puzzle grid of the puzzle-exact workload
 GRID = ((2, 6), (3, 4), (4, 3))
@@ -366,6 +371,11 @@ def sample_layers(types, repeats: int) -> dict:
         layers[f"sample_puzzle.cold.{key}"] = time_per_object(cold, [None], repeats)
         call(None)
         layers[f"sample_puzzle.warm.{key}"] = time_per_object(call, [None], repeats)
+    n, k, p, trials = ACCEPT_COUNT
+    num, den = counting.m_coefficient(n, p), (2**k - 1) ** n
+    layers[f"sample_puzzle.accept.{trials}"] = time_per_object(
+        lambda _: puzzle._count_below(random.Random(SEED), trials, num, den), [None], repeats
+    )
     for layer in layers.values():
         layer["unit"] = "us/call"
     return layers

@@ -431,37 +431,37 @@ def _successor(states: dict, state: _SamplerState, mask: int) -> _SamplerState:
     return nxt
 
 
-# fields drawn per getrandbits call in _count_below; bounds its memory
-_BLOCK = 4096
+# bits drawn per getrandbits call in _count_below; bounds its memory.  A
+# multiple of 32: getrandbits(a + b) with a a multiple of 32 is
+# getrandbits(a) | getrandbits(b) << a, so chunking does not change the stream
+_CHUNK = 1 << 18
 
 
 def _count_below(rng: random.Random, trials: int, num: int, den: int) -> int:
-    """How many of ``trials`` uniform draws on [0, den) are below num.
+    """How many of ``trials`` uniform reals on [0, 1) are below num / den.
 
-    Each draw is made as ``randrange(den)`` makes it: b = den.bit_length()
-    uniform bits, drawn again when they read den or more.  At most _BLOCK fields
-    come from one getrandbits call.  Setting each field's guard bit and
-    subtracting the bound replicated into every field leaves the guard set
-    exactly where the field is at least the bound, with no borrow between
-    fields, so one bit count counts those fields; no per-draw Python work.
-    Only the draws still undecided after a block are drawn again, so exactly
-    the first ``trials`` draws below den are counted.  Integers only.
+    The reals are compared with num / den binary digit by digit (Knuth-Yao):
+    each step draws one fresh bit for every trial still undecided.  At a
+    digit 1 of num / den a trial drawing 0 is below; at a digit 0 a trial
+    drawing 1 is above; the others stay undecided.  One bit count splits a
+    step's bits, and a trial is decided at each step with probability 1/2,
+    so about two bits per trial are drawn.  At most _CHUNK bits come from one
+    getrandbits call.  Requires 0 <= num <= den; integers only.
     """
-    b = den.bit_length()
-    width = 8 * (b // 8 + 1)  # b bits and a zero guard bit, padded to whole bytes
-    # a 1 at the bottom of each of _BLOCK fields, one whole-byte field at a
-    # time; shifted right by width * j these constants serve _BLOCK - j fields
-    ones = int.from_bytes((b"\x01" + bytes(width // 8 - 1)) * _BLOCK, "little")
-    mask, guard = ones * ((1 << b) - 1), ones << b
-    num_rep, den_rep = num * ones, den * ones
-    below = 0
+    below, rem = 0, num
     while trials:
-        fields = min(trials, _BLOCK)
-        drop = width * (_BLOCK - fields)
-        g = guard >> drop
-        x = (rng.getrandbits(width * fields) & (mask >> drop)) | g
-        below += fields - ((x - (num_rep >> drop)) & g).bit_count()
-        trials -= fields - ((x - (den_rep >> drop)) & g).bit_count()
+        rem *= 2
+        ones, left = 0, trials
+        while left:
+            bits = min(left, _CHUNK)
+            ones += rng.getrandbits(bits).bit_count()
+            left -= bits
+        if rem >= den:
+            rem -= den
+            below += trials - ones
+            trials = ones
+        else:
+            trials -= ones
     return below
 
 
@@ -477,13 +477,14 @@ def sample_puzzle(
     The result has the law of rejection sampling: ``trials`` tuples of
     strict subsets drawn i.i.d. uniform, those of type p accepted.  Without
     drawing the rejected tuples, ``accepted`` counts the trials whose
-    uniform integer draw on [0, (2^k - 1)^n) falls below M^n_p, by the
-    packed-field block count of :func:`_count_below`.  For each accepted
-    tuple R only the entries the two events read are drawn: the k-1 indices
-    come first, the distinct positions of (1, i_1, ..., i_{k-1}) are
-    renumbered 1..b in order of first appearance, and the first b <= min(n, k)
-    entries of a uniform tuple of type p are drawn entry by entry with the
-    weights of :func:`_next_subset_weights` (Nijenhuis-Wilf).  The indices are
+    uniform real on [0, 1) falls below M^n_p / (2^k - 1)^n, compared digit
+    by digit in :func:`_count_below`, about two random bits per trial.  For
+    each accepted tuple R only the entries the two events read are drawn:
+    the k-1 indices come first, the distinct positions of (1, i_1, ...,
+    i_{k-1}) are renumbered 1..b in order of first appearance, and the first
+    b <= min(n, k) entries of a uniform tuple of type p are drawn entry by
+    entry with the weights of :func:`_next_subset_weights` (Nijenhuis-Wilf).
+    The indices are
     independent of R and the uniform law on tuples of type p does not change
     when positions are permuted, so (R_1, R_{i_1}, ...) has the law of the
     renumbered prefix, and the law of the result is that of drawing all n

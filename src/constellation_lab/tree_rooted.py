@@ -175,26 +175,37 @@ def best_compose(v0, exits: Mapping, head: Callable) -> tuple[Hashable, ...]:
 
 
 def enumerate_eulerian_tours(v0, exits: Mapping, head: Callable) -> Iterator[tuple[Hashable, ...]]:
-    """All Eulerian tours from v0, by backtracking over the exits in order."""
+    """All Eulerian tours from v0, by backtracking over the exits in order.
+
+    The search keeps one (vertex, exit iterator) frame per arc of the tour
+    so far, on an explicit stack, so a call leaves no reference cycle."""
     total = sum(map(len, exits.values()))
+    if not total:
+        yield ()
+        return
     used: set[Hashable] = set()
     seq: list[Hashable] = []
-
-    def rec(v) -> Iterator[tuple[Hashable, ...]]:
-        if len(seq) == total:
-            if v == v0:
-                yield tuple(seq)
-            return
-        for arc in exits[v]:
-            if arc in used:
-                continue
-            used.add(arc)
-            seq.append(arc)
-            yield from rec(head(v, arc))
-            seq.pop()
-            used.remove(arc)
-
-    yield from rec(v0)
+    stack = [(v0, iter(exits[v0]))]
+    while stack:
+        v, arcs = stack[-1]
+        for arc in arcs:
+            if arc not in used:
+                break
+        else:
+            # every exit of v tried: take back the arc that led to v
+            stack.pop()
+            if seq:
+                used.remove(seq.pop())
+            continue
+        w = head(v, arc)
+        used.add(arc)
+        seq.append(arc)
+        if len(seq) < total:
+            stack.append((w, iter(exits[w])))
+            continue
+        if w == v0:
+            yield tuple(seq)
+        used.remove(seq.pop())
 
 
 # ---------------------------------------------------------------------------

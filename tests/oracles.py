@@ -372,6 +372,31 @@ def eulerian_tour_problem(k, n, colorings, arcs):
     return None
 
 
+def eulerian_tours_by_recursion(v0, exits, head):
+    """All Eulerian tours from v0, by a recursive backtracking over the exits
+    in order; the reference for
+    :func:`constellation_lab.tree_rooted.enumerate_eulerian_tours`."""
+    total = sum(map(len, exits.values()))
+    used = set()
+    seq = []
+
+    def rec(v):
+        if len(seq) == total:
+            if v == v0:
+                yield tuple(seq)
+            return
+        for arc in exits[v]:
+            if arc in used:
+                continue
+            used.add(arc)
+            seq.append(arc)
+            yield from rec(head(v, arc))
+            seq.pop()
+            used.remove(arc)
+
+    yield from rec(v0)
+
+
 def xi_inverse_by_product_orbit(arcs, colorings):
     """The colored factorization of a valid Eulerian tour, relabelled along
     the orbit of the root under the composed product; oracle for

@@ -26,7 +26,7 @@ from constellation_lab.counting import (
 from constellation_lab.puzzle import (
     SamplingError,
     UndefinedProbabilityError,
-    _BLOCK,
+    _CHUNK,
     _SAMPLED_TYPES,
     _count_below,
     _next_subset_weights,
@@ -417,11 +417,11 @@ def test_batched_weights_equal_m_coefficients(k, left_max):
 
 
 PINNED_SAMPLES = [
-    (6, 3, (2, 3, 4), 5000, 11, (76, 35, 46)),
-    (6, 4, (4, 4, 4, 4), 30000, 13, (27, 19, 21)),
-    (60, 3, (26, 26, 26), 400_000, 3, (440, 196, 186)),
+    (6, 3, (2, 3, 4), 5000, 11, (89, 47, 48)),
+    (6, 4, (4, 4, 4, 4), 30000, 13, (16, 12, 11)),
+    (60, 3, (26, 26, 26), 400_000, 3, (458, 200, 201)),
     (3, 1, (0,), 50, 2, (50, 50, 50)),
-    (5, 5, (4, 4, 3, 3, 2), 20000, 4, (7, 0, 2)),
+    (5, 5, (4, 4, 3, 3, 2), 20000, 4, (12, 4, 3)),
 ]
 
 
@@ -602,9 +602,9 @@ class RecordingRng:
     """getrandbits from a seeded generator, logging each (bits, value).
 
     A draw past the 200th fails: a count that never decides its trials (a
-    redraw test that is always true) fails instead of looping forever.
-    A redraw has probability below 1/2, so a correct count of up to a few
-    blocks needs a few dozen draws."""
+    digit test that is always true) fails instead of looping forever.
+    Each step decides a trial with probability 1/2, so a correct count of
+    N trials takes about log2(N) + 2 steps of one draw per _CHUNK bits."""
 
     def __init__(self, seed):
         self.rng = random.Random(seed)
@@ -617,32 +617,98 @@ class RecordingRng:
         return value
 
 
-def count_below_by_loop(drawn, trials, num, den):
-    # one field at a time over the same bits: whole-byte fields with a
-    # guard bit above the b = den.bit_length() bits that are read
-    b = den.bit_length()
-    width = 8 * (b // 8 + 1)
-    below = decided = 0
+def count_below_by_trials(drawn, trials, num, den):
+    """The count replayed one trial at a time over the recorded bits: at step
+    j every trial still undecided, in turn, reads the next bit of the stream
+    and is decided when the bit differs from the j-th binary digit of
+    num / den, below when that digit is 1.  Every bit is read once."""
+    stream = width = 0
     for bits, value in drawn:
-        for i in range(bits // width):
-            if decided == trials:
-                return below
-            field = (value >> (width * i)) & ((1 << b) - 1)
-            if field >= den:
-                continue
-            decided += 1
-            below += field < num
-    assert decided == trials
+        stream |= value << width
+        width += bits
+    undecided, below, read, j = list(range(trials)), 0, 0, 0
+    while undecided:
+        j += 1
+        # num / den = 1 has the expansion 0.111...
+        digit = 1 if num == den else (num << j) // den & 1
+        still = []
+        for trial in undecided:
+            bit = stream >> read & 1
+            read += 1
+            if bit == digit:
+                still.append(trial)
+            else:
+                below += digit
+        undecided = still
+    assert read == width
     return below
 
 
-@pytest.mark.parametrize("den", [1, 3, 7**6, 15**6, 15**17, 15**30], ids=lambda den: f"{den.bit_length()}-bit")
-def test_count_below_matches_a_loop_over_the_same_bits(den):
-    for num in sorted({0, 1, den - 1, den}):
-        for trials in [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]:
+@pytest.mark.parametrize("den", [1, 3, 8, 7**6, 15**6, 15**17, 15**30], ids=lambda den: f"{den.bit_length()}-bit")
+def test_count_below_matches_a_loop_over_the_same_bits(monkeypatch, den):
+    # 32-bit chunks, so that a step of more than 32 trials spans draws
+    monkeypatch.setattr("constellation_lab.puzzle._CHUNK", 32)
+    for num in sorted({0, 1, den // 2 + 1, den - 1, den}):
+        for trials in [1, 31, 32, 33, 3 * 32 + 5, 1000]:
             rng = RecordingRng(trials)
             got = _count_below(rng, trials, num, den)
-            assert got == count_below_by_loop(rng.drawn, trials, num, den), (num, den, trials)
+            assert got == count_below_by_trials(rng.drawn, trials, num, den), (num, den, trials)
+
+
+def test_count_below_draws_at_most_a_chunk_per_call():
+    rng = RecordingRng(7)
+    _count_below(rng, 2 * _CHUNK + 5, 3**73, 15**30)
+    assert _CHUNK % 32 == 0
+    assert [bits for bits, _ in rng.drawn[:3]] == [_CHUNK, _CHUNK, 5]
+    assert max(bits for bits, _ in rng.drawn) <= _CHUNK
+
+
+@pytest.mark.parametrize("trials", [1, 33, 5000, _CHUNK + 40])
+def test_count_below_chunking_does_not_change_the_stream(monkeypatch, trials):
+    whole, chunked = random.Random(trials), random.Random(trials)
+    expected = _count_below(whole, trials, 5, 7)
+    monkeypatch.setattr("constellation_lab.puzzle._CHUNK", 32)
+    assert _count_below(chunked, trials, 5, 7) == expected
+    assert chunked.getstate() == whole.getstate()
+
+
+class OutOfBits(Exception):
+    pass
+
+
+class ScriptedBits:
+    """getrandbits(1) from a script of bits; OutOfBits past its end."""
+
+    def __init__(self, bits):
+        self.bits = iter(bits)
+
+    def getrandbits(self, bits):
+        assert bits == 1
+        bit = next(self.bits, None)
+        if bit is None:
+            raise OutOfBits
+        return bit
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [(0, 5), (1, 3), (3, 7), (5, 8), (5, 5), (3**73, 15**30)],
+    ids=["0/5", "1/3", "3/7", "5/8", "5/5", "3^73/15^30"],
+)
+def test_count_below_has_the_exact_law_of_a_comparison(num, den):
+    # one trial run on each of the 2^depth bit sequences: the first depth
+    # digits decide it unless its bits equal them, and it is below exactly
+    # when they read less than num / den
+    depth = 12
+    below = undecided = 0
+    for m in range(2**depth):
+        rng = ScriptedBits(m >> (depth - 1 - i) & 1 for i in range(depth))
+        try:
+            below += _count_below(rng, 1, num, den)
+        except OutOfBits:
+            undecided += 1
+    assert undecided == 1
+    assert below == (2**depth - 1 if num == den else (num << depth) // den)
 
 
 def within_five_sigma(hits, trials, prob):
@@ -653,7 +719,7 @@ def within_five_sigma(hits, trials, prob):
 
 @pytest.mark.parametrize(
     "trials, num, den",
-    [(10_000, 1, 3), (3 * _BLOCK + 5, 15**6 // 2, 15**6), (_BLOCK + 1, 3**73, 15**30)],
+    [(10_000, 1, 3), (12_293, 15**6 // 2, 15**6), (4097, 3**73, 15**30)],
     ids=["1/3", "half-of-15^6", "3^73/15^30"],
 )
 def test_count_below_within_five_sigma(trials, num, den):

@@ -118,6 +118,7 @@ def test_bench_quick_run_and_compare_keep_their_schema(tmp_path):
     expected = {f"{row}.{way}.{domain}" for row in rows for way in ("forward", "inverse")
                 for domain in ("exhaustive", "random")}
     expected |= {f"sample_puzzle.{when}.6-2,3,4" for when in ("cold", "warm")}
+    expected |= {"sample_puzzle.accept.1000000"}
     expected |= {"census.count_colored.jackson-grid", "census.count_by_color_compositions.4-3"}
     expected |= {f"census.symmetry-check.{size}" for size in ("5-2", "3-3", "3-4")}
     expected |= {"puzzle.tree_probability.exact-grid", "puzzle.k3-inclusion-exclusion.grid",

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from math import factorial
@@ -8,6 +9,7 @@ from oracles import (
     color_compositions,
     digraph_arborescences,
     eulerian_tour_problem,
+    eulerian_tours_by_recursion,
     phi_by_canonical_form,
     random_colored_factorization,
     tour_head,
@@ -15,10 +17,12 @@ from oracles import (
 )
 
 from constellation_lab import tree_rooted
+from constellation_lab.biddings import alpha
 from constellation_lab.constellations import transitive_tuples
 from constellation_lab.counting import (
     count_colored,
     enumerate_colored_factorizations,
+    m_tuples,
 )
 from constellation_lab.permutations import cycles
 from constellation_lab.tree_rooted import (
@@ -133,6 +137,48 @@ def test_best_tour_count_equals_arborescence_order_pairs():
                 ways *= factorial(out)
             pairs += ways
         assert tours == pairs
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (2, 3), (4, 2)])
+def test_eulerian_tours_equal_the_recursive_search_on_prebidding_domains(n, k):
+    # the successor digraphs that enumerate_valid_prebiddings searches
+    exits = {t: tuple((t, i) for i in range(1, n + 1)) for t in range(1, k + 1)}
+    tours = 0
+    for mt in m_tuples(n, k):
+        heads = {(t, i): alpha(t, s, k) for t in exits for i, s in enumerate(mt.subsets, start=1)}
+
+        def head(_, arc):
+            return heads[arc]
+
+        got = list(enumerate_eulerian_tours(k, exits, head))
+        assert got == list(eulerian_tours_by_recursion(k, exits, head)), mt.subsets
+        tours += len(got)
+    assert tours > 0
+
+
+def test_eulerian_tours_equal_the_recursive_search_on_small_digraphs():
+    exits, head = _plain_digraph(THREE_VERTICES)
+    for v0 in ("u", "v", "w"):
+        assert list(enumerate_eulerian_tours(v0, exits, head)) == list(
+            eulerian_tours_by_recursion(v0, exits, head)
+        )
+    # no arc: the empty tour, as the recursive search gives it
+    assert list(enumerate_eulerian_tours("u", {}, head)) == [()]
+    assert list(eulerian_tours_by_recursion("u", {}, head)) == [()]
+
+
+def test_eulerian_tours_leave_no_reference_cycle():
+    exits, head = _plain_digraph(THREE_VERTICES)
+    gc.disable()
+    try:
+        gc.collect()
+        assert sum(1 for _ in enumerate_eulerian_tours("v", exits, head)) > 0
+        assert gc.collect() == 0
+        # the recursive search's self-referencing closure is a cycle
+        assert sum(1 for _ in eulerian_tours_by_recursion("v", exits, head)) > 0
+        assert gc.collect() > 0
+    finally:
+        gc.enable()
 
 
 def test_best_decompose_compose_roundtrip():
