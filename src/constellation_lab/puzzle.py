@@ -431,31 +431,27 @@ def _successor(states: dict, state: _SamplerState, mask: int) -> _SamplerState:
     return nxt
 
 
-# bits drawn per getrandbits call in _count_below; bounds its memory.  A
-# multiple of 32: getrandbits(a + b) with a a multiple of 32 is
-# getrandbits(a) | getrandbits(b) << a, so chunking does not change the stream
+# bits per getrandbits call in _count_below, bounding its memory; a multiple
+# of 32, so that splitting a step's bits into calls leaves the stream as it is
 _CHUNK = 1 << 18
 
 
 def _count_below(rng: random.Random, trials: int, num: int, den: int) -> int:
-    """How many of ``trials`` uniform reals on [0, 1) are below num / den.
+    """How many of ``trials`` uniform reals on [0, 1) are below num / den,
+    for 0 <= num <= den.
 
-    The reals are compared with num / den binary digit by digit (Knuth-Yao):
-    each step draws one fresh bit for every trial still undecided.  At a
-    digit 1 of num / den a trial drawing 0 is below; at a digit 0 a trial
-    drawing 1 is above; the others stay undecided.  One bit count splits a
-    step's bits, and a trial is decided at each step with probability 1/2,
-    so about two bits per trial are drawn.  At most _CHUNK bits come from one
-    getrandbits call.  Requires 0 <= num <= den; integers only.
+    The reals are compared with num / den one binary digit at a time
+    (Knuth-Yao): each step draws one bit per undecided trial, at most _CHUNK
+    bits per getrandbits call, and one bit count splits them.  At a digit 1
+    the trials drawing 0 are below; at a digit 0 those drawing 1 are above.
+    Half the trials are decided per step, so about two bits per trial.
     """
     below, rem = 0, num
     while trials:
         rem *= 2
-        ones, left = 0, trials
-        while left:
-            bits = min(left, _CHUNK)
-            ones += rng.getrandbits(bits).bit_count()
-            left -= bits
+        ones = sum(
+            rng.getrandbits(min(_CHUNK, trials - i)).bit_count() for i in range(0, trials, _CHUNK)
+        )
         if rem >= den:
             rem -= den
             below += trials - ones
@@ -478,13 +474,12 @@ def sample_puzzle(
     strict subsets drawn i.i.d. uniform, those of type p accepted.  Without
     drawing the rejected tuples, ``accepted`` counts the trials whose
     uniform real on [0, 1) falls below M^n_p / (2^k - 1)^n, compared digit
-    by digit in :func:`_count_below`, about two random bits per trial.  For
-    each accepted tuple R only the entries the two events read are drawn:
-    the k-1 indices come first, the distinct positions of (1, i_1, ...,
-    i_{k-1}) are renumbered 1..b in order of first appearance, and the first
-    b <= min(n, k) entries of a uniform tuple of type p are drawn entry by
-    entry with the weights of :func:`_next_subset_weights` (Nijenhuis-Wilf).
-    The indices are
+    by digit (Knuth-Yao) in :func:`_count_below`.  For each accepted
+    tuple R only the entries the two events read are drawn: the k-1 indices
+    come first, the distinct positions of (1, i_1, ..., i_{k-1}) are
+    renumbered 1..b in order of first appearance, and the first b <= min(n, k)
+    entries of a uniform tuple of type p are drawn entry by entry with the
+    weights of :func:`_next_subset_weights` (Nijenhuis-Wilf).  The indices are
     independent of R and the uniform law on tuples of type p does not change
     when positions are permuted, so (R_1, R_{i_1}, ...) has the law of the
     renumbered prefix, and the law of the result is that of drawing all n

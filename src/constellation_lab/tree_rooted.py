@@ -175,10 +175,8 @@ def best_compose(v0, exits: Mapping, head: Callable) -> tuple[Hashable, ...]:
 
 
 def enumerate_eulerian_tours(v0, exits: Mapping, head: Callable) -> Iterator[tuple[Hashable, ...]]:
-    """All Eulerian tours from v0, by backtracking over the exits in order.
-
-    The search keeps one (vertex, exit iterator) frame per arc of the tour
-    so far, on an explicit stack, so a call leaves no reference cycle."""
+    """All Eulerian tours from v0, by backtracking over the exits in order on
+    an explicit stack of exit iterators, so a call leaves no reference cycle."""
     total = sum(map(len, exits.values()))
     if not total:
         yield ()
