@@ -57,8 +57,10 @@ A run times, in this process, one layer per line of the file:
   (``puzzle._count_below``) alone, at 10^6 trials of the type n = 60,
   p = (26, 26, 26) that ``scripts/puzzle_scan.py`` samples.
 
-Each layer runs ``REPEATS`` times.  Every repeat is bracketed by the
-reference chunks of ``perfbench/speed.py``, imported read-only, and scaled by
+The grids, the sampled types and the symmetry-check sizes are read from
+``perfbench/workloads.py``, imported read-only.  Each layer runs
+``REPEATS`` times.  Every repeat is bracketed by the reference chunks of
+``perfbench/speed.py``, also imported read-only, and scaled by
 ``speed.factor`` of those chunks, so a drift of machine speed cancels.  A
 layer reports the median and quartiles over its repeats of the normalised
 microseconds per object (per call for the census, the puzzle and the sampler).
@@ -88,6 +90,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import oracle  # noqa: E402
 import speed  # noqa: E402
+import workloads  # noqa: E402
 
 from constellation_lab import (  # noqa: E402
     biddings,
@@ -107,18 +110,18 @@ REPEATS = 7
 QUICK_REPEATS = 2
 RANDOM_OBJECTS = 100
 QUICK_RANDOM_OBJECTS = 10
-# (n, k, p, trials) of the puzzle-sample workload
-SAMPLE_TYPES = ((6, 3, (2, 3, 4), 5000), (8, 3, (4, 5, 4), 5000), (6, 4, (4, 4, 4, 4), 30000))
+# (n, k, p, trials) of the puzzle-sample workload, less its case count
+SAMPLE_TYPES = tuple(row[:4] for row in workloads.SAMPLE_TYPES)
 QUICK_SAMPLE_TYPES = SAMPLE_TYPES[:1]
 # (n, k, p, trials) of the accepted-trial count timed alone
 ACCEPT_COUNT = (60, 3, (26, 26, 26), 10**6)
 # (k, largest n) of the jackson-check grid of the identity-sweep workload and
 # of the exact tree-puzzle grid of the puzzle-exact workload
-GRID = ((2, 6), (3, 4), (4, 3))
+GRID = workloads.GRID
 # puzzle-exact also draws 4 types at n = 5, k = 4 with 100 <= M^5_p <= 160
 BAND = (5, 4, 100, 160, 4)
 # the largest symmetry-check sizes of the identity-sweep workload, as (n, k)
-SYMMETRY_SIZES = ((5, 2), (3, 3), (3, 4))
+SYMMETRY_SIZES = tuple((n, k) for k, n in workloads.SYMMETRY_MAX_N.items())
 # one mv-check tuple at n = 4, k = 3
 MV_GAMMAS = ((1, 2, 1), (3, 1), (2, 2))
 # (n, k) of the rooted-domain builds and of the arborescence walks

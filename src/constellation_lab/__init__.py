@@ -46,7 +46,7 @@ from .tree_rooted import (
     phi_inverse,
     xi,
 )
-from .symmetry import swap_degree, transport
+from .symmetry import swap_degree
 from .nebulas import (
     Nebula,
     TreePointedConstellation,

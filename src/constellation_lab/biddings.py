@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 
 from .counting import _check_size, _require, m_tuples
 from .halfedges import BLACK, WHITE, HalfEdgeMap, _json_field, _json_int, typed_map
-from .nebulas import Nebula, _check_nebula
+from .nebulas import Nebula, validate_nebula
 from .permutations import Permutation
 from .tree_rooted import best_compose, enumerate_eulerian_tours
 
@@ -218,7 +218,7 @@ class LabelledNebula:
 
     def validate(self) -> Optional[str]:
         m = self.nebula.hmap
-        problem = _check_nebula(m)
+        problem = validate_nebula(m)
         if problem is not None:
             return problem
         lab = dict(self.black_labels)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
+from operator import getitem
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -247,6 +248,17 @@ def _cycle_count_census(n: int, k: int) -> Mapping[tuple[int, ...], int]:
     return MappingProxyType(view)
 
 
+def _cycle_count_sum(n: int, rows: Sequence[Sequence[int]]) -> int:
+    """Sum over the factorizations into k = len(rows) factors of the product
+    of ``rows[t][m]``, the weight of factor t + 1 having m cycles, read from
+    :func:`_cycle_count_census`.  Its callers ask :func:`cycle_type_census`
+    first, for the size and the cap."""
+    return sum(
+        cnt * prod(map(getitem, rows, ms))
+        for ms, cnt in _cycle_count_census(n, len(rows)).items()
+    )
+
+
 @lru_cache(maxsize=None)
 def _surjection_row(n: int, p: int) -> tuple[int, ...]:
     """surjection_count(m, p) for m = 0..n."""
@@ -261,11 +273,7 @@ def count_colored(n: int, p: Sequence[int], cap: Optional[int] = None) -> int:
         return 0
     cycle_type_census(n, len(p), cap)
     # rows[t][m]: surjections from the m cycles of factor t + 1 onto its colors
-    rows = [_surjection_row(n, pt) for pt in p]
-    return sum(
-        cnt * prod(map(tuple.__getitem__, rows, ms))
-        for ms, cnt in _cycle_count_census(n, len(p)).items()
-    )
+    return _cycle_count_sum(n, [_surjection_row(n, pt) for pt in p])
 
 
 @lru_cache(maxsize=None)
@@ -479,7 +487,7 @@ def verify_gf_identity(
     if len(xs) != k or any(x < 0 for x in xs):
         raise ValueError("need k nonnegative integers")
     cycle_type_census(n, k, cap)
-    lhs = sum(cnt * prod(map(pow, xs, ms)) for ms, cnt in _cycle_count_census(n, k).items())
+    lhs = _cycle_count_sum(n, [[x**m for m in range(n + 1)] for x in xs])
     rhs = sum(term * prod(map(comb, xs, p)) for p, term in _jackson_terms(n, k))
     return CheckReport(
         name="gf-identity",

@@ -61,12 +61,7 @@ class Nebula:
 
 
 def validate_nebula(m: HalfEdgeMap) -> Optional[str]:
-    """First violated nebula condition, or None."""
-    return _check_nebula(m)
-
-
-def _check_nebula(m: HalfEdgeMap) -> Optional[str]:
-    """The verdict of :func:`validate_nebula`.  Its bud pass and its face
+    """First violated nebula condition, or None.  Its bud pass and its face
     test read the views that the map holds, ``m.buds_by_type`` and
     ``m.face_tour``, so :func:`closure`, the corner reading of
     :func:`~constellation_lab.biddings.vartheta` and

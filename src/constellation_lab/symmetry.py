@@ -10,11 +10,8 @@ with the same lengths.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 from .constellations import Constellation, _norm_cycle, validate_arborescence
 from .counting import _require
-from .permutations import Composition
 from .tree_rooted import TreeRootedConstellation
 
 
@@ -116,37 +113,3 @@ def swap_degree(
         colors=c.colors,
     )
     return TreeRootedConstellation(constellation=new_c, arborescence=t_rooted.arborescence)
-
-
-def transport_schedule(
-    current: Sequence[Composition], target: Sequence[Composition]
-) -> list[tuple[int, int, int]]:
-    """Greedy swap schedule sending one composition profile to another.
-
-    Processes types in order; within a type, repeatedly moves one unit
-    from the leftmost label above target to the leftmost label below.
-    """
-    if len(current) != len(target):
-        raise ValueError("profiles have different numbers of types")
-    schedule: list[tuple[int, int, int]] = []
-    for t, (cur, tgt) in enumerate(zip(current, target), start=1):
-        if cur.length != tgt.length or cur.size != tgt.size:
-            raise ValueError(f"length profile mismatch at type {t}")
-        parts = list(cur.parts)
-        goal = list(tgt.parts)
-        while parts != goal:
-            i = next(x for x in range(len(parts)) if parts[x] > goal[x])
-            j = next(x for x in range(len(parts)) if parts[x] < goal[x])
-            schedule.append((t, i + 1, j + 1))
-            parts[i] -= 1
-            parts[j] += 1
-    return schedule
-
-
-def transport(
-    t_rooted: TreeRootedConstellation, target: Sequence[Composition]
-) -> TreeRootedConstellation:
-    """Transport to the target vertex-compositions via the greedy schedule."""
-    for t, i, j in transport_schedule(t_rooted.vertex_compositions(), target):
-        t_rooted = swap_degree(t_rooted, t, i, j)
-    return t_rooted

@@ -29,7 +29,7 @@ from .constellations import (
     enumerate_rooted_constellations,
 )
 from .counting import ColoredFactorization, _check_size, _require
-from .permutations import Composition, Permutation
+from .permutations import Permutation
 
 Arc = tuple[int, int]  # (type, hyperedge label)
 DigraphVertex = tuple[int, int]  # (type, color)
@@ -41,18 +41,6 @@ class TreeRootedConstellation:
 
     constellation: Constellation
     arborescence: Arborescence
-
-    def vertex_compositions(self) -> tuple[Composition, ...]:
-        """Per type, the composition of hyperdegrees read off by label."""
-        c = self.constellation
-        out = []
-        for t in range(1, c.k + 1):
-            vs = c.vertices_of_type(t)
-            parts = [0] * len(vs)
-            for v in vs:
-                parts[c.labels[v - 1] - 1] = c.hyperdegree(v)
-            out.append(Composition(tuple(parts)))
-        return tuple(out)
 
     def validate(self) -> Optional[str]:
         c = self.constellation

@@ -47,7 +47,7 @@ from constellation_lab.permutations import (
     orbits,
 )
 from constellation_lab.puzzle import UndefinedProbabilityError, event_probability
-from constellation_lab.symmetry import swap_degree, transport_schedule
+from constellation_lab.symmetry import swap_degree
 from constellation_lab.tree_rooted import (
     TreeRootedConstellation,
     best_decompose,
@@ -708,10 +708,55 @@ def canonical_tree_rooted(t_obj):
     return TreeRootedConstellation(*canonical_rooted(t_obj.constellation, t_obj.arborescence))
 
 
+def vertex_compositions(t_rooted):
+    """Per type, the composition of hyperdegrees read off by label."""
+    c = t_rooted.constellation
+    out = []
+    for t in range(1, c.k + 1):
+        vs = c.vertices_of_type(t)
+        parts = [0] * len(vs)
+        for v in vs:
+            parts[c.labels[v - 1] - 1] = c.hyperdegree(v)
+        out.append(Composition(tuple(parts)))
+    return tuple(out)
+
+
+def transport_schedule(current, target):
+    """Greedy swap schedule sending one composition profile to another.
+
+    Processes types in order; within a type, repeatedly moves one unit
+    from the leftmost label above target to the leftmost label below.
+    """
+    if len(current) != len(target):
+        raise ValueError("profiles have different numbers of types")
+    schedule = []
+    for t, (cur, tgt) in enumerate(zip(current, target), start=1):
+        if cur.length != tgt.length or cur.size != tgt.size:
+            raise ValueError(f"length profile mismatch at type {t}")
+        parts = list(cur.parts)
+        goal = list(tgt.parts)
+        while parts != goal:
+            i = next(x for x in range(len(parts)) if parts[x] > goal[x])
+            j = next(x for x in range(len(parts)) if parts[x] < goal[x])
+            schedule.append((t, i + 1, j + 1))
+            parts[i] -= 1
+            parts[j] += 1
+    return schedule
+
+
+def transport(t_rooted, target):
+    """Transport to the target vertex-compositions by composing
+    :func:`constellation_lab.symmetry.swap_degree` along the greedy schedule.
+    The images carry non-canonical hyperedge labels; compare them through
+    :func:`canonical_tree_rooted`."""
+    for t, i, j in transport_schedule(vertex_compositions(t_rooted), target):
+        t_rooted = swap_degree(t_rooted, t, i, j)
+    return t_rooted
+
+
 def transport_inverse(t_rooted, original):
-    """Undo a :func:`constellation_lab.symmetry.transport` whose source
-    compositions were ``original``."""
-    schedule = transport_schedule(original, t_rooted.vertex_compositions())
+    """Undo a :func:`transport` whose source compositions were ``original``."""
+    schedule = transport_schedule(original, vertex_compositions(t_rooted))
     for t, i, j in reversed(schedule):
         t_rooted = swap_degree(t_rooted, t, j, i)
     return t_rooted

@@ -20,6 +20,8 @@ from oracles import (
     nebula_key,
     nebula_type_vector,
     to_permutations,
+    transport,
+    vertex_compositions,
     white_face_count,
 )
 
@@ -63,7 +65,7 @@ from constellation_lab.puzzle import (
     verify_k3_inclusion_exclusion,
     verify_puzzle,
 )
-from constellation_lab.symmetry import swap_degree, transport
+from constellation_lab.symmetry import swap_degree
 from constellation_lab.tree_rooted import (
     enumerate_tree_rooted,
     phi,
@@ -186,7 +188,7 @@ def test_criterion_4_bijection_roundtrips():
             sets = defaultdict(set)
             for p in itertools.product(range(1, n + 1), repeat=k):
                 for t_obj in enumerate_tree_rooted(n, k, p):
-                    key = tuple(g.parts for g in t_obj.vertex_compositions())
+                    key = tuple(g.parts for g in vertex_compositions(t_obj))
                     sets[key].add(canonical_tree_rooted(t_obj))
                     for t in range(1, k + 1):
                         for i, j in itertools.permutations(range(1, p[t - 1] + 1), 2):

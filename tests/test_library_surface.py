@@ -23,12 +23,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "constellation_lab"
 
 # Definitions with no caller yet, each with the reason it stays.
-EXCEPTIONS = {
-    "symmetry.transport": (
-        "the Morales-Vassilieva bijection, which ROADMAP item 15 gives a "
-        "symmetry-check caller; until then test_symmetry and criterion 4 run it"
-    ),
-}
+EXCEPTIONS = {}
 
 
 def _library_files():

@@ -3,18 +3,21 @@ from collections import defaultdict
 from dataclasses import replace
 
 import pytest
-from oracles import canonical_tree_rooted, color_compositions, transport_inverse
+from oracles import (
+    canonical_tree_rooted,
+    color_compositions,
+    transport,
+    transport_inverse,
+    transport_schedule,
+    vertex_compositions,
+)
 
 from constellation_lab.cli import _swap_domain
 from constellation_lab.constellations import Arborescence, validate, validate_arborescence
 from constellation_lab.counting import DEFAULT_CAP
 from constellation_lab.counting import enumerate_colored_factorizations
 from constellation_lab.permutations import Composition
-from constellation_lab.symmetry import (
-    swap_degree,
-    transport,
-    transport_schedule,
-)
+from constellation_lab.symmetry import swap_degree
 from constellation_lab.tree_rooted import enumerate_tree_rooted, phi
 
 
@@ -83,9 +86,9 @@ def test_swap_involution_and_validity():
 
 def test_swap_changes_hyperdegree_vector_by_unit():
     for t_obj in tree_rooted_objects(3, 2):
-        before = [g.parts for g in t_obj.vertex_compositions()]
+        before = [g.parts for g in vertex_compositions(t_obj)]
         for t, i, j in eligible_moves(t_obj):
-            after = [g.parts for g in swap_degree(t_obj, t, i, j).vertex_compositions()]
+            after = [g.parts for g in vertex_compositions(swap_degree(t_obj, t, i, j))]
             for s in range(len(before)):
                 if s != t - 1:
                     assert after[s] == before[s]
@@ -108,7 +111,7 @@ def test_swap_preserves_size_type_and_root():
 def _sets_by_compositions(n, k):
     sets = defaultdict(set)
     for t_obj in tree_rooted_objects(n, k):
-        key = tuple(g.parts for g in t_obj.vertex_compositions())
+        key = tuple(g.parts for g in vertex_compositions(t_obj))
         sets[key].add(canonical_tree_rooted(t_obj))
     return sets
 
@@ -124,14 +127,14 @@ def test_equal_profile_sets_equinumerous():
 
 def test_transport_identity_and_roundtrip():
     for t_obj in itertools.islice(tree_rooted_objects(3, 2), 60):
-        current = t_obj.vertex_compositions()
+        current = vertex_compositions(t_obj)
         assert transport(t_obj, current) == t_obj
         targets = []
         for g in current:
             parts = sorted(g.parts)
             targets.append(Composition(tuple(parts)))
         moved = transport(t_obj, targets)
-        assert moved.vertex_compositions() == tuple(targets)
+        assert vertex_compositions(moved) == tuple(targets)
         assert transport_inverse(moved, current) == t_obj
 
 
@@ -146,7 +149,7 @@ def test_transport_image_is_exactly_the_target_set():
             image = set()
             for t_obj in sets[src]:
                 moved = transport(t_obj, target)
-                assert tuple(g.parts for g in moved.vertex_compositions()) == dst
+                assert tuple(g.parts for g in vertex_compositions(moved)) == dst
                 image.add(canonical_tree_rooted(moved))
             assert image == sets[dst]
 

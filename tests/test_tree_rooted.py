@@ -13,6 +13,7 @@ from oracles import (
     phi_by_canonical_form,
     random_colored_factorization,
     tour_head,
+    vertex_compositions,
     xi_inverse_by_product_orbit,
 )
 
@@ -274,7 +275,7 @@ def test_phi_root_vertex_has_type_k():
 def test_phi_vertex_compositions_equal_color_compositions():
     for n, k in [(3, 2), (2, 3)]:
         for cf in all_colored(n, k):
-            assert phi(cf).vertex_compositions() == color_compositions(cf)
+            assert vertex_compositions(phi(cf)) == color_compositions(cf)
 
 
 def test_phi_degree_preserving_edgewise():
