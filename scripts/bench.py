@@ -56,6 +56,13 @@ A run times, in this process, one layer per line of the file:
   ``sample_puzzle.accept.<trials>``: the sampler's count of accepted trials
   (``puzzle._count_below``) alone, at 10^6 trials of the type n = 60,
   p = (26, 26, 26) that ``scripts/puzzle_scan.py`` samples.
+- ``cli.<parse|write_json>.identity-sweep``: the CLI front end on every argv
+  of the ``identity-sweep`` workload (seeded with ``SEED``), with
+  ``--format json`` appended as the workload runs it.  ``parse`` turns each
+  argv into its namespace (``cli._parse_args``; on a tree that predates it,
+  ``cli._parser().parse_args``); ``write_json`` writes each argv's JSON
+  report, as read back from a run of the argv, to a ``StringIO``
+  (``cli._write_json``).
 
 The grids, the sampled types and the symmetry-check sizes are read from
 ``perfbench/workloads.py``, imported read-only.  Each layer runs
@@ -63,7 +70,8 @@ The grids, the sampled types and the symmetry-check sizes are read from
 ``perfbench/speed.py``, also imported read-only, and scaled by
 ``speed.factor`` of those chunks, so a drift of machine speed cancels.  A
 layer reports the median and quartiles over its repeats of the normalised
-microseconds per object (per call for the census, the puzzle and the sampler).
+microseconds per object (per call for the census, the puzzle and the sampler;
+per argv for the CLI).
 ``--quick`` keeps the schema and shrinks the work: 10 random objects, 2
 repeats, one sampled type.
 
@@ -74,7 +82,9 @@ ratios to one file.  Keys are sorted, so two files diff cleanly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import os
@@ -322,6 +332,31 @@ def census_layers(repeats: int) -> dict:
     return layers
 
 
+def cli_layers(repeats: int) -> dict:
+    """The CLI front end on the argvs of the identity-sweep workload, each
+    with ``--format json`` appended as the workload runs it: the parse of
+    each argv, and the writing of each JSON report to a ``StringIO``."""
+    argvs = [case.label.split(" ") + ["--format", "json"]
+             for case in workloads.build("identity-sweep", SEED)]
+    payloads = []
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            if cli.main(argv) != 0:
+                raise AssertionError(f"{' '.join(argv)} fails")
+        payloads.append(json.loads(out.getvalue()))
+    # a tree that predates cli._parse_args parses every argv with the full parser
+    parse = getattr(cli, "_parse_args", None) or (lambda argv: cli._parser().parse_args(argv))
+    layers = {
+        "cli.parse.identity-sweep": time_per_object(parse, argvs, repeats),
+        "cli.write_json.identity-sweep": time_per_object(
+            lambda payload: cli._write_json(io.StringIO(), payload), payloads, repeats),
+    }
+    for layer in layers.values():
+        layer["unit"] = "us/argv"
+    return layers
+
+
 def feasible_types(n: int, k: int) -> list[tuple[int, ...]]:
     return [p for p in itertools.product(range(n + 1), repeat=k) if counting.m_coefficient(n, p)]
 
@@ -403,6 +438,7 @@ def run(quick: bool) -> dict:
     layers.update(domain_layers(repeats))
     layers.update(census_layers(repeats))
     layers.update(puzzle_layers(repeats))
+    layers.update(cli_layers(repeats))
     layers.update(sample_layers(QUICK_SAMPLE_TYPES if quick else SAMPLE_TYPES, repeats))
     return {
         "schema": SCHEMA,

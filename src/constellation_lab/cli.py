@@ -15,6 +15,7 @@ import itertools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional, Sequence
 
 from . import biddings, counting, nebulas, puzzle, symmetry, tree_rooted
@@ -55,9 +56,57 @@ def _output(args):
             yield out
 
 
+def _json_chunks(value, chunks: list[str], indent: str) -> None:
+    """Append the indented JSON text of ``value`` to ``chunks``; ``indent`` is
+    a newline and the indentation of the line that ``value`` starts on."""
+    if value is None:
+        chunks.append("null")
+    elif value is True:
+        chunks.append("true")
+    elif value is False:
+        chunks.append("false")
+    elif isinstance(value, str):
+        chunks.append(_encode_str(value))
+    elif isinstance(value, int):
+        chunks.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            chunks.append("[]")
+            return
+        inner = indent + "  "
+        separator = "[" + inner
+        for item in value:
+            chunks.append(separator)
+            _json_chunks(item, chunks, inner)
+            separator = "," + inner
+        chunks.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            chunks.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            # json writes a non-string key as the text of its scalar
+            text = key if isinstance(key, str) else json.dumps(key)
+            chunks.append(separator + _encode_str(text) + ": ")
+            _json_chunks(value[key], chunks, inner)
+            separator = "," + inner
+        chunks.append(indent + "}")
+    else:
+        chunks.append(json.dumps(value))
+
+
 def _write_json(out, payload) -> None:
-    """One JSON report: indented, keys sorted, ending in a newline."""
-    out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """One JSON report: indented, keys sorted, ending in a newline.
+
+    The text is byte for byte ``json.dumps(payload, indent=2, sort_keys=True)``
+    and a newline.  It is joined here from chunks, because ``json.dumps``
+    takes its pure-Python encoder whenever it indents."""
+    chunks: list[str] = []
+    _json_chunks(payload, chunks, "\n")
+    chunks.append("\n")
+    out.write("".join(chunks))
 
 
 def _finish(args, command: str, results: list[dict], ok: bool, text_lines: list[str]) -> int:
@@ -407,6 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     _common(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    # name -> subcommand parser, for main's direct dispatch
+    parser.subcommands = sub.choices
 
     def add(name, fn, with_format=True, **kwargs):
         sp = sub.add_parser(name, **kwargs)
@@ -497,11 +548,37 @@ def _env_cap() -> int:
         raise ValueError(f"{CAP_ENV} must be an integer, got {cap_text!r}") from None
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse ``argv`` to the namespace, or the exit, of ``_parser().parse_args(argv)``.
+
+    An argv that starts with a subcommand's name goes straight to that
+    subcommand's parser, with a namespace that already holds the top-level
+    defaults and the command's name; the top-level parser hands it the same,
+    after a pass of its own over argv.  What the subcommand leaves over is
+    refused in the top-level parser's words.  After a subcommand's name, that
+    pass refuses only an argument starting with ``--=``, an ambiguous
+    abbreviation of every top-level option, so such an argv takes the full
+    route, as every other argv does.
+    """
+    parser = _parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None or any(arg.startswith("--=") for arg in argv):
+        return parser.parse_args(argv)
+    defaults = {name: parser.get_default(name) for name in ("cap", "format", "out")}
+    args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0], **defaults))
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None) and
+    return its exit code.  An argv that starts with a subcommand's name is
+    read by that subcommand's parser directly (:func:`_parse_args`)."""
     try:
         # the environment is read on every call, even when --cap is given
         env_cap = _env_cap()
-        args = _parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         if args.cap is None:
             args.cap = env_cap
         return args.fn(args)

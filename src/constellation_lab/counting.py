@@ -278,9 +278,12 @@ def count_colored(n: int, p: Sequence[int], cap: Optional[int] = None) -> int:
 
 @lru_cache(maxsize=None)
 def _composition_assignments(sizes: tuple[int, ...], quotas: tuple[int, ...]) -> int:
-    """Ways to assign blocks of the given sizes to colors meeting exact quotas."""
+    """Ways to assign blocks of the given sizes to colors meeting exact quotas.
+
+    The sizes and the quotas must have the same total, which the caller
+    checks: then the blocks meet every quota once none is left."""
     if not sizes:
-        return 1 if all(q == 0 for q in quotas) else 0
+        return 1
     first, rest = sizes[0], sizes[1:]
     total = 0
     for i, q in enumerate(quotas):
@@ -304,7 +307,8 @@ def color_composition_counts(
     sizes = {g.size for axis in axes for g in axis}
     if len(sizes) > 1:
         raise ValueError("compositions must all have the same size")
-    counts = cycle_type_census(sizes.pop() if sizes else 0, len(axes), cap)
+    n = sizes.pop() if sizes else 0
+    counts = cycle_type_census(n, len(axes), cap)
     # a key holds the cycle types of the factors still to contract, then the
     # compositions of those contracted, so each step turns it by one place
     for axis in axes:
@@ -313,6 +317,9 @@ def color_composition_counts(
         for key, cnt in counts.items():
             lam = key[0]
             if lam not in weights:
+                # the cycles of lam are assigned to colors of total n
+                if sum(lam) != n:
+                    raise AssertionError(f"cycle type {lam} of the census does not sum to {n}")
                 weights[lam] = [
                     (g.parts, w) for g in axis if (w := _composition_assignments(lam, g.parts))
                 ]

@@ -1,6 +1,11 @@
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
+import os
+import random
+import sys
 from math import comb, factorial, prod
 
 import pytest
@@ -723,6 +728,13 @@ def test_parser_is_built_once_across_calls(capsys, monkeypatch):
     assert len(built) == 1
 
 
+def test_main_reads_the_command_line_when_given_no_argv(capsys, monkeypatch):
+    argv = ["count", "--m", "--n", "2", "--k", "2", "--p", "1,1"]
+    monkeypatch.setattr(sys, "argv", ["constellation-lab", *argv])
+    assert main() == 0
+    assert capsys.readouterr().out == "M^2_1,1 = 2\nok: true\n"
+
+
 def test_cap_env_var_is_read_on_each_call(capsys, monkeypatch):
     argv = ["--format", "json", "jackson-check", "--n", "2", "--k", "2", "--p", "1,1"]
     monkeypatch.setenv("CONSTELLATION_LAB_CAP", "1")
@@ -755,3 +767,131 @@ def test_repeated_options_do_not_carry_over_between_calls(capsys):
     _, second = run(capsys, *argv)
     assert first == second
     assert main(["count", "--compositions", "--n", "2"]) == 2
+
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+# argv tokens for the parse fuzz: global options before and after the
+# subcommand, abbreviations, help, "--", unknown options, missing values, and
+# negative or comma-joined numbers; each entry is one or two tokens
+FUZZ_TOKENS = [
+    ["--cap", "5"], ["--cap=5"], ["--cap", "x"], ["--cap"], ["--ca", "7"], ["--format", "json"],
+    ["--form", "json"], ["--format=text"], ["--format", "xml"], ["--out", "f.txt"], ["--o", "f"],
+    ["--n", "3"], ["--n=4"], ["--n", "-2"], ["--n", "x"], ["--n"], ["--k", "2"], ["--k=3"],
+    ["--p", "1,2"], ["--p=-1,3"], ["--p", "-1"], ["--p", "1,,2"], ["--p", "a,b"], ["--all-p"],
+    ["--all"], ["--x", "1,1"], ["--all-x"], ["--gamma", "1,2"], ["--gam", "3"], ["--lam", "3"],
+    ["--what", "m"], ["--what", "factorizations"], ["--m"], ["--colored"], ["--bijection", "phi"],
+    ["--bij", "psi"], ["--sample", "10"], ["--seed", "-3"], ["--direction", "fwd"],
+    ["--input", "f.json"], ["--kind", "nebula"], ["--format", "dot"], ["-h"], ["--help"], ["--"],
+    ["--bogus"], ["--bogus=1"], ["-x"], ["-"], ["extra"], ["-5"], ["--=x"], ["--=5"],
+]
+GLOBAL_TOKENS = [["--cap", "5"], ["--cap=5"], ["--form", "json"], ["--format", "text"],
+                 ["--out", "f.txt"], ["-h"], ["--"], ["--bogus"], ["--cap"]]
+
+
+def _parse_outcome(parse, argv):
+    """vars of the namespace, or the exit code and output of argparse's exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def _fuzz_argvs(rng, count):
+    commands = list(cli._parser().subcommands)
+    argvs = []
+    for _ in range(count):
+        argv = []
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            argv += rng.choice(GLOBAL_TOKENS)
+        roll = rng.random()
+        if roll < 0.9:
+            argv.append(rng.choice(commands))
+        elif roll < 0.95:
+            argv.append(rng.choice(["cou", "jackson", "-h", "nope"]))
+        for _ in range(rng.randrange(7)):
+            argv += rng.choice(FUZZ_TOKENS)
+        argvs.append(argv)
+    return argvs
+
+
+def test_direct_dispatch_parses_as_the_full_parser(monkeypatch):
+    monkeypatch.syspath_prepend(SCRIPTS)
+    monkeypatch.setenv("COLUMNS", "80")
+    import cli_digest
+
+    argvs = [[]]
+    for argv in [*cli_digest.SWEEPS, *cli_digest.EXTRA]:
+        argvs += [argv, ["--format", "json", *argv], [*argv, "--format", "json"]]
+    argvs += _fuzz_argvs(random.Random(35), 1500)
+    parser = cli._parser()
+    full = parser.parse_args
+    calls = []
+    monkeypatch.setattr(parser, "parse_args", lambda argv: calls.append(argv) or full(argv))
+    direct = namespaces = 0
+    for argv in argvs:
+        calls.clear()
+        got = _parse_outcome(cli._parse_args, argv)
+        direct += not calls
+        assert got == _parse_outcome(full, argv), argv
+        namespaces += isinstance(got, dict)
+    # both routes and both outcomes are exercised
+    assert 0 < direct < len(argvs) and 0 < namespaces < len(argvs)
+
+
+def _random_text(rng):
+    return "".join(rng.choice('ab "\\/\n\t\x00\x1f\x7fé€\U0001f600') for _ in range(rng.randrange(5)))
+
+
+def _random_json(rng, depth):
+    """A random payload: scalars, and below depth 4 also lists, tuples, dicts
+    keyed by strings and dicts keyed by ints."""
+    kind = rng.randrange(12 if depth < 4 else 8)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.choice([0, -1, 7, 2**70, -(3**50)])
+    if kind == 2:
+        return rng.choice([0.0, -0.0, 0.1, -2.5e-300, 1e300, float("inf"), float("nan")])
+    if kind < 8:
+        return _random_text(rng)
+    items = [_random_json(rng, depth + 1) for _ in range(rng.choice((0, 1, 3)))]
+    if kind == 8:
+        return items
+    if kind == 9:
+        return tuple(items)
+    if kind == 10:
+        return {_random_text(rng): v for v in items}
+    return {rng.choice([-3, 0, 5, 10, 2**65]): v for v in items}
+
+
+def _written(payload):
+    out = io.StringIO()
+    cli._write_json(out, payload)
+    return out.getvalue()
+
+
+def test_json_writer_writes_the_bytes_of_json_dumps(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(SCRIPTS)
+    import cli_digest
+
+    payloads = []
+    original = cli._write_json
+
+    def recorded(out, payload):
+        payloads.append(payload)
+        original(out, payload)
+
+    monkeypatch.setattr(cli, "_write_json", recorded)
+    cli_digest.write_inputs(str(tmp_path))
+    for argv in [*cli_digest.SWEEPS, *cli_digest.EXTRA]:
+        cli_digest.digest(argv, "json", str(tmp_path))
+    monkeypatch.undo()
+    # every command that reports writes, and so does psi, with no schema key
+    reports = set(cli._parser().subcommands) - {"enumerate", "render", "psi"}
+    assert {p.get("command") for p in payloads} == reports | {None}
+    rng = random.Random(35)
+    payloads += [_random_json(rng, 0) for _ in range(3000)]
+    for payload in payloads:
+        assert _written(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -253,6 +253,25 @@ def test_color_composition_counts_check_size_then_arguments_then_cap():
         color_composition_counts([list(compositions_of(3))] * 2, cap=5)
     # an empty axis leaves no tuple to count
     assert color_composition_counts([[two], []]) == {}
+    # with no composition on any axis there is no size, which counts as 0
+    with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+        color_composition_counts([[], []])
+
+
+def test_color_composition_counts_check_that_each_cycle_type_sums_to_n(monkeypatch, capsys):
+    from constellation_lab.cli import main
+
+    # a census key whose first cycle type sums to 2, not n = 3: its cycles
+    # would fill the quota 3 short and count as an assignment at the leaf
+    monkeypatch.setattr(counting, "cycle_type_census", lambda n, k, cap=None: {((2,), (3,)): 1})
+    three = Composition((3,))
+    with pytest.raises(AssertionError, match=r"^cycle type \(2,\) of the census does not sum to 3$"):
+        color_composition_counts([[three], [three]])
+    argv = ["count", "--compositions", "--n", "3", "--gamma", "3", "--gamma", "3"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal check failed: cycle type (2,) of the census does not sum to 3\n"
 
 
 def test_kappa_examples():

@@ -126,6 +126,7 @@ def test_bench_quick_run_and_compare_keep_their_schema(tmp_path):
     expected |= {f"domain.rooted.{size}" for size in ("5-2", "4-3", "3-4")}
     expected |= {f"domain.arborescences.{size}" for size in ("3-3", "4-3")}
     expected |= {"pointing-check.4-3"}
+    expected |= {"cli.parse.identity-sweep", "cli.write_json.identity-sweep"}
     expected |= {f"guard.{cls}.exhaustive" for cls in (
         "ColoredFactorization", "TreeRootedConstellation", "TreePointedConstellation",
         "Nebula", "LabelledNebula", "Prebidding", "Bidding")}
