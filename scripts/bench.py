@@ -41,6 +41,9 @@ A run times, in this process, one layer per line of the file:
   Before each repeat, outside the timer, every memo of the library is
   cleared and the censuses that the layer reads are walked again, so a
   repeat times the sums and the memos they fill, not the census walk.
+  ``census.build.<n>-<k>`` times that walk: one ``cycle_type_census`` build
+  at (5, 3) and (4, 4), with every memo cleared before each repeat, outside
+  the timer.
 - ``puzzle.<function>.<grid>`` and ``counting.m_coefficient.grid``: the
   exact puzzle side of the ``puzzle-exact`` workload.
   ``tree_probability.exact-grid`` runs on its grid types (every feasible
@@ -137,6 +140,9 @@ MV_GAMMAS = ((1, 2, 1), (3, 1), (2, 2))
 # (n, k) of the rooted-domain builds and of the arborescence walks
 ROOTED_SIZES = ((5, 2), (4, 3), (3, 4))
 ARBORESCENCE_SIZES = ((3, 3), (4, 3))
+# (n, k) of the fresh census builds; one at (6, 3) takes about 0.8 s, which
+# every --quick run would pay for each repeat
+CENSUS_BUILD_SIZES = ((5, 3), (4, 4))
 
 
 def _grid(row: str, n_max: int):
@@ -327,6 +333,9 @@ def census_layers(repeats: int) -> dict:
             fresh([(n, k)]))
     layers["census.count_by_color_compositions.4-3"] = time_per_object(
         counting.count_by_color_compositions, [gammas], repeats, fresh([(4, 3)]))
+    for n, k in CENSUS_BUILD_SIZES:
+        layers[f"census.build.{n}-{k}"] = time_per_object(
+            lambda x: counting.cycle_type_census(*x), [(n, k)], repeats, clear_memos)
     for layer in layers.values():
         layer["unit"] = "us/call"
     return layers

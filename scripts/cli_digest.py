@@ -4,8 +4,12 @@
 Each argv of ``run_all_checks.SWEEPS``, plus the command lines below (counts,
 streams, file input and output, and the usage, cap, sampling and invalid-input
 error paths), runs once with ``--format text`` and once with ``--format json``
-through ``constellation_lab.cli.main``, in process.  One line per run gives the
-format, the exit code, and the sha256 of stdout, of stderr and of the
+through ``constellation_lab.cli.main``, in process.  ``--format`` follows the
+subcommand's name when the argv starts with one, so that the run takes the
+direct route of ``cli._parse_args``, and precedes the argv otherwise: before
+a top-level option, and for ``render``, whose own ``--format`` takes only
+``dot``.  The printed argv leaves ``--format`` out.  One line per run gives
+the format, the exit code, and the sha256 of stdout, of stderr and of the
 ``--out`` file ("-" when none was written).  An argparse error is pinned by
 the code of its ``SystemExit``, and its usage text is wrapped at 80 columns
 whatever the terminal.
@@ -32,7 +36,7 @@ import tempfile
 from dataclasses import replace
 
 from constellation_lab.biddings import Bidding, psi_inverse
-from constellation_lab.cli import main
+from constellation_lab.cli import _parser, main
 from constellation_lab.constellations import Constellation, from_permutations
 from constellation_lab.permutations import Permutation
 from run_all_checks import SWEEPS
@@ -142,11 +146,18 @@ def sha(data: str) -> str:
     return hashlib.sha256(data.encode("utf-8")).hexdigest()
 
 
+def with_format(argv: list[str], fmt: str) -> list[str]:
+    """``argv`` as the digest runs it in ``fmt``."""
+    if argv[0] in _parser().subcommands and argv[0] != "render":
+        return [argv[0], "--format", fmt, *argv[1:]]
+    return ["--format", fmt, *argv]
+
+
 def digest(argv: list[str], fmt: str, folder: str) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(["--format", fmt, *(a.replace("{dir}", folder) for a in argv)])
+            code = main(with_format([a.replace("{dir}", folder) for a in argv], fmt))
         except SystemExit as exc:
             code = exc.code
     out_file = os.path.join(folder, "out")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import comb, factorial, perm, prod
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .biddings import TypedGraph, alpha
 from .counting import CheckReport, _check_size, _mask_tuples, m_coefficient, strict_subsets
@@ -461,6 +461,19 @@ def _count_below(rng: random.Random, trials: int, num: int, den: int) -> int:
     return below
 
 
+def _below(getrandbits: Callable[[int], int], m: int) -> int:
+    """A uniform integer in [0, m), for m >= 1, read from ``getrandbits`` as
+    CPython 3.11's ``Random._randbelow_with_getrandbits`` reads it:
+    m.bit_length() bits, read again while the value is at least m.  So
+    ``_below(rng.getrandbits, m)`` returns ``rng.randrange(m)`` and leaves
+    the generator in the same state, also at m = 1, which reads one bit."""
+    bits = m.bit_length()
+    r = getrandbits(bits)
+    while r >= m:
+        r = getrandbits(bits)
+    return r
+
+
 def sample_puzzle(
     n: int,
     k: int,
@@ -494,7 +507,9 @@ def sample_puzzle(
     seeded with the first 64 bits drawn from ``Random(seed)``, with None
     read as 0, so results depend only on the arguments; since the indices
     are drawn first and fewer entries follow, a given seed gives other
-    counts than a draw of all n entries would.
+    counts than a draw of all n entries would.  Indices and masks are read
+    from ``getrandbits`` by :func:`_below` the way ``randrange`` reads them,
+    so a given seed keeps the counts that ``randrange`` draws gave.
     Raises ValueError before drawing anything when k, n or trials is below 1,
     p is not a type vector of length k, or seed is negative (``Random``
     would seed with its absolute value, so -3 would repeat the draws of 3),
@@ -509,7 +524,7 @@ def sample_puzzle(
     if seed is None:
         seed = 0
     rng = random.Random(random.Random(seed).getrandbits(64))
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     num, den = m_coefficient(n, p), (2**k - 1) ** n
     accepted = _count_below(rng, trials, num, den)
     if accepted == 0:
@@ -528,13 +543,13 @@ def sample_puzzle(
     for _ in range(accepted):
         # positions 1, i_1, ..., i_{k-1} renumbered 1..b by first appearance
         pos = {1: 1}
-        indices = [pos.setdefault(randrange(1, n + 1), len(pos) + 1) for _ in range(k - 1)]
+        indices = [pos.setdefault(_below(getrandbits, n) + 1, len(pos) + 1) for _ in range(k - 1)]
         state, masks = first, []
         for j in range(len(pos)):
             if j:
                 state = state.after[mask] or _successor(states, state, mask)
             cum = state.cum
-            mask = bisect_right(cum, randrange(cum[-1]))
+            mask = bisect_right(cum, _below(getrandbits, cum[-1]))
             masks.append(mask)
         f = tuple(successors[masks[i - 1]][t] for t, i in enumerate(indices))
         if _is_tree_map(k, f):

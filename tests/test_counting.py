@@ -1,5 +1,6 @@
 import itertools
-from math import comb, factorial
+from collections import Counter
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +124,33 @@ def test_cycle_type_census_matches_the_factorization_stream(n, k):
     got = cycle_type_census(n, k)
     assert list(got.items()) == list(cycle_type_census_by_stream(n, k).items())
     assert sum(got.values()) == factorial(n) ** (k - 1)
+
+
+def class_size(mu):
+    """|C_mu| = n! / z_mu, with z_mu the product of i^m * m! over the parts i
+    of mu that occur m times."""
+    return factorial(sum(mu)) // prod(i**m * factorial(m) for i, m in Counter(mu).items())
+
+
+@pytest.mark.parametrize(
+    "n, k", [(n, 2) for n in range(3, 7)] + [(n, 3) for n in range(3, 6)] + [(3, 4), (4, 4)]
+)
+def test_cycle_type_census_has_the_total_marginals_and_symmetry_of_frobenius(n, k):
+    # anchors that do not read the walk: fixing factor t in C_mu leaves k-2
+    # factors free and solves the last, and Frobenius' formula is symmetric
+    # in the factors; the census solves factor 1 from the others, so its
+    # symmetry checks that step
+    census = cycle_type_census(n, k)
+    assert sum(census.values()) == factorial(n) ** (k - 1)
+    expected = {c.parts: class_size(c.parts) * factorial(n) ** (k - 2) for c in partitions_of(n)}
+    for t in range(k):
+        marginal = Counter()
+        for key, count in census.items():
+            marginal[key[t]] += count
+        assert marginal == expected, t
+    for order in itertools.permutations(range(k)):
+        permuted = {tuple(key[t] for t in order): count for key, count in census.items()}
+        assert permuted == census, order
 
 
 def test_cycle_type_census_checks_arguments_and_cap_before_its_tables(monkeypatch):

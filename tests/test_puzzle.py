@@ -28,6 +28,7 @@ from constellation_lab.puzzle import (
     UndefinedProbabilityError,
     _CHUNK,
     _SAMPLED_TYPES,
+    _below,
     _count_below,
     _next_subset_weights,
     _sampler_states,
@@ -427,8 +428,9 @@ PINNED_SAMPLES = [
 
 @pytest.mark.parametrize("n, k, p, trials, seed, counts", PINNED_SAMPLES)
 def test_sampler_counts_for_a_seed_are_pinned(n, k, p, trials, seed, counts):
-    # the seeded stream: the same randrange calls in the same order give
-    # the same counts, whatever the sampler memoizes
+    # the seeded stream: the same bits read in the same order give the same
+    # counts, whatever the sampler memoizes; _below reads the bits that
+    # randrange read, so these are the counts of randrange draws too
     res = sample_puzzle(n, k, p, trials=trials, seed=seed)
     assert (res.accepted, res.tree_hits, res.r1_hits) == counts
 
@@ -554,8 +556,10 @@ def test_sampler_draws_at_most_min_n_k_entries(monkeypatch, n, k, p, trials):
 
 
 class ScriptedRandom:
-    """Stands in for random.Random: randrange returns the next value of a
-    script, 0 past its end, and records the size of every range drawn from."""
+    """Stands in for random.Random, whose getrandbits returns 0, and for
+    puzzle._below: ``below`` returns the next value of a script, 0 past its
+    end, and records the size m of every range [0, m) drawn from.  It
+    asserts that each draw is given this generator's getrandbits."""
 
     def __init__(self, script):
         self.script = script
@@ -564,22 +568,23 @@ class ScriptedRandom:
     def getrandbits(self, bits):
         return 0
 
-    def randrange(self, start, stop=None):
-        lo, hi = (0, start) if stop is None else (start, stop)
+    def below(self, getrandbits, m):
+        assert getrandbits == self.getrandbits
         i = len(self.sizes)
-        self.sizes.append(hi - lo)
-        return lo + (self.script[i] if i < len(self.script) else 0)
+        self.sizes.append(m)
+        return self.script[i] if i < len(self.script) else 0
 
 
 def sampler_law(monkeypatch, n, k, p):
     """Exact law of (tree hit, r1 hit) of sample_puzzle itself with one
-    accepted tuple: it is run once for every sequence of randrange values."""
+    accepted tuple: it is run once for every sequence of drawn values."""
     monkeypatch.setattr("constellation_lab.puzzle._count_below", lambda rng, trials, num, den: 1)
     law = Counter()
     script = []
     while True:
         rng = ScriptedRandom(script)
         monkeypatch.setattr("constellation_lab.puzzle.random", SimpleNamespace(Random=lambda seed: rng))
+        monkeypatch.setattr("constellation_lab.puzzle._below", rng.below)
         res = sample_puzzle(n, k, p, trials=1, seed=0)
         law[res.tree_hits == 1, res.r1_hits == 1] += Fraction(1, prod(rng.sizes))
         # the next script in odometer order: raise the last value below its range
@@ -596,6 +601,23 @@ def test_sampler_has_the_law_of_a_full_tuple(monkeypatch, k, nmax):
     for n in range(1, nmax + 1):
         for p in feasible_types(n, k):
             assert sampler_law(monkeypatch, n, k, p) == full_tuple_law(n, k, p), (n, k, p)
+
+
+# the n and first-state total M^n_p of each type that perfbench's
+# puzzle-sample workload samples
+SAMPLED_RANGES = [
+    m for n, p in [(6, (2, 3, 4)), (8, (4, 5, 4)), (6, (4, 4, 4, 4))] for m in (n, m_coefficient(n, p))
+]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 9, 2**31, 2**31 + 1, 3**73, *SAMPLED_RANGES])
+def test_below_reads_the_bits_of_randrange(m):
+    # the value and the number of bits read: randrange(1) reads a bit too,
+    # so a draw that skipped it would shift every later draw
+    for seed in range(20):
+        a, b = random.Random(seed), random.Random(seed)
+        assert _below(a.getrandbits, m) == b.randrange(m), (m, seed)
+        assert a.getstate() == b.getstate(), (m, seed)
 
 
 class RecordingRng:

@@ -106,6 +106,33 @@ def test_cli_digest_lines_do_not_depend_on_the_order_of_runs(monkeypatch, tmp_pa
         assert cli_digest.digest(argv, fmt, str(tmp_path)) == expected[i]
 
 
+def test_cli_digest_runs_take_the_direct_route(monkeypatch, tmp_path):
+    # a run of an argv that starts with a subcommand other than render puts
+    # --format after the subcommand's name, so the full parser never reads
+    # it; render's own --format takes only dot, so --format precedes it
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
+    import cli_digest
+
+    from constellation_lab import cli
+
+    ran, calls = [], []
+    monkeypatch.setattr(cli_digest, "main", lambda argv: ran.append(argv) or 0)
+    parser = cli._parser()
+    full = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv: calls.append(argv) or full(argv))
+    for argv, fmt in itertools.product([*cli_digest.SWEEPS, *cli_digest.EXTRA], cli_digest.FORMATS):
+        ran.clear()
+        calls.clear()
+        cli_digest.digest(argv, fmt, str(tmp_path))
+        (run,) = ran
+        try:
+            assert cli._parse_args(run).format == fmt
+        except SystemExit:
+            pass
+        direct = argv[0] in parser.subcommands and argv[0] != "render"
+        assert not calls if direct else calls == [run], (argv, fmt)
+
+
 def test_bench_quick_run_and_compare_keep_their_schema(tmp_path):
     out = tmp_path / "bench.json"
     done = run_script("bench.py", "--quick", "--out", str(out))
@@ -121,6 +148,7 @@ def test_bench_quick_run_and_compare_keep_their_schema(tmp_path):
     expected |= {"sample_puzzle.accept.1000000"}
     expected |= {"census.count_colored.jackson-grid", "census.count_by_color_compositions.4-3"}
     expected |= {f"census.symmetry-check.{size}" for size in ("5-2", "3-3", "3-4")}
+    expected |= {f"census.build.{size}" for size in ("5-3", "4-4")}
     expected |= {"puzzle.tree_probability.exact-grid", "puzzle.k3-inclusion-exclusion.grid",
                  "puzzle.exchange-lemma.grid", "counting.m_coefficient.grid"}
     expected |= {f"domain.rooted.{size}" for size in ("5-2", "4-3", "3-4")}
