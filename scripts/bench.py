@@ -8,8 +8,9 @@ Usage:
 A run times, in this process, one layer per line of the file:
 
 - ``<row>.<forward|inverse>.<domain>`` for every row of ``cli.ROUNDTRIPS``:
-  the row's forward map on each object of the domain, and its inverse on
-  each forward image.  The ``exhaustive`` domain is the row's own domain
+  the row's forward map, a guard-free core, on each object of the domain,
+  and its inverse, a guarded public map, on each forward image.  The
+  ``exhaustive`` domain is the row's own domain
   over the benchmark's grid (n <= 3, k = 2, 3; theta, sigma and psi where
   n + k <= 5); the ``random`` domain is 100 seeded objects at n = 6, 7, 8
   and k = 3, built from the generators of ``perfbench/oracle.py``.
@@ -154,7 +155,7 @@ def _grid(row: str, n_max: int):
 
 
 def exhaustive_domain(row: str, n_max: int) -> list:
-    domain = cli.ROUNDTRIPS[row][0]
+    domain = cli.ROUNDTRIPS[row].domain
     return [x for n, k in _grid(row, n_max) for x in domain(n, k, None, counting.DEFAULT_CAP)]
 
 
@@ -169,12 +170,13 @@ def _bidding(rng: random.Random, n: int) -> biddings.Bidding:
 
 
 def _swap_move(rng: random.Random, n: int):
-    """A tree-rooted image of phi with one move (t, i, j) of the swap domain."""
+    """A tree-rooted image of phi with one move (t, i, j, u_i, u_j) of the
+    swap domain."""
     while True:
         obj = tree_rooted.phi(_colored_factorization(rng, n))
         c = obj.constellation
         moves = [
-            (t, c.labels[v - 1], j)
+            (t, c.labels[v - 1], j, v, c.vertex_by_label(t, j))
             for v, t in enumerate(c.vertex_type, start=1)
             if c.hyperdegree(v) >= 2
             for j in range(1, len(c.vertices_of_type(t)) + 1)
@@ -433,7 +435,8 @@ def run(quick: bool) -> dict:
     n_max = 3
     count = QUICK_RANDOM_OBJECTS if quick else RANDOM_OBJECTS
     layers = {}
-    for row, (_, forward, inverse, _) in cli.ROUNDTRIPS.items():
+    for row, spec in cli.ROUNDTRIPS.items():
+        forward, inverse = spec.forward, spec.inverse
         for name, objects in (
             ("exhaustive", exhaustive_domain(row, n_max)),
             ("random", random_domain(row, count)),

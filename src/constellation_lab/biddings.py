@@ -290,8 +290,9 @@ def vartheta_inverse(pb: Prebidding) -> LabelledNebula:
     rotations are chained run by run: consecutive corners inside a run are
     clockwise-consecutive darts, and each run hangs off the edge dart that
     entered the vertex, which is the white dart of (t+1, previous label).
-    Raises ValueError on invalid input.  The output is valid by construction
-    and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
+    Raises ValueError on invalid input; the guard-free core is
+    :func:`_vartheta_inverse`.  The output is valid by construction and is
+    checked only in tests (criterion 4, ``tests/test_validate_once.py``).
     """
     _require(pb.validate())
     return _vartheta_inverse(pb)
@@ -299,7 +300,8 @@ def vartheta_inverse(pb: Prebidding) -> LabelledNebula:
 
 def _vartheta_inverse(pb: Prebidding) -> LabelledNebula:
     """:func:`vartheta_inverse` without its input guard, for
-    :func:`psi_inverse`, whose prebidding comes valid from :func:`sigma_inverse`."""
+    :func:`psi_inverse`, whose prebidding comes valid from :func:`sigma_inverse`,
+    and for the ``theta`` and ``psi`` roundtrips."""
     k, n = pb.k, pb.n
     R = pb.subsets
     white_next = {}
@@ -323,15 +325,18 @@ def _vartheta_inverse(pb: Prebidding) -> LabelledNebula:
 
 def sigma(pb: Prebidding) -> Bidding:
     """Forget the order down to the per-type appearance permutations.  Raises
-    ValueError on invalid input.  The output is valid by construction and is
-    checked only in tests (criterion 4, ``tests/test_validate_once.py``)."""
+    ValueError on invalid input; the guard-free core is :func:`_sigma`.  The
+    output is valid by construction and is checked only in tests (criterion
+    4, ``tests/test_validate_once.py``)."""
     _require(pb.validate())
     return _sigma(pb)
 
 
 def _sigma(pb: Prebidding) -> Bidding:
     """:func:`sigma` without its input guard, for :func:`psi`, whose
-    prebidding comes valid from :func:`vartheta`."""
+    prebidding comes valid from :func:`vartheta`, and for the ``sigma`` and
+    ``psi`` roundtrips, whose prebiddings come valid from
+    :func:`enumerate_valid_prebiddings`."""
     appearances: list[list[int]] = [[] for _ in range(pb.k)]
     for t, i in pb.order:
         appearances[t - 1].append(i)
@@ -343,10 +348,17 @@ def sigma_inverse(b: Bidding) -> Prebidding:
 
     The tour starts at vertex k with the arc of pair (k, omega_k(n)); its
     existence is the tree condition on the last exits (the validity test).
-    Raises ValueError on invalid input.  The output is valid by construction
-    and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
+    Raises ValueError on invalid input; the guard-free core is
+    :func:`_sigma_inverse`.  The output is valid by construction and is
+    checked only in tests (criterion 4, ``tests/test_validate_once.py``).
     """
     _require(b.validate())
+    return _sigma_inverse(b)
+
+
+def _sigma_inverse(b: Bidding) -> Prebidding:
+    """:func:`sigma_inverse` without its input guard, for the ``psi``
+    roundtrip, whose biddings come valid from :func:`_sigma`."""
     k, n = b.k, b.n
     exits = {t: tuple((t, w(m)) for m in range(1, n + 1)) for t, w in enumerate(b.omegas, start=1)}
     exits[k] = exits[k][-1:] + exits[k][:-1]
@@ -362,7 +374,8 @@ def psi(ln: LabelledNebula) -> Bidding:
 
 def psi_inverse(b: Bidding) -> LabelledNebula:
     """The labelled rooted nebula of a valid bidding: :func:`vartheta_inverse`
-    of :func:`sigma_inverse`, with only the bidding checked."""
+    of :func:`sigma_inverse`, with only the bidding checked; it wraps the
+    cores :func:`_vartheta_inverse` and :func:`_sigma_inverse`."""
     return _vartheta_inverse(sigma_inverse(b))
 
 

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import biddings, counting, nebulas, puzzle, symmetry, tree_rooted
 from .constellations import Constellation, constellation_to_dot, halfedge_to_dot
@@ -274,54 +274,98 @@ def _colored(n: int, k: int, p: Optional[tuple[int, ...]], cap: int):
 
 
 def _swap_domain(n: int, k: int, p: Optional[tuple[int, ...]], cap: int):
-    """(object, t, i, j) for labels i != j of type t, vertex i of hyperdegree >= 2."""
+    """(object, t, i, j, u_i, u_j) for labels i != j of type t, u_i and u_j
+    the vertices so labelled, u_i of hyperdegree >= 2."""
     for pv in [p] if p else _p_grid(n, k):
         for obj in tree_rooted.enumerate_tree_rooted(n, k, pv, cap):
             c = obj.constellation
             # each vertex's hyperdegree is read once; (t, i) in label order
             # and then j increasing is the order of permutations(labels, 2)
             movable = sorted(
-                (t, i) for t, i, rot in zip(c.vertex_type, c.labels, c.rotation) if len(rot) >= 2
+                (t, i)
+                for t, i, rot in zip(c.vertex_type, c.labels, c.rotation)
+                if len(rot) >= 2 and pv[t - 1] >= 2
             )
+            if not movable:
+                continue  # no move, so no vertex to look up
+            vertex = {key: v for v, key in enumerate(zip(c.vertex_type, c.labels), start=1)}
             for t, i in movable:
                 for j in range(1, pv[t - 1] + 1):
                     if j != i:
-                        yield obj, t, i, j
+                        yield obj, t, i, j, vertex[t, i], vertex[t, j]
 
 
 def _swap(x):
-    obj, t, i, j = x
-    return symmetry.swap_degree(obj, t, i, j), t, j, i
+    obj, t, i, j, u_i, u_j = x
+    return symmetry._swap_degree(obj, t, u_i, u_j), t, j, i, u_i, u_j
+
+
+def _swap_back(y):
+    # the guarded move finds its vertices by label; those of the move it
+    # undoes ride along unchanged
+    obj, t, j, i, u_i, u_j = y
+    return symmetry.swap_degree(obj, t, j, i), t, i, j, u_i, u_j
 
 
 def _prebiddings(n: int, k: int, p: Optional[tuple[int, ...]], cap: int):
     return biddings.enumerate_valid_prebiddings(n, k, p, cap)
 
 
-# bijection -> (domain(n, k, p, cap), forward, inverse, takes --p); the maps are
-# looked up on each call, so a patched or traced module function is the one that runs
+class Roundtrip(NamedTuple):
+    """A bijection's exhaustive check: ``inverse(forward(x)) == x`` for every
+    ``x`` of ``domain(n, k, p, cap)``, which yields ``size(n, k, p)`` objects."""
+
+    domain: Callable
+    size: Callable
+    forward: Callable
+    inverse: Callable
+    takes_p: bool
+
+
+# The forward maps are the guard-free cores: each domain yields valid objects,
+# and the inverse map's guard checks that the forward map lands in its
+# codomain.  The maps are looked up on each call, so a patched or traced
+# module function is the one that runs.
 ROUNDTRIPS = {
-    "phi": (_colored, lambda x: tree_rooted.phi(x), lambda x: tree_rooted.phi_inverse(x), True),
-    "swap": (_swap_domain, _swap, _swap, True),
-    "lambda": (lambda n, k, p, cap: nebulas.enumerate_tree_pointed(n, k, cap),
-               lambda x: nebulas.dual_opening(x), lambda x: nebulas.dual_closure(x), False),
-    "theta": (_prebiddings, lambda x: biddings.vartheta_inverse(x),
-              lambda x: biddings.vartheta(x), False),
-    "sigma": (_prebiddings, lambda x: biddings.sigma(x), lambda x: biddings.sigma_inverse(x), False),
-    "psi": (lambda n, k, p, cap: map(biddings.sigma, _prebiddings(n, k, p, cap)),
-            lambda x: biddings.psi_inverse(x), lambda x: biddings.psi(x), False),
+    "phi": Roundtrip(
+        _colored, counting._colored_total,
+        lambda x: tree_rooted._phi(x, tree_rooted._xi(x)), lambda x: tree_rooted.phi_inverse(x),
+        True,
+    ),
+    "swap": Roundtrip(_swap_domain, counting._swap_moves, _swap, _swap_back, True),
+    "lambda": Roundtrip(
+        lambda n, k, p, cap: nebulas.enumerate_tree_pointed(n, k, cap),
+        lambda n, k, p: counting._tree_pointed_total(n, k),
+        lambda x: nebulas._dual_opening(x), lambda x: nebulas.dual_closure(x), False,
+    ),
+    "theta": Roundtrip(
+        _prebiddings, lambda n, k, p: counting._bidding_total(n, k),
+        lambda x: biddings._vartheta_inverse(x), lambda x: biddings.vartheta(x), False,
+    ),
+    "sigma": Roundtrip(
+        _prebiddings, lambda n, k, p: counting._bidding_total(n, k),
+        lambda x: biddings._sigma(x), lambda x: biddings.sigma_inverse(x), False,
+    ),
+    "psi": Roundtrip(
+        lambda n, k, p, cap: map(biddings.sigma, _prebiddings(n, k, p, cap)),
+        lambda n, k, p: counting._bidding_total(n, k),
+        lambda x: biddings._vartheta_inverse(biddings._sigma_inverse(x)),
+        lambda x: biddings.psi(x), False,
+    ),
 }
 
 
 def _run_roundtrip(bijection: str, n: int, k: int, p: Optional[tuple[int, ...]], cap: int):
-    domain, forward, inverse, _ = ROUNDTRIPS[bijection]
+    row = ROUNDTRIPS[bijection]
+    forward, inverse = row.forward, row.inverse
     checked = failures = 0
-    # the domain's argument and cap errors propagate; a map rejecting its input fails the check
-    for x in domain(n, k, p, cap):
+    # the domain's argument and cap errors propagate; a map rejecting its
+    # input, or a core indexing past a malformed one, fails the check
+    for x in row.domain(n, k, p, cap):
         checked += 1
         try:
             same = inverse(forward(x)) == x
-        except ValueError:
+        except (ValueError, LookupError):
             same = False
         failures += not same
     return checked, failures
@@ -329,18 +373,30 @@ def _run_roundtrip(bijection: str, n: int, k: int, p: Optional[tuple[int, ...]],
 
 @_sweep
 def cmd_roundtrip(args) -> int:
-    *_, takes_p = ROUNDTRIPS[args.bijection]
+    row = ROUNDTRIPS[args.bijection]
     if args.p is not None:
-        if not takes_p:
+        if not row.takes_p:
             raise ValueError(f"roundtrip --bijection {args.bijection} takes no --p")
         _check_factors(args, "--p", args.p)
     checked, failures = _run_roundtrip(args.bijection, args.n, args.k, args.p, args.cap)
+    # a domain that yields too few or too many objects fails as a map does
+    expected = row.size(args.n, args.k, args.p)
+    lines = [f"{args.bijection}: {checked} roundtrips, {failures} failures"]
+    if checked != expected:
+        lines.append(f"{args.bijection}: expected {expected} roundtrips")
     return _finish(
         args,
         "roundtrip",
-        [{"bijection": args.bijection, "checked": checked, "failures": failures}],
-        failures == 0,
-        [f"{args.bijection}: {checked} roundtrips, {failures} failures"],
+        [
+            {
+                "bijection": args.bijection,
+                "checked": checked,
+                "expected": expected,
+                "failures": failures,
+            }
+        ],
+        failures == 0 and checked == expected,
+        lines,
     )
 
 

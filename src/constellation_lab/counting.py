@@ -466,6 +466,55 @@ def _jackson_terms(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     )
 
 
+def _type_terms(n: int, k: int, p: Optional[Sequence[int]]):
+    """``(p, _jackson_rhs(n, p))``: for the one type p, or with p None for
+    every type of :func:`_jackson_terms`."""
+    return _jackson_terms(n, k) if p is None else ((tuple(p), _jackson_rhs(n, p)),)
+
+
+# Closed-form sizes of the roundtrip domains, which the CLI compares with the
+# number of objects each domain yields; callers check n >= 1 and k >= 2.
+
+
+def _colored_total(n: int, k: int, p: Optional[Sequence[int]]) -> int:
+    """Colored factorizations of type p, or of every type: C^n_p summed."""
+    return sum(term for _, term in _type_terms(n, k, p))
+
+
+def _swap_moves(n: int, k: int, p: Optional[Sequence[int]]) -> int:
+    """Moves (object, t, i, j), i != j, of the tree-rooted objects of type p
+    (or of every type) whose type-t vertex labelled i has hyperdegree >= 2.
+
+    That hyperdegree is the part gamma_i of the composition of color sizes,
+    and the C^n_p objects spread evenly over the composition tuples with
+    lengths p (Morales-Vassilieva).  C(n-2, p_t-2) of the C(n-1, p_t-1)
+    compositions have gamma_i = 1, so (n - p_t)/(n - 1) of the objects have
+    gamma_i >= 2, for each of the p_t labels i and p_t - 1 targets j."""
+    if n < 2:
+        return 0
+    return sum(
+        term * x * (x - 1) * (n - x) // (n - 1) for q, term in _type_terms(n, k, p) for x in q
+    )
+
+
+def _tree_pointed_total(n: int, k: int) -> int:
+    """Tree-pointed constellations of size n, in canonical form.
+
+    C^n_p / prod p_t! rooted constellations of type p carry an arborescence
+    toward the root vertex, and the arborescences toward each vertex are
+    as many (they count the Eulerian tours of one digraph), so each adds
+    one object per vertex: sum_p |p| C^n_p / prod p_t!.  This is the
+    pointing correspondence's sum_q sum_t C^n_(q+e_t) / prod q_t!."""
+    return sum(sum(p) * (term // prod(map(factorial, p))) for p, term in _jackson_terms(n, k))
+
+
+def _bidding_total(n: int, k: int) -> int:
+    """Valid prebiddings (and biddings) of size n: n!^k sum_p #(|R_1| = k-1)
+    over every type, that is n!^k k (2^k - 1)^(n-1): R_1 is one of the k
+    subsets of size k-1 and the other n - 1 subsets are any strict ones."""
+    return factorial(n) ** k * k * (2**k - 1) ** (n - 1)
+
+
 def verify_jackson(n: int, p: Sequence[int], cap: Optional[int] = None) -> CheckReport:
     """Colored-factorization count against n!^(k-1) * M^(n-1)_(p-1)."""
     p = tuple(p)

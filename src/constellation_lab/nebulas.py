@@ -139,10 +139,17 @@ def _rotation_problem(m: HalfEdgeMap) -> Optional[str]:
 
 def dual_opening(tp: TreePointedConstellation) -> Nebula:
     """Cut the dual edges crossed by the arborescence; yields a rooted nebula.
-    Raises ValueError on invalid input.  The output is valid by construction
-    and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
+    Raises ValueError on invalid input; the guard-free core is
+    :func:`_dual_opening`.  The output is valid by construction and is
+    checked only in tests (criterion 4, ``tests/test_validate_once.py``).
     """
     _require(tp.validate())
+    return _dual_opening(tp)
+
+
+def _dual_opening(tp: TreePointedConstellation) -> Nebula:
+    """:func:`dual_opening` without its input guard, for the ``lambda``
+    roundtrip, whose objects come valid from :func:`enumerate_tree_pointed`."""
     return Nebula(hmap=dual(tp.constellation, tp.arborescence.edges()))
 
 

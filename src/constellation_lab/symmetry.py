@@ -49,7 +49,8 @@ def swap_degree(
     Requires i != j and hyperdegree at least 2 at (t, i).  The move is an
     involution together with ``swap_degree(result, t, j, i)``.  Raises
     ValueError unless the arborescence is one of the constellation, the
-    condition for the walk to the root vertex to end.
+    condition for the walk to the root vertex to end.  The guard-free core,
+    on the two vertices, is :func:`_swap_degree`.
     """
     if i == j:
         raise ValueError("labels i and j must differ")
@@ -59,7 +60,16 @@ def swap_degree(
     u_j = c.vertex_by_label(t, j)
     if c.hyperdegree(u_i) < 2:
         raise ValueError(f"hyperdegree < 2 at type {t} label {i}")
+    return _swap_degree(t_rooted, t, u_i, u_j)
 
+
+def _swap_degree(
+    t_rooted: TreeRootedConstellation, t: int, u_i: int, u_j: int
+) -> TreeRootedConstellation:
+    """:func:`swap_degree` without its input guard, from the type-t vertex
+    ``u_i`` to the type-t vertex ``u_j``, for the ``swap`` roundtrip, whose
+    moves come valid from their domain with the vertices of their labels."""
+    c = t_rooted.constellation
     h_i = _parent_hyperedge(t_rooted, u_i)
     h_j = _parent_hyperedge(t_rooted, u_j)
     rot_i = _anchored(c.rotation[u_i - 1], h_i)

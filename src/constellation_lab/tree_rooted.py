@@ -66,10 +66,16 @@ def xi(cf: ColoredFactorization) -> tuple[Arc, ...]:
     (t, colorings[t-1][i-1]) to the class of i in type t+1 (1 after k).  The
     tour, returned as its arcs, is the clockwise white-face reading of the
     cactus from the root corner of hyperedge 1, so it starts with (k, 1).
-    Raises ValueError on invalid input.  The output is valid by construction
-    and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
+    Raises ValueError on invalid input; the guard-free core is :func:`_xi`.
+    The output is valid by construction and is checked only in tests
+    (criterion 4, ``tests/test_validate_once.py``).
     """
     _require(cf.validate())
+    return _xi(cf)
+
+
+def _xi(cf: ColoredFactorization) -> tuple[Arc, ...]:
+    """:func:`xi` without its input guard, for the ``phi`` roundtrip."""
     k, n = cf.k, cf.n
     # invs[t-1][g]: the preimage of g under pi_t
     invs = []
@@ -208,10 +214,18 @@ def phi(cf: ColoredFactorization) -> TreeRootedConstellation:
     from the root hyperedge, so each hyperedge is numbered by its place in it
     before the one build: the images are exactly the objects
     :func:`enumerate_tree_rooted` yields.
-    Raises ValueError on invalid input.  The output is valid by construction
-    and is checked only in tests (criterion 4, ``tests/test_validate_once.py``).
+    Raises ValueError on invalid input, by the guard of :func:`xi`; the
+    guard-free core is :func:`_phi`, on the tour of :func:`_xi`.  The output
+    is valid by construction and is checked only in tests (criterion 4,
+    ``tests/test_validate_once.py``).
     """
-    arcs = xi(cf)
+    return _phi(cf, xi(cf))
+
+
+def _phi(cf: ColoredFactorization, arcs: Sequence[Arc]) -> TreeRootedConstellation:
+    """:func:`phi` past its input guard, from the tour ``arcs`` of ``cf``;
+    the ``phi`` roundtrip, whose colored factorizations come valid from
+    their enumerator, hands it the tour of the guard-free :func:`_xi`."""
     k, n, colorings = cf.k, cf.n, cf.colorings
     exits = best_decompose(arcs, colorings)
     dverts = list(exits)

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import itertools
 import json
@@ -142,15 +143,110 @@ def test_roundtrip_counts_a_rejected_intermediate_object_as_a_failure(
 ):
     # the inverse map rejects what the broken forward map hands it: a failed
     # check (exit 1), not a usage error
-    domain, _, inverse, takes_p = cli.ROUNDTRIPS[bijection]
-    first = next(iter(domain(2, 2, None, counting.DEFAULT_CAP)))
+    row = cli.ROUNDTRIPS[bijection]
+    first = next(iter(row.domain(2, 2, None, counting.DEFAULT_CAP)))
     with pytest.raises(ValueError):
-        inverse(broken_forward(first))
-    monkeypatch.setitem(cli.ROUNDTRIPS, bijection, (domain, broken_forward, inverse, takes_p))
+        row.inverse(broken_forward(first))
+    monkeypatch.setitem(cli.ROUNDTRIPS, bijection, row._replace(forward=broken_forward))
     code = main(["roundtrip", "--bijection", bijection, "--n", "2", "--k", "2"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_FAILED == 1
     assert f"{bijection}: {size} roundtrips, {size} failures\n" in captured.out
+    assert captured.err == ""
+
+
+def _perfbench_oracle():
+    """``perfbench/oracle.py``, imported read-only: closed-form domain sizes
+    written without the library."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench",
+                        "oracle.py")
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_roundtrip_sizes_match_the_benchmark_oracle():
+    oracle = _perfbench_oracle()
+    for n, k in [*((n, 2) for n in range(1, 5)), *((n, 3) for n in range(1, 4)), (2, 4)]:
+        types = list(itertools.product(range(1, n + 1), repeat=k))
+        expected = {
+            "phi": sum(oracle.colored_count(n, p) for p in types),
+            "swap": sum(oracle.swap_domain(n, p) for p in types),
+            "lambda": oracle.tree_pointed_domain(n, k),
+            "theta": oracle.bidding_domain(n, k),
+            "sigma": oracle.bidding_domain(n, k),
+            "psi": oracle.bidding_domain(n, k),
+        }
+        assert {row: spec.size(n, k, None) for row, spec in cli.ROUNDTRIPS.items()} == expected
+        for p in types:
+            assert cli.ROUNDTRIPS["phi"].size(n, k, p) == oracle.colored_count(n, p), p
+            assert cli.ROUNDTRIPS["swap"].size(n, k, p) == oracle.swap_domain(n, p), p
+
+
+# the smallest (n, k) at which each row's domain is not empty
+ROW_SIZES = {"phi": (2, 2), "swap": (3, 2), "lambda": (2, 2), "theta": (2, 2), "sigma": (2, 2),
+             "psi": (2, 2)}
+
+
+@pytest.mark.parametrize("change", ["drop-last", "repeat-first"])
+@pytest.mark.parametrize("bijection", list(cli.ROUNDTRIPS))
+def test_roundtrip_fails_when_its_domain_drops_or_repeats_an_object(
+    capsys, monkeypatch, bijection, change
+):
+    # every object still roundtrips, so only the closed-form size sees it
+    n, k = ROW_SIZES[bijection]
+    row = cli.ROUNDTRIPS[bijection]
+    full = list(row.domain(n, k, None, counting.DEFAULT_CAP))
+    objects = full[:-1] if change == "drop-last" else full[:1] + full
+    monkeypatch.setitem(cli.ROUNDTRIPS, bijection, row._replace(domain=lambda *_: iter(objects)))
+    argv = ["roundtrip", "--bijection", bijection, "--n", str(n), "--k", str(k)]
+    code, out = run(capsys, "--format", "json", *argv)
+    assert code == cli.EXIT_FAILED == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert payload["results"] == [
+        {"bijection": bijection, "checked": len(objects), "expected": len(full), "failures": 0}
+    ]
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out == (f"{bijection}: {len(objects)} roundtrips, 0 failures\n"
+                   f"{bijection}: expected {len(full)} roundtrips\nok: false\n")
+
+
+def _malformed(bijection):
+    """One object of the row's domain type that its guard-free forward map
+    cannot handle: it indexes past the object, or the inverse rejects it."""
+    n, k = ROW_SIZES[bijection]
+    x = next(iter(cli.ROUNDTRIPS[bijection].domain(n, k, None, counting.DEFAULT_CAP)))
+    if bijection == "phi":
+        return dataclasses.replace(x, colorings=tuple(col[:-1] for col in x.colorings))
+    if bijection == "swap":
+        return x[:5] + (99,)  # no vertex 99
+    if bijection == "lambda":
+        arb = dataclasses.replace(x.arborescence, parent_edge=(None,) * len(x.arborescence.parent_edge))
+        return dataclasses.replace(x, arborescence=arb)
+    if bijection == "theta":
+        return dataclasses.replace(x, order=((1, 99),) + x.order[1:])
+    if bijection == "sigma":
+        return dataclasses.replace(x, order=((99, 1),) + x.order[1:])
+    return dataclasses.replace(x, subsets=x.subsets[:-1])
+
+
+@pytest.mark.parametrize("bijection", list(cli.ROUNDTRIPS))
+def test_roundtrip_counts_a_malformed_domain_object_as_a_failure(capsys, monkeypatch, bijection):
+    # an IndexError or KeyError from a guard-free core is a failed check, as a
+    # ValueError from a guard is, and not a traceback
+    bad = _malformed(bijection)
+    row = cli.ROUNDTRIPS[bijection]
+    with pytest.raises((ValueError, LookupError)):
+        row.inverse(row.forward(bad))
+    monkeypatch.setitem(cli.ROUNDTRIPS, bijection, row._replace(domain=lambda *_: iter([bad])))
+    n, k = ROW_SIZES[bijection]
+    code = main(["roundtrip", "--bijection", bijection, "--n", str(n), "--k", str(k)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_FAILED == 1
+    assert f"{bijection}: 1 roundtrips, 1 failures\n" in captured.out
     assert captured.err == ""
 
 

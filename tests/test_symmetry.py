@@ -35,16 +35,25 @@ def eligible_moves(t_obj):
                 yield t, i, j
 
 
+def with_vertices(t_obj, t, i, j):
+    """A move of the swap domain: its labels, then the vertices so labelled."""
+    c = t_obj.constellation
+    return t_obj, t, i, j, c.vertex_by_label(t, i), c.vertex_by_label(t, j)
+
+
 @pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
 def test_swap_domain_is_every_eligible_move_in_order(n, k):
-    # the roundtrip's domain reads each hyperdegree once; it must list the
-    # moves of the label scan, object by object, over every type and per type
+    # the roundtrip's domain reads each hyperdegree and label once; it must
+    # list the moves of the label scan, with their vertices, object by
+    # object, over every type and per type
     expected = [
-        (t_obj, *move) for t_obj in tree_rooted_objects(n, k) for move in eligible_moves(t_obj)
+        with_vertices(t_obj, *move)
+        for t_obj in tree_rooted_objects(n, k)
+        for move in eligible_moves(t_obj)
     ]
     assert list(_swap_domain(n, k, None, DEFAULT_CAP)) == expected
     for p in itertools.product(range(1, n + 1), repeat=k):
-        expected = [(t_obj, *move) for t_obj in enumerate_tree_rooted(n, k, p)
+        expected = [with_vertices(t_obj, *move) for t_obj in enumerate_tree_rooted(n, k, p)
                     for move in eligible_moves(t_obj)]
         assert list(_swap_domain(n, k, p, DEFAULT_CAP)) == expected, p
 

@@ -7,7 +7,9 @@ with once.  A composite map validates only at its boundary: psi and
 psi_inverse call the guard-free cores of sigma and vartheta_inverse, and
 phi_inverse decodes the tour it replays with the private _xi_inverse, so
 the intermediates they build are not checked again, while the public maps
-keep their guards.
+keep their guards.  The roundtrip table of the CLI runs guard-free forward
+cores on the objects its domains produce, so there each object is validated
+once, as the image that the inverse map's guard checks.
 """
 import random
 from collections import Counter
@@ -17,7 +19,7 @@ import pytest
 from oracles import eulerian_tour_problem, random_colored_factorization, random_permutation
 
 from constellation_lab import constellations
-from constellation_lab import biddings, tree_rooted
+from constellation_lab import biddings, cli, symmetry, tree_rooted
 from constellation_lab.biddings import (
     Bidding,
     LabelledNebula,
@@ -30,7 +32,7 @@ from constellation_lab.biddings import (
     vartheta,
     vartheta_inverse,
 )
-from constellation_lab.counting import ColoredFactorization, strict_subsets
+from constellation_lab.counting import DEFAULT_CAP, ColoredFactorization, strict_subsets
 from constellation_lab.nebulas import (
     Nebula,
     TreePointedConstellation,
@@ -144,3 +146,57 @@ def test_lambda_roundtrip_validates_each_object_once(validity_calls, monkeypatch
     # the constellation is checked once, by the opening's input guard; the
     # closure rebuilds it without checking it again
     assert calls == {"TreePointedConstellation": 1, "Nebula": 1, "validate": 1}
+
+
+def _table_row_on(monkeypatch, row, n, k):
+    """The objects of the row's domain at (n, k), built now and handed back
+    by the row's domain, so that only the maps run while calls are counted."""
+    spec = cli.ROUNDTRIPS[row]
+    objects = list(spec.domain(n, k, None, DEFAULT_CAP))
+    monkeypatch.setitem(cli.ROUNDTRIPS, row, spec._replace(domain=lambda *_: iter(objects)))
+    return objects
+
+
+@pytest.mark.parametrize(
+    "row, n, k, entering, image",
+    [
+        ("phi", 3, 2, ColoredFactorization, TreeRootedConstellation),
+        ("lambda", 3, 2, TreePointedConstellation, Nebula),
+        ("theta", 2, 3, Prebidding, LabelledNebula),
+        ("sigma", 2, 3, Prebidding, Bidding),
+        ("psi", 2, 3, Bidding, LabelledNebula),
+    ],
+)
+def test_roundtrip_table_validates_each_image_once_and_no_domain_object(
+    validity_calls, monkeypatch, row, n, k, entering, image
+):
+    objects = _table_row_on(monkeypatch, row, n, k)
+    calls = validity_calls(entering, image)
+
+    def counted(c, _original=constellations.validate):
+        calls["validate"] += 1
+        return _original(c)
+
+    monkeypatch.setattr(constellations, "validate", counted)
+    assert cli._run_roundtrip(row, n, k, None, DEFAULT_CAP) == (len(objects), 0)
+    # the forward core checks nothing; the inverse guard checks each image,
+    # and no constellation is checked apart from a tree-rooted image's own
+    assert calls[entering.__name__] == 0
+    assert calls[image.__name__] == len(objects) > 0
+    assert calls["validate"] == (len(objects) if image is TreeRootedConstellation else 0)
+
+
+def test_roundtrip_table_checks_each_swap_move_once(validity_calls, monkeypatch):
+    objects = _table_row_on(monkeypatch, "swap", 3, 2)
+    calls = validity_calls(TreeRootedConstellation)
+
+    def counted(c, a, _original=symmetry.validate_arborescence):
+        calls["validate_arborescence"] += 1
+        return _original(c, a)
+
+    monkeypatch.setattr(symmetry, "validate_arborescence", counted)
+    assert cli._run_roundtrip("swap", 3, 2, None, DEFAULT_CAP) == (len(objects), 0)
+    # the moved object is checked by the guard of the move back, and the
+    # object the domain yielded is not checked at all
+    assert calls == Counter({"validate_arborescence": len(objects)})
+    assert len(objects) == 48
