@@ -13,7 +13,7 @@ import pytest
 from oracles import color_compositions
 
 from constellation_lab.biddings import Bidding, psi_inverse
-from constellation_lab.constellations import Constellation, dual, from_permutations
+from constellation_lab.constellations import Arborescence, Constellation, dual, from_permutations
 from constellation_lab import cli, counting, nebulas, tree_rooted
 from constellation_lab.cli import main
 from constellation_lab.permutations import Permutation
@@ -224,8 +224,8 @@ def _malformed(bijection):
     if bijection == "swap":
         return x[:5] + (99,)  # no vertex 99
     if bijection == "lambda":
-        arb = dataclasses.replace(x.arborescence, parent_edge=(None,) * len(x.arborescence.parent_edge))
-        return dataclasses.replace(x, arborescence=arb)
+        parents = (None,) * len(x.arborescence.parent_edge)  # nothing to cut, so no buds
+        return dataclasses.replace(x, arborescence=Arborescence(1, parents))
     if bijection == "theta":
         return dataclasses.replace(x, order=((1, 99),) + x.order[1:])
     if bijection == "sigma":

@@ -193,6 +193,13 @@ def test_colored_factorization_validation():
     assert bad.validate() is not None
 
 
+def test_colored_factorization_rejects_a_coloring_that_changes_at_every_step():
+    # the one-pass test looks for a step x -> pi(x) that changes color; here
+    # every step of the 2-cycle of pi_1 = (1 2) does (pi_2 is the identity)
+    cf = ColoredFactorization(perms=(Permutation((2, 1)), identity(2)), colorings=((1, 2), (1, 2)))
+    assert cf.validate() == "coloring 1 not constant on cycle [1, 2]"
+
+
 def test_compositions_sum_to_colored_count():
     n, k = 4, 2
     for p in itertools.product(range(1, n + 1), repeat=k):
