@@ -67,6 +67,13 @@ A run times, in this process, one layer per line of the file:
   ``cli._parser().parse_args``); ``write_json`` writes each argv's JSON
   report, as read back from a run of the argv, to a ``StringIO``
   (``cli._write_json``).
+- ``cli.startup.<nocache|cached>``: a fresh interpreter running the set-up
+  statement that ``perfbench/run.py`` times as ``setup_s`` (interpreter
+  start, ``import constellation_lab``, ``from constellation_lab import cli``,
+  ``cli.build_parser()``), on a copy of the imported library's ``src`` made
+  without ``__pycache__``.  ``nocache`` starts with ``-B``, so every start
+  compiles what it imports, as the benchmark's runs do; ``cached`` starts
+  after one start has written the byte code.  ``STARTS`` starts per repeat.
 
 The grids, the sampled types and the symmetry-check sizes are read from
 ``perfbench/workloads.py``, imported read-only.  Each layer runs
@@ -77,7 +84,7 @@ layer reports the median and quartiles over its repeats of the normalised
 microseconds per object (per call for the census, the puzzle and the sampler;
 per argv for the CLI).
 ``--quick`` keeps the schema and shrinks the work: 10 random objects, 2
-repeats, one sampled type.
+repeats, one sampled type, one start per repeat.
 
 ``--compare A B`` prints, per layer in both files, the median of A, that of
 B and their ratio B / A; with ``--out`` it also writes both runs and the
@@ -94,9 +101,11 @@ import json
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -105,6 +114,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import oracle  # noqa: E402
 import speed  # noqa: E402
 import workloads  # noqa: E402
+from run import SETUP_CODE  # noqa: E402
 
 from constellation_lab import (  # noqa: E402
     biddings,
@@ -141,6 +151,9 @@ MV_GAMMAS = ((1, 2, 1), (3, 1), (2, 2))
 # (n, k) of the rooted-domain builds and of the arborescence walks
 ROOTED_SIZES = ((5, 2), (4, 3), (3, 4))
 ARBORESCENCE_SIZES = ((3, 3), (4, 3))
+# interpreter starts per repeat of the cli.startup layers
+STARTS = 5
+QUICK_STARTS = 1
 # (n, k) of the fresh census builds; one at (6, 3) takes about 0.8 s, which
 # every --quick run would pay for each repeat
 CENSUS_BUILD_SIZES = ((5, 3), (4, 4))
@@ -368,6 +381,33 @@ def cli_layers(repeats: int) -> dict:
     return layers
 
 
+def startup_layers(repeats: int, starts: int) -> dict:
+    """The benchmark's set-up statement in fresh interpreters, on copies of
+    the library made without byte code: with ``-B`` (``nocache``), and after
+    one start has written the byte code (``cached``)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONDONTWRITEBYTECODE"}
+    layers = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, flags in (("nocache", ["-B"]), ("cached", [])):
+            copy = os.path.join(tmp, name)
+            shutil.copytree(os.path.join(src, "constellation_lab"),
+                            os.path.join(copy, "constellation_lab"),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            argv = [sys.executable, *flags, "-c", SETUP_CODE, copy]
+
+            def start(_):
+                subprocess.run(argv, cwd=ROOT, env=env, check=True, capture_output=True,
+                               timeout=60)
+
+            start(None)  # the cached copy writes its byte code here
+            layers[f"cli.startup.{name}"] = time_per_object(start, [None] * starts, repeats)
+    for layer in layers.values():
+        layer["unit"] = "us/start"
+    return layers
+
+
 def feasible_types(n: int, k: int) -> list[tuple[int, ...]]:
     return [p for p in itertools.product(range(n + 1), repeat=k) if counting.m_coefficient(n, p)]
 
@@ -452,6 +492,7 @@ def run(quick: bool) -> dict:
     layers.update(puzzle_layers(repeats))
     layers.update(cli_layers(repeats))
     layers.update(sample_layers(QUICK_SAMPLE_TYPES if quick else SAMPLE_TYPES, repeats))
+    layers.update(startup_layers(repeats, QUICK_STARTS if quick else STARTS))
     return {
         "schema": SCHEMA,
         "commit": _commit(),

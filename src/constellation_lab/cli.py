@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib.util
 import itertools
 import json
 import os
@@ -18,12 +19,37 @@ import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from . import biddings, counting, nebulas, puzzle, symmetry, tree_rooted
-from .constellations import Constellation, constellation_to_dot, halfedge_to_dot
+from . import counting
 from .counting import CapExceededError, CheckReport, DEFAULT_CAP, _check_size, _require
-from .halfedges import HalfEdgeMap
 from .permutations import Composition, compositions_of
-from .puzzle import ratio
+
+
+def _lazy(name: str):
+    """The package's submodule ``name``, whose body runs at its first
+    attribute read (the ``importlib.util.LazyLoader`` recipe).
+
+    A module that ``sys.modules`` already holds is returned as it is, so there
+    is one copy of its memos and of what a caller patches on it.  A new one is
+    registered in ``sys.modules`` and on the package before it runs, as an
+    import would, so a tool that walks the loaded modules finds it."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# the bijection chain runs only when a command reads it; counting and
+# permutations are read by the parser and by every identity command
+tree_rooted = _lazy("tree_rooted")
+symmetry = _lazy("symmetry")
+nebulas = _lazy("nebulas")
+biddings = _lazy("biddings")
 
 SCHEMA = "constellation-lab/2"
 CAP_ENV = "CONSTELLATION_LAB_CAP"
@@ -412,6 +438,10 @@ def cmd_pointing_check(args) -> int:
 
 
 def cmd_puzzle(args) -> int:
+    # absolute, as a relative import runs the import system's Python-level
+    # fromlist handling, about 3 us a call, on every sampled case
+    import constellation_lab.puzzle as puzzle
+
     if args.seed is not None and args.sample is None:
         raise ValueError("puzzle takes --seed only with --sample")
     _check_factors(args, "--p", args.p)
@@ -424,7 +454,8 @@ def cmd_puzzle(args) -> int:
             True,
             [
                 f"sampled {result.trials} trials, accepted {result.accepted}",
-                f"tree ~ {ratio(result.tree_estimate)}  |R_1|=k-1 ~ {ratio(result.r1_estimate)}",
+                f"tree ~ {puzzle.ratio(result.tree_estimate)}"
+                f"  |R_1|=k-1 ~ {puzzle.ratio(result.r1_estimate)}",
             ],
         )
     report = puzzle.verify_puzzle(args.n, args.k, args.p, cap=args.cap)
@@ -434,7 +465,10 @@ def cmd_puzzle(args) -> int:
         "puzzle",
         [report.to_json()],
         report.equal,
-        [f"P(tree) = {ratio(report.tree)}  P(|R_1|=k-1) = {ratio(report.r1)}  [{verdict}]"],
+        [
+            f"P(tree) = {puzzle.ratio(report.tree)}"
+            f"  P(|R_1|=k-1) = {puzzle.ratio(report.r1)}  [{verdict}]"
+        ],
     )
 
 
@@ -459,6 +493,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .constellations import Constellation, constellation_to_dot, halfedge_to_dot
+    from .halfedges import HalfEdgeMap
+
     with open(args.input, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if args.kind == "constellation":

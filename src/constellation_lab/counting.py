@@ -307,7 +307,12 @@ def color_composition_counts(
     sizes = {g.size for axis in axes for g in axis}
     if len(sizes) > 1:
         raise ValueError("compositions must all have the same size")
-    n = sizes.pop() if sizes else 0
+    if not axes or not all(axes):
+        # no tuple to count, and no size to read the census at; k still
+        # has to be at least 2
+        _check_size(0, len(axes), n_min=0, k_min=2)
+        return {}
+    (n,) = sizes
     counts = cycle_type_census(n, len(axes), cap)
     # a key holds the cycle types of the factors still to contract, then the
     # compositions of those contracted, so each step turns it by one place

@@ -286,11 +286,12 @@ def test_color_composition_counts_check_size_then_arguments_then_cap():
         color_composition_counts([[two]])
     with pytest.raises(CapExceededError, match="^enumeration of 6 tuples exceeds cap 5$"):
         color_composition_counts([list(compositions_of(3))] * 2, cap=5)
-    # an empty axis leaves no tuple to count
+    # an empty axis leaves no tuple to count, whether or not another axis
+    # gives a size
     assert color_composition_counts([[two], []]) == {}
-    # with no composition on any axis there is no size, which counts as 0
-    with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
-        color_composition_counts([[], []])
+    assert color_composition_counts([[], []]) == {}
+    with pytest.raises(ValueError, match="^k must be at least 2, got 1$"):
+        color_composition_counts([[]])
 
 
 def test_color_composition_counts_check_that_each_cycle_type_sums_to_n(monkeypatch, capsys):

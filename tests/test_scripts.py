@@ -155,6 +155,7 @@ def test_bench_quick_run_and_compare_keep_their_schema(tmp_path):
     expected |= {f"domain.arborescences.{size}" for size in ("3-3", "4-3")}
     expected |= {"pointing-check.4-3"}
     expected |= {"cli.parse.identity-sweep", "cli.write_json.identity-sweep"}
+    expected |= {"cli.startup.nocache", "cli.startup.cached"}
     expected |= {f"guard.{cls}.exhaustive" for cls in (
         "ColoredFactorization", "TreeRootedConstellation", "TreePointedConstellation",
         "Nebula", "LabelledNebula", "Prebidding", "Bidding")}
